@@ -17,7 +17,6 @@ the include events and record them as references instead.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 from .errors import DocTypeError
@@ -79,16 +78,11 @@ class DocTypeRegistry:
 
 
 class ObjectStore:
-    """Memoized activations; concurrent readers, per-key builder runs."""
+    """Memoized activations, keyed by normalized URL and version; one
+    store serves one thread."""
 
     def __init__(self):
         self._entries: dict[str, TypedDocument] = {}
-        self._locks: dict[str, threading.Lock] = {}
-        self._mutex = threading.Lock()
-
-    def lock_for(self, key: str) -> threading.Lock:
-        with self._mutex:
-            return self._locks.setdefault(key, threading.Lock())
 
     def get(self, key: str) -> TypedDocument | None:
         return self._entries.get(key)
@@ -125,13 +119,9 @@ class DocumentEngine:
         if key in _chain:
             chain = " -> ".join(list(_chain) + [key])
             raise DocTypeError(f"document inclusion cycle: {chain}")
-        with self.store.lock_for(key):
-            cached = self.store.get(key)
-            if cached is not None:
-                return cached
-            doc = self._activate_uncached(url, version, _chain + (key,))
-            self.store.put(key, doc)
-            return doc
+        doc = self._activate_uncached(url, version, _chain + (key,))
+        self.store.put(key, doc)
+        return doc
 
     def _activate_uncached(self, url: ResourceUrl, version: str | None,
                            chain: tuple[str, ...]) -> TypedDocument:

@@ -20,11 +20,14 @@ import json
 import os
 import shlex
 import subprocess
+from collections.abc import Iterator
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 
 from .activedoc import DocTypeRegistry, DocumentEngine, ObjectStore
 from .configuration import (
     Architecture,
+    ConfigurationDoc,
     PinnedTool,
     RequirementsDoc,
     ResolvedConfiguration,
@@ -34,6 +37,7 @@ from .configuration import (
     parse_requirements,
 )
 from .errors import AreaError, ToolError
+from .fsutil import atomic_write, locked
 from .markup import HandlerMap, parse_with_handlers
 from .runtime import (
     EXEC_PATH_VAR,
@@ -81,7 +85,7 @@ class InstallationRecord:
 
 
 class Registry:
-    """Append-tolerant text registry of central installations."""
+    """Text registry of central installations, one record per line."""
 
     def __init__(self, path: str):
         self.path = path
@@ -97,19 +101,22 @@ class Registry:
                 path = os.path.join(os.path.expanduser("~"), "." + REGISTRY_BASENAME)
         return cls(path)
 
-    def records(self) -> list[InstallationRecord]:
+    def _lines(self) -> list[str]:
         if not os.path.exists(self.path):
             return []
-        out = []
         with open(self.path) as fh:
-            for raw in fh:
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                parts = line.split(None, 3)
-                if len(parts) != 4:
-                    continue  # tolerate junk lines
-                out.append(InstallationRecord(*parts))
+            return [raw.rstrip("\n") for raw in fh]
+
+    def records(self) -> list[InstallationRecord]:
+        out = []
+        for raw in self._lines():
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split(None, 3)
+            if len(parts) != 4:
+                continue  # tolerate junk lines
+            out.append(InstallationRecord(*parts))
         return out
 
     def find(self, project: str, version: str, arch: str) -> InstallationRecord | None:
@@ -119,18 +126,22 @@ class Registry:
         return None
 
     def add(self, record: InstallationRecord) -> None:
-        existing = self.find(record.project, record.version, record.arch)
-        if existing is not None:
-            if existing.location == record.location:
-                return  # re-registering the identical record is a no-op
-            raise AreaError(
-                f"{record.project} {record.version} ({record.arch}) is already "
-                f"registered at {existing.location}"
-            )
-        os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
-        with open(self.path, "a") as fh:
-            fh.write(f"{record.project} {record.version} {record.arch} "
-                     f"{record.location}\n")
+        """Register ``record`` unless an identical one exists. The check and
+        the rewrite hold the registry lock, so concurrent installs cannot
+        record duplicate or conflicting entries."""
+        with locked(os.path.realpath(self.path) + ".lock", wait=True):
+            existing = self.find(record.project, record.version, record.arch)
+            if existing is not None:
+                if existing.location == record.location:
+                    return  # re-registering the identical record is a no-op
+                raise AreaError(
+                    f"{record.project} {record.version} ({record.arch}) is "
+                    f"already registered at {existing.location}"
+                )
+            lines = self._lines()
+            lines.append(f"{record.project} {record.version} {record.arch} "
+                         f"{record.location}")
+            atomic_write(self.path, "\n".join(lines) + "\n")
 
 
 class ProjectArea:
@@ -201,8 +212,7 @@ class ProjectArea:
             return STATE_INCOMPLETE
 
     def set_state(self, state: str) -> None:
-        with open(self._admin_file(STATE_FILE), "w") as fh:
-            fh.write(state + "\n")
+        atomic_write(self._admin_file(STATE_FILE), state + "\n")
 
     # ---- creation ---------------------------------------------------
     @classmethod
@@ -213,44 +223,27 @@ class ProjectArea:
         area = cls(root)
         for sub in AREA_SUBDIRS:
             os.makedirs(os.path.join(area.root, sub))
-        with open(area._admin_file(AREA_FILE), "w") as fh:
-            fh.write(f"project = {project}\nversion = {version}\n")
+        atomic_write(area._admin_file(AREA_FILE),
+                     f"project = {project}\nversion = {version}\n")
         if link_target is not None:
-            with open(area._admin_file(LINK_FILE), "w") as fh:
-                fh.write(os.path.abspath(link_target) + "\n")
+            atomic_write(area._admin_file(LINK_FILE),
+                         os.path.abspath(link_target) + "\n")
         area.set_state(STATE_INCOMPLETE)
         return area
 
-    def lock(self) -> "_AreaLock":
-        return _AreaLock(self._admin_file(LOCK_FILE))
-
-
-class _AreaLock:
-    """One mutating command per area; read-only commands never take this."""
-
-    def __init__(self, path: str):
-        self.path = path
-        self._fd = None
-
-    def __enter__(self):
-        try:
-            self._fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise AreaError(
-                f"another scram command holds the area lock ({self.path}); "
-                f"remove it if that command is gone"
-            ) from None
-        os.write(self._fd, str(os.getpid()).encode())
-        return self
-
-    def __exit__(self, *exc):
-        if self._fd is not None:
-            os.close(self._fd)
-        try:
-            os.unlink(self.path)
-        except OSError:
-            pass
-        return False
+    @contextmanager
+    def lock(self) -> Iterator[None]:
+        """One mutating command per area; read-only commands never take
+        this. A second holder fails at once rather than waiting."""
+        path = self._admin_file(LOCK_FILE)
+        with ExitStack() as held:
+            try:
+                held.enter_context(locked(path, wait=False))
+            except BlockingIOError:
+                raise AreaError(
+                    f"another scram command holds the area lock ({path})"
+                ) from None
+            yield
 
 
 def area_context(cwd: str) -> ProjectArea:
@@ -346,8 +339,6 @@ def build_engine(site: SiteInfo | None = None, env=None,
 
 def _write_config_record(area: ProjectArea, arch: Architecture,
                          resolved: ResolvedConfiguration) -> None:
-    path = area.config_record_path(arch)
-    os.makedirs(os.path.dirname(path), exist_ok=True)
     payload = {
         "identity": list(resolved.config_identity),
         "tools": [
@@ -356,9 +347,8 @@ def _write_config_record(area: ProjectArea, arch: Architecture,
             for pin in resolved.tools.values()
         ],
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+    atomic_write(area.config_record_path(arch),
+                 json.dumps(payload, indent=1) + "\n")
 
 
 def load_config_record(area: ProjectArea, arch: Architecture) -> ResolvedConfiguration:
@@ -389,7 +379,6 @@ def _record_path(area_root: str, arch: Architecture, name: str) -> str:
 def write_tool_record(area: ProjectArea, arch: Architecture,
                       rt: ResolvedTool) -> str:
     path = _record_path(area.root, arch, rt.name)
-    os.makedirs(os.path.dirname(path), exist_ok=True)
     payload = {
         "name": rt.name,
         "version": rt.version,
@@ -400,9 +389,7 @@ def write_tool_record(area: ProjectArea, arch: Architecture,
         "descriptions": rt.descriptions,
         "externals": rt.externals,
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+    atomic_write(path, json.dumps(payload, indent=1) + "\n")
     return path
 
 
@@ -439,7 +426,8 @@ def _known_tool_names(area: ProjectArea, arch: Architecture) -> list[str]:
         directory = os.path.join(root, ADMIN_DIR, arch.canonical, TOOLS_DIR)
         if os.path.isdir(directory):
             for entry in sorted(os.listdir(directory)):
-                if entry not in names:
+                # dot-names are temp files of an interrupted write
+                if not entry.startswith(".") and entry not in names:
                     names.append(entry)
     return names
 
@@ -452,7 +440,7 @@ def _load_requirements(engine: DocumentEngine, url: ResourceUrl):
     payload = typed.payload
     if isinstance(payload, RequirementsDoc):
         return typed, payload
-    if hasattr(payload, "entries"):  # a configuration document directly
+    if isinstance(payload, ConfigurationDoc):
         selects = [SelectEntry(e.name, e.arch_scope) for e in payload.entries]
         return typed, RequirementsDoc(base=payload.base, includes=[],
                                       selects=selects)
@@ -466,7 +454,7 @@ def resolve_project_configuration(engine: DocumentEngine, url: ResourceUrl,
                                   arch: Architecture) -> ResolvedConfiguration:
     """Activate a requirements document, load its configurations, and bind
     the architecture's selection."""
-    from .configuration import ConfigurationDoc, resolve_selection
+    from .configuration import resolve_selection
 
     typed, req = _load_requirements(engine, url)
     req_base = parse_url(req.base, base=typed.source) if req.base else None
@@ -551,17 +539,14 @@ def bootstrap_install(bootstrap_url: str, dest_root: str,
     area = ProjectArea.create(root, boot.project, boot.version)
     for raw_url, dest in boot.downloads:
         content, _ = engine.cache.fetch(parse_url(raw_url, base=typed.source))
-        target = os.path.join(area.root, dest)
-        os.makedirs(os.path.dirname(target), exist_ok=True)
-        with open(target, "wb") as fh:
-            fh.write(content)
+        atomic_write(os.path.join(area.root, dest), content)
 
     if boot.config_url is not None:
         config_url = parse_url(boot.config_url, base=typed.source)
         resolved = resolve_project_configuration(engine, config_url, arch)
         _write_config_record(area, arch, resolved)
-        with open(os.path.join(area.root, "config", REQUIREMENTS_ID_FILE), "w") as fh:
-            fh.write(f"{resolved.config_identity[0]} "
+        atomic_write(os.path.join(area.root, "config", REQUIREMENTS_ID_FILE),
+                     f"{resolved.config_identity[0]} "
                      f"{resolved.config_identity[1]}\n")
         resolve_selected_tools(engine, area, arch, resolved, site, prompt)
 
@@ -632,9 +617,9 @@ def create_dev_area(project: str, version: str, registry: Registry, cwd: str,
                               link_target=record.location)
     source = os.path.join(record.location, "config", REQUIREMENTS_ID_FILE)
     if os.path.exists(source):
-        with open(source) as src, open(
-                os.path.join(area.root, "config", REQUIREMENTS_ID_FILE), "w") as dst:
-            dst.write(src.read())
+        with open(source, "rb") as fh:
+            atomic_write(os.path.join(area.root, "config", REQUIREMENTS_ID_FILE),
+                         fh.read())
     return area
 
 

@@ -26,12 +26,12 @@ import os
 import shlex
 import subprocess
 import tempfile
-import threading
 import time
 import urllib.request
 from dataclasses import dataclass
 
 from .errors import FetchError, UrlError
+from .fsutil import atomic_write, locked
 
 HEAD = "HEAD"
 
@@ -272,73 +272,58 @@ class UrlCache:
 
     Versioned fetches become immutable entries: the adapter runs once per
     key, ever. HEAD fetches are refetched only when ``refresh`` is set.
-    Concurrent fetches of the same key serialize on a per-entry lock file;
-    distinct keys proceed in parallel.
+    Fetches of the same key, from any thread or process, wait for each
+    other on the entry's lock file; distinct keys proceed in parallel.
     """
 
     def __init__(self, root: str, registry: SchemeRegistry):
         self.root = root
         self.registry = registry
         self.stats = CacheStats()
-        self._key_locks: dict[str, threading.Lock] = {}
-        self._mutex = threading.Lock()
 
     def _paths(self, url: ResourceUrl, key: str) -> tuple[str, str]:
         digest = hashlib.sha256(key.encode()).hexdigest()
         prefix = os.path.join(self.root, url.scheme, digest[:2])
         return os.path.join(prefix, digest), os.path.join(prefix, digest + ".meta")
 
-    def _lock_for(self, key: str) -> threading.Lock:
-        with self._mutex:
-            return self._key_locks.setdefault(key, threading.Lock())
-
     def fetch(self, url: ResourceUrl, version: str | None = None,
               refresh: bool = False) -> tuple[bytes, CacheEntry]:
         key = url.cache_key(version)
         content_path, meta_path = self._paths(url, key)
         tag = url.version_tag(version)
-        with self._lock_for(key):
-            holder = _EntryLock(content_path + ".lock")
-            with holder:
-                usable = os.path.exists(content_path) and not (
-                    tag == HEAD and refresh
-                )
-                if usable:
-                    self.stats.hits += 1
-                    with open(content_path, "rb") as fh:
-                        content = fh.read()
-                    return content, self._load_meta(meta_path, key, content_path)
+        with locked(content_path + ".lock", wait=True):
+            usable = os.path.exists(content_path) and not (
+                tag == HEAD and refresh
+            )
+            if usable:
+                self.stats.hits += 1
+                with open(content_path, "rb") as fh:
+                    content = fh.read()
+                return content, self._load_meta(meta_path, key, content_path)
 
-                self.stats.misses += 1
-                content = self.registry.retrieve(url, version)
-                self.stats.adapter_calls += 1
-                entry = CacheEntry(
-                    key=key,
-                    content_path=content_path,
-                    fetched_at=time.time(),
-                    content_hash=hashlib.sha256(content).hexdigest(),
-                )
-                self._store(url, entry, content, meta_path)
-                return content, entry
+            self.stats.misses += 1
+            content = self.registry.retrieve(url, version)
+            self.stats.adapter_calls += 1
+            entry = CacheEntry(
+                key=key,
+                content_path=content_path,
+                fetched_at=time.time(),
+                content_hash=hashlib.sha256(content).hexdigest(),
+            )
+            self._store(url, entry, content, meta_path)
+            return content, entry
 
     def _store(self, url: ResourceUrl, entry: CacheEntry, content: bytes,
                meta_path: str) -> None:
+        meta = {
+            "url": url.unparse(),
+            "key": entry.key,
+            "fetched_at": entry.fetched_at,
+            "content_hash": entry.content_hash,
+        }
         try:
-            os.makedirs(os.path.dirname(entry.content_path), exist_ok=True)
-            tmp = entry.content_path + ".tmp"
-            with open(tmp, "wb") as fh:
-                fh.write(content)
-            os.replace(tmp, entry.content_path)
-            with open(meta_path, "w") as fh:
-                json.dump(
-                    {
-                        "url": url.unparse(),
-                        "key": entry.key,
-                        "fetched_at": entry.fetched_at,
-                        "content_hash": entry.content_hash,
-                    },
-                    fh,
-                )
+            atomic_write(entry.content_path, content)
+            atomic_write(meta_path, json.dumps(meta))
         except OSError as exc:
             raise FetchError(f"cannot write cache entry for {url}: {exc}") from exc
 
@@ -354,36 +339,3 @@ class UrlCache:
                 digest = hashlib.sha256(fh.read()).hexdigest()
             return CacheEntry(key, content_path, 0.0, digest)
 
-
-class _EntryLock:
-    """Advisory per-entry lock file; waits out a competing writer."""
-
-    def __init__(self, path: str, timeout: float = 30.0):
-        self.path = path
-        self.timeout = timeout
-        self._fd = None
-
-    def __enter__(self):
-        os.makedirs(os.path.dirname(self.path), exist_ok=True)
-        deadline = time.monotonic() + self.timeout
-        while True:
-            try:
-                self._fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-                os.write(self._fd, str(os.getpid()).encode())
-                return self
-            except FileExistsError:
-                if time.monotonic() > deadline:
-                    raise FetchError(
-                        f"timed out waiting for cache lock {self.path}"
-                    ) from None
-                time.sleep(0.01)
-
-    def __exit__(self, *exc):
-        if self._fd is not None:
-            os.close(self._fd)
-            self._fd = None
-        try:
-            os.unlink(self.path)
-        except OSError:
-            pass
-        return False

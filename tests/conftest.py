@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import select
+import subprocess
+import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -123,6 +127,36 @@ def make_toy_project(tmp_path: Path, *, with_config: bool = True) -> ToyProject:
 @pytest.fixture
 def toy(tmp_path) -> ToyProject:
     return make_toy_project(tmp_path)
+
+
+@pytest.fixture
+def child_env():
+    """Maps an environment to a copy in which a child Python process
+    imports this scram."""
+    import scram
+
+    src = str(Path(scram.__file__).parent.parent)
+    return lambda env: dict(env, PYTHONPATH=src)
+
+
+@pytest.fixture
+def kill_when_held(child_env):
+    """Run a Python snippet in a child process, wait until it prints
+    ``held`` (once it holds a lock), then SIGKILL it."""
+
+    def run(script: str) -> None:
+        child = subprocess.Popen([sys.executable, "-c", script],
+                                 stdout=subprocess.PIPE,
+                                 env=child_env(os.environ))
+        try:
+            ready, _, _ = select.select([child.stdout], [], [], 30)
+            assert ready and child.stdout.readline() == b"held\n"
+        finally:
+            child.kill()
+            child.wait()
+            child.stdout.close()
+
+    return run
 
 
 @pytest.fixture(scope="session")

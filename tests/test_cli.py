@@ -188,3 +188,20 @@ class TestReadOnlyVerbs:
         assert run(toy, "runtime", "-sh", cwd=dev) == 0
         assert run(toy, "runtime", "-csh", cwd=dev) == 0
         assert snapshot(toy.root) == before
+
+    def test_leftover_temp_record_is_ignored(self, toy, capsys):
+        central = lifecycle(toy, capsys)
+        assert run(toy, "project", "ORCA", "7_1_3", cwd=str(toy.workspace)) == 0
+        dev = str(toy.workspace / "ORCA_7_1_3")
+        capsys.readouterr()
+
+        def outputs():
+            assert run(toy, "tool", "list", cwd=dev) == 0
+            assert run(toy, "runtime", "-sh", cwd=dev) == 0
+            return capsys.readouterr()
+
+        before = outputs()
+        tools = Path(central) / ".SCRAM" / "Linux__2.4" / "tools"
+        (tools / ".boost.4242.tmp").write_text('{"name": "boo')
+        assert outputs() == before
+        assert before.err == ""

@@ -1,0 +1,88 @@
+import ast
+import os
+import stat
+from pathlib import Path
+
+import pytest
+
+import scram
+from scram.fsutil import atomic_write, locked
+
+SOURCES = sorted(Path(scram.__file__).parent.glob("*.py"))
+HELPER = "fsutil.py"
+
+
+class TestAtomicWrite:
+    def test_creates_directory_and_leaves_no_temp(self, tmp_path):
+        target = tmp_path / "a" / "b" / "record"
+        atomic_write(str(target), "one\n")
+        atomic_write(str(target), b"two\n")
+        assert target.read_text() == "two\n"
+        assert os.listdir(target.parent) == ["record"]
+
+    def test_replaced_file_keeps_its_mode(self, tmp_path):
+        target = tmp_path / "state"
+        target.write_text("old\n")
+        target.chmod(0o604)
+        atomic_write(str(target), "new\n")
+        assert stat.S_IMODE(target.stat().st_mode) == 0o604
+
+    def test_symlink_stays_and_target_is_replaced(self, tmp_path):
+        real = tmp_path / "shared" / "scramdb"
+        link = tmp_path / "scramdb"
+        link.symlink_to(real)
+        atomic_write(str(link), "P 1 arch /p\n")
+        assert link.is_symlink()
+        assert real.read_text() == "P 1 arch /p\n"
+
+    def test_failed_write_removes_temp(self, tmp_path):
+        with pytest.raises(TypeError):
+            atomic_write(str(tmp_path / "record"), 42)
+        assert os.listdir(tmp_path) == []
+
+
+class TestLocked:
+    def test_second_holder_fails_without_wait(self, tmp_path):
+        path = str(tmp_path / "locks" / "lock")
+        with locked(path, wait=True):
+            with pytest.raises(BlockingIOError):
+                with locked(path, wait=False):
+                    pass
+        with locked(path, wait=False):
+            pass
+        assert os.path.exists(path)  # never unlinked
+
+
+def _writes_mode(call: ast.Call) -> bool:
+    mode = call.args[1] if len(call.args) > 1 else next(
+        (k.value for k in call.keywords if k.arg == "mode"), None)
+    if mode is None:
+        return False  # default "r"
+    return not isinstance(mode, ast.Constant) or bool(set(str(mode.value)) & set("wax+"))
+
+
+def _disk_calls(tree: ast.AST) -> list[str]:
+    """Thread imports, write-mode opens, renames over a target and locks."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += ["import threading" for a in node.names if a.name == "threading"]
+        elif isinstance(node, ast.ImportFrom) and node.module == "threading":
+            found.append("import threading")
+        elif isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+                call = f"{func.value.id}.{func.attr}"
+                if call in ("os.replace", "fcntl.flock"):
+                    found.append(call)
+            elif isinstance(func, ast.Name) and func.id == "open" and _writes_mode(node):
+                found.append("write-mode open")
+    return sorted(found)
+
+
+@pytest.mark.parametrize("source", SOURCES, ids=lambda p: p.name)
+def test_state_reaches_disk_only_through_the_helper(source):
+    """No threads; every write, rename and lock goes through fsutil, which
+    has one rename and one lock call site."""
+    found = _disk_calls(ast.parse(source.read_text()))
+    assert found == (["fcntl.flock", "os.replace"] if source.name == HELPER else [])

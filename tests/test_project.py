@@ -1,11 +1,15 @@
 import hashlib
 import os
+import stat
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from scram.configuration import detect_architecture
 from scram.errors import AreaError, ToolError
+from scram.fsutil import locked
 from scram.project import (
     AREA_SUBDIRS,
     InstallationRecord,
@@ -218,6 +222,36 @@ class TestRegisterAndList:
         record = InstallationRecord("P", "1_0", "Linux__2.4", "/with space/path")
         registry.add(record)
         assert registry.records() == [record]
+
+    def test_install_waits_for_registry_lock(self, toy, child_env):
+        area, _ = bootstrap(toy)
+        assert run_build(area, [], site=SiteInfo.load(str(toy.site_path)),
+                         env=toy.env, arch=ARCH) == 0
+        with locked(os.path.realpath(toy.registry_path) + ".lock", wait=True):
+            child = subprocess.Popen(
+                [sys.executable, "-m", "scram.cli", "install"], cwd=area.root,
+                env=child_env(toy.env), stdout=subprocess.DEVNULL)
+            with pytest.raises(subprocess.TimeoutExpired):
+                child.wait(timeout=1.5)
+            assert not toy.registry_path.exists()
+        assert child.wait(timeout=60) == 0
+        assert Registry.locate(toy.env).records() == [
+            InstallationRecord("ORCA", "7_1_3", "Linux__2.4", area.root)]
+
+    def test_shared_files_follow_umask_and_symlinks(self, toy):
+        shared = toy.root / "shared"
+        shared.mkdir()
+        toy.registry_path.symlink_to(shared / "scramdb")
+        previous = os.umask(0o027)
+        try:
+            area, _ = installed(toy)
+        finally:
+            os.umask(previous)
+        record = Path(area.root, ".SCRAM", "Linux__2.4", "tools", "boost")
+        for path in (record, shared / "scramdb"):
+            assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~0o027
+        assert toy.registry_path.is_symlink()
+        assert [r.project for r in Registry.locate(toy.env).records()] == ["ORCA"]
 
     def test_developer_area_cannot_register(self, toy):
         dev, _ = dev_area(toy)
@@ -436,3 +470,14 @@ class TestBuildAndLock:
                     pass
         with area.lock():
             pass  # released cleanly
+
+    def test_area_lock_of_killed_holder_is_free(self, toy, kill_when_held):
+        area, _ = bootstrap(toy)
+        kill_when_held(
+            "import time\n"
+            "from scram.project import ProjectArea\n"
+            f"with ProjectArea({area.root!r}).lock():\n"
+            "    print('held', flush=True)\n"
+            "    time.sleep(60)\n")
+        with area.lock():
+            pass

@@ -1,5 +1,6 @@
 import hashlib
 import threading
+import time
 
 import pytest
 
@@ -241,6 +242,23 @@ class TestUrlCache:
         for t in threads:
             t.join()
         assert results == [b"slow"] * 8
+        assert len(calls) == 1
+
+    def test_entry_lock_of_killed_fetcher_is_free(self, tmp_path, kill_when_held):
+        kill_when_held(
+            "import time\n"
+            "from scram.urlaccess import SchemeRegistry, UrlCache, parse_url\n"
+            "def hang(url, version):\n"
+            "    print('held', flush=True)\n"
+            "    time.sleep(60)\n"
+            "registry = SchemeRegistry().register('stub', hang)\n"
+            f"UrlCache({str(tmp_path)!r}, registry).fetch(parse_url('stub:one'), '1.0')\n")
+        registry, calls = counting_registry()
+        cache = UrlCache(str(tmp_path), registry)
+        start = time.monotonic()
+        content, _ = cache.fetch(parse_url("stub:one"), "1.0")
+        assert time.monotonic() - start < 2
+        assert content == b"data-?"
         assert len(calls) == 1
 
     def test_adapter_opacity(self, tmp_path):
