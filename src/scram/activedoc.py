@@ -3,16 +3,19 @@
 A document type registry maps a ``<doc type=...>`` path to a builder that
 turns an event stream into a domain object, gated on a minimum document
 version. Activation runs the whole pipeline (fetch, tokenize, splice,
-header check, build) and memoizes the result in an object store keyed by
+header check, build) and memoizes the result per engine, keyed by
 normalized URL and version, so a document is fetched and parsed at most
-once per store.
+once per engine.
 
 Two splicing tags exist. ``<inline url=...>`` always splices the target's
 events in place. ``<include url=...>`` does the same for document types
 that do not claim the tag themselves, but then insists the included
 document has a header of the same type; types registered with
 ``splice_includes=False`` (the project requirements format does this) see
-the include events and record them as references instead.
+the include events and record them as references instead. Both tags are
+spliced in one pass in document order; each nested document is spliced
+against its own URL, and the chain of documents being spliced is the one
+cycle check, reported with every URL in the cycle.
 """
 
 from __future__ import annotations
@@ -77,20 +80,6 @@ class DocTypeRegistry:
         return entry
 
 
-class ObjectStore:
-    """Memoized activations, keyed by normalized URL and version; one
-    store serves one thread."""
-
-    def __init__(self):
-        self._entries: dict[str, TypedDocument] = {}
-
-    def get(self, key: str) -> TypedDocument | None:
-        return self._entries.get(key)
-
-    def put(self, key: str, doc: TypedDocument) -> None:
-        self._entries[key] = doc
-
-
 @dataclass
 class EngineStats:
     fetches: int = 0
@@ -98,37 +87,33 @@ class EngineStats:
 
 
 class DocumentEngine:
-    """Binds a cache, a type registry and an object store into ``activate``."""
+    """Binds a cache and a type registry into ``activate``."""
 
     def __init__(self, cache: UrlCache, types: DocTypeRegistry,
-                 store: ObjectStore | None = None, refresh: bool = False):
+                 refresh: bool = False):
         self.cache = cache
         self.types = types
-        self.store = store if store is not None else ObjectStore()
         self.refresh = refresh
         self.stats = EngineStats()
+        self._activated: dict[str, TypedDocument] = {}
 
-    def activate(self, url: ResourceUrl | str, version: str | None = None,
-                 _chain: tuple[str, ...] = ()) -> TypedDocument:
+    def activate(self, url: ResourceUrl | str,
+                 version: str | None = None) -> TypedDocument:
         if isinstance(url, str):
             url = parse_url(url)
         key = url.cache_key(version)
-        cached = self.store.get(key)
-        if cached is not None:
-            return cached
-        if key in _chain:
-            chain = " -> ".join(list(_chain) + [key])
-            raise DocTypeError(f"document inclusion cycle: {chain}")
-        doc = self._activate_uncached(url, version, _chain + (key,))
-        self.store.put(key, doc)
+        doc = self._activated.get(key)
+        if doc is None:
+            doc = self._activated[key] = self._activate_uncached(url, version)
         return doc
 
-    def _activate_uncached(self, url: ResourceUrl, version: str | None,
-                           chain: tuple[str, ...]) -> TypedDocument:
+    def _activate_uncached(self, url: ResourceUrl,
+                           version: str | None) -> TypedDocument:
         try:
             events = self.events_for(url, version)
             header = read_doc_header(events)
             entry = self.types.entry_for(header)
+            chain = {url.cache_key(version): url}
             events = self._splice(events, url, version, header, entry, chain)
             payload = entry.builder(strip_doc_header(events))
         except Exception as exc:
@@ -144,39 +129,35 @@ class DocumentEngine:
         return tokenize_markup(text, source_id=str(url))
 
     def _splice(self, events, url, version, header, entry, chain):
-        """Process inline and include tags, resolving nested documents
-        against their own URLs and carrying the cycle chain through."""
+        """Splice ``<inline>`` and, unless the type opts out, ``<include>``
+        in one pass, resolving each nested document against its own URL.
+        ``chain`` maps the cache key of each document being spliced to its
+        URL, outermost first."""
 
-        def resolver(require_typed):
-            def resolve(target: str):
-                resolved = parse_url(target, base=url)
-                tag = resolved.get("version") or url.version_tag(version)
-                key = resolved.cache_key(tag)
-                if key in chain:
-                    readable = " -> ".join(
-                        [str(url), str(resolved)]
+        def resolve(target: str, tag: str):
+            resolved = parse_url(target, base=url)
+            resolved_version = resolved.get("version") or url.version_tag(version)
+            key = resolved.cache_key(resolved_version)
+            if key in chain:
+                cycle = " -> ".join(str(u) for u in [*chain.values(), resolved])
+                raise DocTypeError(f"document inclusion cycle: {cycle}")
+            inner_events = self.events_for(resolved, resolved_version)
+            inner_header, inner_entry = header, entry
+            if tag == "include":
+                inner_header = read_doc_header(inner_events)
+                if inner_header.type_path() != header.type_path():
+                    raise DocTypeError(
+                        f"<include> of {resolved} expects type "
+                        f"'{header.doc_type}', found '{inner_header.doc_type}'"
                     )
-                    raise DocTypeError(f"document inclusion cycle: {readable}")
-                inner_events = self.events_for(resolved, tag)
-                inner_header, inner_entry = header, entry
-                if require_typed:
-                    inner_header = read_doc_header(inner_events)
-                    if inner_header.type_path() != header.type_path():
-                        raise DocTypeError(
-                            f"<include> of {resolved} expects type "
-                            f"'{header.doc_type}', found '{inner_header.doc_type}'"
-                        )
-                    inner_entry = self.types.entry_for(inner_header)
-                return self._splice(
-                    inner_events, resolved, tag, inner_header, inner_entry,
-                    chain + (key,),
-                )
-            return resolve
+                inner_entry = self.types.entry_for(inner_header)
+            return self._splice(
+                inner_events, resolved, resolved_version, inner_header,
+                inner_entry, {**chain, key: resolved},
+            )
 
-        events = splice_inline(events, resolver(require_typed=False), tag="inline")
-        if entry.splice_includes:
-            events = splice_inline(events, resolver(require_typed=True), tag="include")
-        return events
+        tags = ("inline", "include") if entry.splice_includes else ("inline",)
+        return splice_inline(events, resolve, tags=tags)
 
     @staticmethod
     def _tag_context(exc: Exception, url: ResourceUrl) -> None:

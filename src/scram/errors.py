@@ -26,7 +26,7 @@ class ScramError(Exception):
 
 
 class MarkupError(ScramError):
-    """Malformed document text, bad header, handler conflicts, splice cycles."""
+    """Malformed document text, bad header, handler conflicts, failed splices."""
 
 
 class UrlError(ScramError):

@@ -468,44 +468,35 @@ def _invoke(handler, state, ev: TagEvent):
         ) from exc
 
 
-def splice_inline(events, resolver, *, tag: str = "inline",
-                  _chain: tuple[str, ...] = ()) -> list[TagEvent]:
-    """Replace each ``<inline url=...>`` event with the resolved document's
-    events.
+def splice_inline(events, resolver, *, tags=("inline",)) -> list[TagEvent]:
+    """Replace each open event of a tag in ``tags`` (by default
+    ``<inline url=...>``) with the events ``resolver(url, tag)`` returns.
 
-    ``resolver(url)`` must return an event stream; a leading ``<doc>`` header
-    in the resolved stream is dropped. Splicing recurses into resolved
-    streams and reports a cycle with the full URL chain. The relative order
-    of all non-inline events is preserved.
+    One pass in document order. The resolved stream is taken as-is apart
+    from a leading ``<doc>`` header, which is dropped, so nested splicing
+    and cycle detection are the resolver's job. Close events of the spliced
+    tags are dropped; all other events keep their relative order.
     """
-    out: list[TagEvent] = []
-    folded_tag = tag.casefold()
-    for ev in events:
-        if ev.kind is EventKind.OPEN and ev.folded_name == folded_tag:
-            url = ev.require("url")
-            if url in _chain:
-                chain = " -> ".join(_chain + (url,))
-                raise MarkupError(f"inline cycle: {chain}", location=ev.location)
-            try:
-                resolved = resolver(url)
-            except Exception as exc:
-                from .errors import ScramError
+    from .errors import ScramError
 
-                if isinstance(exc, ScramError):
-                    if exc.location is None:
-                        exc.location = ev.location
-                    raise
+    folded_tags = {tag.casefold() for tag in tags}
+    out: list[TagEvent] = []
+    for ev in events:
+        if ev.folded_name not in folded_tags:
+            out.append(ev)
+        elif ev.kind is EventKind.OPEN:
+            url = ev.require("url")
+            try:
+                resolved = resolver(url, ev.folded_name)
+            except ScramError as exc:
+                if exc.location is None:
+                    exc.location = ev.location
+                raise
+            except Exception as exc:
                 raise MarkupError(
                     f"cannot inline {url!r}: {exc}", location=ev.location
                 ) from exc
-            resolved = strip_doc_header(resolved)
-            out.extend(
-                splice_inline(resolved, resolver, tag=tag, _chain=_chain + (url,))
-            )
-        elif ev.kind is EventKind.CLOSE and ev.folded_name == folded_tag:
-            continue
-        else:
-            out.append(ev)
+            out.extend(strip_doc_header(resolved))
     return out
 
 

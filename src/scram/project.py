@@ -24,7 +24,7 @@ from collections.abc import Iterator
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 
-from .activedoc import DocTypeRegistry, DocumentEngine, ObjectStore
+from .activedoc import DocTypeRegistry, DocumentEngine
 from .configuration import (
     Architecture,
     ConfigurationDoc,
@@ -43,7 +43,6 @@ from .runtime import (
     EXEC_PATH_VAR,
     LIB_PATH_VAR,
     EnvDelta,
-    parse_app_env,
 )
 from .sitefile import SiteInfo
 from .tooldoc import (
@@ -310,12 +309,11 @@ TOOLDOC_TYPE = "BuildSystem::ToolDoc"
 CONFIG_TYPE = "BuildSystem::Configuration"
 REQUIREMENTS_TYPE = "BuildSystem::Requirements"
 BOOTSTRAP_TYPE = "BuildSystem::BootStrapDoc"
-APPENV_TYPE = "BuildSystem::AppEnvDoc"
 
 
 def build_engine(site: SiteInfo | None = None, env=None,
-                 install_root: str | None = None, refresh: bool = False,
-                 store: ObjectStore | None = None) -> DocumentEngine:
+                 install_root: str | None = None,
+                 refresh: bool = False) -> DocumentEngine:
     env = os.environ if env is None else env
     cache_root = env.get(CACHE_ENV)
     if not cache_root:
@@ -329,9 +327,8 @@ def build_engine(site: SiteInfo | None = None, env=None,
     types.register(REQUIREMENTS_TYPE, "2.0", parse_requirements,
                    splice_includes=False)
     types.register(BOOTSTRAP_TYPE, "1.0", parse_bootstrap)
-    types.register(APPENV_TYPE, "1.0", parse_app_env)
     cache = UrlCache(cache_root, default_registry(site))
-    return DocumentEngine(cache, types, store, refresh=refresh)
+    return DocumentEngine(cache, types, refresh=refresh)
 
 
 # ---------------------------------------------------------------------

@@ -203,7 +203,7 @@ APP_ENV_DOC_TYPE = ("BuildSystem", "AppEnvDoc")
 
 
 def parse_app_env(events, area_id: str = "") -> EnvDelta:
-    """Builder for ``BuildSystem::AppEnvDoc`` documents: flat
+    """Read the body of a ``BuildSystem::AppEnvDoc``: flat
     ``<Environment name= value= [type=Runtime_path]>`` entries."""
     from .markup import HandlerMap, parse_with_handlers
 

@@ -268,7 +268,6 @@ def test_c7_relocatability(tmp_path, capsys):
 
 def test_c8_suite_budget():
     """The binding number is the full-suite wall time in the pytest summary
-    (printed by conftest and captured in test_output.txt); this asserts the
-    in-process share. No test in the suite opens a network connection: all
+    (printed by conftest); this asserts the in-process share. No test in the suite opens a network connection: all
     schemes are file: or in-memory stubs."""
     assert time.perf_counter() - SESSION_START < 60.0

@@ -1,6 +1,6 @@
 import pytest
 
-from scram.activedoc import DocTypeRegistry, DocumentEngine, ObjectStore
+from scram.activedoc import DocTypeRegistry, DocumentEngine
 from scram.errors import DocTypeError, MarkupError, ScramError
 from scram.markup import EventKind
 from scram.urlaccess import UrlCache, default_registry
@@ -23,7 +23,7 @@ def engine(tmp_path):
     types = DocTypeRegistry()
     types.register("Test::Names", "1.0", names_builder)
     cache = UrlCache(str(tmp_path / "_cache"), default_registry())
-    return DocumentEngine(cache, types, ObjectStore())
+    return DocumentEngine(cache, types)
 
 
 class TestRegistry:
@@ -119,8 +119,52 @@ class TestActivate:
             f'<doc type=Test::Names version=1.0><inline url="file:{b_path}">')
         b_path.write_text(
             f'<doc type=Test::Names version=1.0><inline url="file:{a_path}">')
-        with pytest.raises((DocTypeError, MarkupError), match="cycle"):
+        with pytest.raises(DocTypeError, match="cycle"):
             engine.activate(f"file:{a_path}")
+
+    def test_three_document_cycle_names_full_chain(self, engine, tmp_path):
+        a, b, c = (f"file:{tmp_path / n}" for n in ("a.doc", "b.doc", "c.doc"))
+        write(tmp_path, "a.doc", f'<doc type=Test::Names version=1.0><inline url="{b}">')
+        write(tmp_path, "b.doc", f'<doc type=Test::Names version=1.0><include url="{c}">')
+        write(tmp_path, "c.doc", f'<doc type=Test::Names version=1.0><inline url="{a}">')
+        with pytest.raises(DocTypeError) as exc:
+            engine.activate(a)
+        assert exc.value.message == (
+            f"document inclusion cycle: {a} -> {b} -> {c} -> {a}")
+        assert exc.value.location.source == c
+
+    def test_self_inclusion_cycle(self, engine, tmp_path):
+        write(tmp_path, "me.doc", '<doc type=Test::Names version=1.0><p><inline url="me.doc">')
+        me = f"file:{tmp_path / 'me.doc'}"
+        with pytest.raises(DocTypeError) as exc:
+            engine.activate(me)
+        assert exc.value.message == f"document inclusion cycle: {me} -> me.doc"
+
+    def test_repeated_fragment_is_not_a_cycle(self, engine, tmp_path):
+        write(tmp_path, "frag.doc", "<m>")
+        outer = write(tmp_path, "outer.doc",
+                      '<doc type=Test::Names version=1.0>'
+                      '<inline url="frag.doc"><p><inline url="frag.doc">')
+        assert engine.activate(outer).payload == ["m", "p", "m"]
+
+    def test_two_level_nesting_matches_hand_concatenation(self, tmp_path):
+        # each level resolves its relative URL against its own directory
+        types = DocTypeRegistry().register("Test::Events", "1.0", list)
+        engine = DocumentEngine(UrlCache(str(tmp_path / "c"), default_registry()), types)
+        write(tmp_path, "top/mid/leaf/c.doc", "<s t=1>")
+        write(tmp_path, "top/mid/b.doc", '<r><inline url="leaf/c.doc"></inline>')
+        a = write(tmp_path, "top/a.doc",
+                  '<doc type=Test::Events version=1.0><p><inline url="mid/b.doc"><q>')
+        hand = write(tmp_path, "hand.doc",
+                     "<doc type=Test::Events version=1.0><p><r><s t=1><q>")
+        assert engine.activate(a).payload == engine.activate(hand).payload
+
+    def test_include_error_before_inline_error_surfaces_first(self, engine, tmp_path):
+        a = write(tmp_path, "a.doc",
+                  '<doc type=Test::Names version=1.0>'
+                  '<include url="no-include.doc"><inline url="no-inline.doc">')
+        with pytest.raises(ScramError, match="no-include.doc"):
+            engine.activate(a)
 
     def test_failure_names_outermost_url_in_context(self, engine, tmp_path):
         inner = write(tmp_path, "inner.doc", "<doc type=Test::Names version=1.0><oops")

@@ -72,6 +72,18 @@ class TestErrors:
         assert "scram:" in capsys.readouterr().err
 
 
+    def test_inclusion_cycle_is_one_line_naming_every_url(self, toy, tmp_path, capsys):
+        a, b, c = (f"file:{tmp_path / n}" for n in ("a.doc", "b.doc", "c.doc"))
+        header = "<doc type=BuildSystem::BootStrapDoc version=1.0>"
+        for name, target in (("a.doc", b), ("b.doc", c), ("c.doc", a)):
+            (tmp_path / name).write_text(f'{header}<inline url="{target}">')
+        assert run(toy, "bootstrap", a, "--dest", str(tmp_path / "dest")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"scram: while activating {a}: ")
+        assert err.count("\n") == 1
+        assert err.endswith(f"document inclusion cycle: {a} -> {b} -> {c} -> {a}\n")
+
+
 class TestLifecycle:
     def test_full_flow(self, toy, capsys):
         central = lifecycle(toy, capsys)

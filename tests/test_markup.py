@@ -317,34 +317,25 @@ class TestHandlerDispatch:
         assert exc.value.location.line == 3
 
 
+def by_url(streams):
+    """A resolver that ignores the tag and looks the URL up in ``streams``."""
+    return lambda url, tag: streams[url]
+
+
 class TestSpliceInline:
     def test_single_splice(self):
         streams = {"file:U": tokenize_markup("<x>")}
         events = tokenize_markup('<a><inline url="file:U"><b>')
-        out = splice_inline(events, streams.__getitem__)
+        out = splice_inline(events, by_url(streams))
         assert out == [open_event("a"), open_event("x"), open_event("b")]
 
     def test_inlined_doc_header_is_dropped(self):
         streams = {"U": tokenize_markup("<doc type=t version=1><x>")}
-        out = splice_inline(tokenize_markup('<inline url=U>'), streams.__getitem__)
+        out = splice_inline(tokenize_markup('<inline url=U>'), by_url(streams))
         assert out == [open_event("x")]
 
-    def test_self_inclusion_cycle(self):
-        streams = {"me": tokenize_markup('<inline url=me>')}
-        with pytest.raises(MarkupError, match="me -> me"):
-            splice_inline(streams["me"], streams.__getitem__)
-
-    def test_two_level_nesting_matches_hand_concatenation(self):
-        a = '<p><inline url=B><q>'
-        b = '<r><inline url=C>'
-        c = '<s t=1>'
-        streams = {"B": tokenize_markup(b), "C": tokenize_markup(c)}
-        out = splice_inline(tokenize_markup(a), streams.__getitem__)
-        # hand-computed flattening: p, r, s, q
-        assert out == tokenize_markup("<p><r><s t=1><q>")
-
     def test_resolver_failure_names_url(self):
-        def resolver(url):
+        def resolver(url, tag):
             raise IOError("no such document")
 
         with pytest.raises(MarkupError, match="file:gone"):
@@ -353,9 +344,42 @@ class TestSpliceInline:
     def test_non_inline_order_preserved(self):
         streams = {"U": tokenize_markup("<m>")}
         text = 'head<one><inline url=U>mid<two>tail'
-        out = splice_inline(tokenize_markup(text), streams.__getitem__)
+        out = splice_inline(tokenize_markup(text), by_url(streams))
         non_inline = tokenize_markup(text.replace('<inline url=U>', '<m>'))
         assert out == non_inline
+
+    def test_both_tags_replaced_in_document_order(self):
+        calls = []
+
+        def resolver(url, tag):
+            calls.append((tag, url))
+            return tokenize_markup(f"<{url}>")
+
+        text = '<a><include url=I1><inline url=L1><b><INLINE url=L2><include url=I2>'
+        out = splice_inline(tokenize_markup(text), resolver,
+                            tags=("inline", "include"))
+        assert calls == [("include", "I1"), ("inline", "L1"),
+                         ("inline", "L2"), ("include", "I2")]
+        assert out == tokenize_markup("<a><I1><L1><b><L2><I2>")
+
+    def test_close_events_of_spliced_tags_are_dropped(self):
+        streams = {"U": tokenize_markup("<x>")}
+        text = '<inline url=U></inline><include url=U></include><keep></keep>'
+        out = splice_inline(tokenize_markup(text), by_url(streams),
+                            tags=("inline", "include"))
+        assert out == tokenize_markup("<x><x><keep></keep>")
+
+    def test_tags_outside_the_set_are_kept(self):
+        streams = {"U": tokenize_markup("<x>")}
+        text = '<inline url=U><include url=U></include>'
+        out = splice_inline(tokenize_markup(text), by_url(streams))
+        assert out == tokenize_markup("<x><include url=U></include>")
+
+    def test_resolver_output_is_taken_as_is(self):
+        # no recursion: an <inline> inside the resolved stream is left alone
+        streams = {"U": tokenize_markup("<doc type=t version=1><inline url=U></inline>")}
+        out = splice_inline(tokenize_markup("<inline url=U>"), by_url(streams))
+        assert out == tokenize_markup("<inline url=U></inline>")
 
 
 def test_close_event_invariants():
