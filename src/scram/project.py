@@ -146,6 +146,7 @@ class Registry:
 class ProjectArea:
     def __init__(self, root: str):
         self.root = os.path.abspath(root)
+        self._central: str | None = None
 
     # ---- layout -----------------------------------------------------
     @property
@@ -167,14 +168,18 @@ class ProjectArea:
             return fh.read().strip()
 
     def central_root(self) -> str:
-        target = self.link_target()
-        if target is None:
-            return self.root
-        if not os.path.isdir(os.path.join(target, ADMIN_DIR)):
-            raise AreaError(
-                f"linked central installation {target} is missing or not an area"
-            )
-        return target
+        """The linked central installation, or this area if it is central.
+        Resolved once per instance: a command reads the Link file once."""
+        if self._central is None:
+            target = self.link_target()
+            if target is None:
+                target = self.root
+            elif not os.path.isdir(os.path.join(target, ADMIN_DIR)):
+                raise AreaError(
+                    f"linked central installation {target} is missing or not an area"
+                )
+            self._central = target
+        return self._central
 
     def identity(self) -> tuple[str, str]:
         path = self._admin_file(AREA_FILE)
@@ -418,15 +423,15 @@ def active_tool_record(area: ProjectArea, arch: Architecture,
 
 
 def _known_tool_names(area: ProjectArea, arch: Architecture) -> list[str]:
-    names: list[str] = []
+    names: dict[str, None] = {}
     for root in (area.central_root(), area.root):
         directory = os.path.join(root, ADMIN_DIR, arch.canonical, TOOLS_DIR)
         if os.path.isdir(directory):
             for entry in sorted(os.listdir(directory)):
                 # dot-names are temp files of an interrupted write
-                if not entry.startswith(".") and entry not in names:
-                    names.append(entry)
-    return names
+                if not entry.startswith("."):
+                    names[entry] = None
+    return list(names)
 
 
 # ---------------------------------------------------------------------
@@ -779,9 +784,8 @@ def compute_runtime_env(area: ProjectArea, arch: Architecture) -> EnvDelta:
     configuration order, then the area-level path entries."""
     delta = EnvDelta(area_id=area.area_id)
     for record in _tools_in_runtime_order(area, arch):
-        delta = delta.merge(runtime_contribution(record))
+        delta.extend(runtime_contribution(record))
     _area_level_prepends(area, delta)
-    delta.area_id = area.area_id
     return delta
 
 
@@ -790,9 +794,8 @@ def build_environment(area: ProjectArea, arch: Architecture) -> EnvDelta:
     runtime path entries."""
     delta = EnvDelta(area_id=area.area_id)
     for record in _tools_in_runtime_order(area, arch):
-        delta = delta.merge(build_contribution(record))
+        delta.extend(build_contribution(record))
     _area_level_prepends(area, delta)
-    delta.area_id = area.area_id
     return delta
 
 

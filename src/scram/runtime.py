@@ -58,41 +58,55 @@ def _check_name(name: str) -> str:
 
 @dataclass
 class EnvDelta:
-    """Ordered environment changes contributed by an area and its tools."""
+    """Ordered environment changes contributed by an area and its tools.
 
-    sets: list[tuple[str, str]] = field(default_factory=list)
-    prepends: list[tuple[str, str]] = field(default_factory=list)
+    A delta accumulates in place: ``set``, ``prepend`` and ``extend`` append
+    to its lists, and a name -> kind map rejects a name that is both a
+    setting and a prepend without scanning either list.
+    """
+
+    sets: list[tuple[str, str]] = field(default_factory=list, init=False)
+    prepends: list[tuple[str, str]] = field(default_factory=list, init=False)
     area_id: str = ""
+    _kinds: dict[str, str] = field(default_factory=dict, init=False,
+                                   repr=False, compare=False)
+
+    def _claim(self, name: str, kind: str) -> None:
+        held = self._kinds.setdefault(name, kind)
+        if held != kind:
+            raise EnvEmitError(f"{name!r} is already a {held} in this delta")
 
     def set(self, name: str, value: str) -> "EnvDelta":
         _check_name(name)
-        if any(name == n for n, _ in self.prepends):
-            raise EnvEmitError(f"{name!r} is already a prepend in this delta")
+        self._claim(name, "setting")
         self.sets.append((name, value))
         return self
 
     def prepend(self, name: str, value: str) -> "EnvDelta":
         _check_name(name)
-        if any(name == n for n, _ in self.sets):
-            raise EnvEmitError(f"{name!r} is already a setting in this delta")
+        self._claim(name, "prepend")
         self.prepends.append((name, value))
         return self
 
+    def extend(self, other: "EnvDelta") -> "EnvDelta":
+        """Append ``other``'s entries in place; its prepends land ahead.
+        Its names were checked when they entered ``other``."""
+        for name, _ in other.sets:
+            self._claim(name, "setting")
+        for name, _ in other.prepends:
+            self._claim(name, "prepend")
+        self.sets += other.sets
+        self.prepends += other.prepends
+        self.area_id = self.area_id or other.area_id
+        return self
+
     def names(self) -> list[str]:
-        seen: list[str] = []
-        for name, _ in list(self.sets) + list(self.prepends):
-            if name not in seen:
-                seen.append(name)
-        return seen
+        return list(dict.fromkeys(name for name, _ in self.sets + self.prepends))
 
     def merge(self, overlay: "EnvDelta") -> "EnvDelta":
-        """This delta followed by ``overlay``; overlay prepends land ahead."""
-        out = EnvDelta(area_id=self.area_id or overlay.area_id)
-        for name, value in self.sets + overlay.sets:
-            out.set(name, value)
-        for name, value in self.prepends + overlay.prepends:
-            out.prepend(name, value)
-        return out
+        """A new delta: this one followed by ``overlay``; overlay prepends
+        land ahead."""
+        return EnvDelta().extend(self).extend(overlay)
 
     def is_empty(self) -> bool:
         return not self.sets and not self.prepends

@@ -459,8 +459,9 @@ def build_contribution(rt: ResolvedTool) -> EnvDelta:
     """The build-environment fragment: every binding as a plain setting,
     plus the runtime prepends."""
     delta = EnvDelta()
+    runtime_names = {name for name, _ in rt.runtime_entries}
     for name, value in rt.bindings.items():
-        if all(name != rn for rn, _ in rt.runtime_entries):
+        if name not in runtime_names:
             delta.set(name, value)
     for name, value in rt.runtime_entries:
         delta.prepend(name, value)

@@ -27,7 +27,6 @@ import shlex
 import subprocess
 import tempfile
 import time
-import urllib.request
 from dataclasses import dataclass
 
 from .errors import FetchError, UrlError
@@ -81,7 +80,9 @@ def parse_url(raw: str, base: ResourceUrl | None = None) -> ResourceUrl:
 
     Whitespace inside ``raw`` is discarded (documents wrap long URLs across
     lines). A missing scheme, or a same-scheme URL with a relative or empty
-    authority, pulls scheme/authority/query defaults from the base.
+    authority, pulls scheme/authority/query defaults from the base; such a
+    URL prints in its resolved form, so messages and locations name the
+    document it reached, not the bare reference.
     """
     cleaned = "".join(raw.split())
     if not cleaned:
@@ -111,12 +112,14 @@ def parse_url(raw: str, base: ResourceUrl | None = None) -> ResourceUrl:
         rest = rest[2:]
     authority = rest
 
+    relative = not scheme
     if base is not None and (not scheme or scheme == base.scheme):
         if not scheme:
             scheme = base.scheme
         if scheme == base.scheme:
             if not authority:
                 authority = base.authority
+                relative = True
             elif not authority.startswith("/") and base.authority:
                 # a base ending in '/' is a directory root; otherwise the
                 # reference replaces the base's last path segment
@@ -124,13 +127,15 @@ def parse_url(raw: str, base: ResourceUrl | None = None) -> ResourceUrl:
                 if not root.endswith("/"):
                     root = root.rpartition("/")[0] + "/"
                 authority = root + authority if root != "/" else authority
+                relative = True
             own = {k for k, _ in query}
             defaults = [(k, v) for k, v in base.query if k not in own]
             query = defaults + query
 
     if not scheme:
         raise UrlError(f"URL {raw!r} has no scheme and no base is in effect")
-    return ResourceUrl(scheme, authority, tuple(query), fragment, cleaned)
+    return ResourceUrl(scheme, authority, tuple(query), fragment,
+                       "" if relative else cleaned)
 
 
 @dataclass
@@ -199,6 +204,10 @@ def fetch_file(url: ResourceUrl, version: str | None) -> bytes:
 
 
 def fetch_http(url: ResourceUrl, version: str | None) -> bytes:
+    # imported here: urllib.request pulls in http.client, ssl and email,
+    # which no verb needs unless it fetches over HTTP
+    import urllib.request
+
     target = url.unparse()
     try:
         with urllib.request.urlopen(target) as resp:  # noqa: S310 - plain GET by design

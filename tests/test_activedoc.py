@@ -138,7 +138,20 @@ class TestActivate:
         me = f"file:{tmp_path / 'me.doc'}"
         with pytest.raises(DocTypeError) as exc:
             engine.activate(me)
-        assert exc.value.message == f"document inclusion cycle: {me} -> me.doc"
+        assert exc.value.message == f"document inclusion cycle: {me} -> {me}"
+
+    def test_error_in_nested_document_names_its_directory(self, engine, tmp_path):
+        # top/a.doc inlines sub/b.doc, which includes frag.doc: both
+        # references are relative, and frag.doc has no header
+        a = write(tmp_path, "top/a.doc",
+                  '<doc type=Test::Names version=1.0><inline url="sub/b.doc">')
+        write(tmp_path, "top/sub/b.doc", '<include url="frag.doc">')
+        write(tmp_path, "top/sub/frag.doc", '<inline url="x.doc">')
+        frag = f"file:{tmp_path / 'top' / 'sub' / 'frag.doc'}"
+        with pytest.raises(ScramError) as exc:
+            engine.activate(a)
+        assert exc.value.location.source == frag
+        assert str(exc.value).startswith(f"{frag}:1:1: expected <doc> header")
 
     def test_repeated_fragment_is_not_a_cycle(self, engine, tmp_path):
         write(tmp_path, "frag.doc", "<m>")

@@ -1,4 +1,7 @@
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 
@@ -82,6 +85,19 @@ class TestErrors:
         assert err.startswith(f"scram: while activating {a}: ")
         assert err.count("\n") == 1
         assert err.endswith(f"document inclusion cycle: {a} -> {b} -> {c} -> {a}\n")
+
+
+def test_cli_import_leaves_http_modules_unloaded():
+    # urllib.request drags in http.client, ssl and email; only an http(s)
+    # fetch needs them, so importing the CLI must not load them
+    code = ("import scram.cli, sys; "
+            "print(' '.join(m for m in ('urllib.request', 'http.client') "
+            "if m in sys.modules))")
+    repo = Path(__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", code], cwd=repo,
+                          env={**os.environ, "PYTHONPATH": "src"},
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == ""
 
 
 class TestLifecycle:

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import os
 import stat
@@ -7,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from scram.configuration import detect_architecture
+import scram.runtime
+from scram.configuration import PinnedTool, ResolvedConfiguration, detect_architecture
 from scram.errors import AreaError, ToolError
 from scram.fsutil import locked
 from scram.project import (
@@ -15,8 +17,12 @@ from scram.project import (
     InstallationRecord,
     ProjectArea,
     Registry,
+    _area_level_prepends,
+    _tools_in_runtime_order,
+    _write_config_record,
     area_context,
     bootstrap_install,
+    build_environment,
     compute_runtime_env,
     create_dev_area,
     list_installs,
@@ -25,8 +31,11 @@ from scram.project import (
     setup_tool,
     tool_info,
     tool_list,
+    write_tool_record,
 )
+from scram.runtime import EnvDelta, EnvEmitError, emit_shell
 from scram.sitefile import SiteInfo
+from scram.tooldoc import ResolvedTool, build_contribution, runtime_contribution
 
 ARCH = detect_architecture("Linux__2.4")
 
@@ -444,6 +453,112 @@ class TestRuntimeEnv:
         relocated = area_context(str(moved))
         assert tool_list(relocated, ARCH) == before_list
         assert emit_shell(compute_runtime_env(relocated, ARCH), {}, "sh") == before_rt
+
+
+def synthetic_tool(name, bindings=None, runtime=None):
+    base = f"/opt/{name}"
+    if bindings is None:
+        bindings = {f"{name.upper()}_BASE": base, "SHARED_FLAGS": f"-I{base}",
+                    "LD_LIBRARY_PATH": f"{base}/lib"}
+    if runtime is None:
+        runtime = [("PATH", f"{base}/bin"), ("LD_LIBRARY_PATH", f"{base}/lib")]
+    return ResolvedTool(name=name, version="1.0", bindings=bindings,
+                        runtime_entries=runtime, lib_names=[name], provenance={})
+
+
+def synthetic_areas(root: Path, tools: list[ResolvedTool]):
+    """A central area whose configuration pins ``tools``, each with a
+    resolved record, and a developer area linked to it that overrides the
+    first tool and adds one unconfigured tool of its own."""
+    central = ProjectArea.create(str(root / "central"), "SYN", "1_0")
+    for rt in tools:
+        write_tool_record(central, ARCH, rt)
+    pins = {rt.name: PinnedTool(rt.name, rt.version, f"file:/specs/{rt.name}")
+            for rt in tools}
+    _write_config_record(central, ARCH, ResolvedConfiguration(ARCH, pins))
+    (Path(central.root) / "bin" / "tool").write_bytes(b"")
+    dev = ProjectArea.create(str(root / "dev"), "SYN", "1_0",
+                             link_target=central.root)
+    write_tool_record(dev, ARCH, synthetic_tool(tools[0].name, bindings={},
+                                                runtime=[("PATH", "/dev/bin")]))
+    write_tool_record(dev, ARCH, synthetic_tool("zzextra"))
+    (Path(dev.root) / "lib" / "libmine.so").write_bytes(b"")
+    return central, dev
+
+
+def one_delta_per_tool(area, contribution):
+    """The environment as a fold that builds a new delta for every tool."""
+    delta = functools.reduce(EnvDelta.merge,
+                             map(contribution, _tools_in_runtime_order(area, ARCH)),
+                             EnvDelta(area_id=area.area_id))
+    _area_level_prepends(area, delta)
+    return delta
+
+
+ENVIRONMENTS = [(compute_runtime_env, runtime_contribution),
+                (build_environment, build_contribution)]
+
+
+class TestEnvironmentAccumulation:
+    @pytest.mark.parametrize("build, contribution", ENVIRONMENTS)
+    def test_toy_project_matches_one_delta_per_tool(self, toy, build, contribution):
+        dev, central = dev_area(toy)
+        (Path(central.root) / "lib" / "libproj.so").write_bytes(b"")
+        for area in (dev, central):
+            got, want = build(area, ARCH), one_delta_per_tool(area, contribution)
+            assert (got.sets, got.prepends, got.area_id) == (
+                want.sets, want.prepends, want.area_id)
+            assert got.prepends
+
+    @pytest.mark.parametrize("build, contribution", ENVIRONMENTS)
+    def test_synthetic_records_match_one_delta_per_tool(self, tmp_path, build,
+                                                        contribution):
+        tools = [synthetic_tool(f"t{i:02d}") for i in range(30)]
+        for area in synthetic_areas(tmp_path, tools):
+            got, want = build(area, ARCH), one_delta_per_tool(area, contribution)
+            assert (got.sets, got.prepends, got.area_id) == (
+                want.sets, want.prepends, want.area_id)
+            assert emit_shell(got, {"PATH": "/bin"}, "sh") == emit_shell(
+                want, {"PATH": "/bin"}, "sh")
+
+    @pytest.mark.parametrize("first, second, held", [
+        (synthetic_tool("a", bindings={"X": "1"}, runtime=[]),
+         synthetic_tool("b", bindings={}, runtime=[("X", "/b")]), "setting"),
+        (synthetic_tool("a", bindings={}, runtime=[("X", "/a")]),
+         synthetic_tool("b", bindings={"X": "1"}, runtime=[]), "prepend"),
+    ])
+    def test_plain_setting_and_runtime_path_of_one_name_conflict(
+            self, tmp_path, first, second, held):
+        central, _ = synthetic_areas(tmp_path, [first, second])
+        with pytest.raises(EnvEmitError, match=f"'X' is already a {held}"):
+            build_environment(central, ARCH)
+        with pytest.raises(EnvEmitError):
+            one_delta_per_tool(central, build_contribution)
+
+    @pytest.mark.parametrize("n", [10, 100])
+    @pytest.mark.parametrize("build", [compute_runtime_env, build_environment])
+    def test_each_emitted_entry_is_checked_once(self, tmp_path, monkeypatch, n,
+                                                build):
+        # a fold that re-merges per tool re-checks every earlier entry
+        central, _ = synthetic_areas(tmp_path, [synthetic_tool(f"t{i:03d}")
+                                                for i in range(n)])
+        calls = []
+        check = scram.runtime._check_name
+        monkeypatch.setattr(scram.runtime, "_check_name",
+                            lambda name: calls.append(name) or check(name))
+        delta = build(central, ARCH)
+        assert len(calls) == len(delta.sets) + len(delta.prepends) >= 2 * n
+
+    def test_central_root_resolved_once_per_area(self, tmp_path, monkeypatch):
+        _, dev = synthetic_areas(tmp_path, [synthetic_tool(f"t{i}") for i in range(5)])
+        reads = []
+        link_target = ProjectArea.link_target
+        monkeypatch.setattr(ProjectArea, "link_target",
+                            lambda self: reads.append(self) or link_target(self))
+        tool_list(dev, ARCH)
+        compute_runtime_env(dev, ARCH)
+        build_environment(dev, ARCH)
+        assert reads == [dev]
 
 
 class TestBuildAndLock:

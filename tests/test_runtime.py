@@ -76,6 +76,36 @@ class TestDeltaValidation:
         with pytest.raises(EnvEmitError):
             EnvDelta().prepend("WITH SPACE", "x")
 
+    def test_extend_appends_in_place(self):
+        base = delta_of(sets=[("A", "1")], prepends=[("P", "/a")], area_id="")
+        more = delta_of(sets=[("B", "2")], prepends=[("P", "/b")], area_id="p:v")
+        assert base.extend(more) is base
+        assert base.sets == [("A", "1"), ("B", "2")]
+        assert base.prepends == [("P", "/a"), ("P", "/b")]
+        assert base.area_id == "p:v"
+        assert more.sets == [("B", "2")]
+
+    def test_extend_rejects_a_name_of_the_other_kind(self):
+        with pytest.raises(EnvEmitError, match="'X' is already a setting"):
+            delta_of(sets=[("X", "1")]).extend(delta_of(prepends=[("X", "/x")]))
+        with pytest.raises(EnvEmitError, match="'X' is already a prepend"):
+            delta_of(prepends=[("X", "/x")]).extend(delta_of(sets=[("X", "1")]))
+
+    def test_merge_leaves_both_operands_unchanged(self):
+        base = delta_of(sets=[("A", "1")], prepends=[("P", "/a")])
+        overlay = delta_of(sets=[("B", "2")], prepends=[("P", "/b")], area_id="")
+        merged = base.merge(overlay)
+        assert (merged.sets, merged.prepends, merged.area_id) == (
+            base.sets + overlay.sets, base.prepends + overlay.prepends, "proj:1.0")
+        assert base.sets == [("A", "1")] and overlay.prepends == [("P", "/b")]
+        merged.set("C", "3")
+        assert ("C", "3") not in base.sets
+
+    def test_names_in_first_appearance_order(self):
+        d = delta_of(sets=[("B", "1"), ("A", "2"), ("B", "3")],
+                     prepends=[("P", "/x"), ("B2", "/y"), ("P", "/z")])
+        assert d.names() == ["B", "A", "P", "B2"]
+
     def test_merge_keeps_order_and_overlay_wins(self):
         base = delta_of(sets=[("A", "base")], prepends=[("P", "/base")])
         overlay = delta_of(sets=[("A", "overlay")], prepends=[("P", "/overlay")])

@@ -66,6 +66,17 @@ class TestParseUrl:
         base = parse_url("file:/tmp/specs/outer.doc")
         assert parse_url("inner.doc", base=base).authority == "/tmp/specs/inner.doc"
 
+    def test_relative_reference_prints_resolved_form(self):
+        base = parse_url("file:/tmp/specs/outer.doc")
+        assert str(parse_url("sub/inner.doc", base=base)) == "file:/tmp/specs/sub/inner.doc"
+        assert str(parse_url("cvs:?module=M", base=parse_url("cvs://host/root"))) == (
+            "cvs:host/root?module=M")
+
+    def test_absolute_reference_prints_as_written(self):
+        base = parse_url("file:/tmp/specs/outer.doc")
+        assert str(parse_url("file:///opt/x.doc", base=base)) == "file:///opt/x.doc"
+        assert str(parse_url("http://h/x.doc", base=base)) == "http://h/x.doc"
+
     def test_different_scheme_ignores_base(self):
         base = parse_url("file:/tmp/specs")
         url = parse_url("cvs:?module=M", base=base)
