@@ -407,9 +407,6 @@ class HandlerMap:
     def deactivate(self, group: str) -> None:
         self._active.discard(group)
 
-    def is_active(self, group: str) -> bool:
-        return group in self._active
-
     def lookup(self, tag: str, kind: EventKind):
         regs = self._registrations.get((tag.casefold(), kind), ())
         live = [r for r in regs if r.group in self._active]

@@ -20,7 +20,7 @@ import json
 import os
 import shlex
 import subprocess
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 
@@ -201,9 +201,6 @@ class ProjectArea:
         project, version = self.identity()
         return f"{project}:{version}"
 
-    def tools_dir(self, arch: Architecture) -> str:
-        return os.path.join(self.admin, arch.canonical, TOOLS_DIR)
-
     def config_record_path(self, arch: Architecture) -> str:
         return os.path.join(self.admin, arch.canonical, CONFIG_RECORD)
 
@@ -373,14 +370,13 @@ def load_config_record(area: ProjectArea, arch: Architecture) -> ResolvedConfigu
 # ---------------------------------------------------------------------
 # tool records
 
-def _record_path(area_root: str, arch: Architecture, name: str) -> str:
-    return os.path.join(area_root, ADMIN_DIR, arch.canonical, TOOLS_DIR,
-                        name.casefold())
+def _tools_dir(area_root: str, arch: Architecture) -> str:
+    return os.path.join(area_root, ADMIN_DIR, arch.canonical, TOOLS_DIR)
 
 
 def write_tool_record(area: ProjectArea, arch: Architecture,
                       rt: ResolvedTool) -> str:
-    path = _record_path(area.root, arch, rt.name)
+    path = os.path.join(_tools_dir(area.root, arch), rt.name.casefold())
     payload = {
         "name": rt.name,
         "version": rt.version,
@@ -410,28 +406,41 @@ def _load_record(path: str) -> ResolvedTool:
     )
 
 
-def active_tool_record(area: ProjectArea, arch: Architecture,
-                       name: str) -> tuple[ResolvedTool, str] | None:
-    """Local record wins over the inherited central one."""
-    local = _record_path(area.root, arch, name)
-    if os.path.exists(local):
-        return _load_record(local), "local"
-    central = _record_path(area.central_root(), arch, name)
-    if os.path.exists(central):
-        return _load_record(central), "central"
-    return None
+def _record_index(area: ProjectArea,
+                  arch: Architecture) -> dict[str, tuple[str, str]]:
+    """The area's active tool records: casefolded name -> (record path,
+    ``"central"`` or ``"local"``). The central root's records are listed
+    first, then the area's own, each in sorted order; a local record
+    replaces the inherited one in its position. In a central area both
+    listings are the same directory, so every record is local."""
+    index: dict[str, tuple[str, str]] = {}
+    for root, source in ((area.central_root(), "central"), (area.root, "local")):
+        directory = _tools_dir(root, arch)
+        try:
+            entries = sorted(os.listdir(directory))
+        except (FileNotFoundError, NotADirectoryError):
+            continue
+        for entry in entries:
+            # dot-names are temp files of an interrupted write
+            if not entry.startswith("."):
+                index[entry] = (os.path.join(directory, entry), source)
+    return index
 
 
-def _known_tool_names(area: ProjectArea, arch: Architecture) -> list[str]:
-    names: dict[str, None] = {}
-    for root in (area.central_root(), area.root):
-        directory = os.path.join(root, ADMIN_DIR, arch.canonical, TOOLS_DIR)
-        if os.path.isdir(directory):
-            for entry in sorted(os.listdir(directory)):
-                # dot-names are temp files of an interrupted write
-                if not entry.startswith("."):
-                    names[entry] = None
-    return list(names)
+def _tool_rows(area: ProjectArea, arch: Architecture,
+               ) -> list[tuple[str, PinnedTool | None, str | None]]:
+    """Every tool of the area as (name, pin, active record path): the
+    configured tools in configuration order, with None for a missing
+    record, then the unconfigured ones in index order, with None for the
+    pin."""
+    resolved = load_config_record(area, arch)
+    index = _record_index(area, arch)
+    rows = []
+    for pin in resolved.tools.values():
+        entry = index.pop(pin.name.casefold(), None)
+        rows.append((pin.name, pin, entry[0] if entry else None))
+    rows.extend((name, None, path) for name, (path, _) in index.items())
+    return rows
 
 
 # ---------------------------------------------------------------------
@@ -493,22 +502,31 @@ def _activate_spec(engine: DocumentEngine, pin: PinnedTool):
 
 
 def resolve_selected_tools(engine: DocumentEngine, area: ProjectArea,
-                           arch: Architecture, resolved: ResolvedConfiguration,
+                           arch: Architecture, pins: Iterable[PinnedTool],
                            site: SiteInfo, prompt=None) -> list[ResolvedTool]:
-    """Resolve every selected tool in dependency order and persist the
-    records under the area's administrative directory."""
-    blocks = {}
-    for pin in resolved.tools.values():
-        spec = _activate_spec(engine, pin)
-        blocks[pin.name] = select_version(spec, pin.version)
+    """Resolve ``pins`` in dependency order and persist the records under
+    the area's administrative directory.
+
+    Every spec is activated before any record is written. A tool's
+    externals come from the tools resolved earlier in this call, then from
+    the area's active records; only the records they name are read.
+    """
+    named = {pin.name.casefold(): pin for pin in pins}
+    blocks = {key: select_version(_activate_spec(engine, pin), pin.version)
+              for key, pin in named.items()}
     order = order_by_externals(blocks)
+    index = _record_index(area, arch)
     prober = LibraryProber(site.library_roots())
     done: dict[str, ResolvedTool] = {}
     out = []
-    for name in order:
-        rt = resolve_tool(blocks[name], tool_name=name, site=site,
+    for key in order:
+        for ext in blocks[key].externals:
+            ref = ext.folded_ref
+            if ref not in done and ref in index:
+                done[ref] = _load_record(index[ref][0])
+        rt = resolve_tool(blocks[key], tool_name=named[key].name, site=site,
                           prober=prober, prompt=prompt, already_resolved=done)
-        done[name] = rt
+        done[key] = rt
         write_tool_record(area, arch, rt)
         out.append(rt)
     return out
@@ -550,7 +568,8 @@ def bootstrap_install(bootstrap_url: str, dest_root: str,
         atomic_write(os.path.join(area.root, "config", REQUIREMENTS_ID_FILE),
                      f"{resolved.config_identity[0]} "
                      f"{resolved.config_identity[1]}\n")
-        resolve_selected_tools(engine, area, arch, resolved, site, prompt)
+        resolve_selected_tools(engine, area, arch, resolved.tools.values(),
+                               site, prompt)
 
     record = InstallationRecord(boot.project, boot.version, arch.canonical,
                                 area.root)
@@ -628,21 +647,10 @@ def create_dev_area(project: str, version: str, registry: Registry, cwd: str,
 def tool_list(area: ProjectArea, arch: Architecture) -> str:
     """The area's tools in configuration order: active version next to the
     configuration default, then local additions."""
-    central = area.central_root()
-    resolved = load_config_record(area, arch)
-    lines = [f"Tool list for location {central}", TOOL_LIST_RULE]
-    listed = set()
-    for pin in resolved.tools.values():
-        active = active_tool_record(area, arch, pin.name)
-        version = active[0].version if active else pin.version
-        listed.add(pin.name)
-        lines.append(_tool_row(pin.name, version, pin.version))
-    for name in _known_tool_names(area, arch):
-        if name in listed:
-            continue
-        active = active_tool_record(area, arch, name)
-        if active is not None:
-            lines.append(_tool_row(name, active[0].version, "none"))
+    lines = [f"Tool list for location {area.central_root()}", TOOL_LIST_RULE]
+    for name, pin, path in _tool_rows(area, arch):
+        version = _load_record(path).version if path else pin.version
+        lines.append(_tool_row(name, version, pin.version if pin else "none"))
     return "\n".join(lines) + "\n"
 
 
@@ -659,7 +667,8 @@ def setup_tool(area: ProjectArea, name: str | None = None,
     With a URL: set up exactly that product/version, overriding locally.
     With a name: re-resolve that tool from the inherited configuration.
     With nothing: make sure every configured tool has a valid record,
-    resolving only the ones that lack one.
+    resolving only the ones whose record is missing or has another version,
+    in dependency order.
 
     Returns the names written.
     """
@@ -669,31 +678,13 @@ def setup_tool(area: ProjectArea, name: str | None = None,
     site = site if site is not None else SiteInfo.locate(env, central)
     engine = build_engine(site=site, env=env, install_root=central,
                           refresh=refresh)
-    prober = LibraryProber(site.library_roots())
-
-    def resolved_externals(block) -> dict[str, ResolvedTool]:
-        deps: dict[str, ResolvedTool] = {}
-        for ref, _version in ((e.ref, e.version) for e in block.externals):
-            active = active_tool_record(area, arch, ref)
-            if active is not None:
-                deps[ref.casefold()] = active[0]
-        return deps
-
-    def resolve_and_write(tool_name: str, block) -> str:
-        rt = resolve_tool(block, tool_name=tool_name, site=site, prober=prober,
-                          prompt=prompt,
-                          already_resolved=resolved_externals(block))
-        write_tool_record(area, arch, rt)
-        return rt.name
 
     if url is not None:
         if name is None or version is None:
             raise AreaError("setup with a URL needs both a name and a version")
-        spec = _activate_spec(engine, PinnedTool(name.casefold(), version, url))
-        return [resolve_and_write(name, select_version(spec, version))]
-
-    resolved = load_config_record(area, arch)
-    if name is not None:
+        pins = [PinnedTool(name, version, url)]
+    elif name is not None:
+        resolved = load_config_record(area, arch)
         pin = resolved.get(name)
         if pin is None:
             known = ", ".join(resolved.tools) or "(none)"
@@ -701,25 +692,23 @@ def setup_tool(area: ProjectArea, name: str | None = None,
                 f"'{name}' is not in the configuration (known tools: {known}); "
                 f"pass a specification URL to add it"
             )
-        spec = _activate_spec(engine, pin)
-        return [resolve_and_write(pin.name, select_version(spec, pin.version))]
-
-    written = []
-    for pin in resolved.tools.values():
-        active = active_tool_record(area, arch, pin.name)
-        if active is not None and active[0].version == pin.version:
-            continue  # inheritance suffices
-        spec = _activate_spec(engine, pin)
-        written.append(resolve_and_write(pin.name, select_version(spec, pin.version)))
-    return written
+        pins = [pin]
+    else:
+        pins = [pin for _, pin, path in _tool_rows(area, arch)
+                if pin is not None and
+                (path is None or _load_record(path).version != pin.version)]
+    return [rt.name for rt in
+            resolve_selected_tools(engine, area, arch, pins, site, prompt)]
 
 
 def tool_info(area: ProjectArea, name: str, arch: Architecture) -> str:
-    active = active_tool_record(area, arch, name)
-    if active is None:
-        known = ", ".join(_known_tool_names(area, arch)) or "(none)"
+    index = _record_index(area, arch)
+    entry = index.get(name.casefold())
+    if entry is None:
+        known = ", ".join(index) or "(none)"
         raise ToolError(f"unknown tool '{name}' (known tools: {known})")
-    rt, source = active
+    path, source = entry
+    rt = _load_record(path)
     lines = [f"Tool: {rt.name}", f"Version: {rt.version}", f"Record: {source}"]
     if rt.lib_names:
         lines.append("Libraries: " + " ".join(rt.lib_names))
@@ -756,27 +745,16 @@ def _area_level_prepends(area: ProjectArea, delta: EnvDelta) -> None:
                 delta.prepend(var, path)
 
 
-def _tools_in_runtime_order(area: ProjectArea, arch: Architecture):
-    resolved = load_config_record(area, arch)
-    missing = []
-    records = []
-    for pin in resolved.tools.values():
-        active = active_tool_record(area, arch, pin.name)
-        if active is None:
-            missing.append(pin.name)
-        else:
-            records.append(active[0])
+def _tools_in_runtime_order(area: ProjectArea,
+                            arch: Architecture) -> list[ResolvedTool]:
+    rows = _tool_rows(area, arch)
+    missing = [name for name, _, path in rows if path is None]
     if missing:
         raise AreaError(
             "tools without resolved records: " + ", ".join(missing) +
             " (run 'scram setup')"
         )
-    for name in _known_tool_names(area, arch):
-        if resolved.get(name) is None:
-            active = active_tool_record(area, arch, name)
-            if active is not None:
-                records.append(active[0])
-    return records
+    return [_load_record(path) for _, _, path in rows]
 
 
 def compute_runtime_env(area: ProjectArea, arch: Architecture) -> EnvDelta:

@@ -183,13 +183,11 @@ def emit_shell(delta: EnvDelta, prior_env, dialect: str) -> str:
     return "".join(render(op, name, value) for op, name, value in actions)
 
 
+_SH_ESCAPES = str.maketrans({ch: "\\" + ch for ch in '\\"$`'})
+
+
 def _quote_sh(value: str) -> str:
-    out = []
-    for ch in value:
-        if ch in '\\"$`':
-            out.append("\\")
-        out.append(ch)
-    return "".join(out)
+    return value.translate(_SH_ESCAPES)
 
 
 def _render_sh(op: str, name: str, value: str) -> str:

@@ -68,8 +68,8 @@ class ResourceUrl:
         pairs = sorted(
             (k, v) for k, v in self.query if k not in _EXCLUDED_KEY_PARAMS
         )
-        tag = version or self.get("version") or HEAD
-        return json.dumps([self.scheme, self.authority, pairs, tag])
+        return json.dumps([self.scheme, self.authority, pairs,
+                           self.version_tag(version)])
 
     def version_tag(self, explicit: str | None = None) -> str:
         return explicit or self.get("version") or HEAD

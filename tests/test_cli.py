@@ -69,6 +69,9 @@ class TestErrors:
         assert run(toy, "tool", "info", "nosuch", cwd=central) == 1
         err = capsys.readouterr().err
         assert "boost" in err  # names the known tools
+        # the empty name is no record path: one line, not a traceback
+        assert run(toy, "tool", "info", "", cwd=central) == 1
+        assert capsys.readouterr().err.startswith("scram: tool: unknown tool ''")
 
     def test_bad_arch_flag(self, toy, capsys):
         assert run(toy, "--arch", "bogus", "list") == 1
@@ -233,3 +236,5 @@ class TestReadOnlyVerbs:
         (tools / ".boost.4242.tmp").write_text('{"name": "boo')
         assert outputs() == before
         assert before.err == ""
+        assert run(toy, "tool", "info", ".boost.4242.tmp", cwd=dev) == 1
+        assert "unknown tool" in capsys.readouterr().err

@@ -400,6 +400,37 @@ class TestSetup:
         assert written == ["gcc"]
         assert victim.exists()
 
+    def test_setup_fills_missing_records_in_dependency_order(self, toy):
+        # b needs a, and the configuration selects b first
+        (toy.specs / "a.tooldoc").write_text(
+            "<doc type=BuildSystem::ToolDoc version=1.0>\n"
+            "<Tool name=a version=1>\n"
+            "<Environment name=A_BASE value=/opt/a></Environment>\n"
+            "</Tool>\n")
+        (toy.specs / "b.tooldoc").write_text(
+            "<doc type=BuildSystem::ToolDoc version=1.0>\n"
+            "<Tool name=b version=1>\n"
+            "<External ref=a version=1></External>\n"
+            "<Environment name=B_BASE value=$A_BASE/b></Environment>\n"
+            "</Tool>\n")
+        (toy.specs / "ba.conf").write_text(
+            "<doc type=BuildSystem::Configuration version=1.0>\n"
+            f'<require name=b version=1 url="file:{toy.specs}/b.tooldoc">\n'
+            f'<require name=a version=1 url="file:{toy.specs}/a.tooldoc">\n')
+        boot = toy.specs / "ba.boot"
+        boot.write_text(
+            "<doc type=BuildSystem::BootStrapDoc version=1.0>\n"
+            "<project name=BA version=1>\n"
+            f'<config url="file:{toy.specs}/ba.conf">\n')
+        area, _ = bootstrap_install(f"file:{boot}", str(toy.install_root),
+                                    site=SiteInfo({}), env=toy.env, arch=ARCH)
+        tools = Path(area.root) / ".SCRAM" / "Linux__2.4" / "tools"
+        for name in ("a", "b"):
+            (tools / name).unlink()
+        written = setup_tool(area, site=SiteInfo({}), env=toy.env, arch=ARCH)
+        assert written == ["a", "b"]
+        assert "B_BASE=/opt/a/b  [substitution]" in tool_info(area, "b", ARCH)
+
 
 class TestToolInfo:
     def test_unknown_tool_lists_known(self, toy):
@@ -559,6 +590,49 @@ class TestEnvironmentAccumulation:
         compute_runtime_env(dev, ARCH)
         build_environment(dev, ARCH)
         assert reads == [dev]
+
+
+class TestRecordIndex:
+    def test_local_record_wins_in_the_inherited_position(self, tmp_path):
+        central, dev = synthetic_areas(tmp_path, [synthetic_tool(f"t{i}")
+                                                  for i in range(3)])
+        assert "Record: local" in tool_info(dev, "T0", ARCH)
+        assert "Record: central" in tool_info(dev, "t1", ARCH)
+        assert "Record: local" in tool_info(central, "t1", ARCH)
+        with pytest.raises(ToolError, match=r"known tools: t0, t1, t2, zzextra\)"):
+            tool_info(dev, "nosuch", ARCH)
+        assert tool_list(dev, ARCH).splitlines()[2:] == [
+            " t0                   1.0        (default=1.0)",
+            " t1                   1.0        (default=1.0)",
+            " t2                   1.0        (default=1.0)",
+            " zzextra              1.0        (default=none)",
+        ]
+
+    def test_record_lookups_do_not_grow_with_tool_count(self, tmp_path,
+                                                         monkeypatch):
+        # one listing per tools directory, never a stat per record
+        calls = []
+        tools = os.path.join(".SCRAM", ARCH.canonical, "tools")
+
+        def counted(real):
+            def wrapper(path):
+                if tools in str(path):
+                    calls.append(path)
+                return real(path)
+            return wrapper
+
+        for owner, name in ((os.path, "exists"), (os.path, "isdir"),
+                            (os, "listdir")):
+            monkeypatch.setattr(owner, name, counted(getattr(owner, name)))
+        counts = {}
+        for n in (10, 100):
+            _, dev = synthetic_areas(tmp_path / str(n),
+                                     [synthetic_tool(f"t{i:03d}") for i in range(n)])
+            calls.clear()
+            compute_runtime_env(dev, ARCH)
+            tool_list(dev, ARCH)
+            counts[n] = len(calls)
+        assert counts[10] == counts[100] > 0
 
 
 class TestBuildAndLock:

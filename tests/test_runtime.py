@@ -8,6 +8,7 @@ from scram.errors import AreaError
 from scram.runtime import (
     EnvDelta,
     EnvEmitError,
+    _quote_sh,
     apply_delta,
     emit_shell,
     load_app_env_file,
@@ -274,6 +275,19 @@ class TestRollbackProperties:
     def test_quoting_round_trip(self, value, dialect):
         text = emit_shell(delta_of(sets=[("V", value)]), {}, dialect)
         assert evaluate_emission(text, {}, dialect)["V"] == value
+
+    @settings(max_examples=300, deadline=None)
+    @given(value=st.one_of(hostile_values, st.text()))
+    def test_sh_quoting_matches_the_per_character_escape(self, value):
+        def reference(value):
+            out = []
+            for ch in value:
+                if ch in '\\"$`':
+                    out.append("\\")
+                out.append(ch)
+            return "".join(out)
+
+        assert _quote_sh(value) == reference(value)
 
 
 @pytest.mark.skipif(shutil.which("sh") is None, reason="sh not on PATH")
