@@ -4,8 +4,10 @@ A document type registry maps a ``<doc type=...>`` path to a builder that
 turns an event stream into a domain object, gated on a minimum document
 version. Activation runs the whole pipeline (fetch, tokenize, splice,
 header check, build) and memoizes the result per engine, keyed by
-normalized URL and version, so a document is fetched and parsed at most
-once per engine.
+normalized URL and version, so a document is activated at most once per
+engine. The tokenized events of each nested document are memoized per
+engine under the same key, so a fragment referenced many times is fetched
+and tokenized once per engine, also when the engine refreshes.
 
 Two splicing tags exist. ``<inline url=...>`` always splices the target's
 events in place. ``<include url=...>`` does the same for document types
@@ -14,8 +16,8 @@ document has a header of the same type; types registered with
 ``splice_includes=False`` (the project requirements format does this) see
 the include events and record them as references instead. Both tags are
 spliced in one pass in document order; each nested document is spliced
-against its own URL, and the chain of documents being spliced is the one
-cycle check, reported with every URL in the cycle.
+against its own URL at every reference, and the chain of documents being
+spliced is the one cycle check, reported with every URL in the cycle.
 """
 
 from __future__ import annotations
@@ -96,6 +98,8 @@ class DocumentEngine:
         self.refresh = refresh
         self.stats = EngineStats()
         self._activated: dict[str, TypedDocument] = {}
+        # tokenized events of nested documents, by cache key
+        self._nested: dict[str, list] = {}
 
     def activate(self, url: ResourceUrl | str,
                  version: str | None = None) -> TypedDocument:
@@ -132,7 +136,9 @@ class DocumentEngine:
         """Splice ``<inline>`` and, unless the type opts out, ``<include>``
         in one pass, resolving each nested document against its own URL.
         ``chain`` maps the cache key of each document being spliced to its
-        URL, outermost first."""
+        URL, outermost first. A nested document is fetched and tokenized
+        once per engine however often it is referenced; it is still spliced,
+        header-checked and cycle-checked at every reference."""
 
         def resolve(target: str, tag: str):
             resolved = parse_url(target, base=url)
@@ -141,7 +147,10 @@ class DocumentEngine:
             if key in chain:
                 cycle = " -> ".join(str(u) for u in [*chain.values(), resolved])
                 raise DocTypeError(f"document inclusion cycle: {cycle}")
-            inner_events = self.events_for(resolved, resolved_version)
+            inner_events = self._nested.get(key)
+            if inner_events is None:
+                inner_events = self._nested[key] = self.events_for(
+                    resolved, resolved_version)
             inner_header, inner_entry = header, entry
             if tag == "include":
                 inner_header = read_doc_header(inner_events)

@@ -220,18 +220,20 @@ def resolve_selection(req: RequirementsDoc, configs: list[ConfigurationDoc],
     an error, not a pick. Selects scoped to other architectures are skipped
     silently. Pure in (req, configs, arch).
     """
-    entries = [(e, config.base) for config in configs for e in config.entries]
+    # every architecture-matching entry by folded name, in configuration
+    # and entry order
+    by_name: dict[str, list[tuple[RequireEntry, str | None]]] = {}
+    for config in configs:
+        for e in config.entries:
+            if match_architecture(e.arch_scope, arch):
+                by_name.setdefault(e.folded_name, []).append((e, config.base))
     tools: dict[str, PinnedTool] = {}
     for select in req.selects:
         if not match_architecture(select.arch_scope, arch):
             continue
         if select.folded_name in tools:
             continue
-        candidates = [
-            (e, base) for e, base in entries
-            if e.folded_name == select.folded_name
-            and match_architecture(e.arch_scope, arch)
-        ]
+        candidates = by_name.get(select.folded_name)
         if not candidates:
             raise ConfigError(
                 f"'{select.name}' is selected but no configuration entry "

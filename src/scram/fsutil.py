@@ -1,4 +1,5 @@
-"""How scram state reaches disk: one atomic write and one lock.
+"""How scram state reaches disk and comes back: one atomic write, one lock
+and one JSON reader.
 
 ``atomic_write`` writes a dot-named temp file beside the target and renames
 it over the target, so a reader sees the old file or the new one and a
@@ -6,15 +7,20 @@ killed command leaves at most a dot-named temp file. ``locked`` holds an
 ``flock`` on a lock file that is never unlinked; the kernel drops it when
 the holder exits or is killed. No file is fsync'ed: a rename survives the
 death of the process, and surviving power loss is not promised.
+``read_json`` turns a state file that cannot be read, parsed or is not a
+JSON object into one ``AreaError`` that names the file.
 """
 
 from __future__ import annotations
 
 import fcntl
+import json
 import os
 import stat
 from collections.abc import Iterator
 from contextlib import contextmanager, suppress
+
+from .errors import AreaError
 
 
 def _open_creating_parent(path: str, flags: int) -> int:
@@ -45,6 +51,22 @@ def atomic_write(path: str, data: bytes | str) -> None:
         with suppress(OSError):
             os.unlink(tmp)
         raise
+
+
+def read_json(path: str, what: str) -> dict:
+    """The JSON object stored in ``path``, a ``what`` (say, "tool record").
+
+    An unreadable file, bad JSON or another top-level value (a list, say)
+    raises an ``AreaError`` naming ``what`` and ``path``.
+    """
+    try:
+        with open(path, "rb") as fh:
+            payload = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise AreaError(f"unreadable {what} {path}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise AreaError(f"{what} {path} is not a JSON object")
+    return payload
 
 
 @contextmanager

@@ -17,6 +17,7 @@ rules. See docs/dialect.md for the full grammar and reference documents.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass, field
 
 from .errors import MarkupError
@@ -118,126 +119,95 @@ class DocHeader:
         return tuple(p for p in self.doc_type.replace("::", ":").split(":") if p)
 
 
-def _is_name_start(ch: str) -> bool:
+# In str patterns ``\s`` is exactly ``str.isspace`` and ``\w`` exactly
+# ``str.isalnum`` plus ``_``. A tag name starts with a character for which
+# ``isalpha()`` holds, or ``_``; no class says that exactly, so the search
+# takes the wider ``[^\W\d]`` (which also admits numerics such as ``½``)
+# and ``_name_start`` decides.
+_TAG_START = re.compile(r"<(?=/?[^\W\d])")
+_NAME = re.compile(r"[\w.-]*")
+# One attribute: a key, then an optional ``=`` with a quoted or an unquoted
+# value. A key never starts at ``/>``. A quote that never closes leaves the
+# ``=`` unmatched and both value groups empty.
+_ATTR = re.compile(r'\s*(?!/>)([^\s=>"]+)(?:=(?:"([^"]*)"|(?!")([^\s>]*)))?')
+_TAG_END = re.compile(r"\s*/?>")
+_SPACE = re.compile(r"\s*")
+
+
+def _name_start(ch: str) -> bool:
     return ch.isalpha() or ch == "_"
 
 
-def _is_name_char(ch: str) -> bool:
-    return ch.isalnum() or ch in "_-."
+class _Lines:
+    """Line and column of positions in one text. Positions are asked for in
+    increasing order, and newlines are counted forward from the last one,
+    so locating every event of a text costs one pass over it."""
 
-
-class _Scanner:
-    """Cursor over document text with line/column tracking."""
+    __slots__ = ("text", "source", "pos", "line", "line_start")
 
     def __init__(self, text: str, source: str):
         self.text = text
         self.source = source
         self.pos = 0
         self.line = 1
-        self.column = 1
+        self.line_start = 0
 
-    def location(self) -> Location:
-        return Location(self.source, self.line, self.column)
-
-    def eof(self) -> bool:
-        return self.pos >= len(self.text)
-
-    def peek(self, offset: int = 0) -> str:
-        i = self.pos + offset
-        return self.text[i] if i < len(self.text) else ""
-
-    def advance(self, count: int = 1) -> str:
-        taken = self.text[self.pos : self.pos + count]
-        for ch in taken:
-            if ch == "\n":
-                self.line += 1
-                self.column = 1
-            else:
-                self.column += 1
-        self.pos += len(taken)
-        return taken
-
-    def skip_whitespace(self) -> None:
-        while not self.eof() and self.peek().isspace():
-            self.advance()
-
-    def take_while(self, pred) -> str:
-        start = self.pos
-        while not self.eof() and pred(self.peek()):
-            self.advance()
-        return self.text[start : self.pos]
+    def at(self, pos: int) -> Location:
+        newlines = self.text.count("\n", self.pos, pos)
+        if newlines:
+            self.line += newlines
+            self.line_start = self.text.rfind("\n", self.pos, pos) + 1
+        self.pos = pos
+        return Location(self.source, self.line, pos - self.line_start + 1)
 
 
-def _plausible_tag(scanner: _Scanner) -> bool:
-    nxt = scanner.peek(1)
-    if _is_name_start(nxt):
-        return True
-    return nxt == "/" and _is_name_start(scanner.peek(2))
-
-
-def _scan_open_tag(scanner: _Scanner, start: Location) -> TagEvent:
-    scanner.advance()  # consume '<'
-    name = scanner.take_while(_is_name_char)
+def _scan_open_tag(text: str, at: int, lines: _Lines) -> tuple[TagEvent, int]:
+    start = lines.at(at)
+    pos = _NAME.match(text, at + 1).end()
+    name = text[at + 1 : pos]
     attrs: list[tuple[str, str]] = []
     seen: set[str] = set()
-    while True:
-        scanner.skip_whitespace()
-        if scanner.eof():
-            raise MarkupError(f"unterminated tag <{name}", location=start)
-        ch = scanner.peek()
-        if ch == ">":
-            scanner.advance()
-            return open_event(name, attrs, start)
-        if ch == "/" and scanner.peek(1) == ">":
-            # XML habit; tolerated, treated as a plain open tag.
-            scanner.advance(2)
-            return open_event(name, attrs, start)
-        key = scanner.take_while(lambda c: not c.isspace() and c not in '=>"')
-        if not key:
+    while (m := _ATTR.match(text, pos)) is not None:
+        key, quoted, plain = m.groups()
+        pos = m.end()
+        if quoted is None and plain is None and text.startswith("=", pos):
             raise MarkupError(
-                f"unexpected character {scanner.peek()!r} in tag <{name}>",
-                location=scanner.location(),
+                f"unterminated quoted value for '{key}' in tag <{name}>",
+                location=lines.at(pos + 1),
             )
-        value = ""
-        if scanner.peek() == "=":
-            scanner.advance()
-            if scanner.peek() == '"':
-                quote_at = scanner.location()
-                scanner.advance()
-                chunk_start = scanner.pos
-                while not scanner.eof() and scanner.peek() != '"':
-                    scanner.advance()
-                if scanner.eof():
-                    raise MarkupError(
-                        f"unterminated quoted value for '{key}' in tag <{name}>",
-                        location=quote_at,
-                    )
-                value = scanner.text[chunk_start : scanner.pos]
-                scanner.advance()  # closing quote
-            else:
-                value = scanner.take_while(lambda c: not c.isspace() and c != ">")
         folded = key.casefold()
         if folded in seen:
             raise MarkupError(
                 f"duplicate attribute '{key}' in tag <{name}>", location=start
             )
         seen.add(folded)
-        attrs.append((key, value))
+        attrs.append((key, quoted if quoted is not None else plain or ""))
+    m = _TAG_END.match(text, pos)
+    if m is not None:
+        # ``/>`` is an XML habit; tolerated, treated as a plain open tag.
+        return open_event(name, attrs, start), m.end()
+    pos = _SPACE.match(text, pos).end()
+    if pos == len(text):
+        raise MarkupError(f"unterminated tag <{name}", location=start)
+    raise MarkupError(
+        f"unexpected character {text[pos]!r} in tag <{name}>",
+        location=lines.at(pos),
+    )
 
 
-def _scan_close_tag(scanner: _Scanner, start: Location) -> TagEvent:
-    scanner.advance(2)  # consume '</'
-    name = scanner.take_while(_is_name_char)
-    scanner.skip_whitespace()
-    if scanner.eof():
+def _scan_close_tag(text: str, at: int, lines: _Lines) -> tuple[TagEvent, int]:
+    start = lines.at(at)
+    name_end = _NAME.match(text, at + 2).end()
+    name = text[at + 2 : name_end]
+    pos = _SPACE.match(text, name_end).end()
+    if pos == len(text):
         raise MarkupError(f"unterminated tag </{name}", location=start)
-    if scanner.peek() != ">":
+    if text[pos] != ">":
         raise MarkupError(
-            f"unexpected character {scanner.peek()!r} in tag </{name}>",
-            location=scanner.location(),
+            f"unexpected character {text[pos]!r} in tag </{name}>",
+            location=lines.at(pos),
         )
-    scanner.advance()
-    return close_event(name, start)
+    return close_event(name, start), pos + 1
 
 
 def tokenize_markup(text: str, source_id: str = "<string>") -> list[TagEvent]:
@@ -249,28 +219,24 @@ def tokenize_markup(text: str, source_id: str = "<string>") -> list[TagEvent]:
     close. Raises MarkupError only for a tag or quoted value left open at
     end of input, or a duplicate attribute key.
     """
-    scanner = _Scanner(text, source_id)
+    lines = _Lines(text, source_id)
     events: list[TagEvent] = []
-    run_start = 0
-    run_location = scanner.location()
-
-    def flush(upto: int) -> None:
-        if upto > run_start:
-            events.append(chardata_event(text[run_start:upto], run_location))
-
-    while not scanner.eof():
-        if scanner.peek() == "<" and _plausible_tag(scanner):
-            flush(scanner.pos)
-            start = scanner.location()
-            if scanner.peek(1) == "/":
-                events.append(_scan_close_tag(scanner, start))
-            else:
-                events.append(_scan_open_tag(scanner, start))
-            run_start = scanner.pos
-            run_location = scanner.location()
-        else:
-            scanner.advance()
-    flush(scanner.pos)
+    run_start = 0  # start of the pending CharData run
+    pos = 0
+    while (m := _TAG_START.search(text, pos)) is not None:
+        at = m.start()
+        closing = text[at + 1] == "/"
+        if not _name_start(text[at + 2] if closing else text[at + 1]):
+            pos = at + 1
+            continue
+        if at > run_start:
+            events.append(chardata_event(text[run_start:at], lines.at(run_start)))
+        scan = _scan_close_tag if closing else _scan_open_tag
+        event, pos = scan(text, at, lines)
+        events.append(event)
+        run_start = pos
+    if len(text) > run_start:
+        events.append(chardata_event(text[run_start:], lines.at(run_start)))
     return events
 
 

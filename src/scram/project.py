@@ -22,6 +22,7 @@ import shlex
 import subprocess
 from collections.abc import Iterable, Iterator
 from contextlib import ExitStack, contextmanager
+from itertools import chain
 from dataclasses import dataclass
 
 from .activedoc import DocTypeRegistry, DocumentEngine
@@ -37,7 +38,7 @@ from .configuration import (
     parse_requirements,
 )
 from .errors import AreaError, ToolError
-from .fsutil import atomic_write, locked
+from .fsutil import atomic_write, locked, read_json
 from .markup import HandlerMap, parse_with_handlers
 from .runtime import (
     EXEC_PATH_VAR,
@@ -334,6 +335,58 @@ def build_engine(site: SiteInfo | None = None, env=None,
 
 
 # ---------------------------------------------------------------------
+# shapes of the values in the JSON state files
+
+# Each check runs on every record of every read-only command, so it walks
+# the value with ``map`` rather than a generator; JSON gives exact types.
+
+
+def _is_str(value) -> bool:
+    return type(value) is str
+
+
+def _is_str_or_none(value) -> bool:
+    return value is None or type(value) is str
+
+
+def _is_str_list(value) -> bool:
+    return type(value) is list and set(map(type, value)) <= {str}
+
+
+def _is_str_pair(value) -> bool:
+    return _is_str_list(value) and len(value) == 2
+
+
+def _is_str_pairs(value) -> bool:
+    return (type(value) is list and set(map(type, value)) <= {list}
+            and set(map(len, value)) <= {2}
+            and set(map(type, chain.from_iterable(value))) <= {str})
+
+
+def _is_str_map(value) -> bool:
+    return type(value) is dict and set(map(type, value.values())) <= {str}
+
+
+def _is_object_list(value) -> bool:
+    return type(value) is list and set(map(type, value)) <= {dict}
+
+
+_MISSING = object()
+
+
+def _field(payload: dict, key: str, valid, what: str, path: str,
+           default=_MISSING):
+    """``payload[key]`` if ``valid`` holds for it; a missing key gives
+    ``default``, and without one, like an invalid value, an AreaError."""
+    value = payload.get(key, default)
+    if value is _MISSING:
+        raise AreaError(f"{what} {path} lacks '{key}'")
+    if not valid(value):
+        raise AreaError(f"{what} {path} has a malformed '{key}'")
+    return value
+
+
+# ---------------------------------------------------------------------
 # resolved-configuration persistence
 
 def _write_config_record(area: ProjectArea, arch: Architecture,
@@ -356,14 +409,17 @@ def load_config_record(area: ProjectArea, arch: Architecture) -> ResolvedConfigu
     path = ProjectArea(area.central_root()).config_record_path(arch)
     if not os.path.exists(path):
         return ResolvedConfiguration(arch, {})
-    with open(path) as fh:
-        payload = json.load(fh)
-    tools = {
-        t["name"]: PinnedTool(t["name"], t["version"], t["spec_url"],
-                              t.get("spec_base"))
-        for t in payload["tools"]
-    }
-    identity = tuple(payload.get("identity", ("", "")))
+    what = "configuration record"
+    payload = read_json(path, what)
+    tools = {}
+    for t in _field(payload, "tools", _is_object_list, what, path):
+        name = _field(t, "name", _is_str, what, path)
+        tools[name] = PinnedTool(
+            name, _field(t, "version", _is_str, what, path),
+            _field(t, "spec_url", _is_str, what, path),
+            _field(t, "spec_base", _is_str_or_none, what, path, default=None))
+    identity = tuple(_field(payload, "identity", _is_str_pair, what, path,
+                            default=["", ""]))
     return ResolvedConfiguration(arch, tools, identity)  # order preserved by json
 
 
@@ -392,17 +448,19 @@ def write_tool_record(area: ProjectArea, arch: Architecture,
 
 
 def _load_record(path: str) -> ResolvedTool:
-    with open(path) as fh:
-        payload = json.load(fh)
+    what = "tool record"
+    payload = read_json(path, what)
     return ResolvedTool(
-        name=payload["name"],
-        version=payload["version"],
-        bindings=dict(payload["bindings"]),
-        runtime_entries=[tuple(pair) for pair in payload["runtime"]],
-        lib_names=list(payload["libs"]),
-        provenance=dict(payload["provenance"]),
-        descriptions=dict(payload.get("descriptions", {})),
-        externals=[tuple(pair) for pair in payload.get("externals", [])],
+        name=_field(payload, "name", _is_str, what, path),
+        version=_field(payload, "version", _is_str, what, path),
+        bindings=_field(payload, "bindings", _is_str_map, what, path),
+        runtime_entries=list(map(tuple, _field(payload, "runtime", _is_str_pairs,
+                                                what, path))),
+        lib_names=_field(payload, "libs", _is_str_list, what, path),
+        provenance=_field(payload, "provenance", _is_str_map, what, path),
+        descriptions=_field(payload, "descriptions", _is_str_map, what, path, {}),
+        externals=list(map(tuple, _field(payload, "externals", _is_str_pairs,
+                                         what, path, []))),
     )
 
 

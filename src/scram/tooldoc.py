@@ -257,40 +257,50 @@ class LibraryProber:
 
     A directory qualifies when it holds at least one matching file for any
     of the requested base names; roots are scanned in order, then their
-    direct subdirectories in sorted order, first hit wins.
+    direct subdirectories in sorted order, first hit wins. A prober lists
+    each directory at most once, however many probes it serves; a directory
+    that cannot be listed holds no files.
     """
 
     def __init__(self, search_roots: list[str], patterns: list[str] | None = None):
         self.search_roots = list(search_roots)
         self.patterns = patterns if patterns is not None else default_library_patterns()
+        self._candidates: list[str] | None = None
+        self._listings: dict[str, list[str]] = {}
 
-    def _candidates(self):
-        for root in self.search_roots:
-            if not os.path.isdir(root):
-                continue
-            yield root
-            for entry in sorted(os.listdir(root)):
-                sub = os.path.join(root, entry)
-                if os.path.isdir(sub):
-                    yield sub
+    def _files(self, directory: str) -> list[str]:
+        files = self._listings.get(directory)
+        if files is None:
+            try:
+                files = os.listdir(directory)
+            except OSError:
+                files = []
+            self._listings[directory] = files
+        return files
 
-    def _matches(self, directory: str, lib_names: list[str]) -> bool:
-        try:
-            files = os.listdir(directory)
-        except OSError:
-            return False
-        for name in lib_names:
-            for pattern in self.patterns:
-                want = pattern.format(name=name)
-                if any(fnmatch.fnmatch(f, want) for f in files):
-                    return True
-        return False
+    def _candidate_dirs(self) -> list[str]:
+        if self._candidates is None:
+            self._candidates = []
+            for root in self.search_roots:
+                if not os.path.isdir(root):
+                    continue
+                self._candidates.append(root)
+                for entry in sorted(self._files(root)):
+                    sub = os.path.join(root, entry)
+                    if os.path.isdir(sub):
+                        self._candidates.append(sub)
+        return self._candidates
 
     def find_library_dir(self, lib_names: list[str]) -> str | None:
-        if not lib_names:
+        globs = [pattern.format(name=name)
+                 for name in lib_names for pattern in self.patterns]
+        if not globs:
             return None
-        for directory in self._candidates():
-            if self._matches(directory, lib_names):
+        # fnmatch.fnmatch would also normcase both sides, which is the
+        # identity on the POSIX systems scram runs on
+        wanted = re.compile("|".join(map(fnmatch.translate, globs)))
+        for directory in self._candidate_dirs():
+            if any(map(wanted.match, self._files(directory))):
                 return directory
         return None
 

@@ -1,6 +1,6 @@
 import pytest
 
-from scram.activedoc import DocTypeRegistry, DocumentEngine
+from scram.activedoc import DocTypeRegistry, DocumentEngine, EngineStats
 from scram.errors import DocTypeError, MarkupError, ScramError
 from scram.markup import EventKind
 from scram.urlaccess import UrlCache, default_registry
@@ -159,6 +159,32 @@ class TestActivate:
                       '<doc type=Test::Names version=1.0>'
                       '<inline url="frag.doc"><p><inline url="frag.doc">')
         assert engine.activate(outer).payload == ["m", "p", "m"]
+
+    def test_repeated_fragment_is_fetched_and_tokenized_once(self, engine, tmp_path):
+        write(tmp_path, "frag.doc", "<m>")
+        outer = write(tmp_path, "outer.doc",
+                      "<doc type=Test::Names version=1.0>"
+                      + '<inline url="frag.doc"><p>' * 4)
+        assert engine.activate(outer).payload == ["m", "p"] * 4
+        assert engine.stats == EngineStats(fetches=2, parses=2)
+
+    def test_refreshed_fragment_reaches_its_adapter_once(self, tmp_path):
+        calls = []
+
+        def adapter(url, version):
+            calls.append(url.authority)
+            if url.authority == "outer":
+                return (b"<doc type=Test::Names version=1.0>"
+                        + b"<inline url=stub:frag><include url=stub:frag>" * 5)
+            return b"<doc type=Test::Names version=1.0><m>"
+
+        from scram.urlaccess import SchemeRegistry
+        types = DocTypeRegistry().register("Test::Names", "1.0", names_builder)
+        cache = UrlCache(str(tmp_path / "c"), SchemeRegistry().register("stub", adapter))
+        engine = DocumentEngine(cache, types, refresh=True)
+        assert engine.activate("stub:outer").payload == ["m"] * 10
+        assert calls == ["outer", "frag"]
+        assert engine.stats == EngineStats(fetches=2, parses=2)
 
     def test_two_level_nesting_matches_hand_concatenation(self, tmp_path):
         # each level resolves its relative URL against its own directory

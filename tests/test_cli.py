@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 
 from scram.cli import main
 
@@ -88,6 +89,31 @@ class TestErrors:
         assert err.startswith(f"scram: while activating {a}: ")
         assert err.count("\n") == 1
         assert err.endswith(f"document inclusion cycle: {a} -> {b} -> {c} -> {a}\n")
+
+
+class TestCorruptState:
+    CORRUPTIONS = {
+        "truncated tool record": ("tools/boost", '{"name": "boost", "vers'),
+        "tool record that is a list": ("tools/boost", '["boost", "1.28.0"]\n'),
+        "garbage configuration record": ("configuration", "\x00garbage\n"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CORRUPTIONS))
+    def test_one_line_and_exit_1(self, toy, capsys, child_env, case):
+        central = lifecycle(toy, capsys)
+        rel, text = self.CORRUPTIONS[case]
+        path = Path(central) / ".SCRAM" / "Linux__2.4" / rel
+        assert path.is_file()
+        path.write_text(text)
+        for argv in (["runtime", "-sh"], ["tool", "list"]):
+            proc = subprocess.run([sys.executable, "-m", "scram.cli", *argv],
+                                  cwd=central, env=child_env(toy.env),
+                                  capture_output=True, text=True)
+            assert proc.returncode == 1, proc.stderr
+            assert proc.stdout == ""
+            assert proc.stderr.startswith("scram: ")
+            assert proc.stderr.count("\n") == 1
+            assert str(path) in proc.stderr
 
 
 def test_cli_import_leaves_http_modules_unloaded():

@@ -189,6 +189,40 @@ class TestResolveSelection:
         with pytest.raises(ConfigError, match="equally specific"):
             resolve_selection(req, [c1, c2], LINUX)
 
+    def test_most_specific_entry_across_two_configurations(self):
+        from scram.configuration import (ConfigurationDoc, RequireEntry,
+                                         RequirementsDoc, SelectEntry)
+        c1 = ConfigurationDoc(entries=[RequireEntry("T", "1.0", "u1", ""),
+                                       RequireEntry("o", "1.0", "uo", "")],
+                              base="file:/one/")
+        c2 = ConfigurationDoc(entries=[RequireEntry("t", "2.0", "u2", "Linux__2")],
+                              base="file:/two/")
+        req = RequirementsDoc(selects=[SelectEntry("t"), SelectEntry("O")])
+        linux = resolve_selection(req, [c1, c2], LINUX)
+        assert [(p.name, p.version, p.spec_url, p.spec_base)
+                for p in linux.tools.values()] == [
+            ("t", "2.0", "u2", "file:/two/"), ("o", "1.0", "uo", "file:/one/")]
+        assert resolve_selection(req, [c1, c2], SUNOS).get("t").version == "1.0"
+
+    def test_selection_error_messages(self):
+        from scram.configuration import (ConfigurationDoc, RequireEntry,
+                                         RequirementsDoc, SelectEntry)
+        c1 = ConfigurationDoc(entries=[RequireEntry("t", "1.0", "u1", "Linux__2"),
+                                       RequireEntry("s", "1.0", "u", "SunOS__5")])
+        c2 = ConfigurationDoc(entries=[RequireEntry("T", "2.0", "u2", "Linux__2")])
+        with pytest.raises(ConfigError) as exc:
+            resolve_selection(RequirementsDoc(selects=[SelectEntry("T")]),
+                              [c1, c2], LINUX)
+        assert str(exc.value) == (
+            "'T' matches several equally specific configuration entries "
+            "under Linux__2.4")
+        with pytest.raises(ConfigError) as exc:
+            resolve_selection(RequirementsDoc(selects=[SelectEntry("S")]),
+                              [c1, c2], LINUX)
+        assert str(exc.value) == (
+            "'S' is selected but no configuration entry matches architecture "
+            "Linux__2.4")
+
     def test_scope_monotonicity(self, config_doc):
         # adding a non-matching Architecture block never changes a resolution
         from scram.configuration import (ConfigurationDoc, RequireEntry,

@@ -6,10 +6,35 @@ from pathlib import Path
 import pytest
 
 import scram
-from scram.fsutil import atomic_write, locked
+from scram.errors import AreaError
+from scram.fsutil import atomic_write, locked, read_json
 
 SOURCES = sorted(Path(scram.__file__).parent.glob("*.py"))
 HELPER = "fsutil.py"
+
+
+class TestReadJson:
+    def test_reads_an_object(self, tmp_path):
+        path = tmp_path / "state"
+        path.write_text('{"a": [1]}')
+        assert read_json(str(path), "state") == {"a": [1]}
+
+    @pytest.mark.parametrize("content, reason", [
+        (None, "unreadable thing {path}: "),
+        ('{"a": ', "unreadable thing {path}: "),
+        (b"\xff\xfe{}", "unreadable thing {path}: "),
+        ("[1, 2]", "thing {path} is not a JSON object"),
+        ("null", "thing {path} is not a JSON object"),
+    ])
+    def test_failures_name_the_file(self, tmp_path, content, reason):
+        path = tmp_path / "state"
+        if isinstance(content, str):
+            path.write_text(content)
+        elif content is not None:
+            path.write_bytes(content)
+        with pytest.raises(AreaError) as exc:
+            read_json(str(path), "thing")
+        assert str(exc.value).startswith(reason.format(path=path))
 
 
 class TestAtomicWrite:

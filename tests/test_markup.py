@@ -1,10 +1,11 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from scram.errors import MarkupError
 from scram.markup import (
     EventKind,
     HandlerMap,
+    Location,
     TagEvent,
     chardata_event,
     close_event,
@@ -125,6 +126,174 @@ class TestTokenize:
             return
         rebuilt = serialize_events(events)
         assert tokenize_markup(rebuilt) == events
+
+
+class _Scanner:
+    """The character-at-a-time scanner that ``tokenize_markup`` replaced,
+    kept as the reference for ``TestScannerReference``."""
+
+    def __init__(self, text, source):
+        self.text, self.source = text, source
+        self.pos, self.line, self.column = 0, 1, 1
+
+    def location(self):
+        return Location(self.source, self.line, self.column)
+
+    def eof(self):
+        return self.pos >= len(self.text)
+
+    def peek(self, offset=0):
+        i = self.pos + offset
+        return self.text[i] if i < len(self.text) else ""
+
+    def advance(self, count=1):
+        taken = self.text[self.pos : self.pos + count]
+        for ch in taken:
+            if ch == "\n":
+                self.line += 1
+                self.column = 1
+            else:
+                self.column += 1
+        self.pos += len(taken)
+        return taken
+
+    def skip_whitespace(self):
+        while not self.eof() and self.peek().isspace():
+            self.advance()
+
+    def take_while(self, pred):
+        start = self.pos
+        while not self.eof() and pred(self.peek()):
+            self.advance()
+        return self.text[start : self.pos]
+
+
+def _is_name_start(ch):
+    return ch.isalpha() or ch == "_"
+
+
+def _is_name_char(ch):
+    return ch.isalnum() or ch in "_-."
+
+
+def _scanner_open_tag(scanner, start):
+    scanner.advance()
+    name = scanner.take_while(_is_name_char)
+    attrs, seen = [], set()
+    while True:
+        scanner.skip_whitespace()
+        if scanner.eof():
+            raise MarkupError(f"unterminated tag <{name}", location=start)
+        ch = scanner.peek()
+        if ch == ">":
+            scanner.advance()
+            return open_event(name, attrs, start)
+        if ch == "/" and scanner.peek(1) == ">":
+            scanner.advance(2)
+            return open_event(name, attrs, start)
+        key = scanner.take_while(lambda c: not c.isspace() and c not in '=>"')
+        if not key:
+            raise MarkupError(
+                f"unexpected character {scanner.peek()!r} in tag <{name}>",
+                location=scanner.location(),
+            )
+        value = ""
+        if scanner.peek() == "=":
+            scanner.advance()
+            if scanner.peek() == '"':
+                quote_at = scanner.location()
+                scanner.advance()
+                chunk_start = scanner.pos
+                while not scanner.eof() and scanner.peek() != '"':
+                    scanner.advance()
+                if scanner.eof():
+                    raise MarkupError(
+                        f"unterminated quoted value for '{key}' in tag <{name}>",
+                        location=quote_at,
+                    )
+                value = scanner.text[chunk_start : scanner.pos]
+                scanner.advance()
+            else:
+                value = scanner.take_while(lambda c: not c.isspace() and c != ">")
+        folded = key.casefold()
+        if folded in seen:
+            raise MarkupError(
+                f"duplicate attribute '{key}' in tag <{name}>", location=start
+            )
+        seen.add(folded)
+        attrs.append((key, value))
+
+
+def _scanner_close_tag(scanner, start):
+    scanner.advance(2)
+    name = scanner.take_while(_is_name_char)
+    scanner.skip_whitespace()
+    if scanner.eof():
+        raise MarkupError(f"unterminated tag </{name}", location=start)
+    if scanner.peek() != ">":
+        raise MarkupError(
+            f"unexpected character {scanner.peek()!r} in tag </{name}>",
+            location=scanner.location(),
+        )
+    scanner.advance()
+    return close_event(name, start)
+
+
+def scanner_tokenize(text, source_id="<string>"):
+    scanner = _Scanner(text, source_id)
+    events = []
+    run_start, run_location = 0, scanner.location()
+    while not scanner.eof():
+        nxt = scanner.peek(1)
+        plausible = _is_name_start(nxt) or (
+            nxt == "/" and _is_name_start(scanner.peek(2)))
+        if scanner.peek() == "<" and plausible:
+            if scanner.pos > run_start:
+                events.append(chardata_event(text[run_start:scanner.pos], run_location))
+            start = scanner.location()
+            if nxt == "/":
+                events.append(_scanner_close_tag(scanner, start))
+            else:
+                events.append(_scanner_open_tag(scanner, start))
+            run_start, run_location = scanner.pos, scanner.location()
+        else:
+            scanner.advance()
+    if scanner.pos > run_start:
+        events.append(chardata_event(text[run_start:scanner.pos], run_location))
+    return events
+
+
+def _outcome(tokenize, text):
+    """Events with their locations, or the error message and location."""
+    try:
+        events = tokenize(text, "src")
+    except MarkupError as exc:
+        return ("error", exc.message, exc.location)
+    return ("events", [(ev, ev.location) for ev in events])
+
+
+# Biased toward the characters the grammar turns on, plus letters and
+# numerics outside ASCII: 'é' starts a name, '½' is a numeric that does not.
+_MARKUP_CHARS = st.sampled_from(list('<<</=">>  \t\n_-.09aZé½'))
+_MARKUP_PIECES = st.sampled_from(
+    ["<a", "</a", "<doc", " x=", ' y="', '"', "/>", "> ", "<_", "<é", "<½", "</½",
+     "=\n", "\t>", "x=1"])
+
+
+class TestScannerReference:
+    @given(st.lists(st.one_of(_MARKUP_CHARS, _MARKUP_PIECES, st.characters()),
+                    max_size=60).map("".join))
+    @example('<a y="v"=>')  # '=' right after a closed quote: not unterminated
+    @example('<a y="v y=>')
+    @example("x\n<½ <é\n\t</é z>")
+    def test_matches_the_character_scanner(self, text):
+        assert _outcome(tokenize_markup, text) == _outcome(scanner_tokenize, text)
+
+    def test_matches_the_character_scanner_on_the_fixtures(self, boost_text,
+                                                           configuration_text,
+                                                           requirements_text):
+        for text in (boost_text, configuration_text, requirements_text):
+            assert _outcome(tokenize_markup, text) == _outcome(scanner_tokenize, text)
 
 
 class TestRoundTrip:

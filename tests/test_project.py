@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import json
 import os
 import stat
 import subprocess
@@ -22,11 +23,13 @@ from scram.project import (
     _write_config_record,
     area_context,
     bootstrap_install,
+    build_engine,
     build_environment,
     compute_runtime_env,
     create_dev_area,
     list_installs,
     register_install,
+    resolve_selected_tools,
     run_build,
     setup_tool,
     tool_info,
@@ -633,6 +636,95 @@ class TestRecordIndex:
             tool_list(dev, ARCH)
             counts[n] = len(calls)
         assert counts[10] == counts[100] > 0
+
+
+class TestStateReaders:
+    RECORD = {"name": "t", "version": "1.0", "bindings": {"T_BASE": "/t"},
+              "runtime": [["PATH", "/t/bin"]], "libs": ["t"],
+              "provenance": {"T_BASE": "site-file"}}
+
+    @pytest.mark.parametrize("change, message", [
+        ({"version": None}, "lacks 'version'"),
+        ({"name": 7}, "has a malformed 'name'"),
+        ({"bindings": {"T_BASE": 1}}, "has a malformed 'bindings'"),
+        ({"runtime": "PATH"}, "has a malformed 'runtime'"),
+        ({"runtime": [["PATH", "/a", "/b"]]}, "has a malformed 'runtime'"),
+        ({"externals": [[1, "1.0"]]}, "has a malformed 'externals'"),
+    ])
+    def test_malformed_tool_record(self, tmp_path, change, message):
+        central, _ = synthetic_areas(tmp_path, [synthetic_tool("t")])
+        record = {k: v for k, v in {**self.RECORD, **change}.items()
+                  if v is not None}
+        path = Path(central.root) / ".SCRAM" / ARCH.canonical / "tools" / "t"
+        path.write_text(json.dumps(record))
+        with pytest.raises(AreaError) as exc:
+            compute_runtime_env(central, ARCH)
+        assert str(exc.value) == f"tool record {path} {message}"
+
+    @pytest.mark.parametrize("payload, message", [
+        ({"identity": ["", ""]}, "lacks 'tools'"),
+        ({"tools": {}}, "has a malformed 'tools'"),
+        ({"tools": [{"name": "t", "version": "1", "spec_url": 5}]},
+         "has a malformed 'spec_url'"),
+        ({"tools": [], "identity": "x"}, "has a malformed 'identity'"),
+    ])
+    def test_malformed_configuration_record(self, tmp_path, payload, message):
+        central, _ = synthetic_areas(tmp_path, [synthetic_tool("t")])
+        path = Path(central.config_record_path(ARCH))
+        path.write_text(json.dumps(payload))
+        with pytest.raises(AreaError) as exc:
+            tool_list(central, ARCH)
+        assert str(exc.value) == f"configuration record {path} {message}"
+
+    def test_spec_base_and_identity_may_be_absent(self, tmp_path):
+        central, _ = synthetic_areas(tmp_path, [synthetic_tool("t")])
+        path = Path(central.config_record_path(ARCH))
+        path.write_text(json.dumps(
+            {"tools": [{"name": "t", "version": "1.0", "spec_url": "u"}]}))
+        assert "t " in tool_list(central, ARCH)
+
+
+class TestProbing:
+    def test_each_candidate_directory_is_listed_once(self, tmp_path, monkeypatch):
+        # tool i's library sits in subdirectory i % 10 of the one search
+        # root, so every probe after the first nine scans several
+        # directories; the last tool's is the last one scanned
+        listed = []
+        real_listdir = os.listdir
+
+        def counted(path):
+            if "libroot" in str(path):
+                listed.append(str(path))
+            return real_listdir(path)
+
+        monkeypatch.setattr(os, "listdir", counted)
+        counts = {}
+        for n in (10, 100):
+            root = tmp_path / str(n)
+            libroot = root / "libroot"
+            pins = []
+            for i in range(n):
+                libdir = libroot / f"d{i % 10}"
+                libdir.mkdir(parents=True, exist_ok=True)
+                (libdir / f"libt{i}.so").write_bytes(b"")
+                spec = root / "specs" / f"t{i}.tooldoc"
+                spec.parent.mkdir(parents=True, exist_ok=True)
+                spec.write_text(
+                    "<doc type=BuildSystem::ToolDoc version=1.0>\n"
+                    f"<Tool name=t{i} version=1.0><Lib name=t{i}>\n"
+                    "<Client><Environment name=LIBDIR type=lib></Environment>"
+                    "</Client></Tool>\n")
+                pins.append(PinnedTool(f"t{i}", "1.0", f"file:{spec}"))
+            site = SiteInfo({"search.libroots": str(libroot)})
+            engine = build_engine(site, env={"SCRAM_CACHE": str(root / "cache")})
+            area = ProjectArea.create(str(root / "area"), "P", "1")
+            listed.clear()
+            resolved = resolve_selected_tools(engine, area, ARCH, pins, site)
+            assert [rt.bindings["LIBDIR"] for rt in resolved] == [
+                str(libroot / f"d{i % 10}") for i in range(n)]
+            assert len(listed) == len(set(listed))
+            counts[n] = len(listed)
+        assert counts[10] == counts[100] == 11
 
 
 class TestBuildAndLock:

@@ -320,6 +320,31 @@ class TestLibraryProber:
                                patterns=["lib{name}.so", "lib{name}.so.*"])
         assert prober.find_library_dir(["z"]) == str(first / "nested")
 
+    def test_root_beats_its_subdirectories(self, tmp_path):
+        (tmp_path / "a").mkdir()
+        for d in (tmp_path, tmp_path / "a"):
+            (d / "libz.a").write_bytes(b"")
+        assert LibraryProber([str(tmp_path)]).find_library_dir(["z"]) == str(tmp_path)
+
+    def test_sorted_first_subdirectory_wins(self, tmp_path):
+        for sub in ("m", "b", "x"):  # created out of order
+            (tmp_path / sub).mkdir()
+            (tmp_path / sub / "libz.so").write_bytes(b"")
+        (tmp_path / "a").mkdir()  # no library here
+        prober = LibraryProber([str(tmp_path)])
+        assert prober.find_library_dir(["z"]) == str(tmp_path / "b")
+
+    def test_one_prober_serves_many_probes(self, tmp_path):
+        for i in range(3):
+            (tmp_path / f"d{i}").mkdir()
+            (tmp_path / f"d{i}" / f"libt{i}.so.{i}").write_bytes(b"")
+        prober = LibraryProber([str(tmp_path)])
+        for _ in range(2):
+            assert [prober.find_library_dir([f"t{i}"]) for i in range(3)] == [
+                str(tmp_path / f"d{i}") for i in range(3)]
+        assert prober.find_library_dir(["nosuch", "t2"]) == str(tmp_path / "d2")
+        assert prober.find_library_dir(["t"]) is None  # a name, not a prefix
+
     def test_no_match(self, tmp_path):
         prober = LibraryProber([str(tmp_path)])
         assert prober.find_library_dir(["missing"]) is None
