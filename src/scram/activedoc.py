@@ -22,8 +22,6 @@ spliced is the one cycle check, reported with every URL in the cycle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import DocTypeError
 from .markup import (
     DocHeader,
@@ -36,20 +34,26 @@ from .markup import (
 from .urlaccess import ResourceUrl, UrlCache, parse_url
 
 
-@dataclass(frozen=True)
 class TypedDocument:
-    header: DocHeader
-    source: ResourceUrl
-    version: str
-    payload: object
+    __slots__ = ("header", "source", "version", "payload")
+
+    def __init__(self, header: DocHeader, source: ResourceUrl, version: str,
+                 payload: object):
+        self.header = header
+        self.source = source
+        self.version = version
+        self.payload = payload
 
 
-@dataclass
 class _TypeEntry:
-    doc_type: str
-    min_version: tuple[int, ...]
-    builder: object
-    splice_includes: bool
+    __slots__ = ("doc_type", "min_version", "builder", "splice_includes")
+
+    def __init__(self, doc_type: str, min_version: tuple[int, ...],
+                 builder, splice_includes: bool):
+        self.doc_type = doc_type
+        self.min_version = min_version
+        self.builder = builder
+        self.splice_includes = splice_includes
 
 
 class DocTypeRegistry:
@@ -82,10 +86,17 @@ class DocTypeRegistry:
         return entry
 
 
-@dataclass
 class EngineStats:
-    fetches: int = 0
-    parses: int = 0
+    __slots__ = ("fetches", "parses")
+
+    def __init__(self, fetches: int = 0, parses: int = 0):
+        self.fetches = fetches
+        self.parses = parses
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.fetches, self.parses) == (other.fetches, other.parses)
 
 
 class DocumentEngine:

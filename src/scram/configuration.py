@@ -11,9 +11,7 @@ matches the running architecture.
 
 from __future__ import annotations
 
-import platform
 import re
-from dataclasses import dataclass, field
 
 from .errors import ConfigError
 from .markup import HandlerMap, parse_with_handlers
@@ -23,10 +21,12 @@ ARCH_ENV = "SCRAM_ARCH"
 _CANONICAL_RE = re.compile(r"^[A-Za-z0-9]+__[0-9.]+$")
 
 
-@dataclass(frozen=True)
 class Architecture:
-    os: str
-    release: str
+    __slots__ = ("os", "release")
+
+    def __init__(self, os: str, release: str):
+        self.os = os
+        self.release = release
 
     @property
     def canonical(self) -> str:
@@ -49,6 +49,10 @@ def detect_architecture(override: str | None = None,
             )
         os_name, _, release = override.partition("__")
         return Architecture(os_name, release)
+    # imported here: only host detection needs it, and $SCRAM_ARCH or
+    # --arch usually spares it
+    import platform
+
     os_name = re.sub(r"[^A-Za-z0-9]", "", platform.system()) or "Unknown"
     matched = re.match(r"(\d+)(?:\.(\d+))?", platform.release())
     if matched is None:
@@ -71,39 +75,56 @@ def match_architecture(scope: str, arch: Architecture) -> bool:
     return canonical.startswith(scope) and canonical[len(scope)] == "."
 
 
-@dataclass(frozen=True)
 class RequireEntry:
-    name: str
-    version: str
-    url: str
-    arch_scope: str = ""
+    __slots__ = ("name", "version", "url", "arch_scope")
+
+    def __init__(self, name: str, version: str, url: str, arch_scope: str = ""):
+        self.name = name
+        self.version = version
+        self.url = url
+        self.arch_scope = arch_scope
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.name, self.version, self.url, self.arch_scope)
+                == (other.name, other.version, other.url, other.arch_scope))
 
     @property
     def folded_name(self) -> str:
         return self.name.casefold()
 
 
-@dataclass
 class ConfigurationDoc:
-    entries: list[RequireEntry] = field(default_factory=list)
-    base: str | None = None
+    __slots__ = ("entries", "base")
+
+    def __init__(self, entries: list[RequireEntry] | None = None,
+                 base: str | None = None):
+        self.entries = [] if entries is None else entries
+        self.base = base
 
 
-@dataclass(frozen=True)
 class SelectEntry:
-    name: str
-    arch_scope: str = ""
+    __slots__ = ("name", "arch_scope")
+
+    def __init__(self, name: str, arch_scope: str = ""):
+        self.name = name
+        self.arch_scope = arch_scope
 
     @property
     def folded_name(self) -> str:
         return self.name.casefold()
 
 
-@dataclass
 class RequirementsDoc:
-    base: str | None = None
-    includes: list[str] = field(default_factory=list)
-    selects: list[SelectEntry] = field(default_factory=list)
+    __slots__ = ("base", "includes", "selects")
+
+    def __init__(self, base: str | None = None,
+                 includes: list[str] | None = None,
+                 selects: list[SelectEntry] | None = None):
+        self.base = base
+        self.includes = [] if includes is None else includes
+        self.selects = [] if selects is None else selects
 
 
 class _ScopedParser:
@@ -187,22 +208,35 @@ def parse_requirements(events) -> RequirementsDoc:
     return doc
 
 
-@dataclass(frozen=True)
 class PinnedTool:
-    name: str
-    version: str
-    spec_url: str
-    # effective base of the configuration that pinned this tool; spec_url
-    # resolves against it at fetch time
-    spec_base: str | None = None
+    __slots__ = ("name", "version", "spec_url", "spec_base")
+
+    def __init__(self, name: str, version: str, spec_url: str,
+                 spec_base: str | None = None):
+        self.name = name
+        self.version = version
+        self.spec_url = spec_url
+        # effective base of the configuration that pinned this tool;
+        # spec_url resolves against it at fetch time
+        self.spec_base = spec_base
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.name, self.version, self.spec_url, self.spec_base)
+                == (other.name, other.version, other.spec_url, other.spec_base))
 
 
-@dataclass
 class ResolvedConfiguration:
-    arch: Architecture
-    tools: dict[str, PinnedTool]  # insertion-ordered by select order
-    config_identity: tuple[str, str] = ("", "")
-    base: str | None = None
+    __slots__ = ("arch", "tools", "config_identity", "base")
+
+    def __init__(self, arch: Architecture, tools: dict[str, PinnedTool],
+                 config_identity: tuple[str, str] = ("", ""),
+                 base: str | None = None):
+        self.arch = arch
+        self.tools = tools  # insertion-ordered by select order
+        self.config_identity = config_identity
+        self.base = base
 
     def names(self) -> list[str]:
         return list(self.tools)

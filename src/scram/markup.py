@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, field
 
 from .errors import MarkupError
 
@@ -36,11 +35,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class Location:
-    source: str
-    line: int
-    column: int
+    __slots__ = ("source", "line", "column")
+
+    def __init__(self, source: str, line: int, column: int):
+        self.source = source
+        self.line = line
+        self.column = column
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.source, self.line, self.column)
+                == (other.source, other.line, other.column))
 
     def __str__(self) -> str:
         return f"{self.source}:{self.line}:{self.column}"
@@ -52,7 +59,6 @@ class EventKind(enum.Enum):
     CHARDATA = "chardata"
 
 
-@dataclass(frozen=True)
 class TagEvent:
     """One parse event.
 
@@ -61,17 +67,26 @@ class TagEvent:
     where the text happened to sit in its source.
     """
 
-    kind: EventKind
-    name: str = ""
-    attrs: tuple[tuple[str, str], ...] = ()
-    text: str = ""
-    location: Location | None = field(default=None, compare=False)
+    __slots__ = ("kind", "name", "attrs", "text", "location")
 
-    def __post_init__(self):
-        if self.kind is EventKind.CLOSE and (self.attrs or self.text):
+    def __init__(self, kind: EventKind, name: str = "",
+                 attrs: tuple[tuple[str, str], ...] = (), text: str = "",
+                 location: Location | None = None):
+        if kind is EventKind.CLOSE and (attrs or text):
             raise ValueError("close events carry no attributes and no text")
-        if self.kind is EventKind.CHARDATA and (self.name or self.attrs):
+        if kind is EventKind.CHARDATA and (name or attrs):
             raise ValueError("chardata events carry no name and no attributes")
+        self.kind = kind
+        self.name = name
+        self.attrs = attrs
+        self.text = text
+        self.location = location
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.kind, self.name, self.attrs, self.text)
+                == (other.kind, other.name, other.attrs, other.text))
 
     @property
     def folded_name(self) -> str:
@@ -107,12 +122,14 @@ def chardata_event(text, location=None) -> TagEvent:
     return TagEvent(EventKind.CHARDATA, text=text, location=location)
 
 
-@dataclass(frozen=True)
 class DocHeader:
     """Type and version of a document, from its leading ``<doc>`` tag."""
 
-    doc_type: str
-    doc_version: str
+    __slots__ = ("doc_type", "doc_version")
+
+    def __init__(self, doc_type: str, doc_version: str):
+        self.doc_type = doc_type
+        self.doc_version = doc_version
 
     def type_path(self) -> tuple[str, ...]:
         # 'a:b' and 'a::b' name the same type path.

@@ -18,12 +18,9 @@ from __future__ import annotations
 
 import json
 import os
-import shlex
-import subprocess
 from collections.abc import Iterable, Iterator
 from contextlib import ExitStack, contextmanager
 from itertools import chain
-from dataclasses import dataclass
 
 from .activedoc import DocTypeRegistry, DocumentEngine
 from .configuration import (
@@ -76,12 +73,20 @@ CACHE_ENV = "SCRAM_CACHE"
 REGISTRY_BASENAME = "scramdb"
 
 
-@dataclass(frozen=True)
 class InstallationRecord:
-    project: str
-    version: str
-    arch: str
-    location: str
+    __slots__ = ("project", "version", "arch", "location")
+
+    def __init__(self, project: str, version: str, arch: str, location: str):
+        self.project = project
+        self.version = version
+        self.arch = arch
+        self.location = location
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.project, self.version, self.arch, self.location)
+                == (other.project, other.version, other.arch, other.location))
 
 
 class Registry:
@@ -265,12 +270,15 @@ def area_context(cwd: str) -> ProjectArea:
 # ---------------------------------------------------------------------
 # bootstrap documents
 
-@dataclass
 class BootStrapDoc:
-    project: str
-    version: str
-    downloads: list[tuple[str, str]]
-    config_url: str | None = None
+    __slots__ = ("project", "version", "downloads", "config_url")
+
+    def __init__(self, project: str, version: str,
+                 downloads: list[tuple[str, str]], config_url: str | None = None):
+        self.project = project
+        self.version = version
+        self.downloads = downloads
+        self.config_url = config_url
 
 
 def _safe_destination(dest: str) -> str:
@@ -847,6 +855,10 @@ def run_build(area: ProjectArea, args: list[str], site: SiteInfo | None = None,
         raise AreaError(
             "no build command configured (site key build.command)"
         )
+    # imported here: only the build verb runs a command
+    import shlex
+    import subprocess
+
     from .runtime import apply_delta
 
     build_env = apply_delta(env, build_environment(area, arch))

@@ -24,7 +24,6 @@ inside a quoted word; sh can.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 from .errors import AreaError, ScramError
 
@@ -56,7 +55,6 @@ def _check_name(name: str) -> str:
     return name
 
 
-@dataclass
 class EnvDelta:
     """Ordered environment changes contributed by an area and its tools.
 
@@ -65,11 +63,13 @@ class EnvDelta:
     setting and a prepend without scanning either list.
     """
 
-    sets: list[tuple[str, str]] = field(default_factory=list, init=False)
-    prepends: list[tuple[str, str]] = field(default_factory=list, init=False)
-    area_id: str = ""
-    _kinds: dict[str, str] = field(default_factory=dict, init=False,
-                                   repr=False, compare=False)
+    __slots__ = ("sets", "prepends", "area_id", "_kinds")
+
+    def __init__(self, area_id: str = ""):
+        self.sets: list[tuple[str, str]] = []
+        self.prepends: list[tuple[str, str]] = []
+        self.area_id = area_id
+        self._kinds: dict[str, str] = {}
 
     def _claim(self, name: str, kind: str) -> None:
         held = self._kinds.setdefault(name, kind)

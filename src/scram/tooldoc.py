@@ -17,7 +17,6 @@ import fnmatch
 import os
 import re
 import sys
-from dataclasses import dataclass, field
 
 from .errors import ToolError
 from .markup import HandlerMap, parse_with_handlers
@@ -41,33 +40,65 @@ class VarType(enum.Enum):
         raise ToolError(f"unknown Environment type '{raw}'", location=location)
 
 
-@dataclass(frozen=True)
 class EnvVarDecl:
-    name: str
-    value: str | None = None
-    var_type: VarType = VarType.PLAIN
-    client: bool = False
+    __slots__ = ("name", "value", "var_type", "client")
+
+    def __init__(self, name: str, value: str | None = None,
+                 var_type: VarType = VarType.PLAIN, client: bool = False):
+        self.name = name
+        self.value = value
+        self.var_type = var_type
+        self.client = client
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.name, self.value, self.var_type, self.client)
+                == (other.name, other.value, other.var_type, other.client))
 
 
-@dataclass(frozen=True)
 class ExternalRef:
-    ref: str
-    version: str
-    description: str = ""
+    __slots__ = ("ref", "version", "description")
+
+    def __init__(self, ref: str, version: str, description: str = ""):
+        self.ref = ref
+        self.version = version
+        self.description = description
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.ref, self.version, self.description)
+                == (other.ref, other.version, other.description))
 
     @property
     def folded_ref(self) -> str:
         return self.ref.casefold()
 
 
-@dataclass
 class ToolVersionBlock:
-    version: str
-    info_url: str | None = None
-    libs: list[str] = field(default_factory=list)
-    variables: list[EnvVarDecl] = field(default_factory=list)
-    externals: list[ExternalRef] = field(default_factory=list)
-    descriptions: dict[str, str] = field(default_factory=dict)
+    __slots__ = ("version", "info_url", "libs", "variables", "externals",
+                 "descriptions")
+
+    def __init__(self, version: str, info_url: str | None = None,
+                 libs: list[str] | None = None,
+                 variables: list[EnvVarDecl] | None = None,
+                 externals: list[ExternalRef] | None = None,
+                 descriptions: dict[str, str] | None = None):
+        self.version = version
+        self.info_url = info_url
+        self.libs = [] if libs is None else libs
+        self.variables = [] if variables is None else variables
+        self.externals = [] if externals is None else externals
+        self.descriptions = {} if descriptions is None else descriptions
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.version, self.info_url, self.libs, self.variables,
+                 self.externals, self.descriptions)
+                == (other.version, other.info_url, other.libs, other.variables,
+                    other.externals, other.descriptions))
 
     @property
     def client_vars(self) -> list[EnvVarDecl]:
@@ -81,10 +112,12 @@ class ToolVersionBlock:
         return self.descriptions.get(name, "")
 
 
-@dataclass
 class ToolSpec:
-    name: str
-    blocks: list[ToolVersionBlock] = field(default_factory=list)
+    __slots__ = ("name", "blocks")
+
+    def __init__(self, name: str, blocks: list[ToolVersionBlock] | None = None):
+        self.name = name
+        self.blocks = [] if blocks is None else blocks
 
     @property
     def folded_name(self) -> str:
@@ -311,16 +344,33 @@ PROVENANCE_PROMPT = "prompt"
 PROVENANCE_SUBSTITUTION = "substitution"
 
 
-@dataclass
 class ResolvedTool:
-    name: str
-    version: str
-    bindings: dict[str, str]            # insertion-ordered, declaration order
-    runtime_entries: list[tuple[str, str]]
-    lib_names: list[str]
-    provenance: dict[str, str]
-    descriptions: dict[str, str] = field(default_factory=dict)
-    externals: list[tuple[str, str]] = field(default_factory=list)
+    __slots__ = ("name", "version", "bindings", "runtime_entries", "lib_names",
+                 "provenance", "descriptions", "externals")
+
+    def __init__(self, name: str, version: str, bindings: dict[str, str],
+                 runtime_entries: list[tuple[str, str]], lib_names: list[str],
+                 provenance: dict[str, str],
+                 descriptions: dict[str, str] | None = None,
+                 externals: list[tuple[str, str]] | None = None):
+        self.name = name
+        self.version = version
+        self.bindings = bindings  # insertion-ordered, declaration order
+        self.runtime_entries = runtime_entries
+        self.lib_names = lib_names
+        self.provenance = provenance
+        self.descriptions = {} if descriptions is None else descriptions
+        self.externals = [] if externals is None else externals
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.name, self.version, self.bindings, self.runtime_entries,
+                 self.lib_names, self.provenance, self.descriptions,
+                 self.externals)
+                == (other.name, other.version, other.bindings,
+                    other.runtime_entries, other.lib_names, other.provenance,
+                    other.descriptions, other.externals))
 
     @property
     def folded_name(self) -> str:

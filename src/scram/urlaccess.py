@@ -20,30 +20,29 @@ cache key, so identities share content.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
-import shlex
-import subprocess
-import tempfile
 import time
-from dataclasses import dataclass
 
-from .errors import FetchError, UrlError
-from .fsutil import atomic_write, locked
+from .errors import AreaError, FetchError, UrlError
+from .fsutil import atomic_write, locked, read_json
 
 HEAD = "HEAD"
 
 _EXCLUDED_KEY_PARAMS = ("auth", "user")
 
 
-@dataclass(frozen=True)
 class ResourceUrl:
-    scheme: str
-    authority: str = ""
-    query: tuple[tuple[str, str], ...] = ()
-    fragment: str = ""
-    raw: str = ""
+    __slots__ = ("scheme", "authority", "query", "fragment", "raw")
+
+    def __init__(self, scheme: str, authority: str = "",
+                 query: tuple[tuple[str, str], ...] = (), fragment: str = "",
+                 raw: str = ""):
+        self.scheme = scheme
+        self.authority = authority
+        self.query = query
+        self.fragment = fragment
+        self.raw = raw
 
     def __str__(self) -> str:
         return self.raw or self.unparse()
@@ -138,19 +137,24 @@ def parse_url(raw: str, base: ResourceUrl | None = None) -> ResourceUrl:
                        "" if relative else cleaned)
 
 
-@dataclass
 class CacheEntry:
-    key: str
-    content_path: str
-    fetched_at: float
-    content_hash: str
+    __slots__ = ("key", "content_path", "fetched_at", "content_hash")
+
+    def __init__(self, key: str, content_path: str, fetched_at: float,
+                 content_hash: str):
+        self.key = key
+        self.content_path = content_path
+        self.fetched_at = fetched_at
+        self.content_hash = content_hash
 
 
-@dataclass
 class CacheStats:
-    hits: int = 0
-    misses: int = 0
-    adapter_calls: int = 0
+    __slots__ = ("hits", "misses", "adapter_calls")
+
+    def __init__(self, hits: int = 0, misses: int = 0, adapter_calls: int = 0):
+        self.hits = hits
+        self.misses = misses
+        self.adapter_calls = adapter_calls
 
 
 class SchemeRegistry:
@@ -225,6 +229,11 @@ def external_command_adapter(template: str):
     """
 
     def adapter(url: ResourceUrl, version: str | None) -> bytes:
+        # imported here: only a checkout runs a command
+        import shlex
+        import subprocess
+        import tempfile
+
         module = url.get("module", url.authority) or ""
         tag = url.version_tag(version)
         out_path = None
@@ -291,7 +300,7 @@ class UrlCache:
         self.stats = CacheStats()
 
     def _paths(self, url: ResourceUrl, key: str) -> tuple[str, str]:
-        digest = hashlib.sha256(key.encode()).hexdigest()
+        digest = _sha256(key.encode())
         prefix = os.path.join(self.root, url.scheme, digest[:2])
         return os.path.join(prefix, digest), os.path.join(prefix, digest + ".meta")
 
@@ -317,7 +326,7 @@ class UrlCache:
                 key=key,
                 content_path=content_path,
                 fetched_at=time.time(),
-                content_hash=hashlib.sha256(content).hexdigest(),
+                content_hash=_sha256(content),
             )
             self._store(url, entry, content, meta_path)
             return content, entry
@@ -338,13 +347,21 @@ class UrlCache:
 
     def _load_meta(self, meta_path: str, key: str, content_path: str) -> CacheEntry:
         try:
-            with open(meta_path) as fh:
-                meta = json.load(fh)
-            return CacheEntry(key, content_path, meta["fetched_at"],
-                              meta["content_hash"])
-        except (OSError, ValueError, KeyError):
-            # tolerate a lost sidecar: rebuild from content
-            with open(content_path, "rb") as fh:
-                digest = hashlib.sha256(fh.read()).hexdigest()
-            return CacheEntry(key, content_path, 0.0, digest)
+            meta = read_json(meta_path, "cache sidecar")
+        except AreaError:
+            meta = {}
+        fetched_at = meta.get("fetched_at")
+        content_hash = meta.get("content_hash")
+        if type(fetched_at) in (int, float) and type(content_hash) is str:
+            return CacheEntry(key, content_path, fetched_at, content_hash)
+        # a lost, unreadable or wrong-shaped sidecar: rebuild from content
+        with open(content_path, "rb") as fh:
+            return CacheEntry(key, content_path, 0.0, _sha256(fh.read()))
+
+
+def _sha256(data: bytes) -> str:
+    # imported here: only fetching hashes, and hashlib loads OpenSSL
+    import hashlib
+
+    return hashlib.sha256(data).hexdigest()
 

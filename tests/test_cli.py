@@ -116,17 +116,45 @@ class TestCorruptState:
             assert str(path) in proc.stderr
 
 
-def test_cli_import_leaves_http_modules_unloaded():
-    # urllib.request drags in http.client, ssl and email; only an http(s)
-    # fetch needs them, so importing the CLI must not load them
-    code = ("import scram.cli, sys; "
-            "print(' '.join(m for m in ('urllib.request', 'http.client') "
-            "if m in sys.modules))")
-    repo = Path(__file__).resolve().parents[1]
-    proc = subprocess.run([sys.executable, "-c", code], cwd=repo,
-                          env={**os.environ, "PYTHONPATH": "src"},
+# Stdlib modules that only fetching, hashing, building or host detection
+# needs, and dataclasses with the inspect it imports, which scram does not
+# use; a read-only verb must not pay for importing any of them.
+START_UP_DENY_LIST = ("dataclasses", "inspect", "subprocess", "hashlib",
+                      "tempfile", "platform", "shlex", "urllib.request",
+                      "http.client")
+
+# Prints the deny-listed modules that the code after it loads; what the
+# interpreter's own start-up (site and .pth files) loaded is not scram's.
+_LOADED_BY_SCRAM = """
+import sys
+before = set(sys.modules)
+{body}
+print(" ".join(m for m in {deny!r} if m in sys.modules and m not in before))
+"""
+
+
+def loaded_by_scram(body: str, env: dict, cwd) -> list[str]:
+    code = _LOADED_BY_SCRAM.format(body=body, deny=START_UP_DENY_LIST)
+    proc = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
                           capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == ""
+    return proc.stdout.splitlines()[-1].split()
+
+
+def test_cli_import_leaves_http_modules_unloaded(child_env):
+    assert loaded_by_scram("import scram.cli", child_env(os.environ),
+                           Path(__file__).resolve().parents[1]) == []
+
+
+def test_read_only_verbs_leave_fetch_and_build_modules_unloaded(
+        toy, capsys, child_env):
+    lifecycle(toy, capsys)
+    assert run(toy, "project", "ORCA", "7_1_3", cwd=str(toy.workspace)) == 0
+    body = ("import scram.cli\n"
+            "assert scram.cli.main(['runtime', '-sh']) == 0\n"
+            "assert scram.cli.main(['tool', 'list']) == 0")
+    # the toy environment sets SCRAM_ARCH, as a user's shell would
+    assert loaded_by_scram(body, child_env(toy.env),
+                           toy.workspace / "ORCA_7_1_3") == []
 
 
 class TestLifecycle:

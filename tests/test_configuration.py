@@ -46,6 +46,10 @@ class TestDetectArchitecture:
         arch = detect_architecture(env={"SCRAM_ARCH": "SunOS__5.8"})
         assert arch.canonical == "SunOS__5.8"
 
+    def test_str_is_canonical(self):
+        assert str(Architecture("SunOS", "5.8")) == "SunOS__5.8"
+        assert f"{LINUX}" == "Linux__2.4"
+
     def test_host_detection_is_canonical(self):
         arch = detect_architecture()
         assert match_architecture(arch.canonical, arch)

@@ -555,4 +555,29 @@ def test_close_event_invariants():
     with pytest.raises(ValueError):
         TagEvent(EventKind.CLOSE, name="x", attrs=(("a", "1"),))
     with pytest.raises(ValueError):
+        TagEvent(EventKind.CLOSE, name="x", text="t")
+    with pytest.raises(ValueError):
         TagEvent(EventKind.CHARDATA, name="x", text="t")
+    with pytest.raises(ValueError):
+        TagEvent(EventKind.CHARDATA, attrs=(("a", "1"),), text="t")
+
+
+def test_event_equality_ignores_only_the_location():
+    here, there = Location("a.doc", 1, 1), Location("b.doc", 7, 3)
+    event = open_event("x", [("k", "v")], here)
+    assert event == open_event("x", [("k", "v")], there)
+    assert event == open_event("x", [("k", "v")])
+    assert chardata_event("t", here) == chardata_event("t", there)
+    assert event != TagEvent(EventKind.CLOSE, name="x", location=here)
+    assert event != open_event("y", [("k", "v")], here)
+    assert event != open_event("x", [("k", "w")], here)
+    assert event != open_event("x", [], here)
+    assert chardata_event("t", here) != chardata_event("u", here)
+    assert event != "x"
+
+
+def test_location_equality_and_str():
+    assert str(Location("a.doc", 3, 14)) == "a.doc:3:14"
+    assert Location("a.doc", 3, 14) == Location("a.doc", 3, 14)
+    assert Location("a.doc", 3, 14) != Location("a.doc", 3, 15)
+    assert Location("a.doc", 3, 14) != Location("b.doc", 3, 14)

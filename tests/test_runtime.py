@@ -60,6 +60,12 @@ class TestApplyDelta:
 
 
 class TestDeltaValidation:
+    def test_new_delta_is_empty(self):
+        d = EnvDelta()
+        assert d.is_empty()
+        assert (d.sets, d.prepends, d.area_id) == ([], [], "")
+        assert EnvDelta().sets is not d.sets
+
     def test_name_cannot_be_both_set_and_prepend(self):
         d = EnvDelta().set("X", "1")
         with pytest.raises(EnvEmitError):

@@ -1,6 +1,7 @@
 import hashlib
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -228,6 +229,30 @@ class TestUrlCache:
         assert str(expected) == entry.content_path
         assert expected.exists()
         assert expected.with_name(expected.name + ".meta").exists()
+
+    @pytest.mark.parametrize("sidecar", [
+        None,  # lost
+        "[1, 2]",
+        "null",
+        "{}",
+        '{"fetched_at": 1.5',  # truncated
+        '{"fetched_at": "now", "content_hash": "abc"}',
+        '{"fetched_at": 1.5, "content_hash": 7}',
+    ])
+    def test_bad_sidecar_is_rebuilt_from_content(self, tmp_path, sidecar):
+        registry, calls = counting_registry()
+        cache = UrlCache(str(tmp_path), registry)
+        url = parse_url("stub:x?n=5")
+        content, entry = cache.fetch(url, "1.0")
+        meta = Path(entry.content_path + ".meta")
+        if sidecar is None:
+            meta.unlink()
+        else:
+            meta.write_text(sidecar)
+        hit, rebuilt = cache.fetch(url, "1.0")
+        assert hit == content
+        assert rebuilt.content_hash == hashlib.sha256(content).hexdigest()
+        assert len(calls) == 1
 
     def test_same_key_concurrent_fetches_serialize(self, tmp_path):
         slow_started = threading.Event()
