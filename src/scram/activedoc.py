@@ -22,7 +22,7 @@ spliced is the one cycle check, reported with every URL in the cycle.
 
 from __future__ import annotations
 
-from .errors import DocTypeError
+from .errors import DocTypeError, ScramError
 from .markup import (
     DocHeader,
     parse_version,
@@ -181,7 +181,5 @@ class DocumentEngine:
 
     @staticmethod
     def _tag_context(exc: Exception, url: ResourceUrl) -> None:
-        from .errors import ScramError
-
         if isinstance(exc, ScramError) and exc.context is None:
             exc.context = f"while activating {url}"

@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import enum
 import re
+from bisect import bisect_left
 
-from .errors import MarkupError
+from .errors import MarkupError, ScramError
 
 __all__ = [
     "Location",
@@ -59,28 +60,38 @@ class EventKind(enum.Enum):
     CHARDATA = "chardata"
 
 
+OPEN, CLOSE, CHARDATA = EventKind.OPEN, EventKind.CLOSE, EventKind.CHARDATA
+
+
 class TagEvent:
     """One parse event.
 
     Equality deliberately ignores ``location`` so that event streams can be
     compared semantically (round-trip tests, splice tests) regardless of
-    where the text happened to sit in its source.
+    where the text happened to sit in its source. An event from
+    ``tokenize_markup`` keeps its offset into the text and builds its
+    ``Location`` the first time it is read; most never are.
     """
 
-    __slots__ = ("kind", "name", "attrs", "text", "location")
+    __slots__ = ("kind", "name", "folded_name", "attrs", "text",
+                 "_attr_map", "_location", "_lines", "_pos")
 
     def __init__(self, kind: EventKind, name: str = "",
                  attrs: tuple[tuple[str, str], ...] = (), text: str = "",
                  location: Location | None = None):
-        if kind is EventKind.CLOSE and (attrs or text):
+        if kind is CLOSE and (attrs or text):
             raise ValueError("close events carry no attributes and no text")
-        if kind is EventKind.CHARDATA and (name or attrs):
+        if kind is CHARDATA and (name or attrs):
             raise ValueError("chardata events carry no name and no attributes")
         self.kind = kind
         self.name = name
+        self.folded_name = name.casefold()
         self.attrs = attrs
         self.text = text
-        self.location = location
+        self._attr_map = None
+        self._location = location
+        self._lines = None
+        self._pos = 0
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -89,16 +100,20 @@ class TagEvent:
                 == (other.kind, other.name, other.attrs, other.text))
 
     @property
-    def folded_name(self) -> str:
-        return self.name.casefold()
+    def location(self) -> Location | None:
+        location = self._location
+        if location is None and self._lines is not None:
+            location = self._location = self._lines.at(self._pos)
+        return location
 
     def get(self, key: str, default: str | None = None) -> str | None:
         """Look up an attribute value, matching the key case-insensitively."""
-        want = key.casefold()
-        for k, v in self.attrs:
-            if k.casefold() == want:
-                return v
-        return default
+        attr_map = self._attr_map
+        if attr_map is None:
+            attr_map = self._attr_map = {}
+            for k, v in self.attrs:
+                attr_map.setdefault(k.casefold(), v)
+        return attr_map.get(key.casefold(), default)
 
     def require(self, key: str) -> str:
         value = self.get(key)
@@ -111,15 +126,15 @@ class TagEvent:
 
 
 def open_event(name, attrs=(), location=None) -> TagEvent:
-    return TagEvent(EventKind.OPEN, name=name, attrs=tuple(attrs), location=location)
+    return TagEvent(OPEN, name=name, attrs=tuple(attrs), location=location)
 
 
 def close_event(name, location=None) -> TagEvent:
-    return TagEvent(EventKind.CLOSE, name=name, location=location)
+    return TagEvent(CLOSE, name=name, location=location)
 
 
 def chardata_event(text, location=None) -> TagEvent:
-    return TagEvent(EventKind.CHARDATA, text=text, location=location)
+    return TagEvent(CHARDATA, text=text, location=location)
 
 
 class DocHeader:
@@ -140,7 +155,7 @@ class DocHeader:
 # ``str.isalnum`` plus ``_``. A tag name starts with a character for which
 # ``isalpha()`` holds, or ``_``; no class says that exactly, so the search
 # takes the wider ``[^\W\d]`` (which also admits numerics such as ``½``)
-# and ``_name_start`` decides.
+# and the tokenizer tests the character itself.
 _TAG_START = re.compile(r"<(?=/?[^\W\d])")
 _NAME = re.compile(r"[\w.-]*")
 # One attribute: a key, then an optional ``=`` with a quoted or an unquoted
@@ -151,39 +166,54 @@ _TAG_END = re.compile(r"\s*/?>")
 _SPACE = re.compile(r"\s*")
 
 
-def _name_start(ch: str) -> bool:
-    return ch.isalpha() or ch == "_"
+_NEWLINE = re.compile("\n")
+_new_event = object.__new__
+_NO_ATTRS: dict[str, str] = {}  # shared by every attribute-free event; never written
 
 
-class _Lines:
-    """Line and column of positions in one text. Positions are asked for in
-    increasing order, and newlines are counted forward from the last one,
-    so locating every event of a text costs one pass over it."""
+class _LineIndex:
+    """Line and column of any offset in one text. The newline offsets are
+    found on the first lookup, and each lookup bisects them."""
 
-    __slots__ = ("text", "source", "pos", "line", "line_start")
+    __slots__ = ("text", "source", "newlines")
 
     def __init__(self, text: str, source: str):
         self.text = text
         self.source = source
-        self.pos = 0
-        self.line = 1
-        self.line_start = 0
+        self.newlines: list[int] | None = None
 
     def at(self, pos: int) -> Location:
-        newlines = self.text.count("\n", self.pos, pos)
-        if newlines:
-            self.line += newlines
-            self.line_start = self.text.rfind("\n", self.pos, pos) + 1
-        self.pos = pos
-        return Location(self.source, self.line, pos - self.line_start + 1)
+        newlines = self.newlines
+        if newlines is None:
+            newlines = self.newlines = [m.start() for m in _NEWLINE.finditer(self.text)]
+        line = bisect_left(newlines, pos)
+        line_start = newlines[line - 1] + 1 if line else 0
+        return Location(self.source, line + 1, pos - line_start + 1)
 
 
-def _scan_open_tag(text: str, at: int, lines: _Lines) -> tuple[TagEvent, int]:
-    start = lines.at(at)
+def _located(kind: EventKind, name: str, attrs: tuple, attr_map: dict,
+             text: str, lines: _LineIndex, pos: int) -> TagEvent:
+    """A tokenized event, located on demand at ``pos`` of ``lines``. The
+    tokenizer builds only valid events, so ``TagEvent.__init__``'s checks
+    are skipped."""
+    ev = _new_event(TagEvent)
+    ev.kind = kind
+    ev.name = name
+    ev.folded_name = name.casefold()
+    ev.attrs = attrs
+    ev.text = text
+    ev._attr_map = attr_map
+    ev._location = None
+    ev._lines = lines
+    ev._pos = pos
+    return ev
+
+
+def _scan_open_tag(text: str, at: int, lines: _LineIndex) -> tuple[TagEvent, int]:
     pos = _NAME.match(text, at + 1).end()
     name = text[at + 1 : pos]
     attrs: list[tuple[str, str]] = []
-    seen: set[str] = set()
+    attr_map: dict[str, str] = {}
     while (m := _ATTR.match(text, pos)) is not None:
         key, quoted, plain = m.groups()
         pos = m.end()
@@ -193,38 +223,38 @@ def _scan_open_tag(text: str, at: int, lines: _Lines) -> tuple[TagEvent, int]:
                 location=lines.at(pos + 1),
             )
         folded = key.casefold()
-        if folded in seen:
+        if folded in attr_map:
             raise MarkupError(
-                f"duplicate attribute '{key}' in tag <{name}>", location=start
+                f"duplicate attribute '{key}' in tag <{name}>", location=lines.at(at)
             )
-        seen.add(folded)
-        attrs.append((key, quoted if quoted is not None else plain or ""))
+        value = quoted if quoted is not None else plain or ""
+        attr_map[folded] = value
+        attrs.append((key, value))
     m = _TAG_END.match(text, pos)
     if m is not None:
         # ``/>`` is an XML habit; tolerated, treated as a plain open tag.
-        return open_event(name, attrs, start), m.end()
+        return _located(OPEN, name, tuple(attrs), attr_map, "", lines, at), m.end()
     pos = _SPACE.match(text, pos).end()
     if pos == len(text):
-        raise MarkupError(f"unterminated tag <{name}", location=start)
+        raise MarkupError(f"unterminated tag <{name}", location=lines.at(at))
     raise MarkupError(
         f"unexpected character {text[pos]!r} in tag <{name}>",
         location=lines.at(pos),
     )
 
 
-def _scan_close_tag(text: str, at: int, lines: _Lines) -> tuple[TagEvent, int]:
-    start = lines.at(at)
+def _scan_close_tag(text: str, at: int, lines: _LineIndex) -> tuple[TagEvent, int]:
     name_end = _NAME.match(text, at + 2).end()
     name = text[at + 2 : name_end]
     pos = _SPACE.match(text, name_end).end()
     if pos == len(text):
-        raise MarkupError(f"unterminated tag </{name}", location=start)
+        raise MarkupError(f"unterminated tag </{name}", location=lines.at(at))
     if text[pos] != ">":
         raise MarkupError(
             f"unexpected character {text[pos]!r} in tag </{name}>",
             location=lines.at(pos),
         )
-    return close_event(name, start), pos + 1
+    return _located(CLOSE, name, (), _NO_ATTRS, "", lines, at), pos + 1
 
 
 def tokenize_markup(text: str, source_id: str = "<string>") -> list[TagEvent]:
@@ -236,24 +266,28 @@ def tokenize_markup(text: str, source_id: str = "<string>") -> list[TagEvent]:
     close. Raises MarkupError only for a tag or quoted value left open at
     end of input, or a duplicate attribute key.
     """
-    lines = _Lines(text, source_id)
+    lines = _LineIndex(text, source_id)
     events: list[TagEvent] = []
+    append = events.append
+    search = _TAG_START.search
     run_start = 0  # start of the pending CharData run
     pos = 0
-    while (m := _TAG_START.search(text, pos)) is not None:
+    while (m := search(text, pos)) is not None:
         at = m.start()
         closing = text[at + 1] == "/"
-        if not _name_start(text[at + 2] if closing else text[at + 1]):
+        first = text[at + 2] if closing else text[at + 1]
+        if not (first.isalpha() or first == "_"):
             pos = at + 1
             continue
         if at > run_start:
-            events.append(chardata_event(text[run_start:at], lines.at(run_start)))
-        scan = _scan_close_tag if closing else _scan_open_tag
-        event, pos = scan(text, at, lines)
-        events.append(event)
+            append(_located(CHARDATA, "", (), _NO_ATTRS, text[run_start:at],
+                            lines, run_start))
+        event, pos = (_scan_close_tag if closing else _scan_open_tag)(text, at, lines)
+        append(event)
         run_start = pos
     if len(text) > run_start:
-        events.append(chardata_event(text[run_start:], lines.at(run_start)))
+        events.append(_located(CHARDATA, "", (), _NO_ATTRS, text[run_start:],
+                               lines, run_start))
     return events
 
 
@@ -277,9 +311,9 @@ def serialize_events(events) -> str:
     """
     parts: list[str] = []
     for ev in events:
-        if ev.kind is EventKind.CHARDATA:
+        if ev.kind is CHARDATA:
             parts.append(ev.text)
-        elif ev.kind is EventKind.OPEN:
+        elif ev.kind is OPEN:
             inner = " ".join([ev.name] + [_serialize_attr(k, v) for k, v in ev.attrs])
             parts.append(f"<{inner}>")
         else:
@@ -293,13 +327,13 @@ def read_doc_header(events) -> DocHeader:
     Only whitespace character data may precede it.
     """
     for ev in events:
-        if ev.kind is EventKind.CHARDATA:
+        if ev.kind is CHARDATA:
             if ev.text.strip():
                 raise MarkupError(
                     "text before the <doc> header", location=ev.location
                 )
             continue
-        if ev.kind is EventKind.OPEN and ev.folded_name == "doc":
+        if ev.kind is OPEN and ev.folded_name == "doc":
             doc_type = ev.get("type")
             doc_version = ev.get("version")
             if not doc_type:
@@ -317,7 +351,7 @@ def read_doc_header(events) -> DocHeader:
                 )
             return DocHeader(doc_type, doc_version)
         raise MarkupError(
-            f"expected <doc> header, found <{'/' if ev.kind is EventKind.CLOSE else ''}{ev.name}>",
+            f"expected <doc> header, found <{'/' if ev.kind is CLOSE else ''}{ev.name}>",
             location=ev.location,
         )
     raise MarkupError("document has no <doc> header")
@@ -343,6 +377,23 @@ class _Registration:
         self.handler = handler
 
 
+class _Claims:
+    """Dispatch-table entry for a tag that several active groups claim;
+    dispatching an event to it is the error."""
+
+    __slots__ = ("kind", "groups")
+
+    def __init__(self, kind: EventKind, groups: str):
+        self.kind = kind
+        self.groups = groups
+
+    def fail(self, tag: str):
+        raise MarkupError(
+            f"tag <{tag}> {self.kind.value} is claimed by several active groups: "
+            f"{self.groups}"
+        )
+
+
 class HandlerMap:
     """Named groups of per-tag handlers with an active subset.
 
@@ -351,54 +402,89 @@ class HandlerMap:
     Registering the same (tag, kind) twice in one group is an error, and two
     *active* groups claiming the same (tag, kind) is a dispatch-time error,
     so scope-switching (Client on/off) must deactivate one side.
+
+    Each set of active groups has one dispatch table per event kind, from
+    folded tag to handler, built the first time that set is active and kept
+    until the next registration; switching groups only picks a table.
+    ``fork`` gives a parse its own active groups over the same tables.
     """
 
     def __init__(self):
-        self._registrations: dict[tuple[str, EventKind], list[_Registration]] = {}
+        # event kind -> folded tag -> registrations, in registration order
+        self._registrations: dict[EventKind, dict[str, list[_Registration]]] = {
+            OPEN: {}, CLOSE: {}, CHARDATA: {}}
         self._groups: set[str] = set()
         self._active: set[str] = set()
+        self._tables: dict[frozenset, tuple[dict, dict, dict]] = {}
+        self._shared = False
+        self._select()
 
     def add(self, group: str, tag: str, *, open=None, close=None, chardata=None,
             activate: bool = True) -> "HandlerMap":
         """Register handlers for one tag inside a group.
 
-        New groups start active unless ``activate=False``.
+        New groups start active unless ``activate=False``. A map that has
+        been forked, and every fork, takes no further registrations.
         """
+        if self._shared:
+            raise MarkupError("a forked handler map takes no new handlers")
         if group not in self._groups:
             self._groups.add(group)
             if activate:
                 self._active.add(group)
-        pairs = ((EventKind.OPEN, open), (EventKind.CLOSE, close),
-                 (EventKind.CHARDATA, chardata))
-        for kind, handler in pairs:
+        folded = tag.casefold()
+        for kind, handler in ((OPEN, open), (CLOSE, close), (CHARDATA, chardata)):
             if handler is None:
                 continue
-            key = (tag.casefold(), kind)
-            regs = self._registrations.setdefault(key, [])
+            regs = self._registrations[kind].setdefault(folded, [])
             if any(r.group == group for r in regs):
                 raise MarkupError(
                     f"group '{group}' already handles <{tag}> {kind.value}"
                 )
             regs.append(_Registration(group, handler))
+        self._tables.clear()
+        self._select()
         return self
 
     def activate(self, group: str) -> None:
         if group not in self._groups:
             raise MarkupError(f"unknown handler group '{group}'")
         self._active.add(group)
+        self._select()
 
     def deactivate(self, group: str) -> None:
         self._active.discard(group)
+        self._select()
 
-    def lookup(self, tag: str, kind: EventKind):
-        regs = self._registrations.get((tag.casefold(), kind), ())
-        live = [r for r in regs if r.group in self._active]
-        if len(live) > 1:
-            groups = ", ".join(sorted(r.group for r in live))
-            raise MarkupError(
-                f"tag <{tag}> {kind.value} is claimed by several active groups: {groups}"
-            )
-        return live[0].handler if live else None
+    def fork(self) -> "HandlerMap":
+        """A map over the same handlers and tables whose groups switch on
+        and off apart from this one's, starting from this one's active set."""
+        other = HandlerMap.__new__(HandlerMap)
+        other._registrations = self._registrations
+        other._groups = self._groups
+        other._tables = self._tables
+        other._active = set(self._active)
+        other._shared = self._shared = True
+        other._select()
+        return other
+
+    def _select(self) -> None:
+        active = frozenset(self._active)
+        table = self._tables.get(active)
+        if table is None:
+            table = self._tables[active] = tuple(
+                self._table_for(kind, active) for kind in (OPEN, CLOSE, CHARDATA))
+        self._open, self._close, self._chardata = table
+
+    def _table_for(self, kind: EventKind, active: frozenset) -> dict:
+        table = {}
+        for tag, regs in self._registrations[kind].items():
+            live = [r for r in regs if r.group in active]
+            if len(live) == 1:
+                table[tag] = live[0].handler
+            elif live:
+                table[tag] = _Claims(kind, ", ".join(sorted(r.group for r in live)))
+        return table
 
 
 def parse_with_handlers(events, handlers: HandlerMap, state):
@@ -411,41 +497,37 @@ def parse_with_handlers(events, handlers: HandlerMap, state):
     """
     open_stack: list[str] = []
     for ev in events:
-        if ev.kind is EventKind.CHARDATA:
-            handler = None
-            if open_stack:
-                handler = handlers.lookup(open_stack[-1], EventKind.CHARDATA)
-            if handler is not None:
-                _invoke(handler, state, ev)
-            continue
-        handler = handlers.lookup(ev.name, ev.kind)
-        if ev.kind is EventKind.OPEN:
-            if handler is not None:
-                _invoke(handler, state, ev)
-            open_stack.append(ev.folded_name)
+        kind = ev.kind
+        if kind is CHARDATA:
+            if not open_stack:
+                continue
+            handler = handlers._chardata.get(open_stack[-1])
         else:
-            if handler is not None:
-                _invoke(handler, state, ev)
-            if ev.folded_name in open_stack:
-                while open_stack.pop() != ev.folded_name:
-                    pass
+            folded = ev.folded_name
+            if kind is OPEN:
+                handler = handlers._open.get(folded)
+                open_stack.append(folded)
+            else:
+                handler = handlers._close.get(folded)
+                if folded in open_stack:
+                    while open_stack.pop() != folded:
+                        pass
+        if handler is None:
+            continue
+        if handler.__class__ is _Claims:
+            handler.fail(open_stack[-1] if kind is CHARDATA else ev.name)
+        try:
+            handler(state, ev)
+        except ScramError as exc:
+            if exc.location is None:
+                exc.location = ev.location
+            raise
+        except Exception as exc:
+            raise MarkupError(
+                f"handler for <{ev.name or 'chardata'}> failed: {exc}",
+                location=ev.location,
+            ) from exc
     return state
-
-
-def _invoke(handler, state, ev: TagEvent):
-    from .errors import ScramError
-
-    try:
-        handler(state, ev)
-    except ScramError as exc:
-        if exc.location is None:
-            exc.location = ev.location
-        raise
-    except Exception as exc:
-        raise MarkupError(
-            f"handler for <{ev.name or 'chardata'}> failed: {exc}",
-            location=ev.location,
-        ) from exc
 
 
 def splice_inline(events, resolver, *, tags=("inline",)) -> list[TagEvent]:
@@ -457,14 +539,12 @@ def splice_inline(events, resolver, *, tags=("inline",)) -> list[TagEvent]:
     and cycle detection are the resolver's job. Close events of the spliced
     tags are dropped; all other events keep their relative order.
     """
-    from .errors import ScramError
-
     folded_tags = {tag.casefold() for tag in tags}
     out: list[TagEvent] = []
     for ev in events:
         if ev.folded_name not in folded_tags:
             out.append(ev)
-        elif ev.kind is EventKind.OPEN:
+        elif ev.kind is OPEN:
             url = ev.require("url")
             try:
                 resolved = resolver(url, ev.folded_name)
@@ -484,9 +564,9 @@ def strip_doc_header(events) -> list[TagEvent]:
     """Drop the first ``<doc>`` open event, if the stream starts with one."""
     out = list(events)
     for i, ev in enumerate(out):
-        if ev.kind is EventKind.CHARDATA and not ev.text.strip():
+        if ev.kind is CHARDATA and not ev.text.strip():
             continue
-        if ev.kind is EventKind.OPEN and ev.folded_name == "doc":
+        if ev.kind is OPEN and ev.folded_name == "doc":
             del out[i]
         break
     return out

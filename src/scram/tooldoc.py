@@ -17,6 +17,7 @@ import fnmatch
 import os
 import re
 import sys
+from bisect import bisect_left
 
 from .errors import ToolError
 from .markup import HandlerMap, parse_with_handlers
@@ -31,13 +32,16 @@ class VarType(enum.Enum):
     RUNTIME_PATH = "Runtime_path"
 
     @classmethod
-    def from_attr(cls, raw: str | None, location=None) -> "VarType":
-        if raw is None or raw == "":
+    def from_attr(cls, raw: str | None) -> "VarType":
+        if not raw:
             return cls.PLAIN
-        for member in cls:
-            if member.value.casefold() == raw.casefold():
-                return member
-        raise ToolError(f"unknown Environment type '{raw}'", location=location)
+        member = _VAR_TYPES.get(raw.casefold())
+        if member is None:
+            raise ToolError(f"unknown Environment type '{raw}'")
+        return member
+
+
+_VAR_TYPES = {member.value.casefold(): member for member in VarType}
 
 
 class EnvVarDecl:
@@ -141,21 +145,7 @@ class _ToolDocBuilder:
         self.seen_versions: set[str] = set()
         self.seen_vars: set[str] = set()
         self.pending_text: str | None = None  # key in descriptions being filled
-        self.handlers = self._build_handlers()
-
-    def _build_handlers(self) -> HandlerMap:
-        hm = HandlerMap()
-        hm.add("tool", "Tool", open=_open_tool, close=_close_tool)
-        hm.add("tool", "info", open=_on_info)
-        hm.add("tool", "Lib", open=_on_lib)
-        hm.add("tool", "External", open=_on_external, chardata=_on_description)
-        hm.add("tool", "Client", open=_enter_client, close=_leave_client)
-        hm.add("plain-env", "Environment",
-               open=_env_handler(client=False), chardata=_on_description)
-        hm.add("client-env", "Environment",
-               open=_env_handler(client=True), chardata=_on_description,
-               activate=False)
-        return hm
+        self.handlers = _TOOL_HANDLERS.fork()
 
     def require_block(self, ev) -> ToolVersionBlock:
         if self.block is None:
@@ -233,7 +223,7 @@ def _env_handler(client: bool):
         block.variables.append(EnvVarDecl(
             name=name,
             value=value,
-            var_type=VarType.from_attr(ev.get("type"), ev.location),
+            var_type=VarType.from_attr(ev.get("type")),
             client=client,
         ))
         state.pending_text = name
@@ -250,6 +240,22 @@ def _on_description(state: _ToolDocBuilder, ev):
     state.block.descriptions[state.pending_text] = (
         f"{existing} {text}".strip() if existing else text
     )
+
+
+# built once; each parse switches the Client groups on a fork of its own
+_TOOL_HANDLERS = (
+    HandlerMap()
+    .add("tool", "Tool", open=_open_tool, close=_close_tool)
+    .add("tool", "info", open=_on_info)
+    .add("tool", "Lib", open=_on_lib)
+    .add("tool", "External", open=_on_external, chardata=_on_description)
+    .add("tool", "Client", open=_enter_client, close=_leave_client)
+    .add("plain-env", "Environment",
+         open=_env_handler(client=False), chardata=_on_description)
+    .add("client-env", "Environment",
+         open=_env_handler(client=True), chardata=_on_description,
+         activate=False)
+)
 
 
 def parse_tool_doc(events) -> ToolSpec:
@@ -290,9 +296,10 @@ class LibraryProber:
 
     A directory qualifies when it holds at least one matching file for any
     of the requested base names; roots are scanned in order, then their
-    direct subdirectories in sorted order, first hit wins. A prober lists
-    each directory at most once, however many probes it serves; a directory
-    that cannot be listed holds no files.
+    direct subdirectories in sorted order, first hit wins. The first probe
+    lists every candidate directory once and indexes the file names; later
+    probes look names up in that index. A directory that cannot be listed
+    holds no files.
     """
 
     def __init__(self, search_roots: list[str], patterns: list[str] | None = None):
@@ -300,6 +307,8 @@ class LibraryProber:
         self.patterns = patterns if patterns is not None else default_library_patterns()
         self._candidates: list[str] | None = None
         self._listings: dict[str, list[str]] = {}
+        self._names: list[str] | None = None  # every file name, sorted
+        self._first: dict[str, int] = {}  # file name -> first candidate holding it
 
     def _files(self, directory: str) -> list[str]:
         files = self._listings.get(directory)
@@ -324,18 +333,38 @@ class LibraryProber:
                         self._candidates.append(sub)
         return self._candidates
 
+    def _index(self) -> list[str]:
+        if self._names is None:
+            for i, directory in enumerate(self._candidate_dirs()):
+                for name in self._files(directory):
+                    self._first.setdefault(name, i)
+            self._names = sorted(self._first)
+        return self._names
+
     def find_library_dir(self, lib_names: list[str]) -> str | None:
-        globs = [pattern.format(name=name)
-                 for name in lib_names for pattern in self.patterns]
-        if not globs:
+        if not lib_names or not self.patterns:
             return None
-        # fnmatch.fnmatch would also normcase both sides, which is the
-        # identity on the POSIX systems scram runs on
-        wanted = re.compile("|".join(map(fnmatch.translate, globs)))
-        for directory in self._candidate_dirs():
-            if any(map(wanted.match, self._files(directory))):
-                return directory
-        return None
+        names = self._index()
+        best = None
+        for glob in [pattern.format(name=name)
+                     for name in lib_names for pattern in self.patterns]:
+            # a name can match only if it starts with the glob's literal head
+            head = _GLOB_MAGIC.split(glob, 1)[0]
+            literal = head == glob
+            i = bisect_left(names, head)
+            while i < len(names) and names[i].startswith(head):
+                name = names[i]
+                # fnmatch.fnmatch would also normcase both sides, which is
+                # the identity on the POSIX systems scram runs on
+                if name == glob if literal else fnmatch.fnmatchcase(name, glob):
+                    at = self._first[name]
+                    if best is None or at < best:
+                        best = at
+                i += 1
+        return None if best is None else self._candidates[best]
+
+
+_GLOB_MAGIC = re.compile(r"[*?[]")
 
 
 PROVENANCE_SITE = "site-file"

@@ -290,8 +290,11 @@ class UrlCache:
 
     Versioned fetches become immutable entries: the adapter runs once per
     key, ever. HEAD fetches are refetched only when ``refresh`` is set.
-    Fetches of the same key, from any thread or process, wait for each
-    other on the entry's lock file; distinct keys proceed in parallel.
+    A hit reads the entry without a lock and serves it only if its content
+    matches the sidecar's ``content_hash``. A miss, a damaged entry or a
+    refreshed HEAD fetch takes the entry's lock file, looks again, and only
+    then runs the adapter, so fetches of the same key, from any thread or
+    process, wait for each other; distinct keys proceed in parallel.
     """
 
     def __init__(self, root: str, registry: SchemeRegistry):
@@ -308,17 +311,18 @@ class UrlCache:
               refresh: bool = False) -> tuple[bytes, CacheEntry]:
         key = url.cache_key(version)
         content_path, meta_path = self._paths(url, key)
-        tag = url.version_tag(version)
-        with locked(content_path + ".lock", wait=True):
-            usable = os.path.exists(content_path) and not (
-                tag == HEAD and refresh
-            )
-            if usable:
+        reuse = not (refresh and url.version_tag(version) == HEAD)
+        if reuse:
+            hit = self._verified(key, content_path, meta_path)
+            if hit is not None:
                 self.stats.hits += 1
-                with open(content_path, "rb") as fh:
-                    content = fh.read()
-                return content, self._load_meta(meta_path, key, content_path)
-
+                return hit
+        with locked(content_path + ".lock", wait=True):
+            if reuse:
+                hit = self._verified(key, content_path, meta_path)
+                if hit is not None:
+                    self.stats.hits += 1
+                    return hit
             self.stats.misses += 1
             content = self.registry.retrieve(url, version)
             self.stats.adapter_calls += 1
@@ -345,18 +349,29 @@ class UrlCache:
         except OSError as exc:
             raise FetchError(f"cannot write cache entry for {url}: {exc}") from exc
 
-    def _load_meta(self, meta_path: str, key: str, content_path: str) -> CacheEntry:
+    @staticmethod
+    def _verified(key: str, content_path: str,
+                  meta_path: str) -> tuple[bytes, CacheEntry] | None:
+        """The stored content and its entry, or None when there is no entry
+        or its content does not match the sidecar's hash. A lost, unreadable
+        or wrong-shaped sidecar is rebuilt from the content."""
+        try:
+            with open(content_path, "rb") as fh:
+                content = fh.read()
+        except FileNotFoundError:
+            return None
+        content_hash = _sha256(content)
         try:
             meta = read_json(meta_path, "cache sidecar")
         except AreaError:
             meta = {}
         fetched_at = meta.get("fetched_at")
-        content_hash = meta.get("content_hash")
-        if type(fetched_at) in (int, float) and type(content_hash) is str:
-            return CacheEntry(key, content_path, fetched_at, content_hash)
-        # a lost, unreadable or wrong-shaped sidecar: rebuild from content
-        with open(content_path, "rb") as fh:
-            return CacheEntry(key, content_path, 0.0, _sha256(fh.read()))
+        stored_hash = meta.get("content_hash")
+        if type(fetched_at) in (int, float) and type(stored_hash) is str:
+            if stored_hash != content_hash:
+                return None
+            return content, CacheEntry(key, content_path, fetched_at, content_hash)
+        return content, CacheEntry(key, content_path, 0.0, content_hash)
 
 
 def _sha256(data: bytes) -> str:
