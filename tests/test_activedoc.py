@@ -1,8 +1,9 @@
 import pytest
 
 from scram.activedoc import DocTypeRegistry, DocumentEngine, EngineStats
-from scram.errors import DocTypeError, MarkupError, ScramError
+from scram.errors import DocTypeError, MarkupError, ScramError, ToolError
 from scram.markup import EventKind
+from scram.tooldoc import parse_tool_doc
 from scram.urlaccess import UrlCache, default_registry
 
 
@@ -229,3 +230,17 @@ class TestActivate:
         engine.activate("stub:one", "2.0")
         engine.activate("stub:one", "1.0")
         assert calls == ["1.0", "2.0"]
+
+
+def test_handler_error_in_an_inlined_fragment_names_the_fragment(tmp_path):
+    types = DocTypeRegistry().register("BuildSystem::ToolDoc", "1.0", parse_tool_doc)
+    engine = DocumentEngine(UrlCache(str(tmp_path / "c"), default_registry()), types)
+    fragment = write(tmp_path, "frag.doc", "<Environment name=A value=1>\n"
+                                           "  <Environment name=B type=Weird>\n")
+    url = write(tmp_path, "tool.doc", "<doc type=BuildSystem::ToolDoc version=1.0>\n"
+                                      "<Tool name=t version=1>\n"
+                                      "<inline url=frag.doc>\n</Tool>\n")
+    with pytest.raises(ToolError) as exc:
+        engine.activate(url)
+    assert str(exc.value) == f"{fragment}:2:3: unknown Environment type 'Weird'"
+    assert exc.value.context == f"while activating {url}"

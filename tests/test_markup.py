@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import example, given, strategies as st
 
-from scram.errors import MarkupError
+from scram.errors import MarkupError, ScramError
 from scram.markup import (
     EventKind,
     HandlerMap,
@@ -17,6 +17,7 @@ from scram.markup import (
     splice_inline,
     tokenize_markup,
 )
+from scram.tooldoc import parse_tool_doc
 
 
 def opens(events, name=None):
@@ -264,12 +265,15 @@ def scanner_tokenize(text, source_id="<string>"):
 
 
 def _outcome(tokenize, text):
-    """Events with their locations, or the error message and location."""
+    """Events with their locations, or the error message and location. The
+    locations are read last event first, so a location that depends on the
+    ones read before it shows up."""
     try:
         events = tokenize(text, "src")
     except MarkupError as exc:
-        return ("error", exc.message, exc.location)
-    return ("events", [(ev, ev.location) for ev in events])
+        return ("error", exc.message, str(exc.location))
+    located = [str(ev.location) for ev in reversed(events)]
+    return ("events", events, located[::-1])
 
 
 # Biased toward the characters the grammar turns on, plus letters and
@@ -294,6 +298,24 @@ class TestScannerReference:
                                                            requirements_text):
         for text in (boost_text, configuration_text, requirements_text):
             assert _outcome(tokenize_markup, text) == _outcome(scanner_tokenize, text)
+
+
+def test_locations_are_built_only_when_read(boost_text, monkeypatch):
+    built = []
+    init = Location.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Location, "__init__", counting_init)
+    events = tokenize_markup(boost_text, "boost.doc")
+    parse_tool_doc(splice_inline(events, by_url({})))
+    assert built == []
+    second_tool = opens(events, "tool")[1]
+    assert str(second_tool.location) == "boost.doc:18:1"
+    assert second_tool.location is second_tool.location
+    assert built == [("boost.doc", 18, 1)]
 
 
 class TestRoundTrip:
@@ -484,6 +506,155 @@ class TestHandlerDispatch:
         with pytest.raises(MarkupError) as exc:
             parse_with_handlers(tokenize_markup("\n\n<x>", "doc"), hm, None)
         assert exc.value.location.line == 3
+
+
+class _ListHandlerMap:
+    """The list-scanning handler map that the per-kind dispatch tables
+    replaced, kept as the reference for them: every lookup collects the
+    live registrations of (tag, kind)."""
+
+    def __init__(self):
+        self._registrations = {}
+        self._groups = set()
+        self._active = set()
+
+    def add(self, group, tag, *, open=None, close=None, chardata=None,
+            activate=True):
+        if group not in self._groups:
+            self._groups.add(group)
+            if activate:
+                self._active.add(group)
+        pairs = ((EventKind.OPEN, open), (EventKind.CLOSE, close),
+                 (EventKind.CHARDATA, chardata))
+        for kind, handler in pairs:
+            if handler is None:
+                continue
+            regs = self._registrations.setdefault((tag.casefold(), kind), [])
+            if any(group == g for g, _ in regs):
+                raise MarkupError(f"group '{group}' already handles <{tag}> {kind.value}")
+            regs.append((group, handler))
+        return self
+
+    def activate(self, group):
+        if group not in self._groups:
+            raise MarkupError(f"unknown handler group '{group}'")
+        self._active.add(group)
+
+    def deactivate(self, group):
+        self._active.discard(group)
+
+    def lookup(self, tag, kind):
+        regs = self._registrations.get((tag.casefold(), kind), ())
+        live = [(g, h) for g, h in regs if g in self._active]
+        if len(live) > 1:
+            groups = ", ".join(sorted(g for g, _ in live))
+            raise MarkupError(
+                f"tag <{tag}> {kind.value} is claimed by several active groups: {groups}"
+            )
+        return live[0][1] if live else None
+
+
+def _list_dispatch(events, handlers, state):
+    """The dispatch loop that went with ``_ListHandlerMap``."""
+
+    def invoke(handler, ev):
+        try:
+            handler(state, ev)
+        except ScramError as exc:
+            if exc.location is None:
+                exc.location = ev.location
+            raise
+        except Exception as exc:
+            raise MarkupError(f"handler for <{ev.name or 'chardata'}> failed: {exc}",
+                              location=ev.location) from exc
+
+    open_stack = []
+    for ev in events:
+        if ev.kind is EventKind.CHARDATA:
+            handler = None
+            if open_stack:
+                handler = handlers.lookup(open_stack[-1], EventKind.CHARDATA)
+            if handler is not None:
+                invoke(handler, ev)
+            continue
+        handler = handlers.lookup(ev.name, ev.kind)
+        if handler is not None:
+            invoke(handler, ev)
+        if ev.kind is EventKind.OPEN:
+            open_stack.append(ev.folded_name)
+        elif ev.folded_name in open_stack:
+            while open_stack.pop() != ev.folded_name:
+                pass
+    return state
+
+
+_GROUPS = st.sampled_from(["g1", "g2", "g3"])
+# (group, tag, kind, activate the group if new, what the handler switches)
+_REGISTRATIONS = st.lists(st.tuples(
+    _GROUPS, st.sampled_from(["a", "A", "b", "Tool"]),
+    st.sampled_from(["open", "close", "chardata"]), st.booleans(),
+    st.one_of(st.none(), st.tuples(st.sampled_from(["on", "off"]),
+                                   st.sampled_from(["g1", "g2", "g3", "g4"])))),
+    max_size=10)
+_STREAMS = st.lists(st.sampled_from(
+    ["<a>", "<A x=1>", "</a>", "<b>", "</B>", "<tool>", "</Tool>", "<c>", "</c>",
+     "text", "\n", " "]), max_size=25).map("".join)
+
+
+def _dispatch_outcome(map_class, dispatch, registrations, text):
+    """What a map class and its dispatch loop do with the registrations and
+    the text: the handlers called, in order, and the error raised, if any."""
+    handlers = map_class()
+    calls = []
+
+    def make(i, switch):
+        def handler(state, ev):
+            calls.append((i, ev.kind, ev.name, ev.text))
+            if switch is not None:
+                action, group = switch
+                (handlers.activate if action == "on" else handlers.deactivate)(group)
+        return handler
+
+    try:
+        for i, (group, tag, kind, active, switch) in enumerate(registrations):
+            handlers.add(group, tag, activate=active, **{kind: make(i, switch)})
+        dispatch(tokenize_markup(text, "doc"), handlers, None)
+    except MarkupError as exc:
+        return calls, str(exc)
+    return calls, None
+
+
+class TestDispatchReference:
+    @given(_REGISTRATIONS, _STREAMS)
+    @example([("g1", "a", "open", True, None), ("g2", "A", "open", True, None)], "<A x=1>")
+    @example([("g1", "a", "open", True, ("off", "g2")),
+              ("g2", "a", "open", False, None),
+              ("g2", "b", "open", True, ("on", "g2"))], "<b><a><a>")
+    @example([("g1", "Tool", "chardata", True, None), ("g2", "tool", "chardata", True, None)],
+             "<tool>text")
+    def test_matches_the_list_scanning_map(self, registrations, text):
+        assert (_dispatch_outcome(HandlerMap, parse_with_handlers, registrations, text)
+                == _dispatch_outcome(_ListHandlerMap, _list_dispatch, registrations, text))
+
+    def test_a_fork_switches_groups_on_its_own(self):
+        seen = []
+        template = HandlerMap()
+        template.add("plain", "x", open=lambda s, e: seen.append("plain"))
+        template.add("other", "x", open=lambda s, e: seen.append("other"), activate=False)
+        fork = template.fork()
+        fork.deactivate("plain")
+        fork.activate("other")
+        parse_with_handlers(tokenize_markup("<x>"), fork, None)
+        parse_with_handlers(tokenize_markup("<x>"), template, None)
+        parse_with_handlers(tokenize_markup("<x>"), template.fork(), None)
+        assert seen == ["other", "plain", "plain"]
+
+    def test_a_forked_map_takes_no_new_handlers(self):
+        template = HandlerMap().add("g", "x", open=lambda s, e: None)
+        fork = template.fork()
+        for handlers in (template, fork):
+            with pytest.raises(MarkupError, match="forked"):
+                handlers.add("g", "y", open=lambda s, e: None)
 
 
 def by_url(streams):

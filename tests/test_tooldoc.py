@@ -1,4 +1,10 @@
+import fnmatch
+import os
+import re
+import tempfile
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from scram.errors import ToolError
 from scram.markup import strip_doc_header, tokenize_markup
@@ -352,3 +358,54 @@ class TestLibraryProber:
     def test_missing_roots_skipped(self):
         prober = LibraryProber(["/no/such/root"])
         assert prober.find_library_dir(["z"]) is None
+
+
+def scan_for_library(roots, patterns, lib_names):
+    """The directory-by-directory scan that the prober's name index
+    replaced, kept as the reference for it."""
+    globs = [pattern.format(name=name) for name in lib_names for pattern in patterns]
+    if not globs:
+        return None
+    wanted = re.compile("|".join(map(fnmatch.translate, globs)))
+
+    def listing(directory):
+        try:
+            return os.listdir(directory)
+        except OSError:
+            return []
+
+    for root in roots:
+        if not os.path.isdir(root):
+            continue
+        subdirs = [os.path.join(root, e) for e in sorted(listing(root))]
+        for directory in [root] + [d for d in subdirs if os.path.isdir(d)]:
+            if any(map(wanted.match, listing(directory))):
+                return directory
+    return None
+
+
+_LIB_NAMES = st.sampled_from(["z", "zz", "a?", "b*", "x[1]", "y.so"])
+_FILE_NAMES = st.sampled_from(
+    ["libz.so", "libz.so.1", "libz.a", "libzz.so", "libzz.so.2.0", "liba?.so",
+     "libab.so", "libb.so.9", "libbee.a", "libx1.so", "libx[1].so", "liby.so.so",
+     "libz.sox", "z.dll", "README", "lib.so"])
+
+
+class TestLibraryProberReference:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["r0", "r1", "r0/s", "r0/t", "r1/s", "r1/s/deep"]),
+                              _FILE_NAMES), max_size=12),
+           st.sampled_from([None, ["lib{name}.so", "lib{name}.so.*"], ["{name}.dll", "lib{name}*"]]),
+           st.lists(st.lists(_LIB_NAMES, max_size=3), min_size=1, max_size=4))
+    @example([("r0/s", "libz.sox"), ("r1", "libz.so.1")], None, [["z"]])
+    def test_matches_the_directory_scan(self, files, patterns, probes):
+        with tempfile.TemporaryDirectory() as top:
+            os.mkdir(os.path.join(top, "r0"))
+            for directory, name in files:
+                os.makedirs(os.path.join(top, directory), exist_ok=True)
+                open(os.path.join(top, directory, name), "w").close()
+            roots = [os.path.join(top, r) for r in ("r0", "missing", "r1")]
+            prober = LibraryProber(roots, patterns)
+            for lib_names in probes:
+                assert prober.find_library_dir(lib_names) == scan_for_library(
+                    roots, prober.patterns, lib_names)

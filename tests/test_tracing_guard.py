@@ -1,11 +1,16 @@
 """The benchmark's tracer wraps scram functions by name, so renaming or
 deleting one of them breaks every traced benchmark run. This guard loads
 ``perfbench/tracing.py`` by path, installs its tracer and uninstalls it
-again, so such a change fails here first."""
+again, so such a change fails here first. A wrapper that the program no
+longer calls fails here too: the toy project runs every benchmarked verb
+under the tracer."""
 
 import importlib.util
 import sys
 from pathlib import Path
+
+from conftest import make_toy_project
+from scram.cli import main
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -35,3 +40,44 @@ def test_tracer_wraps_every_named_function_and_restores_it():
         tracer.uninstall()
     for (module_name, attr), original in originals.items():
         assert current(module_name, attr) is original, f"{module_name}.{attr}"
+
+
+def test_every_wrapped_function_is_called_by_the_toy_lifecycle(tmp_path, capsys):
+    """A wrapper that the program never calls reads 0 in every traced
+    benchmark run. Run the toy project through every verb the benchmark
+    runs, with its library directory left to the prober and an app-env
+    overlay, and check that each wrapped name recorded a span."""
+    toy = make_toy_project(tmp_path)
+    libroot = tmp_path / "libroot"
+    (libroot / "boost").mkdir(parents=True)
+    (libroot / "boost" / "libboost_thread.so").write_text("")
+    site = toy.site_path.read_text().replace("tool.boost.LIBDIR = /opt/boost/lib\n", "")
+    toy.site_path.write_text(site + f"search.libroots = {libroot}\n")
+    central, developer = toy.central_root, toy.workspace / "ORCA_7_1_3"
+
+    def scram(cwd, *argv):
+        assert main(list(argv), env=toy.env, cwd=str(cwd)) == 0, capsys.readouterr().err
+
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        scram(tmp_path, "bootstrap", toy.bootstrap_url, "--dest", str(toy.install_root))
+        scram(central, "build")
+        scram(central, "install")
+        scram(toy.workspace, "project", "ORCA", "7_1_3")
+        (developer / "config" / "app-env").mkdir(parents=True)
+        (developer / "config" / "app-env" / "viewer").write_text(
+            "<doc type=BuildSystem::AppEnvDoc version=1.0>\n"
+            "<Environment name=VIEWER_HOME value=/opt/viewer>\n")
+        scram(developer, "setup", "htl", "1.5", f"file:{toy.specs}/htl.tooldoc")
+        scram(developer, "runtime", "-sh")
+        scram(developer, "runtime", "-sh", "--app", "viewer")
+        scram(developer, "tool", "list")
+        scram(developer, "tool", "info", "boost")
+    finally:
+        tracer.uninstall()
+    assert f"{libroot}/boost" in capsys.readouterr().out
+    called = {span[tracing.NAME] for span in tracer.spans}
+    wanted = [attr for _, attr, _ in tracing.WRAPPED] + ["ArgumentParser.parse_args"]
+    assert [attr for attr in wanted if attr not in called] == []

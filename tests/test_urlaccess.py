@@ -1,4 +1,5 @@
 import hashlib
+import sys
 import threading
 import time
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from scram.errors import FetchError, UrlError
+from scram.fsutil import locked
 from scram.urlaccess import (
     HEAD,
     SchemeRegistry,
@@ -253,6 +255,72 @@ class TestUrlCache:
         assert hit == content
         assert rebuilt.content_hash == hashlib.sha256(content).hexdigest()
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("version", ["1.0", None])
+    def test_damaged_entry_is_refetched_once(self, tmp_path, version):
+        registry, calls = counting_registry(b"full content of %s")
+        cache = UrlCache(str(tmp_path), registry)
+        url = parse_url("stub:x?n=6")
+        content, entry = cache.fetch(url, version)
+        Path(entry.content_path).write_bytes(content[:4])  # truncated
+        again, repaired = cache.fetch(url, version)
+        assert again == content == b"full content of 6"
+        assert (cache.stats.misses, cache.stats.hits, len(calls)) == (2, 0, 2)
+        assert Path(entry.content_path).read_bytes() == content
+        assert repaired.content_hash == hashlib.sha256(content).hexdigest()
+        assert cache.fetch(url, version)[0] == content
+        assert (cache.stats.misses, cache.stats.hits, len(calls)) == (2, 1, 2)
+
+    def test_hit_takes_no_lock(self, tmp_path):
+        registry, calls = counting_registry()
+        cache = UrlCache(str(tmp_path), registry)
+        url = parse_url("stub:x?n=7")
+        content, entry = cache.fetch(url, "1.0")
+        served = []
+        worker = threading.Thread(target=lambda: served.append(cache.fetch(url, "1.0")[0]))
+        with locked(entry.content_path + ".lock", wait=True):
+            worker.start()
+            worker.join(timeout=5)
+            assert served == [content]
+        assert len(calls) == 1
+
+    def test_lock_free_readers_never_serve_a_torn_refresh(self, tmp_path):
+        versions = iter(range(10**6))
+
+        def adapter(url, version):
+            return b"%06d" % next(versions) * 2000
+
+        cache = UrlCache(str(tmp_path), SchemeRegistry().register("stub", adapter))
+        url = parse_url("stub:head")
+        cache.fetch(url)
+        served, writer_done = [], threading.Event()
+
+        def write():
+            for _ in range(40):
+                cache.fetch(url, refresh=True)
+            writer_done.set()
+
+        def read():
+            while not writer_done.is_set():
+                served.append(cache.fetch(url))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=write)] + [
+                threading.Thread(target=read) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert served
+        for content, entry in served:
+            assert content == content[:6] * 2000
+            assert entry.content_hash == hashlib.sha256(content).hexdigest()
+        assert cache.stats.adapter_calls == 41
 
     def test_same_key_concurrent_fetches_serialize(self, tmp_path):
         slow_started = threading.Event()
