@@ -88,7 +88,10 @@ class TagEvent:
         self.folded_name = name.casefold()
         self.attrs = attrs
         self.text = text
-        self._attr_map = None
+        attr_map: dict[str, str] = {}  # folded key -> value of its first use
+        for k, v in attrs:
+            attr_map.setdefault(k.casefold(), v)
+        self._attr_map = attr_map
         self._location = location
         self._lines = None
         self._pos = 0
@@ -108,12 +111,7 @@ class TagEvent:
 
     def get(self, key: str, default: str | None = None) -> str | None:
         """Look up an attribute value, matching the key case-insensitively."""
-        attr_map = self._attr_map
-        if attr_map is None:
-            attr_map = self._attr_map = {}
-            for k, v in self.attrs:
-                attr_map.setdefault(k.casefold(), v)
-        return attr_map.get(key.casefold(), default)
+        return self._attr_map.get(key.casefold(), default)
 
     def require(self, key: str) -> str:
         value = self.get(key)
@@ -155,9 +153,10 @@ class DocHeader:
 # ``str.isalnum`` plus ``_``. A tag name starts with a character for which
 # ``isalpha()`` holds, or ``_``; no class says that exactly, so the search
 # takes the wider ``[^\W\d]`` (which also admits numerics such as ``½``)
-# and the tokenizer tests the character itself.
-_TAG_START = re.compile(r"<(?=/?[^\W\d])")
-_NAME = re.compile(r"[\w.-]*")
+# and the tokenizer tests the character itself. The search takes a tag's
+# ``/``, its name (``[\w.-]*`` after the first character) and, when only
+# whitespace comes before it, the ``>`` that ends a tag without attributes.
+_TAG = re.compile(r"<(/?)([^\W\d][\w.-]*)(\s*>)?")
 # One attribute: a key, then an optional ``=`` with a quoted or an unquoted
 # value. A key never starts at ``/>``. A quote that never closes leaves the
 # ``=`` unmatched and both value groups empty.
@@ -194,8 +193,8 @@ class _LineIndex:
 def _located(kind: EventKind, name: str, attrs: tuple, attr_map: dict,
              text: str, lines: _LineIndex, pos: int) -> TagEvent:
     """A tokenized event, located on demand at ``pos`` of ``lines``. The
-    tokenizer builds only valid events, so ``TagEvent.__init__``'s checks
-    are skipped."""
+    tokenizer builds only valid events and has folded their attribute keys
+    already, so ``TagEvent.__init__``'s work is skipped."""
     ev = _new_event(TagEvent)
     ev.kind = kind
     ev.name = name
@@ -209,9 +208,9 @@ def _located(kind: EventKind, name: str, attrs: tuple, attr_map: dict,
     return ev
 
 
-def _scan_open_tag(text: str, at: int, lines: _LineIndex) -> tuple[TagEvent, int]:
-    pos = _NAME.match(text, at + 1).end()
-    name = text[at + 1 : pos]
+def _scan_open_tag(text: str, at: int, name: str, pos: int,
+                   lines: _LineIndex) -> tuple[TagEvent, int]:
+    """The open tag at ``at`` whose attributes start at ``pos``."""
     attrs: list[tuple[str, str]] = []
     attr_map: dict[str, str] = {}
     while (m := _ATTR.match(text, pos)) is not None:
@@ -243,18 +242,16 @@ def _scan_open_tag(text: str, at: int, lines: _LineIndex) -> tuple[TagEvent, int
     )
 
 
-def _scan_close_tag(text: str, at: int, lines: _LineIndex) -> tuple[TagEvent, int]:
-    name_end = _NAME.match(text, at + 2).end()
-    name = text[at + 2 : name_end]
-    pos = _SPACE.match(text, name_end).end()
+def _bad_close_tag(text: str, at: int, name: str, pos: int, lines: _LineIndex):
+    """Raise for the close tag at ``at`` whose name ends at ``pos`` and
+    that no ``>`` follows."""
+    pos = _SPACE.match(text, pos).end()
     if pos == len(text):
         raise MarkupError(f"unterminated tag </{name}", location=lines.at(at))
-    if text[pos] != ">":
-        raise MarkupError(
-            f"unexpected character {text[pos]!r} in tag </{name}>",
-            location=lines.at(pos),
-        )
-    return _located(CLOSE, name, (), _NO_ATTRS, "", lines, at), pos + 1
+    raise MarkupError(
+        f"unexpected character {text[pos]!r} in tag </{name}>",
+        location=lines.at(pos),
+    )
 
 
 def tokenize_markup(text: str, source_id: str = "<string>") -> list[TagEvent]:
@@ -268,22 +265,26 @@ def tokenize_markup(text: str, source_id: str = "<string>") -> list[TagEvent]:
     """
     lines = _LineIndex(text, source_id)
     events: list[TagEvent] = []
-    append = events.append
-    search = _TAG_START.search
     run_start = 0  # start of the pending CharData run
     pos = 0
-    while (m := search(text, pos)) is not None:
+    while (m := _TAG.search(text, pos)) is not None:
         at = m.start()
-        closing = text[at + 1] == "/"
-        first = text[at + 2] if closing else text[at + 1]
-        if not (first.isalpha() or first == "_"):
+        closing, name, end = m.groups()
+        if not (name[0].isalpha() or name[0] == "_"):
             pos = at + 1
             continue
         if at > run_start:
-            append(_located(CHARDATA, "", (), _NO_ATTRS, text[run_start:at],
-                            lines, run_start))
-        event, pos = (_scan_close_tag if closing else _scan_open_tag)(text, at, lines)
-        append(event)
+            events.append(_located(CHARDATA, "", (), _NO_ATTRS, text[run_start:at],
+                                   lines, run_start))
+        if end is not None:
+            kind = CLOSE if closing else OPEN
+            events.append(_located(kind, name, (), _NO_ATTRS, "", lines, at))
+            pos = m.end()
+        elif closing:
+            _bad_close_tag(text, at, name, m.end(), lines)
+        else:
+            event, pos = _scan_open_tag(text, at, name, m.end(), lines)
+            events.append(event)
         run_start = pos
     if len(text) > run_start:
         events.append(_located(CHARDATA, "", (), _NO_ATTRS, text[run_start:],
