@@ -266,8 +266,8 @@ def scanner_tokenize(text, source_id="<string>"):
 
 def _outcome(tokenize, text):
     """Events with their locations, or the error message and location. The
-    locations are read last event first, so a location that depends on the
-    ones read before it shows up."""
+    locations are read last event first, so a location that depends on
+    which ones were read before it shows as a difference."""
     try:
         events = tokenize(text, "src")
     except MarkupError as exc:
