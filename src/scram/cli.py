@@ -118,6 +118,11 @@ def main(argv: list[str] | None = None, env=None, cwd: str | None = None) -> int
         context = exc.context or args.verb
         print(f"scram: {context}: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:
+        # last resort for a path that no scram helper turned into an error
+        where = "" if exc.filename is None else f": {exc.filename}"
+        print(f"scram: {args.verb}: {exc.strerror or exc}{where}", file=sys.stderr)
+        return 1
 
 
 def _dispatch(args, env, cwd, arch) -> int:

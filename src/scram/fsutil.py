@@ -1,14 +1,23 @@
-"""How scram state reaches disk and comes back: one atomic write, one lock
-and one JSON reader.
+"""How scram state reaches disk and comes back: an atomic write, a private
+tree published by one rename, one lock, an in-place rewrite of a locked
+file, and one JSON reader.
 
 ``atomic_write`` writes a dot-named temp file beside the target and renames
 it over the target, so a reader sees the old file or the new one and a
-killed command leaves at most a dot-named temp file. ``locked`` holds an
-``flock`` on a lock file that is never unlinked; the kernel drops it when
-the holder exits or is killed. No file is fsync'ed: a rename survives the
-death of the process, and surviving power loss is not promised.
-``read_json`` turns a state file that cannot be read, parsed or is not a
-JSON object into one ``AreaError`` that names the file.
+killed command leaves at most a dot-named temp file. ``private_tree``
+gives a new tree a dot-named sibling of its final path; ``write_new``
+writes each of its files in one create-or-truncate write, with no temp
+file, because nothing reads the tree until it is renamed into place in
+one step. ``locked`` holds an ``flock`` on a file that is never unlinked;
+the kernel drops it when the holder exits or is killed. ``overwrite``
+rewrites the locked file in place, which is only safe for a file whose
+readers check what they read (a cache entry carries its own hash). No
+file is fsync'ed: a rename survives the death of the process, and
+surviving power loss is not promised. ``read_json`` turns a state file
+that cannot be read, parsed or is not a JSON object into one
+``AreaError`` that names the file; the other helpers but ``overwrite``
+turn an ``OSError`` into an ``AreaError`` that names the path they were
+given.
 """
 
 from __future__ import annotations
@@ -23,12 +32,30 @@ from contextlib import contextmanager, suppress
 from .errors import AreaError
 
 
+def _failed(doing: str, path: str, exc: OSError) -> AreaError:
+    return AreaError(f"cannot {doing} {path}: {exc.strerror or exc}")
+
+
 def _open_creating_parent(path: str, flags: int) -> int:
     try:
         return os.open(path, flags, 0o666)
     except FileNotFoundError:
         os.makedirs(os.path.dirname(path), exist_ok=True)
         return os.open(path, flags, 0o666)
+
+
+def _write_all(fd: int, data: bytes | str) -> None:
+    view = memoryview(data.encode() if isinstance(data, str) else data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def make_dirs(path: str) -> None:
+    """Create the new directory ``path`` and any missing parents."""
+    try:
+        os.makedirs(path)
+    except OSError as exc:
+        raise _failed("create directory", path, exc) from exc
 
 
 def atomic_write(path: str, data: bytes | str) -> None:
@@ -40,16 +67,61 @@ def atomic_write(path: str, data: bytes | str) -> None:
     target = os.path.realpath(path) if os.path.islink(path) else path
     directory, name = os.path.split(target)
     tmp = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
-    fd = _open_creating_parent(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
     try:
-        with os.fdopen(fd, "wb") as fh:
-            with suppress(FileNotFoundError):
-                os.fchmod(fd, stat.S_IMODE(os.stat(target).st_mode))
-            fh.write(data.encode() if isinstance(data, str) else data)
-        os.replace(tmp, target)
+        fd = _open_creating_parent(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                with suppress(FileNotFoundError):
+                    os.fchmod(fd, stat.S_IMODE(os.stat(target).st_mode))
+                fh.write(data.encode() if isinstance(data, str) else data)
+            os.replace(tmp, target)
+        except BaseException:
+            with suppress(OSError):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise _failed("write", path, exc) from exc
+
+
+def write_new(path: str, data: bytes | str) -> None:
+    """Write ``data`` to ``path`` in a tree that ``private_tree`` is building,
+    creating its directory if needed: one create-or-truncate write, no temp
+    file and no rename."""
+    try:
+        fd = _open_creating_parent(path, os.O_CREAT | os.O_TRUNC | os.O_WRONLY)
+        try:
+            _write_all(fd, data)
+        finally:
+            os.close(fd)
+    except OSError as exc:
+        raise _failed("write", path, exc) from exc
+
+
+@contextmanager
+def private_tree(target: str) -> Iterator[str]:
+    """A path ``.<name>.<8 hex>.partial`` beside ``target`` for the body to
+    build a new tree in; renamed to ``target`` when the body succeeds, and
+    removed when it fails.
+
+    The rename fails, and the tree is removed, when ``target`` has appeared
+    meanwhile as a file or a non-empty directory. A killed command leaves
+    only the dot-named tree, which no scram command reads.
+    """
+    directory, name = os.path.split(target)
+    tree = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.partial")
+    try:
+        yield tree
+        try:
+            os.rename(tree, target)
+        except OSError as exc:
+            if os.path.lexists(target):
+                raise AreaError(f"target directory already exists: {target}") from None
+            raise _failed("publish", target, exc) from exc
     except BaseException:
-        with suppress(OSError):
-            os.unlink(tmp)
+        # imported here: only a failed command removes a tree
+        import shutil
+
+        shutil.rmtree(tree, ignore_errors=True)
         raise
 
 
@@ -70,17 +142,35 @@ def read_json(path: str, what: str) -> dict:
 
 
 @contextmanager
-def locked(path: str, wait: bool) -> Iterator[None]:
-    """Hold an exclusive lock on ``path`` for the ``with`` body.
+def locked(path: str, wait: bool, writable: bool = False) -> Iterator[int]:
+    """Hold an exclusive lock on ``path`` for the ``with`` body, which gets
+    the locked file's descriptor.
 
     With ``wait`` this blocks until the lock is free; without it a held lock
     raises ``BlockingIOError`` at once. Each call opens the file anew, so
     threads of one process exclude each other too. The file is opened
-    read-only, so a lock file created by another user still works.
+    read-only unless ``writable``, so a lock file created by another user
+    still works.
     """
-    fd = _open_creating_parent(path, os.O_RDONLY | os.O_CREAT)
+    flags = (os.O_RDWR if writable else os.O_RDONLY) | os.O_CREAT
+    try:
+        fd = _open_creating_parent(path, flags)
+    except OSError as exc:
+        raise _failed("lock", path, exc) from exc
     try:
         fcntl.flock(fd, fcntl.LOCK_EX if wait else fcntl.LOCK_EX | fcntl.LOCK_NB)
-        yield
+        yield fd
     finally:
         os.close(fd)
+
+
+def overwrite(fd: int, data: bytes) -> None:
+    """Replace everything in the file open at ``fd`` with ``data``, in place.
+
+    A reader that does not hold the lock may meet the file empty or partly
+    written, so only files whose readers verify what they read are
+    rewritten this way. Raises ``OSError``.
+    """
+    os.ftruncate(fd, 0)
+    os.lseek(fd, 0, os.SEEK_SET)
+    _write_all(fd, data)

@@ -35,7 +35,14 @@ from .configuration import (
     parse_requirements,
 )
 from .errors import AreaError, ToolError
-from .fsutil import atomic_write, locked, read_json
+from .fsutil import (
+    atomic_write,
+    locked,
+    make_dirs,
+    private_tree,
+    read_json,
+    write_new,
+)
 from .markup import HandlerMap, parse_with_handlers
 from .runtime import (
     EXEC_PATH_VAR,
@@ -107,10 +114,13 @@ class Registry:
         return cls(path)
 
     def _lines(self) -> list[str]:
-        if not os.path.exists(self.path):
+        try:
+            with open(self.path) as fh:
+                return [raw.rstrip("\n") for raw in fh]
+        except FileNotFoundError:
             return []
-        with open(self.path) as fh:
-            return [raw.rstrip("\n") for raw in fh]
+        except (OSError, ValueError) as exc:
+            raise AreaError(f"unreadable registry {self.path}: {exc}") from exc
 
     def records(self) -> list[InstallationRecord]:
         out = []
@@ -150,8 +160,13 @@ class Registry:
 
 
 class ProjectArea:
-    def __init__(self, root: str):
+    """An area on disk. ``write`` puts one of its files on disk: an atomic
+    replacement, or ``write_new`` for an area that ``bootstrap_install``
+    is still assembling where nobody reads it."""
+
+    def __init__(self, root: str, write=atomic_write):
         self.root = os.path.abspath(root)
+        self.write = write
         self._central: str | None = None
 
     # ---- layout -----------------------------------------------------
@@ -219,22 +234,22 @@ class ProjectArea:
             return STATE_INCOMPLETE
 
     def set_state(self, state: str) -> None:
-        atomic_write(self._admin_file(STATE_FILE), state + "\n")
+        self.write(self._admin_file(STATE_FILE), state + "\n")
 
     # ---- creation ---------------------------------------------------
     @classmethod
     def create(cls, root: str, project: str, version: str,
-               link_target: str | None = None) -> "ProjectArea":
+               link_target: str | None = None,
+               write=atomic_write) -> "ProjectArea":
         if os.path.exists(root):
             raise AreaError(f"target directory already exists: {root}")
-        area = cls(root)
+        area = cls(root, write)
         for sub in AREA_SUBDIRS:
-            os.makedirs(os.path.join(area.root, sub))
-        atomic_write(area._admin_file(AREA_FILE),
-                     f"project = {project}\nversion = {version}\n")
+            make_dirs(os.path.join(area.root, sub))
+        write(area._admin_file(AREA_FILE),
+              f"project = {project}\nversion = {version}\n")
         if link_target is not None:
-            atomic_write(area._admin_file(LINK_FILE),
-                         os.path.abspath(link_target) + "\n")
+            write(area._admin_file(LINK_FILE), os.path.abspath(link_target) + "\n")
         area.set_state(STATE_INCOMPLETE)
         return area
 
@@ -407,8 +422,7 @@ def _write_config_record(area: ProjectArea, arch: Architecture,
             for pin in resolved.tools.values()
         ],
     }
-    atomic_write(area.config_record_path(arch),
-                 json.dumps(payload, indent=1) + "\n")
+    area.write(area.config_record_path(arch), json.dumps(payload) + "\n")
 
 
 def load_config_record(area: ProjectArea, arch: Architecture) -> ResolvedConfiguration:
@@ -451,7 +465,7 @@ def write_tool_record(area: ProjectArea, arch: Architecture,
         "descriptions": rt.descriptions,
         "externals": rt.externals,
     }
-    atomic_write(path, json.dumps(payload, indent=1) + "\n")
+    area.write(path, json.dumps(payload) + "\n")
     return path
 
 
@@ -607,8 +621,11 @@ def bootstrap_install(bootstrap_url: str, dest_root: str,
                       ) -> tuple[ProjectArea, InstallationRecord]:
     """Assemble a central installation from a bootstrap document.
 
-    The area is created unregistered and stays in the ``incomplete`` state
-    until a successful build (or a forced install) marks it complete.
+    The whole area is built in a private dot-named directory beside its
+    final path and published by one rename, so a failed bootstrap leaves
+    nothing behind and a killed one only the dot-named directory. The area
+    is created unregistered and stays in the ``incomplete`` state until a
+    successful build (or a forced install) marks it complete.
     """
     env = os.environ if env is None else env
     arch = arch or detect_architecture(env=env)
@@ -622,21 +639,26 @@ def bootstrap_install(bootstrap_url: str, dest_root: str,
 
     root = os.path.join(os.path.abspath(dest_root),
                         f"{boot.project}_{boot.version}")
-    area = ProjectArea.create(root, boot.project, boot.version)
-    for raw_url, dest in boot.downloads:
-        content, _ = engine.cache.fetch(parse_url(raw_url, base=typed.source))
-        atomic_write(os.path.join(area.root, dest), content)
+    if os.path.lexists(root):
+        raise AreaError(f"target directory already exists: {root}")
+    with private_tree(root) as private:
+        area = ProjectArea.create(private, boot.project, boot.version,
+                                  write=write_new)
+        for raw_url, dest in boot.downloads:
+            content, _ = engine.cache.fetch(parse_url(raw_url, base=typed.source))
+            area.write(os.path.join(area.root, dest), content)
 
-    if boot.config_url is not None:
-        config_url = parse_url(boot.config_url, base=typed.source)
-        resolved = resolve_project_configuration(engine, config_url, arch)
-        _write_config_record(area, arch, resolved)
-        atomic_write(os.path.join(area.root, "config", REQUIREMENTS_ID_FILE),
-                     f"{resolved.config_identity[0]} "
-                     f"{resolved.config_identity[1]}\n")
-        resolve_selected_tools(engine, area, arch, resolved.tools.values(),
-                               site, prompt)
+        if boot.config_url is not None:
+            config_url = parse_url(boot.config_url, base=typed.source)
+            resolved = resolve_project_configuration(engine, config_url, arch)
+            _write_config_record(area, arch, resolved)
+            area.write(os.path.join(area.root, "config", REQUIREMENTS_ID_FILE),
+                       f"{resolved.config_identity[0]} "
+                       f"{resolved.config_identity[1]}\n")
+            resolve_selected_tools(engine, area, arch, resolved.tools.values(),
+                                   site, prompt)
 
+    area = ProjectArea(root)
     record = InstallationRecord(boot.project, boot.version, arch.canonical,
                                 area.root)
     return area, record

@@ -41,7 +41,7 @@ class SiteInfo:
                             f"{path}:{lineno}: expected 'key = value', got {line!r}"
                         )
                     values[key.strip()] = value.strip()
-        except OSError as exc:
+        except (OSError, ValueError) as exc:
             raise AreaError(f"cannot read site file {path}: {exc}") from exc
         return cls(values, path)
 

@@ -123,10 +123,6 @@ class ToolSpec:
         self.name = name
         self.blocks = [] if blocks is None else blocks
 
-    @property
-    def folded_name(self) -> str:
-        return self.name.casefold()
-
     def versions(self) -> list[str]:
         return [b.version for b in self.blocks]
 
@@ -400,10 +396,6 @@ class ResolvedTool:
                 == (other.name, other.version, other.bindings,
                     other.runtime_entries, other.lib_names, other.provenance,
                     other.descriptions, other.externals))
-
-    @property
-    def folded_name(self) -> str:
-        return self.name.casefold()
 
 
 def resolve_tool(block: ToolVersionBlock, *, tool_name: str, site,

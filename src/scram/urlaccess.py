@@ -12,10 +12,12 @@ configured checkout command so that any versioning backend can be plugged
 in (site key ``scheme.cvs.command``, placeholders ``{module}`` ``{version}``
 ``{out}``).
 
-Cache layout: ``<root>/<scheme>/<2-hex>/<hash>`` plus a ``.meta`` sidecar.
-Versioned entries are immutable; unversioned (HEAD) entries are served from
-cache until a refresh is requested. ``auth`` and ``user`` never enter the
-cache key, so identities share content.
+Cache layout: one file per entry, ``<root>/<scheme>/<sha256 of the key>``,
+holding a one-line JSON header (``url``, ``key``, ``fetched_at``,
+``content_hash``) and then the content. Versioned entries are immutable;
+unversioned (HEAD) entries are served from cache until a refresh is
+requested. ``auth`` and ``user`` never enter the cache key, so identities
+share content.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ import json
 import os
 import time
 
-from .errors import AreaError, FetchError, UrlError
-from .fsutil import atomic_write, locked, read_json
+from .errors import FetchError, UrlError
+from .fsutil import locked, overwrite
 
 HEAD = "HEAD"
 
@@ -138,12 +140,12 @@ def parse_url(raw: str, base: ResourceUrl | None = None) -> ResourceUrl:
 
 
 class CacheEntry:
-    __slots__ = ("key", "content_path", "fetched_at", "content_hash")
+    __slots__ = ("key", "path", "fetched_at", "content_hash")
 
-    def __init__(self, key: str, content_path: str, fetched_at: float,
+    def __init__(self, key: str, path: str, fetched_at: float,
                  content_hash: str):
         self.key = key
-        self.content_path = content_path
+        self.path = path
         self.fetched_at = fetched_at
         self.content_hash = content_hash
 
@@ -290,11 +292,16 @@ class UrlCache:
 
     Versioned fetches become immutable entries: the adapter runs once per
     key, ever. HEAD fetches are refetched only when ``refresh`` is set.
-    A hit reads the entry without a lock and serves it only if its content
-    matches the sidecar's ``content_hash``. A miss, a damaged entry or a
-    refreshed HEAD fetch takes the entry's lock file, looks again, and only
-    then runs the adapter, so fetches of the same key, from any thread or
-    process, wait for each other; distinct keys proceed in parallel.
+    Each entry is one file that is also its own lock. A hit reads it
+    without a lock and serves it only if its header parses and the
+    content's SHA-256 equals the header's ``content_hash``. A miss, a
+    damaged entry (empty, torn, truncated, without a header) or a refreshed
+    HEAD fetch locks the entry file, looks again, and only then runs the
+    adapter and rewrites the file in place through the locked descriptor,
+    so fetches of the same key, from any thread or process, wait for each
+    other; distinct keys proceed in parallel. A reader that meets a rewrite
+    in progress sees a hash mismatch and waits for the lock. An entry file
+    is never unlinked: that would split its lock.
     """
 
     def __init__(self, root: str, registry: SchemeRegistry):
@@ -302,76 +309,67 @@ class UrlCache:
         self.registry = registry
         self.stats = CacheStats()
 
-    def _paths(self, url: ResourceUrl, key: str) -> tuple[str, str]:
-        digest = _sha256(key.encode())
-        prefix = os.path.join(self.root, url.scheme, digest[:2])
-        return os.path.join(prefix, digest), os.path.join(prefix, digest + ".meta")
+    def _path(self, url: ResourceUrl, key: str) -> str:
+        return os.path.join(self.root, url.scheme, _sha256(key.encode()))
 
     def fetch(self, url: ResourceUrl, version: str | None = None,
               refresh: bool = False) -> tuple[bytes, CacheEntry]:
         key = url.cache_key(version)
-        content_path, meta_path = self._paths(url, key)
+        path = self._path(url, key)
         reuse = not (refresh and url.version_tag(version) == HEAD)
         if reuse:
-            hit = self._verified(key, content_path, meta_path)
+            try:
+                with open(path, "rb") as fh:
+                    hit = _verified(key, path, fh.read())
+            except OSError:
+                hit = None  # missing or unreadable: the lock path decides
             if hit is not None:
                 self.stats.hits += 1
                 return hit
-        with locked(content_path + ".lock", wait=True):
+        with locked(path, wait=True, writable=True) as fd:
             if reuse:
-                hit = self._verified(key, content_path, meta_path)
+                hit = _verified(key, path, os.pread(fd, os.fstat(fd).st_size, 0))
                 if hit is not None:
                     self.stats.hits += 1
                     return hit
             self.stats.misses += 1
             content = self.registry.retrieve(url, version)
             self.stats.adapter_calls += 1
-            entry = CacheEntry(
-                key=key,
-                content_path=content_path,
-                fetched_at=time.time(),
-                content_hash=_sha256(content),
-            )
-            self._store(url, entry, content, meta_path)
+            entry = CacheEntry(key, path, time.time(), _sha256(content))
+            header = json.dumps({
+                "url": url.unparse(),
+                "key": key,
+                "fetched_at": entry.fetched_at,
+                "content_hash": entry.content_hash,
+            })
+            try:
+                overwrite(fd, header.encode() + b"\n" + content)
+            except OSError as exc:
+                raise FetchError(
+                    f"cannot write cache entry {path} for {url}: {exc.strerror}"
+                ) from exc
             return content, entry
 
-    def _store(self, url: ResourceUrl, entry: CacheEntry, content: bytes,
-               meta_path: str) -> None:
-        meta = {
-            "url": url.unparse(),
-            "key": entry.key,
-            "fetched_at": entry.fetched_at,
-            "content_hash": entry.content_hash,
-        }
-        try:
-            atomic_write(entry.content_path, content)
-            atomic_write(meta_path, json.dumps(meta))
-        except OSError as exc:
-            raise FetchError(f"cannot write cache entry for {url}: {exc}") from exc
 
-    @staticmethod
-    def _verified(key: str, content_path: str,
-                  meta_path: str) -> tuple[bytes, CacheEntry] | None:
-        """The stored content and its entry, or None when there is no entry
-        or its content does not match the sidecar's hash. A lost, unreadable
-        or wrong-shaped sidecar is rebuilt from the content."""
-        try:
-            with open(content_path, "rb") as fh:
-                content = fh.read()
-        except FileNotFoundError:
-            return None
-        content_hash = _sha256(content)
-        try:
-            meta = read_json(meta_path, "cache sidecar")
-        except AreaError:
-            meta = {}
-        fetched_at = meta.get("fetched_at")
-        stored_hash = meta.get("content_hash")
-        if type(fetched_at) in (int, float) and type(stored_hash) is str:
-            if stored_hash != content_hash:
-                return None
-            return content, CacheEntry(key, content_path, fetched_at, content_hash)
-        return content, CacheEntry(key, content_path, 0.0, content_hash)
+def _verified(key: str, path: str, data: bytes) -> tuple[bytes, CacheEntry] | None:
+    """The content stored in the entry bytes ``data`` and its entry, or None
+    when the entry is damaged: no header line, a header that is not a JSON
+    object of this key with a numeric ``fetched_at``, or content whose
+    SHA-256 is not the header's ``content_hash``."""
+    header, newline, content = data.partition(b"\n")
+    if not newline:
+        return None
+    try:
+        meta = json.loads(header)
+    except (ValueError, RecursionError):
+        return None
+    if type(meta) is not dict or meta.get("key") != key:
+        return None
+    fetched_at = meta.get("fetched_at")
+    content_hash = _sha256(content)
+    if type(fetched_at) not in (int, float) or meta.get("content_hash") != content_hash:
+        return None
+    return content, CacheEntry(key, path, fetched_at, content_hash)
 
 
 def _sha256(data: bytes) -> str:

@@ -116,6 +116,59 @@ class TestCorruptState:
             assert str(path) in proc.stderr
 
 
+class TestPathErrors:
+    """An OSError from a path the user gave is one line, not a traceback."""
+
+    @pytest.mark.parametrize("case", ["cache under a file", "dest under a file",
+                                      "registry is a directory"])
+    def test_one_line_and_exit_1(self, toy, child_env, case):
+        plain = toy.root / "plain"
+        plain.write_text("")
+        env, dest = dict(toy.env), str(toy.install_root)
+        if case == "cache under a file":
+            env["SCRAM_CACHE"] = str(plain / "cache")
+        elif case == "dest under a file":
+            dest = str(plain / "dest")
+        else:
+            env["SCRAM_LOOKUPDB"] = str(toy.root)
+        argv = (["list"] if case == "registry is a directory"
+                else ["bootstrap", toy.bootstrap_url, "--dest", dest])
+        proc = subprocess.run([sys.executable, "-m", "scram.cli", *argv],
+                              cwd=toy.root, env=child_env(env),
+                              capture_output=True, text=True)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("scram: ")
+        assert proc.stderr.count("\n") == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        named = {"cache under a file": plain / "cache",
+                 "dest under a file": plain,
+                 "registry is a directory": toy.root}[case]
+        assert f" {named}" in proc.stderr
+        assert os.listdir(toy.install_root) == []
+
+    @pytest.mark.parametrize("variable", ["SCRAM_LOOKUPDB", "SCRAM_SITE"])
+    def test_undecodable_file_is_one_line(self, toy, capsys, variable):
+        path = toy.root / "undecodable"
+        path.write_bytes(b"P 1 Linux__2.4 /x\n\xff\xfe\n")
+        toy.env[variable] = str(path)
+        argv = (["list"] if variable == "SCRAM_LOOKUPDB"
+                else ["bootstrap", toy.bootstrap_url, "--dest", str(toy.install_root)])
+        assert run(toy, *argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"scram: {argv[0]}: ") and err.count("\n") == 1
+        assert str(path) in err
+
+    def test_last_resort_names_verb_and_file(self, toy, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise PermissionError(13, "Permission denied", "/some/registry")
+
+        monkeypatch.setattr("scram.cli.list_installs", fail)
+        assert run(toy, "list") == 1
+        assert capsys.readouterr().err == (
+            "scram: list: Permission denied: /some/registry\n")
+
+
 # Stdlib modules that only fetching, hashing, building or host detection
 # needs, and dataclasses with the inspect it imports, which scram does not
 # use; a read-only verb must not pay for importing any of them.

@@ -1,5 +1,6 @@
 import ast
 import os
+import re
 import stat
 from pathlib import Path
 
@@ -7,7 +8,15 @@ import pytest
 
 import scram
 from scram.errors import AreaError
-from scram.fsutil import atomic_write, locked, read_json
+from scram.fsutil import (
+    atomic_write,
+    locked,
+    make_dirs,
+    overwrite,
+    private_tree,
+    read_json,
+    write_new,
+)
 
 SOURCES = sorted(Path(scram.__file__).parent.glob("*.py"))
 HELPER = "fsutil.py"
@@ -66,6 +75,53 @@ class TestAtomicWrite:
         assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("write", [atomic_write, write_new])
+def test_write_under_a_regular_file_names_the_path(tmp_path, write):
+    (tmp_path / "file").write_text("")
+    target = tmp_path / "file" / "sub" / "record"
+    with pytest.raises(AreaError, match=f"^cannot write {target}: Not a directory$"):
+        write(str(target), "x")
+
+
+class TestPrivateTree:
+    def test_published_by_one_rename(self, tmp_path):
+        target = tmp_path / "P_1"
+        with private_tree(str(target)) as tree:
+            assert re.fullmatch(r"\.P_1\.[0-9a-f]{8}\.partial", Path(tree).name)
+            assert Path(tree).parent == tmp_path
+            write_new(os.path.join(tree, "a", "b"), "one\n")
+            write_new(os.path.join(tree, "a", "b"), b"two\n")
+            assert not target.exists()
+        assert os.listdir(tmp_path) == ["P_1"]
+        assert (target / "a" / "b").read_text() == "two\n"
+
+    def test_failure_removes_the_tree(self, tmp_path):
+        with pytest.raises(KeyError):
+            with private_tree(str(tmp_path / "P_1")) as tree:
+                write_new(os.path.join(tree, "a"), "x")
+                raise KeyError("boom")
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("winner", ["directory", "file"])
+    def test_target_that_appeared_meanwhile(self, tmp_path, winner):
+        target = tmp_path / "P_1"
+        with pytest.raises(AreaError, match="target directory already exists"):
+            with private_tree(str(target)) as tree:
+                write_new(os.path.join(tree, "mine"), "x")
+                if winner == "file":
+                    target.write_text("theirs")
+                else:
+                    write_new(str(target / "theirs"), "x")
+        assert os.listdir(tmp_path) == ["P_1"]
+
+
+def test_make_dirs_names_the_path(tmp_path):
+    make_dirs(str(tmp_path / "a" / "b"))
+    assert (tmp_path / "a" / "b").is_dir()
+    with pytest.raises(AreaError, match=f"^cannot create directory {tmp_path / 'a'}: "):
+        make_dirs(str(tmp_path / "a"))
+
+
 class TestLocked:
     def test_second_holder_fails_without_wait(self, tmp_path):
         path = str(tmp_path / "locks" / "lock")
@@ -76,6 +132,22 @@ class TestLocked:
         with locked(path, wait=False):
             pass
         assert os.path.exists(path)  # never unlinked
+
+    def test_writable_lock_is_rewritten_in_place(self, tmp_path):
+        path = tmp_path / "entry"
+        path.write_bytes(b"a much longer old content\n")
+        inode = path.stat().st_ino
+        with locked(str(path), wait=True, writable=True) as fd:
+            overwrite(fd, b"new\n")
+        assert path.read_bytes() == b"new\n"
+        assert path.stat().st_ino == inode
+
+    def test_unusable_lock_path_names_it(self, tmp_path):
+        (tmp_path / "file").write_text("")
+        path = tmp_path / "file" / "lock"
+        with pytest.raises(AreaError, match=f"^cannot lock {path}: Not a directory$"):
+            with locked(str(path), wait=True):
+                pass
 
 
 def _writes_mode(call: ast.Call) -> bool:
@@ -98,7 +170,7 @@ def _disk_calls(tree: ast.AST) -> list[str]:
             func = node.func
             if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
                 call = f"{func.value.id}.{func.attr}"
-                if call in ("os.replace", "fcntl.flock"):
+                if call in ("os.replace", "os.rename", "fcntl.flock"):
                     found.append(call)
             elif isinstance(func, ast.Name) and func.id == "open" and _writes_mode(node):
                 found.append("write-mode open")
@@ -108,6 +180,8 @@ def _disk_calls(tree: ast.AST) -> list[str]:
 @pytest.mark.parametrize("source", SOURCES, ids=lambda p: p.name)
 def test_state_reaches_disk_only_through_the_helper(source):
     """No threads; every write, rename and lock goes through fsutil, which
-    has one rename and one lock call site."""
+    has one lock call site and two renames: the atomic write's and the
+    publish of a private tree."""
     found = _disk_calls(ast.parse(source.read_text()))
-    assert found == (["fcntl.flock", "os.replace"] if source.name == HELPER else [])
+    assert found == (["fcntl.flock", "os.rename", "os.replace"]
+                     if source.name == HELPER else [])

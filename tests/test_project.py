@@ -2,6 +2,7 @@ import functools
 import hashlib
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import scram.project
 import scram.runtime
 from scram.configuration import PinnedTool, ResolvedConfiguration, detect_architecture
 from scram.errors import AreaError, ToolError
@@ -39,6 +41,7 @@ from scram.project import (
 from scram.runtime import EnvDelta, EnvEmitError, emit_shell
 from scram.sitefile import SiteInfo
 from scram.tooldoc import ResolvedTool, build_contribution, runtime_contribution
+from scram.urlaccess import UrlCache
 
 ARCH = detect_architecture("Linux__2.4")
 
@@ -124,6 +127,83 @@ class TestBootstrap:
         bootstrap(toy)
         with pytest.raises(AreaError, match="already exists"):
             bootstrap(toy)
+
+    def test_failure_on_the_last_tool_leaves_nothing(self, toy, monkeypatch):
+        written = []
+
+        def fail_on_last(area, arch, rt):
+            written.append(write_tool_record(area, arch, rt))
+            if len(written) == 4:
+                raise ToolError("cannot resolve the last tool")
+
+        monkeypatch.setattr(scram.project, "write_tool_record", fail_on_last)
+        with pytest.raises(ToolError, match="the last tool"):
+            bootstrap(toy)
+        assert all(".partial" in path for path in written)
+        assert os.listdir(toy.install_root) == []
+        monkeypatch.undo()
+        area, _ = bootstrap(toy)
+        assert os.listdir(toy.install_root) == ["ORCA_7_1_3"]
+        assert len(tool_list(area, ARCH).splitlines()) == 6
+
+    def test_killed_mid_resolve_leaves_only_the_private_tree(
+            self, toy, kill_when_held, monkeypatch):
+        for key, value in toy.env.items():
+            monkeypatch.setenv(key, value)
+        kill_when_held(
+            "import time\n"
+            "import scram.project as project\n"
+            "def hang(*args, **kwargs):\n"
+            "    print('held', flush=True)\n"
+            "    time.sleep(60)\n"
+            "project.resolve_tool = hang\n"
+            f"project.bootstrap_install({toy.bootstrap_url!r}, "
+            f"{str(toy.install_root)!r})\n")
+        [left] = os.listdir(toy.install_root)
+        assert re.fullmatch(r"\.ORCA_7_1_3\.[0-9a-f]{8}\.partial", left)
+        area, _ = bootstrap(toy)
+        assert sorted(os.listdir(toy.install_root)) == [left, "ORCA_7_1_3"]
+        assert tool_info(area, "boost", ARCH).startswith("Tool: boost\n")
+
+    def test_no_file_names_the_private_tree(self, toy, monkeypatch):
+        written = []
+
+        def spy(path, data, real=scram.project.write_new):
+            written.append(Path(path).relative_to(toy.install_root))
+            real(path, data)
+
+        monkeypatch.setattr(scram.project, "write_new", spy)
+        area, record = bootstrap(toy)
+        private = written[0].parts[0]
+        assert {path.parts[0] for path in written} == {private}
+        assert private.endswith(".partial")
+        assert area.root == record.location == str(toy.central_root)
+        census = [p for p in Path(area.root).rglob("*") if p.is_file()]
+        assert len(census) == 9
+        for path in census:
+            assert private.encode() not in path.read_bytes(), path
+
+    def test_cache_holds_one_file_per_fetched_key(self, toy, monkeypatch):
+        fetched = set()
+
+        def spy(cache, url, version=None, refresh=False, real=UrlCache.fetch):
+            content, entry = real(cache, url, version, refresh)
+            fetched.add(entry.path)
+            return content, entry
+
+        monkeypatch.setattr(UrlCache, "fetch", spy)
+        bootstrap(toy)
+        cache = Path(toy.env["SCRAM_CACHE"])
+        files = {str(p) for p in cache.rglob("*") if not p.is_dir()}
+        assert files == fetched
+        # the bootstrap, requirements and configuration documents, the
+        # download and four tool documents
+        assert len(files) == 8
+        assert [str(p) for p in cache.rglob("*") if p.is_dir()] == [
+            str(cache / "file")]
+        for path in map(Path, files):
+            assert path.is_file() and not path.is_symlink()
+            assert "." not in path.name  # no .meta, .lock or dot-file
 
     def test_config_url_may_name_a_configuration_directly(self, toy):
         boot = toy.specs / "direct.boot"

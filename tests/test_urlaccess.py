@@ -1,4 +1,5 @@
 import hashlib
+import json
 import sys
 import threading
 import time
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from scram import urlaccess
 from scram.errors import FetchError, UrlError
 from scram.fsutil import locked
 from scram.urlaccess import (
@@ -148,6 +150,12 @@ class TestSchemeRegistry:
             registry.retrieve(parse_url("cvs:?module=M"), "1.0")
 
 
+def read_entry(path):
+    """The header and content of the cache entry file at ``path``."""
+    header, _, content = Path(path).read_bytes().partition(b"\n")
+    return json.loads(header), content
+
+
 def counting_registry(payload=b"data-%s"):
     calls = []
 
@@ -200,9 +208,11 @@ class TestUrlCache:
                 entries[entry.key] = (content, entry)
         assert len(entries) == 100
         assert len(calls) == 100
+        assert len(list((tmp_path / "stub").iterdir())) == 100
         for content, entry in entries.values():
-            with open(entry.content_path, "rb") as fh:
-                on_disk = fh.read()
+            header, on_disk = read_entry(entry.path)
+            assert header["key"] == entry.key
+            assert header["content_hash"] == entry.content_hash
             assert hashlib.sha256(on_disk).hexdigest() == entry.content_hash
             assert on_disk == content
 
@@ -225,36 +235,64 @@ class TestUrlCache:
         root = tmp_path / "c"
         cache = UrlCache(str(root), registry)
         url = parse_url("stub:x?n=1")
+        before = time.time()
         _, entry = cache.fetch(url, "1.0")
         digest = hashlib.sha256(url.cache_key("1.0").encode()).hexdigest()
-        expected = root / "stub" / digest[:2] / digest
-        assert str(expected) == entry.content_path
-        assert expected.exists()
-        assert expected.with_name(expected.name + ".meta").exists()
+        expected = root / "stub" / digest
+        assert str(expected) == entry.path
+        assert sorted(str(p.relative_to(root)) for p in root.rglob("*")) == [
+            "stub", f"stub/{digest}"]
+        header, content = read_entry(expected)
+        assert header == {"url": "stub:x?n=1", "key": url.cache_key("1.0"),
+                          "fetched_at": entry.fetched_at,
+                          "content_hash": hashlib.sha256(b"data-1").hexdigest()}
+        assert before <= entry.fetched_at <= time.time()
+        assert content == b"data-1"
 
-    @pytest.mark.parametrize("sidecar", [
-        None,  # lost
+    @pytest.mark.parametrize("header", [
+        None,  # lost: the content alone
         "[1, 2]",
         "null",
         "{}",
-        '{"fetched_at": 1.5',  # truncated
+        '{"fetched_at": 1.5',
         '{"fetched_at": "now", "content_hash": "abc"}',
         '{"fetched_at": 1.5, "content_hash": 7}',
-    ])
-    def test_bad_sidecar_is_rebuilt_from_content(self, tmp_path, sidecar):
+        "",
+        "empty file",
+        "another key",
+    ], ids=["lost", "list", "null", "empty object", "truncated", "wrong types",
+            "hash not a string", "empty line", "empty file", "another key"])
+    def test_bad_header_is_refetched_once_under_the_lock(self, tmp_path,
+                                                         monkeypatch, header):
         registry, calls = counting_registry()
         cache = UrlCache(str(tmp_path), registry)
         url = parse_url("stub:x?n=5")
         content, entry = cache.fetch(url, "1.0")
-        meta = Path(entry.content_path + ".meta")
-        if sidecar is None:
-            meta.unlink()
+        path = Path(entry.path)
+        if header is None:
+            path.write_bytes(content)
+        elif header == "empty file":
+            path.write_bytes(b"")
+        elif header == "another key":
+            meta = dict(read_entry(path)[0], key=url.cache_key("2.0"))
+            path.write_bytes(json.dumps(meta).encode() + b"\n" + content)
         else:
-            meta.write_text(sidecar)
-        hit, rebuilt = cache.fetch(url, "1.0")
-        assert hit == content
-        assert rebuilt.content_hash == hashlib.sha256(content).hexdigest()
-        assert len(calls) == 1
+            path.write_bytes(header.encode() + b"\n" + content)
+        held = []
+
+        def spy(path, *args, real=urlaccess.locked, **kwargs):
+            held.append(path)
+            return real(path, *args, **kwargs)
+
+        monkeypatch.setattr(urlaccess, "locked", spy)
+        again, refetched = cache.fetch(url, "1.0")
+        assert held == [entry.path]
+        assert again == content
+        assert refetched.content_hash == hashlib.sha256(content).hexdigest()
+        assert (len(calls), cache.stats.misses, cache.stats.hits) == (2, 2, 0)
+        assert read_entry(path)[1] == content
+        assert cache.fetch(url, "1.0")[0] == content
+        assert (len(calls), cache.stats.hits) == (2, 1)
 
     @pytest.mark.parametrize("version", ["1.0", None])
     def test_damaged_entry_is_refetched_once(self, tmp_path, version):
@@ -262,11 +300,12 @@ class TestUrlCache:
         cache = UrlCache(str(tmp_path), registry)
         url = parse_url("stub:x?n=6")
         content, entry = cache.fetch(url, version)
-        Path(entry.content_path).write_bytes(content[:4])  # truncated
+        path = Path(entry.path)
+        path.write_bytes(path.read_bytes()[:-4])  # truncated
         again, repaired = cache.fetch(url, version)
         assert again == content == b"full content of 6"
         assert (cache.stats.misses, cache.stats.hits, len(calls)) == (2, 0, 2)
-        assert Path(entry.content_path).read_bytes() == content
+        assert read_entry(path)[1] == content
         assert repaired.content_hash == hashlib.sha256(content).hexdigest()
         assert cache.fetch(url, version)[0] == content
         assert (cache.stats.misses, cache.stats.hits, len(calls)) == (2, 1, 2)
@@ -278,7 +317,7 @@ class TestUrlCache:
         content, entry = cache.fetch(url, "1.0")
         served = []
         worker = threading.Thread(target=lambda: served.append(cache.fetch(url, "1.0")[0]))
-        with locked(entry.content_path + ".lock", wait=True):
+        with locked(entry.path, wait=True):
             worker.start()
             worker.join(timeout=5)
             assert served == [content]
