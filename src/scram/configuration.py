@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 
 from .errors import ConfigError
-from .markup import HandlerMap, parse_with_handlers
+from .markup import parse_with_handlers
 
 ARCH_ENV = "SCRAM_ARCH"
 
@@ -168,11 +168,11 @@ def parse_configuration(events) -> ConfigurationDoc:
             raise ConfigError("<base> must precede every <require>")
         doc.base = ev.require("url")
 
-    handlers = HandlerMap()
-    handlers.add("config", "Architecture", open=state.enter_scope, close=state.leave_scope)
-    handlers.add("config", "require", open=on_require)
-    handlers.add("config", "base", open=on_base)
-    parse_with_handlers(events, handlers, None)
+    parse_with_handlers(
+        events, None,
+        open={"architecture": state.enter_scope, "require": on_require,
+              "base": on_base},
+        close={"architecture": state.leave_scope})
     return doc
 
 
@@ -199,12 +199,11 @@ def parse_requirements(events) -> RequirementsDoc:
             raise ConfigError("<base> must precede every <include> and <select>")
         doc.base = ev.require("url")
 
-    handlers = HandlerMap()
-    handlers.add("req", "Architecture", open=state.enter_scope, close=state.leave_scope)
-    handlers.add("req", "select", open=on_select)
-    handlers.add("req", "include", open=on_include)
-    handlers.add("req", "base", open=on_base)
-    parse_with_handlers(events, handlers, None)
+    parse_with_handlers(
+        events, None,
+        open={"architecture": state.enter_scope, "select": on_select,
+              "include": on_include, "base": on_base},
+        close={"architecture": state.leave_scope})
     return doc
 
 

@@ -8,10 +8,11 @@ values are either unquoted (ending at whitespace or ``>``) or double-quoted
 no entities, comments or CDATA; a ``<`` that cannot start a tag is plain
 character data.
 
-Dispatch is table-driven: callers register handlers per tag name inside
-named groups, and handlers may switch groups on and off mid-parse, which is
-how scope-like tags (Client, Architecture) are modelled without nesting
-rules. See docs/dialect.md for the full grammar and reference documents.
+Dispatch is table-driven: each parser passes plain tables from casefolded
+tag name to handler, one per event kind. Scope-like tags (Client,
+Architecture) are modelled without nesting rules: their handlers set a
+field of the parse state that later handlers read. See docs/dialect.md for
+the full grammar and reference documents.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ __all__ = [
     "EventKind",
     "TagEvent",
     "DocHeader",
-    "HandlerMap",
     "tokenize_markup",
     "serialize_events",
     "read_doc_header",
@@ -370,131 +370,20 @@ def parse_version(version: str) -> tuple[int, ...]:
     return tuple(int(p) for p in version.split("."))
 
 
-class _Registration:
-    __slots__ = ("group", "handler")
-
-    def __init__(self, group: str, handler):
-        self.group = group
-        self.handler = handler
+_NO_HANDLERS: dict = {}  # the table of a kind the caller leaves out; never written
 
 
-class _Claims:
-    """Dispatch-table entry for a tag that several active groups claim;
-    dispatching an event to it is the error."""
+def parse_with_handlers(events, state, open=_NO_HANDLERS, close=_NO_HANDLERS,
+                        chardata=_NO_HANDLERS):
+    """Dispatch an event stream through tag tables, mutating ``state``.
 
-    __slots__ = ("kind", "groups")
-
-    def __init__(self, kind: EventKind, groups: str):
-        self.kind = kind
-        self.groups = groups
-
-    def fail(self, tag: str):
-        raise MarkupError(
-            f"tag <{tag}> {self.kind.value} is claimed by several active groups: "
-            f"{self.groups}"
-        )
-
-
-class HandlerMap:
-    """Named groups of per-tag handlers with an active subset.
-
-    Handlers are callables ``handler(state, event)``. Dispatch consults only
-    active groups; a tag without an active handler is skipped silently.
-    Registering the same (tag, kind) twice in one group is an error, and two
-    *active* groups claiming the same (tag, kind) is a dispatch-time error,
-    so scope-switching (Client on/off) must deactivate one side.
-
-    Each set of active groups has one dispatch table per event kind, from
-    folded tag to handler, built the first time that set is active and kept
-    until the next registration; switching groups only picks a table.
-    ``fork`` gives a parse its own active groups over the same tables.
-    """
-
-    def __init__(self):
-        # event kind -> folded tag -> registrations, in registration order
-        self._registrations: dict[EventKind, dict[str, list[_Registration]]] = {
-            OPEN: {}, CLOSE: {}, CHARDATA: {}}
-        self._groups: set[str] = set()
-        self._active: set[str] = set()
-        self._tables: dict[frozenset, tuple[dict, dict, dict]] = {}
-        self._shared = False
-        self._select()
-
-    def add(self, group: str, tag: str, *, open=None, close=None, chardata=None,
-            activate: bool = True) -> "HandlerMap":
-        """Register handlers for one tag inside a group.
-
-        New groups start active unless ``activate=False``. A map that has
-        been forked, and every fork, takes no further registrations.
-        """
-        if self._shared:
-            raise MarkupError("a forked handler map takes no new handlers")
-        if group not in self._groups:
-            self._groups.add(group)
-            if activate:
-                self._active.add(group)
-        folded = tag.casefold()
-        for kind, handler in ((OPEN, open), (CLOSE, close), (CHARDATA, chardata)):
-            if handler is None:
-                continue
-            regs = self._registrations[kind].setdefault(folded, [])
-            if any(r.group == group for r in regs):
-                raise MarkupError(
-                    f"group '{group}' already handles <{tag}> {kind.value}"
-                )
-            regs.append(_Registration(group, handler))
-        self._tables.clear()
-        self._select()
-        return self
-
-    def activate(self, group: str) -> None:
-        if group not in self._groups:
-            raise MarkupError(f"unknown handler group '{group}'")
-        self._active.add(group)
-        self._select()
-
-    def deactivate(self, group: str) -> None:
-        self._active.discard(group)
-        self._select()
-
-    def fork(self) -> "HandlerMap":
-        """A map over the same handlers and tables whose groups switch on
-        and off apart from this one's, starting from this one's active set."""
-        other = HandlerMap.__new__(HandlerMap)
-        other._registrations = self._registrations
-        other._groups = self._groups
-        other._tables = self._tables
-        other._active = set(self._active)
-        other._shared = self._shared = True
-        other._select()
-        return other
-
-    def _select(self) -> None:
-        active = frozenset(self._active)
-        table = self._tables.get(active)
-        if table is None:
-            table = self._tables[active] = tuple(
-                self._table_for(kind, active) for kind in (OPEN, CLOSE, CHARDATA))
-        self._open, self._close, self._chardata = table
-
-    def _table_for(self, kind: EventKind, active: frozenset) -> dict:
-        table = {}
-        for tag, regs in self._registrations[kind].items():
-            live = [r for r in regs if r.group in active]
-            if len(live) == 1:
-                table[tag] = live[0].handler
-            elif live:
-                table[tag] = _Claims(kind, ", ".join(sorted(r.group for r in live)))
-        return table
-
-
-def parse_with_handlers(events, handlers: HandlerMap, state):
-    """Dispatch an event stream through a HandlerMap, mutating ``state``.
-
-    CharData is routed to the chardata handler of the innermost tag still
-    open at that point (open tags are tracked leniently: a close pops back
-    through never-closed tags, an unmatched close pops nothing). Errors out
-    of handlers are re-raised with the event's location attached.
+    ``open``, ``close`` and ``chardata`` each map a casefolded tag name to
+    ``handler(state, event)``; an event whose tag has no handler of its
+    kind is skipped. CharData is routed to the chardata handler of the
+    innermost tag still open at that point (open tags are tracked
+    leniently: a close pops back through never-closed tags, an unmatched
+    close pops nothing). Errors out of handlers are re-raised with the
+    event's location attached.
     """
     open_stack: list[str] = []
     for ev in events:
@@ -502,21 +391,19 @@ def parse_with_handlers(events, handlers: HandlerMap, state):
         if kind is CHARDATA:
             if not open_stack:
                 continue
-            handler = handlers._chardata.get(open_stack[-1])
+            handler = chardata.get(open_stack[-1])
         else:
             folded = ev.folded_name
             if kind is OPEN:
-                handler = handlers._open.get(folded)
+                handler = open.get(folded)
                 open_stack.append(folded)
             else:
-                handler = handlers._close.get(folded)
+                handler = close.get(folded)
                 if folded in open_stack:
                     while open_stack.pop() != folded:
                         pass
         if handler is None:
             continue
-        if handler.__class__ is _Claims:
-            handler.fail(open_stack[-1] if kind is CHARDATA else ev.name)
         try:
             handler(state, ev)
         except ScramError as exc:

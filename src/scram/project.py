@@ -43,7 +43,7 @@ from .fsutil import (
     read_json,
     write_new,
 )
-from .markup import HandlerMap, parse_with_handlers
+from .markup import parse_with_handlers
 from .runtime import (
     EXEC_PATH_VAR,
     LIB_PATH_VAR,
@@ -318,11 +318,8 @@ def parse_bootstrap(events) -> BootStrapDoc:
     def on_config(_, ev):
         doc.config_url = ev.require("url")
 
-    handlers = HandlerMap()
-    handlers.add("boot", "project", open=on_project)
-    handlers.add("boot", "download", open=on_download)
-    handlers.add("boot", "config", open=on_config)
-    parse_with_handlers(events, handlers, None)
+    parse_with_handlers(events, None, open={
+        "project": on_project, "download": on_download, "config": on_config})
     if not doc.project or not doc.version:
         raise AreaError("bootstrap document does not name a project and version")
     return doc
@@ -641,6 +638,8 @@ def bootstrap_install(bootstrap_url: str, dest_root: str,
                         f"{boot.project}_{boot.version}")
     if os.path.lexists(root):
         raise AreaError(f"target directory already exists: {root}")
+    if not os.path.isdir(dest_root):
+        make_dirs(dest_root)  # here, so a failure names the --dest given
     with private_tree(root) as private:
         area = ProjectArea.create(private, boot.project, boot.version,
                                   write=write_new)

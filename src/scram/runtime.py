@@ -217,7 +217,7 @@ APP_ENV_DOC_TYPE = ("BuildSystem", "AppEnvDoc")
 def parse_app_env(events, area_id: str = "") -> EnvDelta:
     """Read the body of a ``BuildSystem::AppEnvDoc``: flat
     ``<Environment name= value= [type=Runtime_path]>`` entries."""
-    from .markup import HandlerMap, parse_with_handlers
+    from .markup import parse_with_handlers
 
     delta = EnvDelta(area_id=area_id)
 
@@ -239,9 +239,7 @@ def parse_app_env(events, area_id: str = "") -> EnvDelta:
                 f"'{ev.get('type')}'"
             )
 
-    handlers = HandlerMap()
-    handlers.add("app", "Environment", open=on_environment)
-    parse_with_handlers(events, handlers, None)
+    parse_with_handlers(events, None, open={"environment": on_environment})
     return delta
 
 

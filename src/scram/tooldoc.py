@@ -20,7 +20,7 @@ import sys
 from bisect import bisect_left
 
 from .errors import ToolError
-from .markup import HandlerMap, parse_with_handlers
+from .markup import parse_with_handlers
 from .runtime import EnvDelta
 
 _REF_RE = re.compile(r"\$([A-Za-z_][A-Za-z0-9_]*)")
@@ -128,10 +128,10 @@ class ToolSpec:
 
 
 class _ToolDocBuilder:
-    """State threaded through the handler map while reading a ToolDoc.
+    """State threaded through the tag tables while reading a ToolDoc.
 
-    ``<Client>`` switches between two handler groups for ``<Environment>``
-    so the client flag comes from dispatch, not from ad hoc nesting checks.
+    ``client`` is set between ``<Client>`` and ``</Client>``, and marks the
+    ``<Environment>`` declarations read meanwhile as client variables.
     """
 
     def __init__(self):
@@ -141,7 +141,7 @@ class _ToolDocBuilder:
         self.seen_versions: set[str] = set()
         self.seen_vars: set[str] = set()
         self.pending_text: str | None = None  # key in descriptions being filled
-        self.handlers = _TOOL_HANDLERS.fork()
+        self.client = False
 
     def require_block(self, ev) -> ToolVersionBlock:
         if self.block is None:
@@ -192,38 +192,34 @@ def _on_external(state: _ToolDocBuilder, ev):
 
 
 def _enter_client(state: _ToolDocBuilder, ev):
-    state.handlers.deactivate("plain-env")
-    state.handlers.activate("client-env")
+    state.client = True
 
 
 def _leave_client(state: _ToolDocBuilder, ev):
-    state.handlers.deactivate("client-env")
-    state.handlers.activate("plain-env")
+    state.client = False
 
 
-def _env_handler(client: bool):
-    def on_environment(state: _ToolDocBuilder, ev):
-        block = state.require_block(ev)
-        name = ev.require("name")
-        if name in state.seen_vars:
-            raise ToolError(
-                f"duplicate variable '{name}' in Tool block {block.version}"
-            )
-        state.seen_vars.add(name)
-        value = ev.get("value")
-        if client and value is not None:
-            raise ToolError(
-                f"client variable '{name}' must not carry a value; "
-                f"it is supplied at setup time"
-            )
-        block.variables.append(EnvVarDecl(
-            name=name,
-            value=value,
-            var_type=VarType.from_attr(ev.get("type")),
-            client=client,
-        ))
-        state.pending_text = name
-    return on_environment
+def _on_environment(state: _ToolDocBuilder, ev):
+    block = state.require_block(ev)
+    name = ev.require("name")
+    if name in state.seen_vars:
+        raise ToolError(
+            f"duplicate variable '{name}' in Tool block {block.version}"
+        )
+    state.seen_vars.add(name)
+    value = ev.get("value")
+    if state.client and value is not None:
+        raise ToolError(
+            f"client variable '{name}' must not carry a value; "
+            f"it is supplied at setup time"
+        )
+    block.variables.append(EnvVarDecl(
+        name=name,
+        value=value,
+        var_type=VarType.from_attr(ev.get("type")),
+        client=state.client,
+    ))
+    state.pending_text = name
 
 
 def _on_description(state: _ToolDocBuilder, ev):
@@ -238,20 +234,16 @@ def _on_description(state: _ToolDocBuilder, ev):
     )
 
 
-# built once; each parse switches the Client groups on a fork of its own
-_TOOL_HANDLERS = (
-    HandlerMap()
-    .add("tool", "Tool", open=_open_tool, close=_close_tool)
-    .add("tool", "info", open=_on_info)
-    .add("tool", "Lib", open=_on_lib)
-    .add("tool", "External", open=_on_external, chardata=_on_description)
-    .add("tool", "Client", open=_enter_client, close=_leave_client)
-    .add("plain-env", "Environment",
-         open=_env_handler(client=False), chardata=_on_description)
-    .add("client-env", "Environment",
-         open=_env_handler(client=True), chardata=_on_description,
-         activate=False)
-)
+_TOOL_OPEN = {
+    "tool": _open_tool,
+    "info": _on_info,
+    "lib": _on_lib,
+    "external": _on_external,
+    "client": _enter_client,
+    "environment": _on_environment,
+}
+_TOOL_CLOSE = {"tool": _close_tool, "client": _leave_client}
+_TOOL_CHARDATA = {"external": _on_description, "environment": _on_description}
 
 
 def parse_tool_doc(events) -> ToolSpec:
@@ -262,7 +254,8 @@ def parse_tool_doc(events) -> ToolSpec:
     surface from resolve_tool, not the parse.
     """
     state = _ToolDocBuilder()
-    parse_with_handlers(events, state.handlers, state)
+    parse_with_handlers(events, state, open=_TOOL_OPEN, close=_TOOL_CLOSE,
+                        chardata=_TOOL_CHARDATA)
     if state.name is None:
         raise ToolError("tool document contains no <Tool> block")
     return ToolSpec(state.name, state.blocks)

@@ -25,8 +25,9 @@ from __future__ import annotations
 import json
 import os
 import time
+from contextlib import ExitStack
 
-from .errors import FetchError, UrlError
+from .errors import AreaError, FetchError, UrlError
 from .fsutil import locked, overwrite
 
 HEAD = "HEAD"
@@ -214,7 +215,9 @@ def fetch_http(url: ResourceUrl, version: str | None) -> bytes:
     # which no verb needs unless it fetches over HTTP
     import urllib.request
 
-    target = url.unparse()
+    # ``parse_url`` strips the ``//`` before the host, and a request needs it
+    query = "&".join(f"{k}={v}" for k, v in url.query)
+    target = f"{url.scheme}://{url.authority}" + (f"?{query}" if query else "")
     try:
         with urllib.request.urlopen(target) as resp:  # noqa: S310 - plain GET by design
             return resp.read()
@@ -326,7 +329,17 @@ class UrlCache:
             if hit is not None:
                 self.stats.hits += 1
                 return hit
-        with locked(path, wait=True, writable=True) as fd:
+        with ExitStack() as held:
+            try:
+                fd = held.enter_context(locked(path, wait=True, writable=True))
+            except AreaError as exc:
+                # name a cache root that is no directory as it was given,
+                # not the entry below it
+                if os.path.isdir(self.root):
+                    raise
+                raise AreaError(
+                    f"cannot use cache {self.root}: {exc.__cause__.strerror}"
+                ) from exc
             if reuse:
                 hit = _verified(key, path, os.pread(fd, os.fstat(fd).st_size, 0))
                 if hit is not None:

@@ -147,6 +147,30 @@ class TestPathErrors:
         assert f" {named}" in proc.stderr
         assert os.listdir(toy.install_root) == []
 
+    @pytest.mark.parametrize("fault", ["file as a parent", "wrong kind in place"])
+    @pytest.mark.parametrize("given", ["--dest", "SCRAM_CACHE", "SCRAM_LOOKUPDB",
+                                       "SCRAM_SITE"])
+    def test_fault_matrix_names_the_path_given(self, toy, capsys, given, fault):
+        # "wrong kind": a regular file where --dest or SCRAM_CACHE names a
+        # directory, a directory where SCRAM_LOOKUPDB or SCRAM_SITE names a file
+        plain = toy.root / "plain"
+        plain.write_text("")
+        if fault == "file as a parent":
+            path = plain / "below"
+        else:
+            path = plain if given in ("--dest", "SCRAM_CACHE") else toy.specs
+        dest = str(path) if given == "--dest" else str(toy.install_root)
+        if given.startswith("SCRAM_"):
+            toy.env[given] = str(path)
+        argv = (["list"] if given == "SCRAM_LOOKUPDB"
+                else ["bootstrap", toy.bootstrap_url, "--dest", dest])
+        assert run(toy, *argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("scram: ") and err.count("\n") == 1, err
+        assert f"{path}: " in err  # the path itself, not a path below it
+        assert os.listdir(toy.install_root) == []
+
     @pytest.mark.parametrize("variable", ["SCRAM_LOOKUPDB", "SCRAM_SITE"])
     def test_undecodable_file_is_one_line(self, toy, capsys, variable):
         path = toy.root / "undecodable"

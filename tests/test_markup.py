@@ -1,10 +1,11 @@
+import re
+
 import pytest
 from hypothesis import example, given, strategies as st
 
 from scram.errors import MarkupError, ScramError
 from scram.markup import (
     EventKind,
-    HandlerMap,
     Location,
     TagEvent,
     chardata_event,
@@ -15,8 +16,12 @@ from scram.markup import (
     read_doc_header,
     serialize_events,
     splice_inline,
+    strip_doc_header,
     tokenize_markup,
 )
+from scram.configuration import parse_configuration, parse_requirements
+from scram.project import parse_bootstrap
+from scram.runtime import parse_app_env
 from scram.tooldoc import parse_tool_doc
 
 
@@ -399,17 +404,16 @@ class TestVersionCompare:
 
 
 class TestHandlerDispatch:
-    def make_counting_map(self, record):
-        hm = HandlerMap()
-        hm.add("tools", "Tool",
-               open=lambda s, e: record.append(("open", e.get("version"))),
-               close=lambda s, e: record.append(("close", None)))
-        return hm
+    def counting_tables(self, record):
+        return {
+            "open": {"tool": lambda s, e: record.append(("open", e.get("version")))},
+            "close": {"tool": lambda s, e: record.append(("close", None))},
+        }
 
     def test_dispatch_order_equals_textual_order(self, boost_text):
         record = []
-        hm = self.make_counting_map(record)
-        parse_with_handlers(tokenize_markup(boost_text), hm, None)
+        tables = self.counting_tables(record)
+        parse_with_handlers(tokenize_markup(boost_text), None, **tables)
         assert record == [
             ("open", "1.28.0"), ("close", None),
             ("open", "1.29.0"), ("close", None),
@@ -418,144 +422,60 @@ class TestHandlerDispatch:
 
     def test_empty_map_is_noop(self, boost_text):
         state = {"untouched": True}
-        out = parse_with_handlers(tokenize_markup(boost_text), HandlerMap(), state)
+        out = parse_with_handlers(tokenize_markup(boost_text), state)
         assert out is state and state == {"untouched": True}
 
     def test_case_insensitive_tag_match(self):
         hits = []
-        hm = HandlerMap()
-        hm.add("g", "tool", open=lambda s, e: hits.append(e.name))
-        parse_with_handlers(tokenize_markup("<TOOL a=1><Tool a=2>"), hm, None)
+        parse_with_handlers(tokenize_markup("<TOOL a=1><Tool a=2>"), None,
+                            open={"tool": lambda s, e: hits.append(e.name)})
         assert hits == ["TOOL", "Tool"]  # original case preserved on the event
-
-    def test_group_toggling_marks_client_scope(self, boost_text):
-        # hand-traced expectation over the Boost stream: the three variables
-        # inside <Client> are flagged, LD_LIBRARY_PATH outside is not
-        flags = []
-
-        hm = HandlerMap()
-        hm.add("outside", "Environment",
-               open=lambda s, e: flags.append((e.get("name"), False)))
-        hm.add("inside", "Environment",
-               open=lambda s, e: flags.append((e.get("name"), True)),
-               activate=False)
-
-        def enter(state, ev):
-            hm.deactivate("outside")
-            hm.activate("inside")
-
-        def leave(state, ev):
-            hm.deactivate("inside")
-            hm.activate("outside")
-
-        hm.add("scope", "Client", open=enter, close=leave)
-        parse_with_handlers(tokenize_markup(boost_text), hm, None)
-        assert flags[:4] == [
-            ("BOOST_BASE", True), ("LIBDIR", True), ("INCLUDE", True),
-            ("LD_LIBRARY_PATH", False),
-        ]
-        assert flags == flags[:4] * 3
 
     def test_chardata_routed_to_innermost_open_tag(self):
         text = "<Tool name=T><Environment name=V>  described here  </Environment>tail</Tool>"
         got = {}
-        hm = HandlerMap()
-        hm.add("g", "Environment", chardata=lambda s, e: got.setdefault("env", e.text))
-        hm.add("g", "Tool", chardata=lambda s, e: got.setdefault("tool", e.text))
-        parse_with_handlers(tokenize_markup(text), hm, None)
+        parse_with_handlers(tokenize_markup(text), None, chardata={
+            "environment": lambda s, e: got.setdefault("env", e.text),
+            "tool": lambda s, e: got.setdefault("tool", e.text),
+        })
         assert got["env"] == "  described here  "
         assert got["tool"] == "tail"
 
     def test_handler_isolation(self, boost_text):
-        # a deactivated group behaves exactly as if never registered
-        def collect(with_noise, noise_active):
-            hm = HandlerMap()
-            state = []
-            hm.add("real", "Lib", open=lambda s, e: s.append(e.get("name")))
+        # handlers of other tags and of other event kinds leave a tag's
+        # handler seeing exactly what it sees alone
+        def collect(with_noise):
+            noise = []
+            tables = {"open": {"lib": lambda s, e: s.append(e.get("name"))}}
             if with_noise:
-                hm.add("noise", "Lib", open=lambda s, e: s.append("NOISE"),
-                       activate=noise_active)
-                if not noise_active:
-                    pass
-                else:
-                    hm.deactivate("noise")
-            return parse_with_handlers(tokenize_markup(boost_text), hm, state)
+                tables["open"]["nosuchtag"] = lambda s, e: noise.append(e)
+                tables["close"] = {"lib": lambda s, e: noise.append(e)}
+                tables["chardata"] = {"lib": lambda s, e: noise.append(e),
+                                      "tool": lambda s, e: noise.append(e)}
+            return parse_with_handlers(tokenize_markup(boost_text), [], **tables)
 
-        assert collect(False, False) == collect(True, False) == collect(True, True)
-
-    def test_duplicate_registration_in_group_rejected(self):
-        hm = HandlerMap()
-        hm.add("g", "x", open=lambda s, e: None)
-        with pytest.raises(MarkupError, match="already handles"):
-            hm.add("g", "X", open=lambda s, e: None)
-
-    def test_two_active_groups_claiming_tag_is_error(self):
-        hm = HandlerMap()
-        hm.add("g1", "x", open=lambda s, e: None)
-        hm.add("g2", "x", open=lambda s, e: None)
-        with pytest.raises(MarkupError, match="several active groups"):
-            parse_with_handlers(tokenize_markup("<x>"), hm, None)
+        assert collect(False) == collect(True) == ["boost_thread"] * 3
 
     def test_handler_error_gets_event_location(self):
-        hm = HandlerMap()
-
         def boom(state, ev):
             raise ValueError("bad value")
 
-        hm.add("g", "x", open=boom)
         with pytest.raises(MarkupError) as exc:
-            parse_with_handlers(tokenize_markup("\n\n<x>", "doc"), hm, None)
+            parse_with_handlers(tokenize_markup("\n\n<x>", "doc"), None,
+                                open={"x": boom})
         assert exc.value.location.line == 3
 
 
-class _ListHandlerMap:
-    """The list-scanning handler map that the per-kind dispatch tables
-    replaced, kept as the reference for them: every lookup collects the
-    live registrations of (tag, kind)."""
+def _list_dispatch(events, registrations, state):
+    """The list-scanning dispatch loop that the per-kind tag tables
+    replaced, kept as the reference for them: every event scans the
+    ``(tag, kind, handler)`` registrations for its tag and kind."""
 
-    def __init__(self):
-        self._registrations = {}
-        self._groups = set()
-        self._active = set()
-
-    def add(self, group, tag, *, open=None, close=None, chardata=None,
-            activate=True):
-        if group not in self._groups:
-            self._groups.add(group)
-            if activate:
-                self._active.add(group)
-        pairs = ((EventKind.OPEN, open), (EventKind.CLOSE, close),
-                 (EventKind.CHARDATA, chardata))
-        for kind, handler in pairs:
-            if handler is None:
-                continue
-            regs = self._registrations.setdefault((tag.casefold(), kind), [])
-            if any(group == g for g, _ in regs):
-                raise MarkupError(f"group '{group}' already handles <{tag}> {kind.value}")
-            regs.append((group, handler))
-        return self
-
-    def activate(self, group):
-        if group not in self._groups:
-            raise MarkupError(f"unknown handler group '{group}'")
-        self._active.add(group)
-
-    def deactivate(self, group):
-        self._active.discard(group)
-
-    def lookup(self, tag, kind):
-        regs = self._registrations.get((tag.casefold(), kind), ())
-        live = [(g, h) for g, h in regs if g in self._active]
-        if len(live) > 1:
-            groups = ", ".join(sorted(g for g, _ in live))
-            raise MarkupError(
-                f"tag <{tag}> {kind.value} is claimed by several active groups: {groups}"
-            )
-        return live[0][1] if live else None
-
-
-def _list_dispatch(events, handlers, state):
-    """The dispatch loop that went with ``_ListHandlerMap``."""
+    def lookup(tag, kind):
+        for t, k, handler in registrations:
+            if k is kind and t.casefold() == tag.casefold():
+                return handler
+        return None
 
     def invoke(handler, ev):
         try:
@@ -573,11 +493,11 @@ def _list_dispatch(events, handlers, state):
         if ev.kind is EventKind.CHARDATA:
             handler = None
             if open_stack:
-                handler = handlers.lookup(open_stack[-1], EventKind.CHARDATA)
+                handler = lookup(open_stack[-1], EventKind.CHARDATA)
             if handler is not None:
                 invoke(handler, ev)
             continue
-        handler = handlers.lookup(ev.name, ev.kind)
+        handler = lookup(ev.name, ev.kind)
         if handler is not None:
             invoke(handler, ev)
         if ev.kind is EventKind.OPEN:
@@ -588,73 +508,94 @@ def _list_dispatch(events, handlers, state):
     return state
 
 
-_GROUPS = st.sampled_from(["g1", "g2", "g3"])
-# (group, tag, kind, activate the group if new, what the handler switches)
+# (tag, kind, what the handler raises); one handler per folded tag and kind
 _REGISTRATIONS = st.lists(st.tuples(
-    _GROUPS, st.sampled_from(["a", "A", "b", "Tool"]),
-    st.sampled_from(["open", "close", "chardata"]), st.booleans(),
-    st.one_of(st.none(), st.tuples(st.sampled_from(["on", "off"]),
-                                   st.sampled_from(["g1", "g2", "g3", "g4"])))),
-    max_size=10)
+    st.sampled_from(["a", "A", "b", "Tool"]),
+    st.sampled_from(["open", "close", "chardata"]),
+    st.sampled_from([None, "ValueError", "MarkupError"])),
+    max_size=10, unique_by=lambda r: (r[0].casefold(), r[1]))
 _STREAMS = st.lists(st.sampled_from(
     ["<a>", "<A x=1>", "</a>", "<b>", "</B>", "<tool>", "</Tool>", "<c>", "</c>",
      "text", "\n", " "]), max_size=25).map("".join)
 
 
-def _dispatch_outcome(map_class, dispatch, registrations, text):
-    """What a map class and its dispatch loop do with the registrations and
-    the text: the handlers called, in order, and the error raised, if any."""
-    handlers = map_class()
+def _dispatch_outcome(registrations, text, tables):
+    """What dispatching the text does with the registrations, through the
+    tag tables or through the reference loop: the handlers called, in
+    order, and the error raised with its location, if any."""
     calls = []
 
-    def make(i, switch):
+    def make(i, raises):
         def handler(state, ev):
             calls.append((i, ev.kind, ev.name, ev.text))
-            if switch is not None:
-                action, group = switch
-                (handlers.activate if action == "on" else handlers.deactivate)(group)
+            if raises == "ValueError":
+                raise ValueError(f"handler {i}")
+            if raises == "MarkupError":
+                raise MarkupError(f"handler {i}")
         return handler
 
+    handlers = [(tag, EventKind(kind), make(i, raises))
+                for i, (tag, kind, raises) in enumerate(registrations)]
+    events = tokenize_markup(text, "doc")
     try:
-        for i, (group, tag, kind, active, switch) in enumerate(registrations):
-            handlers.add(group, tag, activate=active, **{kind: make(i, switch)})
-        dispatch(tokenize_markup(text, "doc"), handlers, None)
+        if tables:
+            by_kind = {kind: {} for kind in ("open", "close", "chardata")}
+            for tag, kind, handler in handlers:
+                by_kind[kind.value][tag.casefold()] = handler
+            parse_with_handlers(events, None, **by_kind)
+        else:
+            _list_dispatch(events, handlers, None)
     except MarkupError as exc:
-        return calls, str(exc)
-    return calls, None
+        return calls, str(exc), exc.location
+    return calls, None, None
 
 
 class TestDispatchReference:
     @given(_REGISTRATIONS, _STREAMS)
-    @example([("g1", "a", "open", True, None), ("g2", "A", "open", True, None)], "<A x=1>")
-    @example([("g1", "a", "open", True, ("off", "g2")),
-              ("g2", "a", "open", False, None),
-              ("g2", "b", "open", True, ("on", "g2"))], "<b><a><a>")
-    @example([("g1", "Tool", "chardata", True, None), ("g2", "tool", "chardata", True, None)],
-             "<tool>text")
+    @example([("a", "open", None), ("A", "close", "ValueError")], "<A x=1>text</a>")
+    @example([("Tool", "chardata", "MarkupError")], "<b><tool>text")
+    @example([("a", "chardata", None), ("b", "chardata", None)], "<a><b></a>text<c></b>")
     def test_matches_the_list_scanning_map(self, registrations, text):
-        assert (_dispatch_outcome(HandlerMap, parse_with_handlers, registrations, text)
-                == _dispatch_outcome(_ListHandlerMap, _list_dispatch, registrations, text))
+        assert (_dispatch_outcome(registrations, text, tables=True)
+                == _dispatch_outcome(registrations, text, tables=False))
 
-    def test_a_fork_switches_groups_on_its_own(self):
-        seen = []
-        template = HandlerMap()
-        template.add("plain", "x", open=lambda s, e: seen.append("plain"))
-        template.add("other", "x", open=lambda s, e: seen.append("other"), activate=False)
-        fork = template.fork()
-        fork.deactivate("plain")
-        fork.activate("other")
-        parse_with_handlers(tokenize_markup("<x>"), fork, None)
-        parse_with_handlers(tokenize_markup("<x>"), template, None)
-        parse_with_handlers(tokenize_markup("<x>"), template.fork(), None)
-        assert seen == ["other", "plain", "plain"]
 
-    def test_a_forked_map_takes_no_new_handlers(self):
-        template = HandlerMap().add("g", "x", open=lambda s, e: None)
-        fork = template.fork()
-        for handlers in (template, fork):
-            with pytest.raises(MarkupError, match="forked"):
-                handlers.add("g", "y", open=lambda s, e: None)
+def _fields(value):
+    """A payload as nested lists and tuples of its slotted fields."""
+    slots = getattr(type(value), "__slots__", None)
+    if slots:
+        return (type(value).__name__, *(_fields(getattr(value, s)) for s in slots))
+    if isinstance(value, (list, tuple)):
+        return [_fields(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _fields(v) for k, v in value.items()}
+    return value
+
+
+_PARSER_INPUTS = {
+    "tooldoc": (parse_tool_doc, "boost_text"),
+    "configuration": (parse_configuration, "configuration_text"),
+    "requirements": (parse_requirements, "requirements_text"),
+    "bootstrap": (parse_bootstrap,
+                  "<project name=ORCA version=7_1_3>\n"
+                  '<download url="file:/specs/README.src" to="src/README">\n'
+                  '<config url="file:/specs/toy.reqs">\n'),
+    "app-env": (parse_app_env,
+                "<Environment name=MODE value=fast>\n"
+                "<Environment name=PATH value=/opt/bin type=Runtime_path>\n"),
+}
+
+
+@pytest.mark.parametrize("doc", sorted(_PARSER_INPUTS))
+def test_upper_case_tags_give_the_usual_payload(doc, request):
+    parser, text = _PARSER_INPUTS[doc]
+    if text.endswith("_text"):
+        text = request.getfixturevalue(text)
+    upper = re.sub(r"<(/?)([^\W\d][\w.-]*)", lambda m: f"<{m[1]}{m[2].upper()}", text)
+    assert upper != text
+    usual = _fields(parser(strip_doc_header(tokenize_markup(text))))
+    assert usual == _fields(parser(strip_doc_header(tokenize_markup(upper))))
+    assert "[]" not in repr(usual)  # every list of the payload was filled
 
 
 def by_url(streams):

@@ -125,6 +125,17 @@ class TestParseToolDoc:
         with pytest.raises(ToolError, match="must not carry a value"):
             spec_of(text)
 
+    def test_client_flag_holds_only_between_client_tags(self):
+        text = ("<Tool name=T version=1>"
+                "<Environment name=BEFORE value=1></Environment>"
+                "<Client><Environment name=INSIDE></Environment></Client>"
+                "<Environment name=AFTER value=2></Environment>"
+                "</Client><Environment name=STRAY value=3></Environment>"
+                "</Tool>")
+        (block,) = spec_of(text).blocks
+        assert [(v.name, v.client) for v in block.variables] == [
+            ("BEFORE", False), ("INSIDE", True), ("AFTER", False), ("STRAY", False)]
+
     def test_mixed_product_names_rejected(self):
         with pytest.raises(ToolError, match="one product"):
             spec_of("<Tool name=A version=1></Tool><Tool name=B version=1></Tool>")

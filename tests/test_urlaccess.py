@@ -3,11 +3,13 @@ import json
 import sys
 import threading
 import time
+from http.server import HTTPServer, SimpleHTTPRequestHandler
 from pathlib import Path
 
 import pytest
 
 from scram import urlaccess
+from scram.cli import main
 from scram.errors import FetchError, UrlError
 from scram.fsutil import locked
 from scram.urlaccess import (
@@ -414,3 +416,71 @@ class TestUrlCache:
         assert miss[0] == hit[0]
         assert miss[1].key == hit[1].key
         assert miss[1].content_hash == hit[1].content_hash
+
+
+@pytest.fixture
+def http_root(tmp_path, monkeypatch):
+    """A loopback HTTP server, in a thread, over a fresh directory: yields
+    the directory, the server's base URL and the paths requested so far."""
+    for name in ("http_proxy", "https_proxy", "all_proxy"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+    monkeypatch.setenv("no_proxy", "*")
+    root = tmp_path / "served"
+    root.mkdir()
+    requested = []
+
+    class Handler(SimpleHTTPRequestHandler):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, directory=str(root), **kwargs)
+
+        def do_GET(self):
+            requested.append(self.path)
+            super().do_GET()
+
+        def log_message(self, *args):
+            pass
+
+    server = HTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,))
+    thread.start()
+    try:
+        yield root, f"http://127.0.0.1:{server.server_port}", requested
+    finally:
+        server.shutdown()
+        thread.join()
+        server.server_close()
+
+
+class TestFetchHttp:
+    def test_a_200_is_served_once_then_from_the_cache(self, tmp_path, http_root):
+        root, base, requested = http_root
+        (root / "doc").write_bytes(b"served")
+        cache = UrlCache(str(tmp_path / "cache"), default_registry())
+        url = parse_url(f"{base}/doc?version=1")
+        assert cache.fetch(url)[0] == b"served"
+        assert cache.fetch(url)[0] == b"served"
+        assert requested == ["/doc?version=1"]
+        assert cache.stats.adapter_calls == 1
+
+    def test_a_404_names_the_url(self, tmp_path, http_root):
+        _, base, requested = http_root
+        cache = UrlCache(str(tmp_path / "cache"), default_registry())
+        with pytest.raises(FetchError, match="404") as exc:
+            cache.fetch(parse_url(f"{base}/missing.doc"))
+        assert f"{base}/missing.doc" in str(exc.value)
+        assert requested == ["/missing.doc"]
+
+    def test_bootstrap_downloads_relative_to_an_http_document(self, toy, http_root,
+                                                                capsys):
+        root, base, requested = http_root
+        (root / "README.src").write_text("served sources\n")
+        (root / "toy.boot").write_text(
+            "<doc type=BuildSystem::BootStrapDoc version=1.0>\n"
+            "<project name=ORCA version=7_1_3>\n"
+            '<download url="README.src" to="src/README">\n'
+            f'<config url="file:{toy.specs}/toy.reqs">\n')
+        argv = ["bootstrap", f"{base}/toy.boot", "--dest", str(toy.install_root)]
+        assert main(argv, env=toy.env, cwd=str(toy.root)) == 0, capsys.readouterr().err
+        assert (toy.central_root / "src" / "README").read_text() == "served sources\n"
+        assert requested == ["/toy.boot", "/README.src"]
