@@ -1,6 +1,6 @@
 """How scram state reaches disk and comes back: an atomic write, a private
 tree published by one rename, one lock, an in-place rewrite of a locked
-file, and one JSON reader.
+file, and two readers.
 
 ``atomic_write`` writes a dot-named temp file beside the target and renames
 it over the target, so a reader sees the old file or the new one and a
@@ -13,11 +13,11 @@ the kernel drops it when the holder exits or is killed. ``overwrite``
 rewrites the locked file in place, which is only safe for a file whose
 readers check what they read (a cache entry carries its own hash). No
 file is fsync'ed: a rename survives the death of the process, and
-surviving power loss is not promised. ``read_json`` turns a state file
-that cannot be read, parsed or is not a JSON object into one
-``AreaError`` that names the file; the other helpers but ``overwrite``
-turn an ``OSError`` into an ``AreaError`` that names the path they were
-given.
+surviving power loss is not promised. ``read_text`` and ``read_json``
+give a caller's default for a file that does not exist and turn any other
+failure to open, read, decode or parse into one ``AreaError``,
+``unreadable <what> <path>: <reason>``; the other helpers but
+``overwrite`` turn an ``OSError`` into one that names their path.
 """
 
 from __future__ import annotations
@@ -125,20 +125,37 @@ def private_tree(target: str) -> Iterator[str]:
         raise
 
 
-def read_json(path: str, what: str) -> dict:
-    """The JSON object stored in ``path``, a ``what`` (say, "tool record").
+_REQUIRED = object()
 
-    An unreadable file, bad JSON or another top-level value (a list, say)
-    raises an ``AreaError`` naming ``what`` and ``path``.
-    """
+
+def _read(path: str, what: str, missing, load, **how):
     try:
-        with open(path, "rb") as fh:
-            payload = json.load(fh)
+        with open(path, **how) as fh:
+            return load(fh)
     except (OSError, ValueError) as exc:
-        raise AreaError(f"unreadable {what} {path}: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise AreaError(f"{what} {path} is not a JSON object")
-    return payload
+        if missing is not _REQUIRED and isinstance(exc, FileNotFoundError):
+            return missing
+        reason = getattr(exc, "strerror", None) or exc
+        raise AreaError(f"unreadable {what} {path}: {reason}") from exc
+
+
+def read_text(path: str, what: str, missing=_REQUIRED) -> str:
+    """The text of ``path``, a ``what`` (say, "registry"): UTF-8 whatever the
+    locale, universal newlines; a missing file gives ``missing`` if passed."""
+    return _read(path, what, missing, lambda fh: fh.read(), encoding="utf-8")
+
+
+def read_json(path: str, what: str, missing=_REQUIRED) -> dict:
+    """The JSON object stored in ``path``, read under the rule of
+    ``read_text``; another top-level value (a list, say) fails too."""
+
+    def load(fh) -> dict:
+        payload = json.load(fh)
+        if not isinstance(payload, dict):
+            raise AreaError(f"{what} {path} is not a JSON object")
+        return payload
+
+    return _read(path, what, missing, load, mode="rb")
 
 
 @contextmanager

@@ -41,6 +41,7 @@ from .fsutil import (
     make_dirs,
     private_tree,
     read_json,
+    read_text,
     write_new,
 )
 from .markup import parse_with_handlers
@@ -114,13 +115,7 @@ class Registry:
         return cls(path)
 
     def _lines(self) -> list[str]:
-        try:
-            with open(self.path) as fh:
-                return [raw.rstrip("\n") for raw in fh]
-        except FileNotFoundError:
-            return []
-        except (OSError, ValueError) as exc:
-            raise AreaError(f"unreadable registry {self.path}: {exc}") from exc
+        return read_text(self.path, "registry", missing="").splitlines()
 
     def records(self) -> list[InstallationRecord]:
         out = []
@@ -179,14 +174,18 @@ class ProjectArea:
 
     @property
     def kind(self) -> str:
-        return "developer" if os.path.exists(self._admin_file(LINK_FILE)) else "central"
+        return "central" if self.link_target() is None else "developer"
 
     def link_target(self) -> str | None:
+        """The central root a developer area's Link names; None without one."""
         path = self._admin_file(LINK_FILE)
-        if not os.path.exists(path):
+        target = read_text(path, "link file", missing=None)
+        if target is None:
             return None
-        with open(path) as fh:
-            return fh.read().strip()
+        target = target.strip()
+        if not os.path.isabs(target):
+            raise AreaError(f"link file {path} names no absolute path: {target!r}")
+        return target
 
     def central_root(self) -> str:
         """The linked central installation, or this area if it is central.
@@ -205,13 +204,9 @@ class ProjectArea:
     def identity(self) -> tuple[str, str]:
         path = self._admin_file(AREA_FILE)
         values = {}
-        try:
-            with open(path) as fh:
-                for line in fh:
-                    key, _, value = line.partition("=")
-                    values[key.strip()] = value.strip()
-        except OSError as exc:
-            raise AreaError(f"unreadable area metadata {path}: {exc}") from exc
+        for line in read_text(path, "area metadata").splitlines():
+            key, _, value = line.partition("=")
+            values[key.strip()] = value.strip()
         try:
             return values["project"], values["version"]
         except KeyError as exc:
@@ -227,11 +222,8 @@ class ProjectArea:
 
     # ---- state ------------------------------------------------------
     def state(self) -> str:
-        try:
-            with open(self._admin_file(STATE_FILE)) as fh:
-                return fh.read().strip()
-        except OSError:
-            return STATE_INCOMPLETE
+        return read_text(self._admin_file(STATE_FILE), "area state",
+                         missing=STATE_INCOMPLETE).strip()
 
     def set_state(self, state: str) -> None:
         self.write(self._admin_file(STATE_FILE), state + "\n")
@@ -426,10 +418,10 @@ def load_config_record(area: ProjectArea, arch: Architecture) -> ResolvedConfigu
     """The central installation's resolved configuration; an installation
     never bootstrapped for this architecture reads as empty."""
     path = ProjectArea(area.central_root()).config_record_path(arch)
-    if not os.path.exists(path):
-        return ResolvedConfiguration(arch, {})
     what = "configuration record"
-    payload = read_json(path, what)
+    payload = read_json(path, what, missing=None)
+    if payload is None:
+        return ResolvedConfiguration(arch, {})
     tools = {}
     for t in _field(payload, "tools", _is_object_list, what, path):
         name = _field(t, "name", _is_str, what, path)
@@ -495,7 +487,7 @@ def _record_index(area: ProjectArea,
         directory = _tools_dir(root, arch)
         try:
             entries = sorted(os.listdir(directory))
-        except (FileNotFoundError, NotADirectoryError):
+        except FileNotFoundError:
             continue
         for entry in entries:
             # dot-names are temp files of an interrupted write
@@ -523,29 +515,15 @@ def _tool_rows(area: ProjectArea, arch: Architecture,
 # ---------------------------------------------------------------------
 # spec loading and resolution
 
-def _load_requirements(engine: DocumentEngine, url: ResourceUrl):
-    typed = engine.activate(url)
-    payload = typed.payload
-    if isinstance(payload, RequirementsDoc):
-        return typed, payload
-    if isinstance(payload, ConfigurationDoc):
-        selects = [SelectEntry(e.name, e.arch_scope) for e in payload.entries]
-        return typed, RequirementsDoc(base=payload.base, includes=[],
-                                      selects=selects)
-    raise AreaError(
-        f"{url} is a '{typed.header.doc_type}' document; expected "
-        f"{REQUIREMENTS_TYPE} or {CONFIG_TYPE}"
-    )
-
-
 def resolve_project_configuration(engine: DocumentEngine, url: ResourceUrl,
                                   arch: Architecture) -> ResolvedConfiguration:
     """Activate a requirements document, load its configurations, and bind
-    the architecture's selection."""
+    the architecture's selection. A configuration document stands for
+    itself with every entry selected."""
     from .configuration import resolve_selection
 
-    typed, req = _load_requirements(engine, url)
-    req_base = parse_url(req.base, base=typed.source) if req.base else None
+    typed = engine.activate(url)
+    req = typed.payload
 
     def rebased(config, source, fallback):
         # activated payloads are memoized and shared; rebase on a copy
@@ -554,14 +532,22 @@ def resolve_project_configuration(engine: DocumentEngine, url: ResourceUrl,
         return ConfigurationDoc(entries=list(config.entries),
                                 base=effective.unparse() if effective else None)
 
-    if isinstance(typed.payload, RequirementsDoc):
+    if isinstance(req, RequirementsDoc):
+        req_base = parse_url(req.base, base=typed.source) if req.base else None
         configs = []
         for raw in req.includes:
             inc_url = parse_url(raw, base=req_base or typed.source)
             inc_typed = engine.activate(inc_url)
             configs.append(rebased(inc_typed.payload, inc_typed.source, req_base))
+    elif isinstance(req, ConfigurationDoc):
+        configs = [rebased(req, typed.source, None)]
+        req = RequirementsDoc(base=req.base, includes=[], selects=[
+            SelectEntry(e.name, e.arch_scope) for e in req.entries])
     else:
-        configs = [rebased(typed.payload, typed.source, None)]
+        raise AreaError(
+            f"{url} is a '{typed.header.doc_type}' document; expected "
+            f"{REQUIREMENTS_TYPE} or {CONFIG_TYPE}"
+        )
     identity = (typed.source.unparse(), typed.version)
     return resolve_selection(req, configs, arch, identity=identity)
 
@@ -720,14 +706,14 @@ def create_dev_area(project: str, version: str, registry: Registry, cwd: str,
             f"registered location {record.location} is gone or is not an "
             f"installation area"
         )
+    identity = read_text(os.path.join(record.location, "config", REQUIREMENTS_ID_FILE),
+                         "configuration identity", missing=None)
     root = os.path.join(os.path.abspath(cwd), f"{project}_{version}")
     area = ProjectArea.create(root, project, version,
                               link_target=record.location)
-    source = os.path.join(record.location, "config", REQUIREMENTS_ID_FILE)
-    if os.path.exists(source):
-        with open(source, "rb") as fh:
-            atomic_write(os.path.join(area.root, "config", REQUIREMENTS_ID_FILE),
-                         fh.read())
+    if identity is not None:
+        atomic_write(os.path.join(area.root, "config", REQUIREMENTS_ID_FILE),
+                     identity)
     return area
 
 

@@ -247,16 +247,17 @@ def load_app_env_file(area_root: str, app_name: str, area_id: str = "") -> EnvDe
     """Read ``config/app-env/<app_name>`` under an area as an overlay delta."""
     import os
 
+    from .fsutil import read_text
     from .markup import read_doc_header, strip_doc_header, tokenize_markup
 
     path = os.path.join(area_root, "config", APP_ENV_DIR, app_name)
-    if not os.path.exists(path):
+    text = read_text(path, "application environment file", missing=None)
+    if text is None:
         raise AreaError(
             f"no application environment file for '{app_name}' "
             f"(expected {path})"
         )
-    with open(path) as fh:
-        events = tokenize_markup(fh.read(), source_id=path)
+    events = tokenize_markup(text, source_id=path)
     header = read_doc_header(events)
     if header.type_path() != APP_ENV_DOC_TYPE:
         raise AreaError(

@@ -16,6 +16,7 @@ from __future__ import annotations
 import os
 
 from .errors import AreaError
+from .fsutil import read_text
 
 SITE_ENV = "SCRAM_SITE"
 SITE_BASENAME = "site.cfg"
@@ -27,36 +28,33 @@ class SiteInfo:
         self.path = path
 
     @classmethod
-    def load(cls, path: str) -> "SiteInfo":
+    def load(cls, path: str, optional: bool = False) -> "SiteInfo":
+        """The site file at ``path``; with ``optional``, a missing one is empty."""
+        text = (read_text(path, "site file", missing="") if optional
+                else read_text(path, "site file"))
         values: dict[str, str] = {}
-        try:
-            with open(path) as fh:
-                for lineno, raw in enumerate(fh, start=1):
-                    line = raw.strip()
-                    if not line or line.startswith("#"):
-                        continue
-                    key, eq, value = line.partition("=")
-                    if not eq or not key.strip():
-                        raise AreaError(
-                            f"{path}:{lineno}: expected 'key = value', got {line!r}"
-                        )
-                    values[key.strip()] = value.strip()
-        except (OSError, ValueError) as exc:
-            raise AreaError(f"cannot read site file {path}: {exc}") from exc
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            key, eq, value = line.partition("=")
+            if not eq or not key.strip():
+                raise AreaError(
+                    f"{path}:{lineno}: expected 'key = value', got {line!r}"
+                )
+            values[key.strip()] = value.strip()
         return cls(values, path)
 
     @classmethod
     def locate(cls, env: dict[str, str] | None = None,
                install_root: str | None = None) -> "SiteInfo":
-        """Best-effort lookup; a missing site file is an empty one."""
+        """``$SCRAM_SITE``, else ``<install_root>/site.cfg`` if it exists."""
         env = os.environ if env is None else env
         explicit = env.get(SITE_ENV)
         if explicit:
             return cls.load(explicit)
         if install_root:
-            candidate = os.path.join(install_root, SITE_BASENAME)
-            if os.path.exists(candidate):
-                return cls.load(candidate)
+            return cls.load(os.path.join(install_root, SITE_BASENAME), optional=True)
         return cls({})
 
     def get(self, key: str, default: str | None = None) -> str | None:

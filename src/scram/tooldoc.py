@@ -273,8 +273,6 @@ def select_version(spec: ToolSpec, version: str) -> ToolVersionBlock:
 
 
 def default_library_patterns() -> list[str]:
-    if sys.platform.startswith("win"):
-        return ["{name}.dll", "{name}.lib", "lib{name}.a"]
     if sys.platform == "darwin":
         return ["lib{name}.dylib", "lib{name}.a", "lib{name}.so"]
     return ["lib{name}.so", "lib{name}.so.*", "lib{name}.a"]

@@ -207,7 +207,7 @@ def fetch_file(url: ResourceUrl, version: str | None) -> bytes:
         with open(url.authority, "rb") as fh:
             return fh.read()
     except OSError as exc:
-        raise FetchError(f"cannot read {url.authority}: {exc}") from exc
+        raise FetchError(f"cannot read {url.authority}: {exc.strerror or exc}") from exc
 
 
 def fetch_http(url: ResourceUrl, version: str | None) -> bytes:

@@ -193,6 +193,69 @@ class TestPathErrors:
             "scram: list: Permission denied: /some/registry\n")
 
 
+class TestReadFaults:
+    """Every file of local state that a verb reads, broken on disk: exit 1,
+    nothing on stdout, and one ``scram:`` line that names the path once."""
+
+    ARCH_DIR = ".SCRAM/Linux__2.4"
+    # input -> (where its file lives, path below that, verb, where it runs)
+    INPUTS = {
+        "link": ("dev", ".SCRAM/Link", ["tool", "list"], "dev"),
+        "area": ("central", ".SCRAM/area", ["runtime", "-sh"], "central"),
+        "state": ("central", ".SCRAM/state", ["install"], "central"),
+        "configuration record": ("central", f"{ARCH_DIR}/configuration",
+                                 ["tool", "list"], "central"),
+        "tool record": ("central", f"{ARCH_DIR}/tools/boost",
+                        ["tool", "list"], "central"),
+        "tools directory": ("central", f"{ARCH_DIR}/tools", ["tool", "list"],
+                            "central"),
+        "app-env": ("central", "config/app-env/viewer",
+                    ["runtime", "-sh", "--app", "viewer"], "central"),
+        "requirements.url": ("central", "config/requirements.url",
+                             ["project", "ORCA", "7_1_3"], "workspace"),
+        "registry": ("root", "scramdb", ["list"], "root"),
+        "site file": ("root", "site.cfg", ["build"], "central"),
+    }
+    FAULTS = {
+        "directory": lambda path: path.mkdir(),
+        "non-UTF-8": lambda path: path.write_bytes(b"\x80 not UTF-8 \xff\n"),
+        "blank": lambda path: path.write_text("\n"),
+        "relative": lambda path: path.write_text("central/ORCA_7_1_3\n"),
+        "regular file": lambda path: path.write_text(""),
+    }
+    CASES = ([(name, fault) for name in INPUTS if name != "tools directory"
+              for fault in ("directory", "non-UTF-8")]
+             + [("link", "blank"), ("link", "relative"),
+                ("tools directory", "regular file")])
+
+    @pytest.mark.parametrize("name, fault", CASES)
+    def test_one_line_naming_the_path_once(self, toy, capsys, name, fault):
+        import shutil
+
+        owner, rel, argv, cwd = self.INPUTS[name]
+        central = Path(lifecycle(toy, capsys))
+        if owner == "dev":
+            assert run(toy, "project", "ORCA", "7_1_3", cwd=str(toy.workspace)) == 0
+        places = {"dev": toy.workspace / "ORCA_7_1_3", "central": central,
+                  "root": toy.root, "workspace": toy.workspace}
+        path = places[owner] / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        if path.is_dir():
+            shutil.rmtree(path)
+        elif path.exists():
+            path.unlink()
+        self.FAULTS[fault](path)
+        capsys.readouterr()
+
+        assert run(toy, *argv, cwd=str(places[cwd])) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"scram: {argv[0]}: ") and err.count("\n") == 1, err
+        assert err.count(str(path)) == 1, err
+        # a failed `project` leaves no developer area behind
+        assert os.listdir(toy.workspace) == (["ORCA_7_1_3"] if owner == "dev" else [])
+
+
 # Stdlib modules that only fetching, hashing, building or host detection
 # needs, and dataclasses with the inspect it imports, which scram does not
 # use; a read-only verb must not pay for importing any of them.

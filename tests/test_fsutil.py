@@ -15,6 +15,7 @@ from scram.fsutil import (
     overwrite,
     private_tree,
     read_json,
+    read_text,
     write_new,
 )
 
@@ -44,6 +45,62 @@ class TestReadJson:
         with pytest.raises(AreaError) as exc:
             read_json(str(path), "thing")
         assert str(exc.value).startswith(reason.format(path=path))
+
+    def test_a_missing_file_gives_the_default(self, tmp_path):
+        assert read_json(str(tmp_path / "state"), "thing", missing=None) is None
+
+    def test_null_is_no_missing_file(self, tmp_path):
+        path = tmp_path / "state"
+        path.write_text("null")
+        with pytest.raises(AreaError, match="is not a JSON object"):
+            read_json(str(path), "thing", missing=None)
+
+
+class TestReadText:
+    def test_utf8_with_universal_newlines(self, tmp_path):
+        path = tmp_path / "state"
+        path.write_bytes("caf\u00e9\r\nb\rc\n".encode())
+        assert read_text(str(path), "thing") == "caf\u00e9\nb\nc\n"
+
+    def test_a_missing_file_gives_the_default_if_one_is_passed(self, tmp_path):
+        path = tmp_path / "state"
+        assert read_text(str(path), "thing", missing=None) is None
+        assert read_text(str(path), "thing", missing="") == ""
+        with pytest.raises(AreaError) as exc:
+            read_text(str(path), "thing")
+        assert str(exc.value) == f"unreadable thing {path}: No such file or directory"
+
+    @pytest.mark.parametrize("fault, reason", [
+        ("directory", "Is a directory"),
+        ("under a file", "Not a directory"),
+        ("non-UTF-8", "'utf-8' codec can't decode byte 0xff in position 1: "
+                      "invalid start byte"),
+    ])
+    def test_every_other_failure_is_one_error_naming_the_path_once(
+            self, tmp_path, fault, reason):
+        path = tmp_path / "state"
+        if fault == "directory":
+            path.mkdir()
+        elif fault == "under a file":
+            (tmp_path / "file").write_text("")
+            path = tmp_path / "file" / "state"
+        else:
+            path.write_bytes(b"a\xff\n")
+        with pytest.raises(AreaError) as exc:
+            read_text(str(path), "thing", missing="")
+        assert str(exc.value) == f"unreadable thing {path}: {reason}"
+
+    @pytest.mark.parametrize("read", [read_text, read_json])
+    def test_permission_denied(self, tmp_path, monkeypatch, read):
+        # a stub: a process running as root may read any file
+        def denied(path, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", path)
+
+        monkeypatch.setattr("scram.fsutil.open", denied, raising=False)
+        path = str(tmp_path / "state")
+        with pytest.raises(AreaError) as exc:
+            read(path, "thing", missing=None)
+        assert str(exc.value) == f"unreadable thing {path}: Permission denied"
 
 
 class TestAtomicWrite:
@@ -185,3 +242,17 @@ def test_state_reaches_disk_only_through_the_helper(source):
     found = _disk_calls(ast.parse(source.read_text()))
     assert found == (["fcntl.flock", "os.rename", "os.replace"]
                      if source.name == HELPER else [])
+
+
+def _builtin_opens(tree: ast.AST) -> int:
+    return sum(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+               and node.func.id == "open" for node in ast.walk(tree))
+
+
+@pytest.mark.parametrize("source", SOURCES, ids=lambda p: p.name)
+def test_state_is_read_only_through_the_helper(source):
+    """Every file of local state is read through fsutil, under one error
+    rule; urlaccess also opens files, to read fetched documents and
+    self-verifying cache entries."""
+    opens = _builtin_opens(ast.parse(source.read_text()))
+    assert opens == 0 or source.name in (HELPER, "urlaccess.py"), opens

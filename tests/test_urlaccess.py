@@ -110,6 +110,14 @@ class TestSchemeRegistry:
         registry = SchemeRegistry().register("file", lambda u, v: open(u.authority, "rb").read())
         assert registry.retrieve(parse_url(f"file:{doc}"), None) == b"abc"
 
+    @pytest.mark.parametrize("name, reason", [("missing", "No such file or directory"),
+                                              ("", "Is a directory")])
+    def test_unreadable_file_is_named_once(self, tmp_path, name, reason):
+        path = tmp_path / name
+        with pytest.raises(FetchError) as exc:
+            default_registry().retrieve(parse_url(f"file:{path}"), None)
+        assert str(exc.value) == f"cannot read {path}: {reason}"
+
     def test_unknown_scheme(self):
         registry = default_registry()
         with pytest.raises(UrlError, match="gopher"):
