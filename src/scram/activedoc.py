@@ -1,18 +1,21 @@
 """Typed document activation on top of fetch and tokenize.
 
-A document type registry maps a ``<doc type=...>`` path to a builder that
-turns an event stream into a domain object, gated on a minimum document
-version. Activation runs the whole pipeline (fetch, tokenize, splice,
-header check, build) and memoizes the result per engine, keyed by
-normalized URL and version, so a document is activated at most once per
-engine. The tokenized events of each nested document are memoized per
-engine under the same key, so a fragment referenced many times is fetched
-and tokenized once per engine, also when the engine refreshes.
+Each caller names the document types it accepts (``markup.DocType``: a
+``<doc type=...>`` path, a minimum document version and a builder that
+turns an event stream into a domain object), and activation checks the
+document's header against them with ``markup.check_doc_type``. Activation
+runs the whole pipeline (fetch, tokenize, header check, splice, build) and
+memoizes the result per engine, keyed by normalized URL and version, so a
+document is activated at most once per engine; a memoized document is
+checked again against the types of each caller. The tokenized events of
+each nested document are memoized per engine under the same key, so a
+fragment referenced many times is fetched and tokenized once per engine,
+also when the engine refreshes.
 
 Two splicing tags exist. ``<inline url=...>`` always splices the target's
 events in place. ``<include url=...>`` does the same for document types
-that do not claim the tag themselves, but then insists the included
-document has a header of the same type; types registered with
+that do not claim the tag themselves, but then checks the included
+document's header against the including document's type; types made with
 ``splice_includes=False`` (the project requirements format does this) see
 the include events and record them as references instead. Both tags are
 spliced in one pass in document order; each nested document is spliced
@@ -25,7 +28,8 @@ from __future__ import annotations
 from .errors import DocTypeError, ScramError
 from .markup import (
     DocHeader,
-    parse_version,
+    DocType,
+    check_doc_type,
     read_doc_header,
     splice_inline,
     strip_doc_header,
@@ -45,47 +49,6 @@ class TypedDocument:
         self.payload = payload
 
 
-class _TypeEntry:
-    __slots__ = ("doc_type", "min_version", "builder", "splice_includes")
-
-    def __init__(self, doc_type: str, min_version: tuple[int, ...],
-                 builder, splice_includes: bool):
-        self.doc_type = doc_type
-        self.min_version = min_version
-        self.builder = builder
-        self.splice_includes = splice_includes
-
-
-class DocTypeRegistry:
-    def __init__(self):
-        self._types: dict[tuple[str, ...], _TypeEntry] = {}
-
-    def register(self, doc_type: str, min_version: str, builder,
-                 *, splice_includes: bool = True) -> "DocTypeRegistry":
-        key = DocHeader(doc_type, "0").type_path()
-        if key in self._types:
-            raise DocTypeError(f"document type '{doc_type}' is already registered")
-        self._types[key] = _TypeEntry(
-            doc_type, parse_version(min_version), builder, splice_includes
-        )
-        return self
-
-    def entry_for(self, header: DocHeader) -> _TypeEntry:
-        entry = self._types.get(header.type_path())
-        if entry is None:
-            known = ", ".join(sorted(e.doc_type for e in self._types.values()))
-            raise DocTypeError(
-                f"unknown document type '{header.doc_type}' (registered: {known})"
-            )
-        if parse_version(header.doc_version) < entry.min_version:
-            minimum = ".".join(str(p) for p in entry.min_version)
-            raise DocTypeError(
-                f"document version {header.doc_version} of '{header.doc_type}' "
-                f"is older than the supported minimum {minimum}"
-            )
-        return entry
-
-
 class EngineStats:
     __slots__ = ("fetches", "parses")
 
@@ -100,40 +63,44 @@ class EngineStats:
 
 
 class DocumentEngine:
-    """Binds a cache and a type registry into ``activate``."""
+    """Binds a cache into ``activate``."""
 
-    def __init__(self, cache: UrlCache, types: DocTypeRegistry,
-                 refresh: bool = False):
+    def __init__(self, cache: UrlCache, refresh: bool = False):
         self.cache = cache
-        self.types = types
         self.refresh = refresh
         self.stats = EngineStats()
         self._activated: dict[str, TypedDocument] = {}
         # tokenized events of nested documents, by cache key
         self._nested: dict[str, list] = {}
 
-    def activate(self, url: ResourceUrl | str,
+    def activate(self, url: ResourceUrl | str, accepted: tuple[DocType, ...],
                  version: str | None = None) -> TypedDocument:
+        """The document at ``url``, which must be of one of the
+        ``accepted`` types."""
         if isinstance(url, str):
             url = parse_url(url)
         key = url.cache_key(version)
-        doc = self._activated.get(key)
-        if doc is None:
-            doc = self._activated[key] = self._activate_uncached(url, version)
+        try:
+            doc = self._activated.get(key)
+            if doc is None:
+                doc = self._activated[key] = self._activate_uncached(
+                    url, accepted, version)
+            else:
+                check_doc_type(doc.header, accepted)
+        except ScramError as exc:
+            if exc.context is None:
+                exc.context = f"while activating {url}"
+            raise
         return doc
 
-    def _activate_uncached(self, url: ResourceUrl,
+    def _activate_uncached(self, url: ResourceUrl, accepted: tuple[DocType, ...],
                            version: str | None) -> TypedDocument:
-        try:
-            events = self.events_for(url, version)
-            header = read_doc_header(events)
-            entry = self.types.entry_for(header)
-            chain = {url.cache_key(version): url}
-            events = self._splice(events, url, version, header, entry, chain)
-            payload = entry.builder(strip_doc_header(events))
-        except Exception as exc:
-            self._tag_context(exc, url)
-            raise
+        events = self.events_for(url, version)
+        header = read_doc_header(events)
+        doc_type = check_doc_type(header, accepted)
+        chain = {url.cache_key(version): url}
+        events = self._splice(events, url, version, doc_type, chain)
+        payload = doc_type.builder(strip_doc_header(events))
         return TypedDocument(header, url, url.version_tag(version), payload)
 
     def events_for(self, url: ResourceUrl, version: str | None):
@@ -143,7 +110,7 @@ class DocumentEngine:
         self.stats.parses += 1
         return tokenize_markup(text, source_id=str(url))
 
-    def _splice(self, events, url, version, header, entry, chain):
+    def _splice(self, events, url, version, doc_type, chain):
         """Splice ``<inline>`` and, unless the type opts out, ``<include>``
         in one pass, resolving each nested document against its own URL.
         ``chain`` maps the cache key of each document being spliced to its
@@ -162,24 +129,12 @@ class DocumentEngine:
             if inner_events is None:
                 inner_events = self._nested[key] = self.events_for(
                     resolved, resolved_version)
-            inner_header, inner_entry = header, entry
             if tag == "include":
+                # located at the included header, which names its URL
                 inner_header = read_doc_header(inner_events)
-                if inner_header.type_path() != header.type_path():
-                    raise DocTypeError(
-                        f"<include> of {resolved} expects type "
-                        f"'{header.doc_type}', found '{inner_header.doc_type}'"
-                    )
-                inner_entry = self.types.entry_for(inner_header)
-            return self._splice(
-                inner_events, resolved, resolved_version, inner_header,
-                inner_entry, {**chain, key: resolved},
-            )
+                check_doc_type(inner_header, (doc_type,), inner_header.location)
+            return self._splice(inner_events, resolved, resolved_version,
+                                doc_type, {**chain, key: resolved})
 
-        tags = ("inline", "include") if entry.splice_includes else ("inline",)
+        tags = ("inline", "include") if doc_type.splice_includes else ("inline",)
         return splice_inline(events, resolve, tags=tags)
-
-    @staticmethod
-    def _tag_context(exc: Exception, url: ResourceUrl) -> None:
-        if isinstance(exc, ScramError) and exc.context is None:
-            exc.context = f"while activating {url}"

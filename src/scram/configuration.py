@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 
 from .errors import ConfigError
-from .markup import parse_with_handlers
+from .markup import DocType, parse_with_handlers
 
 ARCH_ENV = "SCRAM_ARCH"
 
@@ -205,6 +205,15 @@ def parse_requirements(events) -> RequirementsDoc:
               "include": on_include, "base": on_base},
         close={"architecture": state.leave_scope})
     return doc
+
+
+# The builders look their parsers up when they run, so whatever the module
+# attributes are rebound to (the benchmark tracer's wrappers) is called.
+CONFIGURATION = DocType("BuildSystem::Configuration", "1.0",
+                        lambda events: parse_configuration(events))
+REQUIREMENTS = DocType("BuildSystem::Requirements", "2.0",
+                       lambda events: parse_requirements(events),
+                       splice_includes=False)
 
 
 class PinnedTool:

@@ -30,7 +30,7 @@ class MarkupError(ScramError):
 
 
 class UrlError(ScramError):
-    """Unparseable URL or unknown/duplicate scheme."""
+    """Unparseable URL or unknown scheme."""
 
 
 class FetchError(UrlError):
@@ -38,7 +38,8 @@ class FetchError(UrlError):
 
 
 class DocTypeError(ScramError):
-    """Document type activation failed: unknown type, stale version, cycle."""
+    """Document type activation failed: a type the reader does not accept,
+    a stale version, a cycle."""
 
 
 class ConfigError(ScramError):

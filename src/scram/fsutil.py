@@ -15,7 +15,8 @@ readers check what they read (a cache entry carries its own hash). No
 file is fsync'ed: a rename survives the death of the process, and
 surviving power loss is not promised. ``read_text`` and ``read_json``
 give a caller's default for a file that does not exist and turn any other
-failure to open, read, decode or parse into one ``AreaError``,
+failure to open, read, decode or parse (JSON nested too deeply too) into
+one ``AreaError``,
 ``unreadable <what> <path>: <reason>``; the other helpers but
 ``overwrite`` turn an ``OSError`` into one that names their path.
 """
@@ -132,7 +133,7 @@ def _read(path: str, what: str, missing, load, **how):
     try:
         with open(path, **how) as fh:
             return load(fh)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         if missing is not _REQUIRED and isinstance(exc, FileNotFoundError):
             return missing
         reason = getattr(exc, "strerror", None) or exc

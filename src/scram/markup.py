@@ -19,15 +19,16 @@ from __future__ import annotations
 
 import enum
 import re
-from bisect import bisect_left
 
-from .errors import MarkupError, ScramError
+from .errors import DocTypeError, MarkupError, ScramError
 
 __all__ = [
     "Location",
     "EventKind",
     "TagEvent",
     "DocHeader",
+    "DocType",
+    "check_doc_type",
     "tokenize_markup",
     "serialize_events",
     "read_doc_header",
@@ -135,18 +136,61 @@ def chardata_event(text, location=None) -> TagEvent:
     return TagEvent(CHARDATA, text=text, location=location)
 
 
+def _type_path(doc_type: str) -> tuple[str, ...]:
+    # 'a:b' and 'a::b' name the same type path.
+    return tuple(p for p in doc_type.replace("::", ":").split(":") if p)
+
+
 class DocHeader:
-    """Type and version of a document, from its leading ``<doc>`` tag."""
+    """Type and version of a document, from its leading ``<doc>`` tag, and
+    where that tag stands."""
 
-    __slots__ = ("doc_type", "doc_version")
+    __slots__ = ("doc_type", "doc_version", "location")
 
-    def __init__(self, doc_type: str, doc_version: str):
+    def __init__(self, doc_type: str, doc_version: str,
+                 location: Location | None = None):
         self.doc_type = doc_type
         self.doc_version = doc_version
+        self.location = location
 
     def type_path(self) -> tuple[str, ...]:
-        # 'a:b' and 'a::b' name the same type path.
-        return tuple(p for p in self.doc_type.replace("::", ":").split(":") if p)
+        return _type_path(self.doc_type)
+
+
+class DocType:
+    """A document type a reader accepts: the ``type`` its header names, the
+    oldest ``version`` it reads, and the ``builder`` that turns the body's
+    events into a payload. With ``splice_includes`` false, ``<include>``
+    tags reach the builder as references instead of being spliced."""
+
+    __slots__ = ("name", "path", "min_version", "builder", "splice_includes")
+
+    def __init__(self, name: str, min_version: str, builder,
+                 splice_includes: bool = True):
+        self.name = name
+        self.path = _type_path(name)
+        self.min_version = parse_version(min_version)
+        self.builder = builder
+        self.splice_includes = splice_includes
+
+
+def check_doc_type(header: DocHeader, accepted, location=None) -> DocType:
+    """The type in ``accepted`` that ``header`` names, if the header's
+    version is at least that type's minimum; otherwise a DocTypeError
+    located at ``location``."""
+    path = header.type_path()
+    for doc_type in accepted:
+        if doc_type.path == path:
+            if parse_version(header.doc_version) < doc_type.min_version:
+                minimum = ".".join(map(str, doc_type.min_version))
+                raise DocTypeError(
+                    f"document version {header.doc_version} of "
+                    f"'{header.doc_type}' is older than the supported "
+                    f"minimum {minimum}", location=location)
+            return doc_type
+    names = " or ".join(t.name for t in accepted)
+    raise DocTypeError(f"expected a {names} document, found '{header.doc_type}'",
+                       location=location)
 
 
 # In str patterns ``\s`` is exactly ``str.isspace`` and ``\w`` exactly
@@ -165,29 +209,25 @@ _TAG_END = re.compile(r"\s*/?>")
 _SPACE = re.compile(r"\s*")
 
 
-_NEWLINE = re.compile("\n")
 _new_event = object.__new__
 _NO_ATTRS: dict[str, str] = {}  # shared by every attribute-free event; never written
 
 
 class _LineIndex:
-    """Line and column of any offset in one text. The newline offsets are
-    found on the first lookup, and each lookup bisects them."""
+    """Line and column of any offset in one text, counted at each lookup:
+    only errors and ``<doc>`` headers are located, and a header stands
+    near the start."""
 
-    __slots__ = ("text", "source", "newlines")
+    __slots__ = ("text", "source")
 
     def __init__(self, text: str, source: str):
         self.text = text
         self.source = source
-        self.newlines: list[int] | None = None
 
     def at(self, pos: int) -> Location:
-        newlines = self.newlines
-        if newlines is None:
-            newlines = self.newlines = [m.start() for m in _NEWLINE.finditer(self.text)]
-        line = bisect_left(newlines, pos)
-        line_start = newlines[line - 1] + 1 if line else 0
-        return Location(self.source, line + 1, pos - line_start + 1)
+        line_start = self.text.rfind("\n", 0, pos) + 1
+        return Location(self.source, self.text.count("\n", 0, pos) + 1,
+                        pos - line_start + 1)
 
 
 def _located(kind: EventKind, name: str, attrs: tuple, attr_map: dict,
@@ -350,7 +390,7 @@ def read_doc_header(events) -> DocHeader:
                     f"bad document version {doc_version!r} (want digits and dots)",
                     location=ev.location,
                 )
-            return DocHeader(doc_type, doc_version)
+            return DocHeader(doc_type, doc_version, ev.location)
         raise MarkupError(
             f"expected <doc> header, found <{'/' if ev.kind is CLOSE else ''}{ev.name}>",
             location=ev.location,
@@ -359,8 +399,9 @@ def read_doc_header(events) -> DocHeader:
 
 
 def _valid_version(version: str) -> bool:
+    # isdecimal, not isdigit: int() rejects digits such as '²'
     parts = version.split(".")
-    return all(p.isdigit() for p in parts) and bool(parts[0])
+    return all(p.isdecimal() for p in parts) and bool(parts[0])
 
 
 def parse_version(version: str) -> tuple[int, ...]:

@@ -22,8 +22,10 @@ from collections.abc import Iterable, Iterator
 from contextlib import ExitStack, contextmanager
 from itertools import chain
 
-from .activedoc import DocTypeRegistry, DocumentEngine
+from .activedoc import DocumentEngine
 from .configuration import (
+    CONFIGURATION,
+    REQUIREMENTS,
     Architecture,
     ConfigurationDoc,
     PinnedTool,
@@ -31,8 +33,6 @@ from .configuration import (
     ResolvedConfiguration,
     SelectEntry,
     detect_architecture,
-    parse_configuration,
-    parse_requirements,
 )
 from .errors import AreaError, ToolError
 from .fsutil import (
@@ -44,7 +44,7 @@ from .fsutil import (
     read_text,
     write_new,
 )
-from .markup import parse_with_handlers
+from .markup import DocType, parse_with_handlers
 from .runtime import (
     EXEC_PATH_VAR,
     LIB_PATH_VAR,
@@ -52,11 +52,11 @@ from .runtime import (
 )
 from .sitefile import SiteInfo
 from .tooldoc import (
+    TOOLDOC,
     LibraryProber,
     ResolvedTool,
     build_contribution,
     order_by_externals,
-    parse_tool_doc,
     resolve_tool,
     runtime_contribution,
     select_version,
@@ -117,9 +117,10 @@ class Registry:
     def _lines(self) -> list[str]:
         return read_text(self.path, "registry", missing="").splitlines()
 
-    def records(self) -> list[InstallationRecord]:
+    def records(self, lines: list[str] | None = None) -> list[InstallationRecord]:
+        """The records of ``lines``, by default the registry's own."""
         out = []
-        for raw in self._lines():
+        for raw in self._lines() if lines is None else lines:
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -129,18 +130,20 @@ class Registry:
             out.append(InstallationRecord(*parts))
         return out
 
-    def find(self, project: str, version: str, arch: str) -> InstallationRecord | None:
-        for record in self.records():
+    def find(self, project: str, version: str, arch: str,
+             lines: list[str] | None = None) -> InstallationRecord | None:
+        for record in self.records(lines):
             if (record.project, record.version, record.arch) == (project, version, arch):
                 return record
         return None
 
     def add(self, record: InstallationRecord) -> None:
         """Register ``record`` unless an identical one exists. The check and
-        the rewrite hold the registry lock, so concurrent installs cannot
-        record duplicate or conflicting entries."""
+        the rewrite hold the registry lock and use one read of it, so
+        concurrent installs cannot record duplicate or conflicting entries."""
         with locked(os.path.realpath(self.path) + ".lock", wait=True):
-            existing = self.find(record.project, record.version, record.arch)
+            lines = self._lines()
+            existing = self.find(record.project, record.version, record.arch, lines)
             if existing is not None:
                 if existing.location == record.location:
                     return  # re-registering the identical record is a no-op
@@ -148,7 +151,6 @@ class Registry:
                     f"{record.project} {record.version} ({record.arch}) is "
                     f"already registered at {existing.location}"
                 )
-            lines = self._lines()
             lines.append(f"{record.project} {record.version} {record.arch} "
                          f"{record.location}")
             atomic_write(self.path, "\n".join(lines) + "\n")
@@ -181,6 +183,8 @@ class ProjectArea:
         path = self._admin_file(LINK_FILE)
         target = read_text(path, "link file", missing=None)
         if target is None:
+            if os.path.islink(path):
+                raise AreaError(f"link file {path} is a dangling symlink")
             return None
         target = target.strip()
         if not os.path.isabs(target):
@@ -317,14 +321,11 @@ def parse_bootstrap(events) -> BootStrapDoc:
     return doc
 
 
+BOOTSTRAP = DocType("BuildSystem::BootStrapDoc", "1.0", parse_bootstrap)
+
+
 # ---------------------------------------------------------------------
 # engine assembly
-
-TOOLDOC_TYPE = "BuildSystem::ToolDoc"
-CONFIG_TYPE = "BuildSystem::Configuration"
-REQUIREMENTS_TYPE = "BuildSystem::Requirements"
-BOOTSTRAP_TYPE = "BuildSystem::BootStrapDoc"
-
 
 def build_engine(site: SiteInfo | None = None, env=None,
                  install_root: str | None = None,
@@ -336,14 +337,8 @@ def build_engine(site: SiteInfo | None = None, env=None,
             cache_root = os.path.join(install_root, ".scram-cache")
         else:
             cache_root = os.path.join(os.path.expanduser("~"), ".scram-cache")
-    types = DocTypeRegistry()
-    types.register(TOOLDOC_TYPE, "1.0", parse_tool_doc)
-    types.register(CONFIG_TYPE, "1.0", parse_configuration)
-    types.register(REQUIREMENTS_TYPE, "2.0", parse_requirements,
-                   splice_includes=False)
-    types.register(BOOTSTRAP_TYPE, "1.0", parse_bootstrap)
     cache = UrlCache(cache_root, default_registry(site))
-    return DocumentEngine(cache, types, refresh=refresh)
+    return DocumentEngine(cache, refresh=refresh)
 
 
 # ---------------------------------------------------------------------
@@ -522,7 +517,7 @@ def resolve_project_configuration(engine: DocumentEngine, url: ResourceUrl,
     itself with every entry selected."""
     from .configuration import resolve_selection
 
-    typed = engine.activate(url)
+    typed = engine.activate(url, (REQUIREMENTS, CONFIGURATION))
     req = typed.payload
 
     def rebased(config, source, fallback):
@@ -532,36 +527,24 @@ def resolve_project_configuration(engine: DocumentEngine, url: ResourceUrl,
         return ConfigurationDoc(entries=list(config.entries),
                                 base=effective.unparse() if effective else None)
 
-    if isinstance(req, RequirementsDoc):
-        req_base = parse_url(req.base, base=typed.source) if req.base else None
-        configs = []
-        for raw in req.includes:
-            inc_url = parse_url(raw, base=req_base or typed.source)
-            inc_typed = engine.activate(inc_url)
-            configs.append(rebased(inc_typed.payload, inc_typed.source, req_base))
-    elif isinstance(req, ConfigurationDoc):
+    if isinstance(req, ConfigurationDoc):
         configs = [rebased(req, typed.source, None)]
         req = RequirementsDoc(base=req.base, includes=[], selects=[
             SelectEntry(e.name, e.arch_scope) for e in req.entries])
     else:
-        raise AreaError(
-            f"{url} is a '{typed.header.doc_type}' document; expected "
-            f"{REQUIREMENTS_TYPE} or {CONFIG_TYPE}"
-        )
+        req_base = parse_url(req.base, base=typed.source) if req.base else None
+        configs = []
+        for raw in req.includes:
+            inc_url = parse_url(raw, base=req_base or typed.source)
+            inc_typed = engine.activate(inc_url, (CONFIGURATION,))
+            configs.append(rebased(inc_typed.payload, inc_typed.source, req_base))
     identity = (typed.source.unparse(), typed.version)
     return resolve_selection(req, configs, arch, identity=identity)
 
 
 def _activate_spec(engine: DocumentEngine, pin: PinnedTool):
     base = parse_url(pin.spec_base) if pin.spec_base else None
-    spec_url = parse_url(pin.spec_url, base=base)
-    typed = engine.activate(spec_url)
-    if typed.header.type_path() != ("BuildSystem", "ToolDoc"):
-        raise ToolError(
-            f"{spec_url} is a '{typed.header.doc_type}' document, "
-            f"expected {TOOLDOC_TYPE}"
-        )
-    return typed.payload
+    return engine.activate(parse_url(pin.spec_url, base=base), (TOOLDOC,)).payload
 
 
 def resolve_selected_tools(engine: DocumentEngine, area: ProjectArea,
@@ -615,10 +598,8 @@ def bootstrap_install(bootstrap_url: str, dest_root: str,
     site = site if site is not None else SiteInfo.locate(env, dest_root)
     engine = build_engine(site=site, env=env, install_root=dest_root,
                           refresh=refresh)
-    typed = engine.activate(parse_url(bootstrap_url))
+    typed = engine.activate(parse_url(bootstrap_url), (BOOTSTRAP,))
     boot: BootStrapDoc = typed.payload
-    if not isinstance(boot, BootStrapDoc):
-        raise AreaError(f"{bootstrap_url} is not a {BOOTSTRAP_TYPE} document")
 
     root = os.path.join(os.path.abspath(dest_root),
                         f"{boot.project}_{boot.version}")

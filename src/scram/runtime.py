@@ -23,9 +23,19 @@ inside a quoted word; sh can.
 
 from __future__ import annotations
 
+import os
 import re
 
 from .errors import AreaError, ScramError
+from .fsutil import read_text
+from .markup import (
+    DocType,
+    check_doc_type,
+    parse_with_handlers,
+    read_doc_header,
+    strip_doc_header,
+    tokenize_markup,
+)
 
 SHADOW_PREFIX = "SCRAMRT_"
 SHADOW_OWNER = "SCRAMRT_SET"
@@ -211,14 +221,11 @@ def _render_csh(op: str, name: str, value: str) -> str:
 
 
 APP_ENV_DIR = "app-env"
-APP_ENV_DOC_TYPE = ("BuildSystem", "AppEnvDoc")
 
 
 def parse_app_env(events, area_id: str = "") -> EnvDelta:
     """Read the body of a ``BuildSystem::AppEnvDoc``: flat
     ``<Environment name= value= [type=Runtime_path]>`` entries."""
-    from .markup import parse_with_handlers
-
     delta = EnvDelta(area_id=area_id)
 
     def on_environment(_, ev):
@@ -243,13 +250,12 @@ def parse_app_env(events, area_id: str = "") -> EnvDelta:
     return delta
 
 
+# any document version is read
+APP_ENV = DocType("BuildSystem::AppEnvDoc", "0", parse_app_env)
+
+
 def load_app_env_file(area_root: str, app_name: str, area_id: str = "") -> EnvDelta:
     """Read ``config/app-env/<app_name>`` under an area as an overlay delta."""
-    import os
-
-    from .fsutil import read_text
-    from .markup import read_doc_header, strip_doc_header, tokenize_markup
-
     path = os.path.join(area_root, "config", APP_ENV_DIR, app_name)
     text = read_text(path, "application environment file", missing=None)
     if text is None:
@@ -259,9 +265,5 @@ def load_app_env_file(area_root: str, app_name: str, area_id: str = "") -> EnvDe
         )
     events = tokenize_markup(text, source_id=path)
     header = read_doc_header(events)
-    if header.type_path() != APP_ENV_DOC_TYPE:
-        raise AreaError(
-            f"{path} is a '{header.doc_type}' document, expected "
-            f"{'::'.join(APP_ENV_DOC_TYPE)}"
-        )
+    check_doc_type(header, (APP_ENV,), header.location)
     return parse_app_env(strip_doc_header(events), area_id=area_id)

@@ -20,7 +20,7 @@ import sys
 from bisect import bisect_left
 
 from .errors import ToolError
-from .markup import parse_with_handlers
+from .markup import DocType, parse_with_handlers
 from .runtime import EnvDelta
 
 _REF_RE = re.compile(r"\$([A-Za-z_][A-Za-z0-9_]*)")
@@ -259,6 +259,11 @@ def parse_tool_doc(events) -> ToolSpec:
     if state.name is None:
         raise ToolError("tool document contains no <Tool> block")
     return ToolSpec(state.name, state.blocks)
+
+
+# The builder looks ``parse_tool_doc`` up when it runs, so whatever the
+# module attribute is rebound to (the benchmark tracer's wrapper) is called.
+TOOLDOC = DocType("BuildSystem::ToolDoc", "1.0", lambda events: parse_tool_doc(events))
 
 
 def select_version(spec: ToolSpec, version: str) -> ToolVersionBlock:

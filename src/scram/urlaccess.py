@@ -161,32 +161,18 @@ class CacheStats:
 
 
 class SchemeRegistry:
-    """Maps scheme names to fetch adapters ``adapter(url, version) -> bytes``."""
+    """Maps lower-case scheme names to fetch adapters
+    ``adapter(url, version) -> bytes``; two names may share one adapter."""
 
-    def __init__(self):
-        self._adapters = {}
-        self._aliases = {}
-
-    def register(self, name: str, adapter) -> "SchemeRegistry":
-        name = name.lower()
-        if name in self._adapters or name in self._aliases:
-            raise UrlError(f"scheme '{name}' is already registered")
-        self._adapters[name] = adapter
-        return self
-
-    def alias(self, name: str, target: str) -> "SchemeRegistry":
-        name = name.lower()
-        if name in self._adapters or name in self._aliases:
-            raise UrlError(f"scheme '{name}' is already registered")
-        self._aliases[name] = target.lower()
-        return self
+    def __init__(self, adapters: dict):
+        self._adapters = adapters
 
     def adapter_for(self, scheme: str):
-        scheme = self._aliases.get(scheme.lower(), scheme.lower())
+        scheme = scheme.lower()
         try:
             return self._adapters[scheme]
         except KeyError:
-            known = ", ".join(sorted(self._adapters) + sorted(self._aliases))
+            known = ", ".join(sorted(self._adapters))
             raise UrlError(
                 f"unknown URL scheme '{scheme}' (registered: {known})"
             ) from None
@@ -272,22 +258,17 @@ def external_command_adapter(template: str):
 def default_registry(site=None) -> SchemeRegistry:
     """Registry with the built-in schemes; ``cvs:`` needs a site-configured
     command template and errors helpfully without one."""
-    registry = SchemeRegistry()
-    registry.register("file", fetch_file)
-    registry.register("http", fetch_http)
-    registry.register("https", fetch_http)
     template = site.get("scheme.cvs.command") if site is not None else None
     if template:
-        registry.register("cvs", external_command_adapter(template))
+        cvs = external_command_adapter(template)
     else:
-        def unconfigured(url, version):
+        def cvs(url, version):
             raise FetchError(
                 "scheme 'cvs' needs site key scheme.cvs.command "
                 "(a checkout command template with {module} {version} {out})"
             )
-        registry.register("cvs", unconfigured)
-    registry.alias("vcs", "cvs")
-    return registry
+    return SchemeRegistry({"file": fetch_file, "http": fetch_http,
+                           "https": fetch_http, "cvs": cvs, "vcs": cvs})
 
 
 class UrlCache:

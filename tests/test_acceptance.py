@@ -136,7 +136,7 @@ def test_c4_cache_property(tmp_path):
             calls.append((url.unparse(), version))
             return f"content for {url.get('n')}@{version}".encode()
 
-        registry = SchemeRegistry().register("stub", adapter)
+        registry = SchemeRegistry({"stub": adapter})
         cache = UrlCache(str(tmp_path / "cache"), registry)
         urls = [parse_url(f"stub:item?n={i}") for i in range(50)]
         seen: dict[str, bytes] = {}

@@ -1,10 +1,10 @@
 import pytest
 
-from scram.activedoc import DocTypeRegistry, DocumentEngine, EngineStats
+from scram.activedoc import DocumentEngine, EngineStats
 from scram.errors import DocTypeError, MarkupError, ScramError, ToolError
-from scram.markup import EventKind
-from scram.tooldoc import parse_tool_doc
-from scram.urlaccess import UrlCache, default_registry
+from scram.markup import DocType, EventKind
+from scram.tooldoc import TOOLDOC
+from scram.urlaccess import SchemeRegistry, UrlCache, default_registry
 
 
 def write(tmp_path, name, text):
@@ -19,62 +19,69 @@ def names_builder(events):
     return [e.name for e in events if e.kind is EventKind.OPEN]
 
 
+NAMES = DocType("Test::Names", "1.0", names_builder)
+
+
 @pytest.fixture
 def engine(tmp_path):
-    types = DocTypeRegistry()
-    types.register("Test::Names", "1.0", names_builder)
-    cache = UrlCache(str(tmp_path / "_cache"), default_registry())
-    return DocumentEngine(cache, types)
+    return DocumentEngine(UrlCache(str(tmp_path / "_cache"), default_registry()))
 
 
 class TestRegistry:
-    def test_duplicate_type_rejected(self):
-        types = DocTypeRegistry()
-        types.register("A::B", "1.0", names_builder)
-        with pytest.raises(DocTypeError, match="already registered"):
-            types.register("A::B", "2.0", names_builder)
+    """The document types a caller accepts."""
 
-    def test_colon_variants_are_one_type(self):
-        types = DocTypeRegistry()
-        types.register("A::B", "1.0", names_builder)
-        with pytest.raises(DocTypeError):
-            types.register("A:B", "1.0", names_builder)
+    def test_colon_variants_are_one_type(self, engine, tmp_path):
+        url = write(tmp_path, "ab.doc", "<doc type=A:B version=1.0><x>")
+        accepted = DocType("A::B", "1.0", names_builder)
+        assert engine.activate(url, (accepted,)).payload == ["x"]
 
     @pytest.mark.parametrize("doc_version, ok", [
         ("1.0", False), ("2.0", True), ("2.1", True), ("10.0", True),
     ])
-    def test_min_version_gate(self, tmp_path, doc_version, ok):
-        types = DocTypeRegistry()
-        types.register("T::V", "2.0", names_builder)
-        cache = UrlCache(str(tmp_path / "c"), default_registry())
-        engine = DocumentEngine(cache, types)
+    def test_min_version_gate(self, engine, tmp_path, doc_version, ok):
+        accepted = DocType("T::V", "2.0", names_builder)
         url = write(tmp_path, f"v{doc_version}.doc",
                     f"<doc type=T::V version={doc_version}><x>")
         if ok:
-            assert engine.activate(url).payload == ["x"]
+            assert engine.activate(url, (accepted,)).payload == ["x"]
         else:
             with pytest.raises(DocTypeError, match="older than"):
-                engine.activate(url)
+                engine.activate(url, (accepted,))
 
     def test_unknown_type_names_the_type(self, engine, tmp_path):
         url = write(tmp_path, "u.doc", "<doc type=No::Such version=1.0>")
-        with pytest.raises(DocTypeError, match="No::Such"):
-            engine.activate(url)
+        with pytest.raises(DocTypeError) as exc:
+            engine.activate(url, (NAMES,))
+        assert exc.value.message == "expected a Test::Names document, found 'No::Such'"
+        assert exc.value.context == f"while activating {url}"
+        assert exc.value.location is None
+
+    def test_memo_hit_under_another_type_gives_the_one_message(self, engine, tmp_path):
+        url = write(tmp_path, "a.doc", "<doc type=Test::Names version=1.0><p>")
+        engine.activate(url, (NAMES,))
+        parses = engine.stats.parses
+        with pytest.raises(DocTypeError) as exc:
+            engine.activate(url, (TOOLDOC,))
+        assert str(exc.value) == (
+            "expected a BuildSystem::ToolDoc document, found 'Test::Names'")
+        assert exc.value.context == f"while activating {url}"
+        assert engine.stats.parses == parses
+        assert engine.activate(url, (NAMES,)).payload == ["p"]
 
 
 class TestActivate:
     def test_pipeline_produces_payload(self, engine, tmp_path):
         url = write(tmp_path, "a.doc", "<doc type=Test::Names version=1.0><p><q>")
-        doc = engine.activate(url)
+        doc = engine.activate(url, (NAMES,))
         assert doc.payload == ["p", "q"]
         assert doc.header.doc_type == "Test::Names"
 
     def test_memoization_skips_fetch_and_parse(self, engine, tmp_path):
         url = write(tmp_path, "a.doc", "<doc type=Test::Names version=1.0><p>")
-        first = engine.activate(url)
+        first = engine.activate(url, (NAMES,))
         fetches, parses = engine.stats.fetches, engine.stats.parses
         adapter_calls = engine.cache.stats.adapter_calls
-        second = engine.activate(url)
+        second = engine.activate(url, (NAMES,))
         assert second is first
         assert engine.stats.fetches == fetches
         assert engine.stats.parses == parses
@@ -86,32 +93,34 @@ class TestActivate:
                       f'<doc type=Test::Names version=1.0><p><include url="{frag_url}"><q>')
         combined = write(tmp_path, "ab.doc",
                          "<doc type=Test::Names version=1.0><p><m><n><q>")
-        assert engine.activate(a_url).payload == engine.activate(combined).payload
+        assert engine.activate(a_url, (NAMES,)).payload == engine.activate(combined, (NAMES,)).payload
 
     def test_include_requires_typed_document(self, engine, tmp_path):
         frag_url = write(tmp_path, "naked.doc", "<m>")
         a_url = write(tmp_path, "a.doc",
                       f'<doc type=Test::Names version=1.0><include url="{frag_url}">')
         with pytest.raises((DocTypeError, MarkupError)):
-            engine.activate(a_url)
+            engine.activate(a_url, (NAMES,))
 
-    def test_include_type_must_match(self, tmp_path):
-        types = DocTypeRegistry()
-        types.register("T::One", "1.0", names_builder)
-        types.register("T::Two", "1.0", names_builder)
-        engine = DocumentEngine(UrlCache(str(tmp_path / "c"), default_registry()), types)
-        other = write(tmp_path, "two.doc", "<doc type=T::Two version=1.0><x>")
+    def test_include_type_must_match(self, engine, tmp_path):
+        one = DocType("T::One", "1.0", names_builder)
+        two = DocType("T::Two", "1.0", names_builder)
+        other = write(tmp_path, "two.doc", "\n<doc type=T::Two version=1.0><x>")
         outer = write(tmp_path, "one.doc",
                       f'<doc type=T::One version=1.0><include url="{other}">')
-        with pytest.raises(DocTypeError, match="expects type"):
-            engine.activate(outer)
+        with pytest.raises(DocTypeError) as exc:
+            engine.activate(outer, (one, two))
+        # located at the included header, so the included URL is named
+        assert str(exc.value) == (
+            f"{other}:2:1: expected a T::One document, found 'T::Two'")
+        assert exc.value.context == f"while activating {outer}"
 
     def test_inline_resolves_relative_to_including_document(self, engine, tmp_path):
         write(tmp_path, "sub/inner.doc", "<leaf>")
         # relative url: resolved against the including document's directory
         outer = write(tmp_path, "sub/outer.doc",
                       '<doc type=Test::Names version=1.0><inline url="inner.doc">')
-        assert engine.activate(outer).payload == ["leaf"]
+        assert engine.activate(outer, (NAMES,)).payload == ["leaf"]
 
     def test_cycle_reported_with_urls(self, engine, tmp_path):
         a_path = tmp_path / "a.doc"
@@ -121,7 +130,7 @@ class TestActivate:
         b_path.write_text(
             f'<doc type=Test::Names version=1.0><inline url="file:{a_path}">')
         with pytest.raises(DocTypeError, match="cycle"):
-            engine.activate(f"file:{a_path}")
+            engine.activate(f"file:{a_path}", (NAMES,))
 
     def test_three_document_cycle_names_full_chain(self, engine, tmp_path):
         a, b, c = (f"file:{tmp_path / n}" for n in ("a.doc", "b.doc", "c.doc"))
@@ -129,7 +138,7 @@ class TestActivate:
         write(tmp_path, "b.doc", f'<doc type=Test::Names version=1.0><include url="{c}">')
         write(tmp_path, "c.doc", f'<doc type=Test::Names version=1.0><inline url="{a}">')
         with pytest.raises(DocTypeError) as exc:
-            engine.activate(a)
+            engine.activate(a, (NAMES,))
         assert exc.value.message == (
             f"document inclusion cycle: {a} -> {b} -> {c} -> {a}")
         assert exc.value.location.source == c
@@ -138,7 +147,7 @@ class TestActivate:
         write(tmp_path, "me.doc", '<doc type=Test::Names version=1.0><p><inline url="me.doc">')
         me = f"file:{tmp_path / 'me.doc'}"
         with pytest.raises(DocTypeError) as exc:
-            engine.activate(me)
+            engine.activate(me, (NAMES,))
         assert exc.value.message == f"document inclusion cycle: {me} -> {me}"
 
     def test_error_in_nested_document_names_its_directory(self, engine, tmp_path):
@@ -150,7 +159,7 @@ class TestActivate:
         write(tmp_path, "top/sub/frag.doc", '<inline url="x.doc">')
         frag = f"file:{tmp_path / 'top' / 'sub' / 'frag.doc'}"
         with pytest.raises(ScramError) as exc:
-            engine.activate(a)
+            engine.activate(a, (NAMES,))
         assert exc.value.location.source == frag
         assert str(exc.value).startswith(f"{frag}:1:1: expected <doc> header")
 
@@ -159,14 +168,14 @@ class TestActivate:
         outer = write(tmp_path, "outer.doc",
                       '<doc type=Test::Names version=1.0>'
                       '<inline url="frag.doc"><p><inline url="frag.doc">')
-        assert engine.activate(outer).payload == ["m", "p", "m"]
+        assert engine.activate(outer, (NAMES,)).payload == ["m", "p", "m"]
 
     def test_repeated_fragment_is_fetched_and_tokenized_once(self, engine, tmp_path):
         write(tmp_path, "frag.doc", "<m>")
         outer = write(tmp_path, "outer.doc",
                       "<doc type=Test::Names version=1.0>"
                       + '<inline url="frag.doc"><p>' * 4)
-        assert engine.activate(outer).payload == ["m", "p"] * 4
+        assert engine.activate(outer, (NAMES,)).payload == ["m", "p"] * 4
         assert engine.stats == EngineStats(fetches=2, parses=2)
 
     def test_refreshed_fragment_reaches_its_adapter_once(self, tmp_path):
@@ -179,39 +188,38 @@ class TestActivate:
                         + b"<inline url=stub:frag><include url=stub:frag>" * 5)
             return b"<doc type=Test::Names version=1.0><m>"
 
-        from scram.urlaccess import SchemeRegistry
-        types = DocTypeRegistry().register("Test::Names", "1.0", names_builder)
-        cache = UrlCache(str(tmp_path / "c"), SchemeRegistry().register("stub", adapter))
-        engine = DocumentEngine(cache, types, refresh=True)
-        assert engine.activate("stub:outer").payload == ["m"] * 10
+        cache = UrlCache(str(tmp_path / "c"), SchemeRegistry({"stub": adapter}))
+        engine = DocumentEngine(cache, refresh=True)
+        assert engine.activate("stub:outer", (NAMES,)).payload == ["m"] * 10
         assert calls == ["outer", "frag"]
         assert engine.stats == EngineStats(fetches=2, parses=2)
 
     def test_two_level_nesting_matches_hand_concatenation(self, tmp_path):
         # each level resolves its relative URL against its own directory
-        types = DocTypeRegistry().register("Test::Events", "1.0", list)
-        engine = DocumentEngine(UrlCache(str(tmp_path / "c"), default_registry()), types)
+        events = DocType("Test::Events", "1.0", list)
+        engine = DocumentEngine(UrlCache(str(tmp_path / "c"), default_registry()))
         write(tmp_path, "top/mid/leaf/c.doc", "<s t=1>")
         write(tmp_path, "top/mid/b.doc", '<r><inline url="leaf/c.doc"></inline>')
         a = write(tmp_path, "top/a.doc",
                   '<doc type=Test::Events version=1.0><p><inline url="mid/b.doc"><q>')
         hand = write(tmp_path, "hand.doc",
                      "<doc type=Test::Events version=1.0><p><r><s t=1><q>")
-        assert engine.activate(a).payload == engine.activate(hand).payload
+        assert (engine.activate(a, (events,)).payload
+                == engine.activate(hand, (events,)).payload)
 
     def test_include_error_before_inline_error_surfaces_first(self, engine, tmp_path):
         a = write(tmp_path, "a.doc",
                   '<doc type=Test::Names version=1.0>'
                   '<include url="no-include.doc"><inline url="no-inline.doc">')
         with pytest.raises(ScramError, match="no-include.doc"):
-            engine.activate(a)
+            engine.activate(a, (NAMES,))
 
     def test_failure_names_outermost_url_in_context(self, engine, tmp_path):
         inner = write(tmp_path, "inner.doc", "<doc type=Test::Names version=1.0><oops")
         outer_url = write(tmp_path, "outer.doc",
                           f'<doc type=Test::Names version=1.0><inline url="{inner}">')
         with pytest.raises(ScramError) as exc:
-            engine.activate(outer_url)
+            engine.activate(outer_url, (NAMES,))
         assert "outer.doc" in exc.value.context
         assert "inner.doc" in str(exc.value) or "inner.doc" in exc.value.context
 
@@ -222,25 +230,22 @@ class TestActivate:
             calls.append(version)
             return b"<doc type=Test::Names version=1.0><x>"
 
-        from scram.urlaccess import SchemeRegistry
-        types = DocTypeRegistry().register("Test::Names", "1.0", names_builder)
-        cache = UrlCache(str(tmp_path / "c"), SchemeRegistry().register("stub", adapter))
-        engine = DocumentEngine(cache, types)
-        engine.activate("stub:one", "1.0")
-        engine.activate("stub:one", "2.0")
-        engine.activate("stub:one", "1.0")
+        cache = UrlCache(str(tmp_path / "c"), SchemeRegistry({"stub": adapter}))
+        engine = DocumentEngine(cache)
+        engine.activate("stub:one", (NAMES,), "1.0")
+        engine.activate("stub:one", (NAMES,), "2.0")
+        engine.activate("stub:one", (NAMES,), "1.0")
         assert calls == ["1.0", "2.0"]
 
 
 def test_handler_error_in_an_inlined_fragment_names_the_fragment(tmp_path):
-    types = DocTypeRegistry().register("BuildSystem::ToolDoc", "1.0", parse_tool_doc)
-    engine = DocumentEngine(UrlCache(str(tmp_path / "c"), default_registry()), types)
+    engine = DocumentEngine(UrlCache(str(tmp_path / "c"), default_registry()))
     fragment = write(tmp_path, "frag.doc", "<Environment name=A value=1>\n"
                                            "  <Environment name=B type=Weird>\n")
     url = write(tmp_path, "tool.doc", "<doc type=BuildSystem::ToolDoc version=1.0>\n"
                                       "<Tool name=t version=1>\n"
                                       "<inline url=frag.doc>\n</Tool>\n")
     with pytest.raises(ToolError) as exc:
-        engine.activate(url)
+        engine.activate(url, (TOOLDOC,))
     assert str(exc.value) == f"{fragment}:2:3: unknown Environment type 'Weird'"
     assert exc.value.context == f"while activating {url}"

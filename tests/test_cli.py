@@ -96,6 +96,7 @@ class TestCorruptState:
         "truncated tool record": ("tools/boost", '{"name": "boost", "vers'),
         "tool record that is a list": ("tools/boost", '["boost", "1.28.0"]\n'),
         "garbage configuration record": ("configuration", "\x00garbage\n"),
+        "tool record nested too deeply": ("tools/boost", "[" * 100000),
     }
 
     @pytest.mark.parametrize("case", sorted(CORRUPTIONS))
@@ -221,11 +222,12 @@ class TestReadFaults:
         "non-UTF-8": lambda path: path.write_bytes(b"\x80 not UTF-8 \xff\n"),
         "blank": lambda path: path.write_text("\n"),
         "relative": lambda path: path.write_text("central/ORCA_7_1_3\n"),
+        "dangling": lambda path: path.symlink_to(path.parent / "nowhere"),
         "regular file": lambda path: path.write_text(""),
     }
     CASES = ([(name, fault) for name in INPUTS if name != "tools directory"
               for fault in ("directory", "non-UTF-8")]
-             + [("link", "blank"), ("link", "relative"),
+             + [("link", "blank"), ("link", "relative"), ("link", "dangling"),
                 ("tools directory", "regular file")])
 
     @pytest.mark.parametrize("name, fault", CASES)
@@ -254,6 +256,56 @@ class TestReadFaults:
         assert err.count(str(path)) == 1, err
         # a failed `project` leaves no developer area behind
         assert os.listdir(toy.workspace) == (["ORCA_7_1_3"] if owner == "dev" else [])
+
+
+class TestWrongDocumentType:
+    """A document of a type its reader does not accept: exit 1, nothing on
+    stdout, and one ``scram:`` line that names the document once."""
+
+    # case -> the types its reader accepts
+    CASES = {
+        "requirements include": "BuildSystem::Configuration",
+        "bootstrap URL": "BuildSystem::BootStrapDoc",
+        "config URL": "BuildSystem::Requirements or BuildSystem::Configuration",
+        "setup URL": "BuildSystem::ToolDoc",
+        "app-env file": "BuildSystem::AppEnvDoc",
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_one_line_naming_the_document_once(self, toy, capsys, case):
+        specs = toy.specs
+        named, found = f"file:{specs}/gcc.tooldoc", "BuildSystem::ToolDoc"
+        argv = ["bootstrap", toy.bootstrap_url, "--dest", str(toy.install_root)]
+        cwd = None
+        if case == "requirements include":
+            (specs / "toy.reqs").write_text(
+                "<doc type=BuildSystem::Requirements version=2.0>\n"
+                f'<include url="{named}">\n<select name=gcc>\n')
+        elif case == "bootstrap URL":
+            argv[1] = named
+        elif case == "config URL":
+            (specs / "toy.boot").write_text(
+                "<doc type=BuildSystem::BootStrapDoc version=1.0>\n"
+                f'<project name=ORCA version=7_1_3>\n<config url="{named}">\n')
+        else:
+            cwd = lifecycle(toy, capsys)
+            if case == "setup URL":
+                named, found = f"file:{specs}/toy.conf", "BuildSystem::Configuration"
+                argv = ["setup", "x", "1", named]
+            else:
+                path = toy.central_root / "config" / "app-env" / "viewer"
+                path.parent.mkdir(parents=True)
+                path.write_text("\n<doc type=BuildSystem::ToolDoc version=1.0>\n")
+                named, argv = f"{path}:2:1", ["runtime", "-sh", "--app", "viewer"]
+
+        assert run(toy, *argv, cwd=cwd) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("scram: ") and err.count("\n") == 1, err
+        assert err.count(named) == 1, err
+        assert err.endswith(
+            f"expected a {self.CASES[case]} document, found '{found}'\n"), err
+        assert os.listdir(toy.install_root) == ([] if cwd is None else ["ORCA_7_1_3"])
 
 
 # Stdlib modules that only fetching, hashing, building or host detection

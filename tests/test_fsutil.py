@@ -35,6 +35,9 @@ class TestReadJson:
         (b"\xff\xfe{}", "unreadable thing {path}: "),
         ("[1, 2]", "thing {path} is not a JSON object"),
         ("null", "thing {path} is not a JSON object"),
+        pytest.param("[" * 100000,
+                     "unreadable thing {path}: maximum recursion depth exceeded",
+                     id="nested too deeply"),
     ])
     def test_failures_name_the_file(self, tmp_path, content, reason):
         path = tmp_path / "state"

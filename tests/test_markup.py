@@ -365,6 +365,7 @@ class TestDocHeader:
     def test_leading_whitespace_allowed(self):
         header = read_doc_header(tokenize_markup("\n  \n<doc type=t version=1>"))
         assert header.doc_type == "t"
+        assert str(header.location) == "<string>:3:1"
 
     def test_missing_doc_tag(self):
         with pytest.raises(MarkupError, match="expected <doc>"):
@@ -380,6 +381,7 @@ class TestDocHeader:
 
     @pytest.mark.parametrize("tag", [
         "<doc version=1>", "<doc type=t>", "<doc type=t version=x.y>",
+        "<doc type=t version=1.²>",  # a digit, but not a decimal one
     ])
     def test_incomplete_header(self, tag):
         with pytest.raises(MarkupError):

@@ -9,11 +9,18 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import scram.project
 import scram.runtime
-from scram.configuration import PinnedTool, ResolvedConfiguration, detect_architecture
-from scram.errors import AreaError, ToolError
+from scram.configuration import (
+    CONFIGURATION,
+    REQUIREMENTS,
+    PinnedTool,
+    ResolvedConfiguration,
+    detect_architecture,
+)
+from scram.errors import AreaError, ScramError, ToolError
 from scram.fsutil import locked
 from scram.project import (
     AREA_SUBDIRS,
@@ -21,6 +28,7 @@ from scram.project import (
     ProjectArea,
     Registry,
     _area_level_prepends,
+    _load_record,
     _tools_in_runtime_order,
     _write_config_record,
     area_context,
@@ -30,6 +38,7 @@ from scram.project import (
     compute_runtime_env,
     create_dev_area,
     list_installs,
+    load_config_record,
     register_install,
     resolve_selected_tools,
     run_build,
@@ -38,7 +47,7 @@ from scram.project import (
     tool_list,
     write_tool_record,
 )
-from scram.runtime import EnvDelta, EnvEmitError, emit_shell
+from scram.runtime import EnvDelta, EnvEmitError, emit_shell, load_app_env_file
 from scram.sitefile import SiteInfo
 from scram.tooldoc import ResolvedTool, build_contribution, runtime_contribution
 from scram.urlaccess import UrlCache
@@ -225,7 +234,6 @@ class TestEngineDocTypes:
     def test_configuration_include_merges_entries(self, toy):
         # a configuration including a same-type fragment equals the
         # hand-concatenated document
-        from scram.project import build_engine
         frag = toy.specs / "frag.conf"
         frag.write_text(
             "<doc type=BuildSystem::Configuration version=1.0>\n"
@@ -241,14 +249,13 @@ class TestEngineDocTypes:
             '<require name=gcc version=2.95.2 url="cvs:?module=G">\n'
             '<require name=zlib version=1.1.3 url="cvs:?module=Z">\n')
         engine = build_engine(env=toy.env)
-        spliced = engine.activate(f"file:{outer}").payload
-        expected = engine.activate(f"file:{combined}").payload
+        spliced = engine.activate(f"file:{outer}", (CONFIGURATION,)).payload
+        expected = engine.activate(f"file:{combined}", (CONFIGURATION,)).payload
         assert spliced.entries == expected.entries
 
     def test_requirements_include_stays_a_reference(self, toy):
-        from scram.project import build_engine
         engine = build_engine(env=toy.env)
-        payload = engine.activate(toy.requirements_url).payload
+        payload = engine.activate(toy.requirements_url, (REQUIREMENTS,)).payload
         assert payload.includes == [f"file:{toy.specs}/toy.conf"]
         assert [s.name for s in payload.selects] == ["gcc", "sockets", "boost", "htl"]
 
@@ -273,6 +280,21 @@ class TestRegisterAndList:
         register_install(area, registry, ARCH)
         rows = [r for r in registry.records() if r.project == "ORCA"]
         assert len(rows) == 1
+
+    def test_add_reads_the_registry_once(self, tmp_path, monkeypatch):
+        reads = []
+        real_read_text = scram.project.read_text
+
+        def counted(path, *args, **kwargs):
+            reads.append(path)
+            return real_read_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(scram.project, "read_text", counted)
+        registry = Registry(str(tmp_path / "scramdb"))
+        registry.add(InstallationRecord("P", "1", "Linux__2.4", "/p1"))
+        registry.add(InstallationRecord("P", "2", "Linux__2.4", "/p2"))
+        assert reads == [registry.path] * 2
+        assert [r.version for r in registry.records()] == ["1", "2"]
 
     def test_conflicting_location(self, toy):
         area, registry = installed(toy)
@@ -762,6 +784,67 @@ class TestStateReaders:
         path.write_text(json.dumps(
             {"tools": [{"name": "t", "version": "1.0", "spec_url": "u"}]}))
         assert "t " in tool_list(central, ARCH)
+
+
+# JSON of the shapes the state readers check, with their field names as keys
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.sampled_from(
+                       ["name", "version", "bindings", "runtime", "libs", "provenance",
+                        "descriptions", "externals", "tools", "identity", "spec_url",
+                        "spec_base", "x"]) | st.text(max_size=4), inner, max_size=6)),
+    max_leaves=20)
+# text made of the pieces of the line formats and of an app-env document
+_PIECES = st.lists(st.sampled_from(
+    ["<doc type=BuildSystem::AppEnvDoc version=1.0>",
+     "<doc type=BuildSystem::AppEnvDoc version=²>",
+     "<Environment", " name=A", " name=SCRAMRT_SET", " value=", "/v", " type=",
+     "Runtime_path", "Weird", '"', ">", "</Environment>", "project", "version",
+     " = ", "=", "#", "/abs", "P 1 Linux__2.4 /p", " ", "\n", "\x00", "é"]),
+    max_size=30).map("".join)
+ANY_BYTES = st.one_of(
+    st.binary(max_size=200),
+    _JSON.map(lambda value: json.dumps(value).encode()),
+    st.one_of(_PIECES, st.text(max_size=100)).map(
+        lambda text: text.encode("utf-8", "surrogatepass")))
+
+
+class TestAnyBytes:
+    """Every reader of local state, given any bytes for its file, returns a
+    result or raises a ScramError, never another exception."""
+
+    # reader -> (its file below the area root, the read)
+    READERS = {
+        "tool record": (".SCRAM/Linux__2.4/tools/t",
+                        lambda area, path: _load_record(path)),
+        "configuration record": (".SCRAM/Linux__2.4/configuration",
+                                 lambda area, path: load_config_record(area, ARCH)),
+        "registry": ("scramdb", lambda area, path: Registry(path).records()),
+        "site file": ("site.cfg", lambda area, path: SiteInfo.load(path)),
+        "area": (".SCRAM/area", lambda area, path: area.identity()),
+        "state": (".SCRAM/state", lambda area, path: area.state()),
+        "link": (".SCRAM/Link", lambda area, path: area.link_target()),
+        "app-env": ("config/app-env/app",
+                    lambda area, path: load_app_env_file(area.root, "app")),
+    }
+
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=ANY_BYTES)
+    @example(data=b"[" * 100000)
+    @example(data=b'{"tools": [' + b"[" * 100000)
+    @example(data="<doc type=BuildSystem::AppEnvDoc version=²>".encode())
+    def test_a_result_or_one_scram_error(self, tmp_path, reader, data):
+        rel, read = self.READERS[reader]
+        path = tmp_path / "area" / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(data)
+        try:
+            read(ProjectArea(str(tmp_path / "area")), str(path))
+        except ScramError:
+            pass
 
 
 class TestProbing:
