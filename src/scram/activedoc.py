@@ -104,7 +104,7 @@ class DocumentEngine:
         return TypedDocument(header, url, url.version_tag(version), payload)
 
     def events_for(self, url: ResourceUrl, version: str | None):
-        content, _ = self.cache.fetch(url, version, refresh=self.refresh)
+        content = self.cache.fetch(url, version, refresh=self.refresh)
         self.stats.fetches += 1
         text = content.decode("utf-8", errors="replace")
         self.stats.parses += 1

@@ -1,6 +1,6 @@
 """How scram state reaches disk and comes back: an atomic write, a private
-tree published by one rename, one lock, an in-place rewrite of a locked
-file, and two readers.
+tree and a private file each published by one rename, one lock, and two
+readers.
 
 ``atomic_write`` writes a dot-named temp file beside the target and renames
 it over the target, so a reader sees the old file or the new one and a
@@ -8,17 +8,16 @@ killed command leaves at most a dot-named temp file. ``private_tree``
 gives a new tree a dot-named sibling of its final path; ``write_new``
 writes each of its files in one create-or-truncate write, with no temp
 file, because nothing reads the tree until it is renamed into place in
-one step. ``locked`` holds an ``flock`` on a file that is never unlinked;
-the kernel drops it when the holder exits or is killed. ``overwrite``
-rewrites the locked file in place, which is only safe for a file whose
-readers check what they read (a cache entry carries its own hash). No
+one step. A ``PrivateFile`` is one new file, grown by appends under a
+dot-name and renamed into place once, after which it never changes (a
+document cache pack). ``locked`` holds an ``flock`` on a file that is
+never unlinked; the kernel drops it when the holder exits or is killed. No
 file is fsync'ed: a rename survives the death of the process, and
 surviving power loss is not promised. ``read_text`` and ``read_json``
 give a caller's default for a file that does not exist and turn any other
 failure to open, read, decode or parse (JSON nested too deeply too) into
-one ``AreaError``,
-``unreadable <what> <path>: <reason>``; the other helpers but
-``overwrite`` turn an ``OSError`` into one that names their path.
+one ``AreaError``, ``unreadable <what> <path>: <reason>``; the other
+helpers turn an ``OSError`` into one that names their path.
 """
 
 from __future__ import annotations
@@ -98,6 +97,54 @@ def write_new(path: str, data: bytes | str) -> None:
         raise _failed("write", path, exc) from exc
 
 
+def _publish(private: str, target: str) -> None:
+    try:
+        os.rename(private, target)
+    except OSError as exc:
+        raise _failed("publish", target, exc) from exc
+
+
+class PrivateFile:
+    """A new file ``.<name>.tmp`` beside ``target``, creating its directory
+    if needed, grown by ``append`` and published by one rename to
+    ``target``. ``fd`` is open for reading until then, so what was appended
+    can be read back with ``os.pread``. Nothing reads the dot-name, so a
+    killed command leaves only an unread temp file; ``discard``, or a
+    failed publish, removes it."""
+
+    def __init__(self, target: str):
+        directory, name = os.path.split(target)
+        self.target = target
+        self.path = os.path.join(directory, f".{name}.tmp")
+        try:
+            self.fd = _open_creating_parent(self.path,
+                                            os.O_CREAT | os.O_EXCL | os.O_RDWR)
+        except OSError as exc:
+            raise _failed("write", self.path, exc) from exc
+
+    def append(self, data: bytes) -> int:
+        """Append ``data``; returns the offset it starts at."""
+        try:
+            offset = os.lseek(self.fd, 0, os.SEEK_END)
+            _write_all(self.fd, data)
+        except OSError as exc:
+            raise _failed("write", self.path, exc) from exc
+        return offset
+
+    def publish(self) -> None:
+        try:
+            _publish(self.path, self.target)
+        except BaseException:
+            self.discard()
+            raise
+        os.close(self.fd)
+
+    def discard(self) -> None:
+        os.close(self.fd)
+        with suppress(OSError):
+            os.unlink(self.path)
+
+
 @contextmanager
 def private_tree(target: str) -> Iterator[str]:
     """A path ``.<name>.<8 hex>.partial`` beside ``target`` for the body to
@@ -113,11 +160,11 @@ def private_tree(target: str) -> Iterator[str]:
     try:
         yield tree
         try:
-            os.rename(tree, target)
-        except OSError as exc:
+            _publish(tree, target)
+        except AreaError:
             if os.path.lexists(target):
                 raise AreaError(f"target directory already exists: {target}") from None
-            raise _failed("publish", target, exc) from exc
+            raise
     except BaseException:
         # imported here: only a failed command removes a tree
         import shutil
@@ -160,35 +207,20 @@ def read_json(path: str, what: str, missing=_REQUIRED) -> dict:
 
 
 @contextmanager
-def locked(path: str, wait: bool, writable: bool = False) -> Iterator[int]:
-    """Hold an exclusive lock on ``path`` for the ``with`` body, which gets
-    the locked file's descriptor.
+def locked(path: str, wait: bool) -> Iterator[None]:
+    """Hold an exclusive lock on ``path`` for the ``with`` body.
 
     With ``wait`` this blocks until the lock is free; without it a held lock
     raises ``BlockingIOError`` at once. Each call opens the file anew, so
     threads of one process exclude each other too. The file is opened
-    read-only unless ``writable``, so a lock file created by another user
-    still works.
+    read-only, so a lock file created by another user still works.
     """
-    flags = (os.O_RDWR if writable else os.O_RDONLY) | os.O_CREAT
     try:
-        fd = _open_creating_parent(path, flags)
+        fd = _open_creating_parent(path, os.O_RDONLY | os.O_CREAT)
     except OSError as exc:
         raise _failed("lock", path, exc) from exc
     try:
         fcntl.flock(fd, fcntl.LOCK_EX if wait else fcntl.LOCK_EX | fcntl.LOCK_NB)
-        yield fd
+        yield
     finally:
         os.close(fd)
-
-
-def overwrite(fd: int, data: bytes) -> None:
-    """Replace everything in the file open at ``fd`` with ``data``, in place.
-
-    A reader that does not hold the lock may meet the file empty or partly
-    written, so only files whose readers verify what they read are
-    rewritten this way. Raises ``OSError``.
-    """
-    os.ftruncate(fd, 0)
-    os.lseek(fd, 0, os.SEEK_SET)
-    _write_all(fd, data)

@@ -598,31 +598,34 @@ def bootstrap_install(bootstrap_url: str, dest_root: str,
     site = site if site is not None else SiteInfo.locate(env, dest_root)
     engine = build_engine(site=site, env=env, install_root=dest_root,
                           refresh=refresh)
-    typed = engine.activate(parse_url(bootstrap_url), (BOOTSTRAP,))
-    boot: BootStrapDoc = typed.payload
+    try:
+        typed = engine.activate(parse_url(bootstrap_url), (BOOTSTRAP,))
+        boot: BootStrapDoc = typed.payload
 
-    root = os.path.join(os.path.abspath(dest_root),
-                        f"{boot.project}_{boot.version}")
-    if os.path.lexists(root):
-        raise AreaError(f"target directory already exists: {root}")
-    if not os.path.isdir(dest_root):
-        make_dirs(dest_root)  # here, so a failure names the --dest given
-    with private_tree(root) as private:
-        area = ProjectArea.create(private, boot.project, boot.version,
-                                  write=write_new)
-        for raw_url, dest in boot.downloads:
-            content, _ = engine.cache.fetch(parse_url(raw_url, base=typed.source))
-            area.write(os.path.join(area.root, dest), content)
+        root = os.path.join(os.path.abspath(dest_root),
+                            f"{boot.project}_{boot.version}")
+        if os.path.lexists(root):
+            raise AreaError(f"target directory already exists: {root}")
+        if not os.path.isdir(dest_root):
+            make_dirs(dest_root)  # here, so a failure names the --dest given
+        with private_tree(root) as private:
+            area = ProjectArea.create(private, boot.project, boot.version,
+                                      write=write_new)
+            for raw_url, dest in boot.downloads:
+                content = engine.cache.fetch(parse_url(raw_url, base=typed.source))
+                area.write(os.path.join(area.root, dest), content)
 
-        if boot.config_url is not None:
-            config_url = parse_url(boot.config_url, base=typed.source)
-            resolved = resolve_project_configuration(engine, config_url, arch)
-            _write_config_record(area, arch, resolved)
-            area.write(os.path.join(area.root, "config", REQUIREMENTS_ID_FILE),
-                       f"{resolved.config_identity[0]} "
-                       f"{resolved.config_identity[1]}\n")
-            resolve_selected_tools(engine, area, arch, resolved.tools.values(),
-                                   site, prompt)
+            if boot.config_url is not None:
+                config_url = parse_url(boot.config_url, base=typed.source)
+                resolved = resolve_project_configuration(engine, config_url, arch)
+                _write_config_record(area, arch, resolved)
+                area.write(os.path.join(area.root, "config", REQUIREMENTS_ID_FILE),
+                           f"{resolved.config_identity[0]} "
+                           f"{resolved.config_identity[1]}\n")
+                resolve_selected_tools(engine, area, arch, resolved.tools.values(),
+                                       site, prompt)
+    finally:
+        engine.cache.publish()
 
     area = ProjectArea(root)
     record = InstallationRecord(boot.project, boot.version, arch.canonical,
@@ -730,9 +733,6 @@ def setup_tool(area: ProjectArea, name: str | None = None,
     arch = arch or detect_architecture(env=env)
     central = area.central_root()
     site = site if site is not None else SiteInfo.locate(env, central)
-    engine = build_engine(site=site, env=env, install_root=central,
-                          refresh=refresh)
-
     if url is not None:
         if name is None or version is None:
             raise AreaError("setup with a URL needs both a name and a version")
@@ -751,8 +751,13 @@ def setup_tool(area: ProjectArea, name: str | None = None,
         pins = [pin for _, pin, path in _tool_rows(area, arch)
                 if pin is not None and
                 (path is None or _load_record(path).version != pin.version)]
-    return [rt.name for rt in
-            resolve_selected_tools(engine, area, arch, pins, site, prompt)]
+    engine = build_engine(site=site, env=env, install_root=central,
+                          refresh=refresh)
+    try:
+        return [rt.name for rt in
+                resolve_selected_tools(engine, area, arch, pins, site, prompt)]
+    finally:
+        engine.cache.publish()
 
 
 def tool_info(area: ProjectArea, name: str, arch: Architecture) -> str:

@@ -118,9 +118,6 @@ class EnvDelta:
         land ahead."""
         return EnvDelta().extend(self).extend(overlay)
 
-    def is_empty(self) -> bool:
-        return not self.sets and not self.prepends
-
 
 def apply_delta(env, delta: EnvDelta) -> dict[str, str]:
     """Apply a delta to an environment map.

@@ -104,14 +104,6 @@ class ToolVersionBlock:
                 == (other.version, other.info_url, other.libs, other.variables,
                     other.externals, other.descriptions))
 
-    @property
-    def client_vars(self) -> list[EnvVarDecl]:
-        return [v for v in self.variables if v.client]
-
-    @property
-    def derived_vars(self) -> list[EnvVarDecl]:
-        return [v for v in self.variables if not v.client]
-
     def description_of(self, name: str) -> str:
         return self.descriptions.get(name, "")
 

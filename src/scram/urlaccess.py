@@ -12,12 +12,14 @@ configured checkout command so that any versioning backend can be plugged
 in (site key ``scheme.cvs.command``, placeholders ``{module}`` ``{version}``
 ``{out}``).
 
-Cache layout: one file per entry, ``<root>/<scheme>/<sha256 of the key>``,
-holding a one-line JSON header (``url``, ``key``, ``fetched_at``,
-``content_hash``) and then the content. Versioned entries are immutable;
-unversioned (HEAD) entries are served from cache until a refresh is
-requested. ``auth`` and ``user`` never enter the cache key, so identities
-share content.
+Cache layout: ``<root>/packs/<time_ns>.<pid>.<8 hex>.pack``, one immutable
+pack per command that fetched something. A pack holds the fetched
+contents, then a JSON index mapping each cache key to ``[offset, length,
+content_hash, fetched_at]``, then a fixed-width footer giving the index's
+offset. Versioned entries never change: the earliest copy of a key wins.
+Unversioned (HEAD) entries are served from cache until a refresh is
+requested, and then the latest copy wins. ``auth`` and ``user`` never enter
+the cache key, so identities share content.
 """
 
 from __future__ import annotations
@@ -25,12 +27,19 @@ from __future__ import annotations
 import json
 import os
 import time
-from contextlib import ExitStack
+from contextlib import suppress
 
 from .errors import AreaError, FetchError, UrlError
-from .fsutil import locked, overwrite
+from .fsutil import PrivateFile, locked
 
 HEAD = "HEAD"
+
+PACKS = "packs"
+# a publishing command merges the packs when it sees more than this many
+COMPACT_ABOVE = 16
+# a pack ends with this and its index's offset, as 16 hex digits
+_MAGIC = b"scram-pack-1 "
+_FOOTER_LEN = len(_MAGIC) + 16
 
 _EXCLUDED_KEY_PARAMS = ("auth", "user")
 
@@ -138,17 +147,6 @@ def parse_url(raw: str, base: ResourceUrl | None = None) -> ResourceUrl:
         raise UrlError(f"URL {raw!r} has no scheme and no base is in effect")
     return ResourceUrl(scheme, authority, tuple(query), fragment,
                        "" if relative else cleaned)
-
-
-class CacheEntry:
-    __slots__ = ("key", "path", "fetched_at", "content_hash")
-
-    def __init__(self, key: str, path: str, fetched_at: float,
-                 content_hash: str):
-        self.key = key
-        self.path = path
-        self.fetched_at = fetched_at
-        self.content_hash = content_hash
 
 
 class CacheStats:
@@ -272,98 +270,232 @@ def default_registry(site=None) -> SchemeRegistry:
 
 
 class UrlCache:
-    """Persistent content cache in front of a SchemeRegistry.
+    """Persistent content cache in front of a SchemeRegistry, used by one
+    command at a time.
 
-    Versioned fetches become immutable entries: the adapter runs once per
-    key, ever. HEAD fetches are refetched only when ``refresh`` is set.
-    Each entry is one file that is also its own lock. A hit reads it
-    without a lock and serves it only if its header parses and the
-    content's SHA-256 equals the header's ``content_hash``. A miss, a
-    damaged entry (empty, torn, truncated, without a header) or a refreshed
-    HEAD fetch locks the entry file, looks again, and only then runs the
-    adapter and rewrites the file in place through the locked descriptor,
-    so fetches of the same key, from any thread or process, wait for each
-    other; distinct keys proceed in parallel. A reader that meets a rewrite
-    in progress sees a hash mismatch and waits for the lock. An entry file
-    is never unlinked: that would split its lock.
+    The first fetch lists ``<root>/packs`` (dot-names are skipped), opens
+    each pack and reads its index; a pack unlinked by a compaction before
+    it is opened makes the listing start again. A hit ``pread``s the
+    best-ranked copy of its key and serves it only if its SHA-256 equals
+    the index's ``content_hash``; otherwise the next copy is tried, and a
+    key with no good copy is a miss. For a versioned key the copy with the
+    earliest ``fetched_at`` ranks first, so a served entry never changes;
+    for a HEAD key the latest does, so a refresh is served from then on. A
+    miss, and a HEAD fetch with ``refresh``, run the adapter and append the
+    content to this command's private pack, from which the command serves
+    it again. ``publish`` ends the command: it stamps ``fetched_at`` into
+    the private pack's index, renames the pack into place and, past
+    ``COMPACT_ABOVE`` packs, merges them. No fetch takes a lock.
     """
 
     def __init__(self, root: str, registry: SchemeRegistry):
         self.root = root
+        self.packs = os.path.join(root, PACKS)
         self.registry = registry
         self.stats = CacheStats()
-
-    def _path(self, url: ResourceUrl, key: str) -> str:
-        return os.path.join(self.root, url.scheme, _sha256(key.encode()))
+        # key -> [(fetched_at, fd, offset, length, content_hash)] of the
+        # published packs, once listed
+        self._copies: dict[str, list[tuple]] | None = None
+        self._fds: list[int] = []
+        self._own: PrivateFile | None = None
+        # key -> (offset, length, content_hash) in the private pack
+        self._own_index: dict[str, tuple[int, int, str]] = {}
 
     def fetch(self, url: ResourceUrl, version: str | None = None,
-              refresh: bool = False) -> tuple[bytes, CacheEntry]:
+              refresh: bool = False) -> bytes:
         key = url.cache_key(version)
-        path = self._path(url, key)
-        reuse = not (refresh and url.version_tag(version) == HEAD)
-        if reuse:
-            try:
-                with open(path, "rb") as fh:
-                    hit = _verified(key, path, fh.read())
-            except OSError:
-                hit = None  # missing or unreadable: the lock path decides
-            if hit is not None:
+        head = url.version_tag(version) == HEAD
+        if not (refresh and head):
+            content = self._lookup(key, head)
+            if content is not None:
                 self.stats.hits += 1
-                return hit
-        with ExitStack() as held:
+                return content
+        self.stats.misses += 1
+        content = self.registry.retrieve(url, version)
+        self.stats.adapter_calls += 1
+        if self._own is None:
             try:
-                fd = held.enter_context(locked(path, wait=True, writable=True))
+                self._own = PrivateFile(os.path.join(self.packs, _pack_name()))
             except AreaError as exc:
-                # name a cache root that is no directory as it was given,
-                # not the entry below it
-                if os.path.isdir(self.root):
+                unusable = self._unusable(exc.__cause__)
+                if unusable is None:
                     raise
-                raise AreaError(
-                    f"cannot use cache {self.root}: {exc.__cause__.strerror}"
-                ) from exc
-            if reuse:
-                hit = _verified(key, path, os.pread(fd, os.fstat(fd).st_size, 0))
-                if hit is not None:
-                    self.stats.hits += 1
-                    return hit
-            self.stats.misses += 1
-            content = self.registry.retrieve(url, version)
-            self.stats.adapter_calls += 1
-            entry = CacheEntry(key, path, time.time(), _sha256(content))
-            header = json.dumps({
-                "url": url.unparse(),
-                "key": key,
-                "fetched_at": entry.fetched_at,
-                "content_hash": entry.content_hash,
-            })
+                raise unusable from exc
+        offset = self._own.append(content)
+        self._own_index[key] = (offset, len(content), _sha256(content))
+        return content
+
+    def _lookup(self, key: str, head: bool) -> bytes | None:
+        own = self._own_index.get(key)
+        if own is not None:
+            content = _verified(self._own.fd, *own)
+            if content is not None:
+                return content
+        if self._copies is None:
+            self._copies = self._read_packs(self._list())
+        for _, fd, offset, length, content_hash in _ranked(
+                self._copies.get(key, ()), head):
+            content = _verified(fd, offset, length, content_hash)
+            if content is not None:
+                return content
+        return None
+
+    def _read_packs(self, names: list[str]) -> dict[str, list[tuple]]:
+        copies: dict[str, list[tuple]] = {}
+        for name in names:
             try:
-                overwrite(fd, header.encode() + b"\n" + content)
-            except OSError as exc:
-                raise FetchError(
-                    f"cannot write cache entry {path} for {url}: {exc.strerror}"
-                ) from exc
-            return content, entry
+                fd = os.open(os.path.join(self.packs, name), os.O_RDONLY)
+            except FileNotFoundError:
+                # merged away by a compaction, which published the merge first
+                self._close()
+                return self._read_packs(self._list())
+            except OSError:
+                continue  # unreadable to this user: it holds nothing
+            self._fds.append(fd)
+            for key, (offset, length, content_hash, fetched_at) in _index(fd).items():
+                copies.setdefault(key, []).append(
+                    (fetched_at, fd, offset, length, content_hash))
+        return copies
+
+    def _list(self) -> list[str]:
+        try:
+            names = os.listdir(self.packs)
+        except FileNotFoundError:
+            return []
+        except OSError as exc:
+            raise self._unusable(exc) or AreaError(
+                f"cannot list cache {self.packs}: {exc.strerror}") from exc
+        return sorted(n for n in names if n.endswith(".pack") and n[0] != ".")
+
+    def _unusable(self, exc: OSError) -> AreaError | None:
+        # names a cache root that is no directory as it was given, not a
+        # path below it
+        if os.path.isdir(self.root):
+            return None
+        return AreaError(f"cannot use cache {self.root}: {exc.strerror}")
+
+    def _close(self) -> None:
+        for fd in self._fds:
+            os.close(fd)
+        self._fds = []
+        self._copies = None
+
+    def publish(self) -> None:
+        """End the command: publish what it fetched as one pack, merge the
+        packs if there are more than ``COMPACT_ABOVE``, and close them all.
+        A command that fetched nothing publishes nothing."""
+        own, self._own = self._own, None
+        index, self._own_index = self._own_index, {}
+        try:
+            if own is not None:
+                fetched_at = time.time()
+                _finish(own, {key: [*entry, fetched_at]
+                              for key, entry in index.items()})
+                if len(self._list()) > COMPACT_ABOVE:
+                    self._compact()
+        finally:
+            self._close()
+
+    def _compact(self) -> None:
+        """Merge the packs into one holding each key's best verified copy,
+        under ``<root>/packs/lock``; skipped while another command holds
+        it. The merged pack is published before the merged ones are
+        unlinked, so a reader always finds every key."""
+        try:
+            with locked(os.path.join(self.packs, "lock"), wait=False):
+                self._close()
+                names = self._list()
+                if len(names) <= COMPACT_ABOVE:
+                    return  # another command has just merged them
+                copies = self._read_packs(names)
+                merged = PrivateFile(os.path.join(self.packs, _pack_name()))
+                index = {}
+                try:
+                    for key, candidates in copies.items():
+                        for fetched_at, fd, offset, length, content_hash in _ranked(
+                                candidates, _is_head(key)):
+                            content = _verified(fd, offset, length, content_hash)
+                            if content is not None:
+                                index[key] = [merged.append(content), length,
+                                              content_hash, fetched_at]
+                                break
+                except BaseException:
+                    merged.discard()
+                    raise
+                _finish(merged, index)
+                for name in names:
+                    with suppress(OSError):
+                        os.unlink(os.path.join(self.packs, name))
+        except BlockingIOError:
+            pass
 
 
-def _verified(key: str, path: str, data: bytes) -> tuple[bytes, CacheEntry] | None:
-    """The content stored in the entry bytes ``data`` and its entry, or None
-    when the entry is damaged: no header line, a header that is not a JSON
-    object of this key with a numeric ``fetched_at``, or content whose
-    SHA-256 is not the header's ``content_hash``."""
-    header, newline, content = data.partition(b"\n")
-    if not newline:
-        return None
+def _pack_name() -> str:
+    return f"{time.time_ns()}.{os.getpid()}.{os.urandom(4).hex()}.pack"
+
+
+def _finish(pack: PrivateFile, index: dict) -> None:
+    """Append ``index`` and the footer to ``pack`` and publish it."""
     try:
-        meta = json.loads(header)
-    except (ValueError, RecursionError):
+        start = pack.append(json.dumps(index).encode())
+        pack.append(_MAGIC + b"%016x" % start)
+    except BaseException:
+        pack.discard()
+        raise
+    pack.publish()
+
+
+def _index(fd: int) -> dict[str, list]:
+    """The well-formed entries of the index of the pack open at ``fd``;
+    none for a file that is not a pack."""
+    try:
+        size = os.fstat(fd).st_size
+        footer = os.pread(fd, _FOOTER_LEN, max(size - _FOOTER_LEN, 0))
+        if len(footer) != _FOOTER_LEN or not footer.startswith(_MAGIC):
+            return {}
+        start = int(footer[len(_MAGIC):], 16)
+        end = size - _FOOTER_LEN
+        if not 0 <= start <= end:
+            return {}
+        index = json.loads(os.pread(fd, end - start, start))
+    except (OSError, ValueError, RecursionError):
+        return {}
+    if type(index) is not dict:
+        return {}
+    return {key: entry for key, entry in index.items()
+            if _well_formed(entry, start)}
+
+
+def _well_formed(entry, limit: int) -> bool:
+    if type(entry) is not list or len(entry) != 4:
+        return False
+    offset, length, content_hash, fetched_at = entry
+    return (type(offset) is int and type(length) is int
+            and 0 <= offset and 0 <= length and offset + length <= limit
+            and type(content_hash) is str and type(fetched_at) in (int, float))
+
+
+def _ranked(copies, head: bool) -> list[tuple]:
+    """Copies in serving order: earliest ``fetched_at`` first, latest first
+    for a HEAD key."""
+    return sorted(copies, key=lambda copy: copy[0], reverse=head)
+
+
+def _is_head(key: str) -> bool:
+    try:
+        return json.loads(key)[-1] == HEAD
+    except (ValueError, RecursionError, TypeError, KeyError, IndexError):
+        return False
+
+
+def _verified(fd: int, offset: int, length: int, content_hash: str) -> bytes | None:
+    """The ``length`` bytes at ``offset`` of the file open at ``fd`` if
+    their SHA-256 is ``content_hash``, else None."""
+    try:
+        content = os.pread(fd, length, offset)
+    except OSError:
         return None
-    if type(meta) is not dict or meta.get("key") != key:
-        return None
-    fetched_at = meta.get("fetched_at")
-    content_hash = _sha256(content)
-    if type(fetched_at) not in (int, float) or meta.get("content_hash") != content_hash:
-        return None
-    return content, CacheEntry(key, path, fetched_at, content_hash)
+    return content if _sha256(content) == content_hash else None
 
 
 def _sha256(data: bytes) -> str:
@@ -371,4 +503,3 @@ def _sha256(data: bytes) -> str:
     import hashlib
 
     return hashlib.sha256(data).hexdigest()
-

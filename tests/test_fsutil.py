@@ -9,10 +9,10 @@ import pytest
 import scram
 from scram.errors import AreaError
 from scram.fsutil import (
+    PrivateFile,
     atomic_write,
     locked,
     make_dirs,
-    overwrite,
     private_tree,
     read_json,
     read_text,
@@ -175,6 +175,32 @@ class TestPrivateTree:
         assert os.listdir(tmp_path) == ["P_1"]
 
 
+class TestPrivateFile:
+    def test_appended_then_published_by_one_rename(self, tmp_path):
+        target = tmp_path / "packs" / "one.pack"
+        private = PrivateFile(str(target))
+        assert os.listdir(tmp_path / "packs") == [".one.pack.tmp"]
+        assert private.append(b"abc") == 0
+        assert private.append(b"de") == 3
+        assert os.pread(private.fd, 2, 3) == b"de"
+        assert not target.exists()
+        private.publish()
+        assert os.listdir(tmp_path / "packs") == ["one.pack"]
+        assert target.read_bytes() == b"abcde"
+
+    def test_discard_removes_it(self, tmp_path):
+        private = PrivateFile(str(tmp_path / "one.pack"))
+        private.append(b"x")
+        private.discard()
+        assert os.listdir(tmp_path) == []
+
+    def test_unusable_directory_names_the_temp_file(self, tmp_path):
+        (tmp_path / "file").write_text("")
+        temp = tmp_path / "file" / ".one.pack.tmp"
+        with pytest.raises(AreaError, match=f"^cannot write {temp}: Not a directory$"):
+            PrivateFile(str(tmp_path / "file" / "one.pack"))
+
+
 def test_make_dirs_names_the_path(tmp_path):
     make_dirs(str(tmp_path / "a" / "b"))
     assert (tmp_path / "a" / "b").is_dir()
@@ -192,15 +218,6 @@ class TestLocked:
         with locked(path, wait=False):
             pass
         assert os.path.exists(path)  # never unlinked
-
-    def test_writable_lock_is_rewritten_in_place(self, tmp_path):
-        path = tmp_path / "entry"
-        path.write_bytes(b"a much longer old content\n")
-        inode = path.stat().st_ino
-        with locked(str(path), wait=True, writable=True) as fd:
-            overwrite(fd, b"new\n")
-        assert path.read_bytes() == b"new\n"
-        assert path.stat().st_ino == inode
 
     def test_unusable_lock_path_names_it(self, tmp_path):
         (tmp_path / "file").write_text("")
@@ -255,7 +272,6 @@ def _builtin_opens(tree: ast.AST) -> int:
 @pytest.mark.parametrize("source", SOURCES, ids=lambda p: p.name)
 def test_state_is_read_only_through_the_helper(source):
     """Every file of local state is read through fsutil, under one error
-    rule; urlaccess also opens files, to read fetched documents and
-    self-verifying cache entries."""
+    rule; urlaccess also opens files, to read fetched documents."""
     opens = _builtin_opens(ast.parse(source.read_text()))
     assert opens == 0 or source.name in (HELPER, "urlaccess.py"), opens

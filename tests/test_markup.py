@@ -8,13 +8,9 @@ from scram.markup import (
     EventKind,
     Location,
     TagEvent,
-    chardata_event,
-    close_event,
-    open_event,
     parse_version,
     parse_with_handlers,
     read_doc_header,
-    serialize_events,
     splice_inline,
     strip_doc_header,
     tokenize_markup,
@@ -23,6 +19,8 @@ from scram.configuration import parse_configuration, parse_requirements
 from scram.project import parse_bootstrap
 from scram.runtime import parse_app_env
 from scram.tooldoc import parse_tool_doc
+
+from eventhelpers import chardata_event, close_event, open_event, serialize_events
 
 
 def opens(events, name=None):

@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import re
+import shutil
 import stat
 import subprocess
 import sys
@@ -50,7 +51,9 @@ from scram.project import (
 from scram.runtime import EnvDelta, EnvEmitError, emit_shell, load_app_env_file
 from scram.sitefile import SiteInfo
 from scram.tooldoc import ResolvedTool, build_contribution, runtime_contribution
-from scram.urlaccess import UrlCache
+from scram.urlaccess import SchemeRegistry, UrlCache, parse_url
+
+from cachepacks import footer, make_pack, read_pack
 
 ARCH = detect_architecture("Linux__2.4")
 
@@ -192,27 +195,47 @@ class TestBootstrap:
         for path in census:
             assert private.encode() not in path.read_bytes(), path
 
-    def test_cache_holds_one_file_per_fetched_key(self, toy, monkeypatch):
-        fetched = set()
+    def test_cache_holds_one_pack_of_the_fetched_keys(self, toy, monkeypatch):
+        fetched = {}
 
         def spy(cache, url, version=None, refresh=False, real=UrlCache.fetch):
-            content, entry = real(cache, url, version, refresh)
-            fetched.add(entry.path)
-            return content, entry
+            content = real(cache, url, version, refresh)
+            fetched[url.cache_key(version)] = content
+            return content
 
         monkeypatch.setattr(UrlCache, "fetch", spy)
         bootstrap(toy)
         cache = Path(toy.env["SCRAM_CACHE"])
-        files = {str(p) for p in cache.rglob("*") if not p.is_dir()}
-        assert files == fetched
+        assert os.listdir(cache) == ["packs"]
+        (pack,) = os.listdir(cache / "packs")
+        assert re.fullmatch(r"[0-9]+\.[0-9]+\.[0-9a-f]{8}\.pack", pack)
+        index, contents = read_pack(cache / "packs" / pack)
+        assert index.keys() == fetched.keys()
         # the bootstrap, requirements and configuration documents, the
         # download and four tool documents
-        assert len(files) == 8
-        assert [str(p) for p in cache.rglob("*") if p.is_dir()] == [
-            str(cache / "file")]
-        for path in map(Path, files):
-            assert path.is_file() and not path.is_symlink()
-            assert "." not in path.name  # no .meta, .lock or dot-file
+        assert len(index) == 8
+        for key, (offset, length, content_hash, _) in index.items():
+            assert contents[offset:offset + length] == fetched[key]
+            assert hashlib.sha256(fetched[key]).hexdigest() == content_hash
+
+    def test_a_failed_bootstrap_keeps_what_it_fetched(self, toy, monkeypatch):
+        htl = toy.specs / "htl.tooldoc"
+        text = htl.read_text()
+        htl.unlink()
+        with pytest.raises(ScramError, match="htl.tooldoc"):
+            bootstrap(toy)
+        htl.write_text(text)
+        retrieved, real = [], SchemeRegistry.retrieve
+
+        def spy(registry, url, version):
+            retrieved.append(str(url))
+            return real(registry, url, version)
+
+        monkeypatch.setattr(SchemeRegistry, "retrieve", spy)
+        bootstrap(toy)
+        assert f"file:{htl}" in retrieved
+        assert not {toy.bootstrap_url, toy.requirements_url} & set(retrieved)
+        assert len(os.listdir(Path(toy.env["SCRAM_CACHE"]) / "packs")) == 2
 
     def test_config_url_may_name_a_configuration_directly(self, toy):
         boot = toy.specs / "direct.boot"
@@ -404,7 +427,6 @@ class TestDevArea:
             create_dev_area("ORCA", "7_1_3", registry, str(toy.workspace), ARCH)
 
     def test_vanished_central_location_rejected(self, toy):
-        import shutil
         central, registry = installed(toy)
         shutil.rmtree(central.root)
         with pytest.raises(AreaError, match="gone or is not"):
@@ -845,6 +867,50 @@ class TestAnyBytes:
             read(ProjectArea(str(tmp_path / "area")), str(path))
         except ScramError:
             pass
+
+    PACK_URL = parse_url("stub:doc")
+    PACK_KEY = PACK_URL.cache_key("1.0")
+    _GOOD = b"served"
+    _GOOD_HASH = hashlib.sha256(_GOOD).hexdigest()
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.one_of(
+        ANY_BYTES,
+        # any bytes as the index of a pack, or as its contents
+        st.tuples(st.binary(max_size=40), ANY_BYTES).map(
+            lambda parts: parts[0] + parts[1] + footer(len(parts[0]))),
+        # any JSON as this key's index entry
+        st.tuples(st.binary(max_size=40), _JSON).map(
+            lambda parts: make_pack(parts[0], {TestAnyBytes.PACK_KEY: parts[1]}))))
+    @example(data=make_pack(_GOOD, {PACK_KEY: [0, 6, _GOOD_HASH, 1.0]}))
+    @example(data=make_pack(_GOOD, {PACK_KEY: [0, 6, "0" * 64, 1.0]}))
+    @example(data=make_pack(_GOOD, {PACK_KEY: [-1, 6, _GOOD_HASH, 1.0]}))
+    @example(data=make_pack(_GOOD, {PACK_KEY: [0, 10**30, _GOOD_HASH, 1.0]}))
+    @example(data=make_pack(_GOOD, {PACK_KEY: [0, 6, _GOOD_HASH, "NaN"]}))
+    @example(data=_GOOD + b"[" * 100000 + footer(6))
+    @example(data=_GOOD + footer(10**15))
+    @example(data=footer(0)[:-1] + b"g")
+    def test_a_cache_pack_gives_a_verified_hit_or_a_miss(self, tmp_path, data):
+        root = tmp_path / "cache"
+        shutil.rmtree(root, ignore_errors=True)
+        (root / "packs").mkdir(parents=True)
+        (root / "packs" / "1.1.00000000.pack").write_bytes(data)
+        calls = []
+
+        def adapter(url, version):
+            calls.append(version)
+            return b"fetched"
+
+        cache = UrlCache(str(root), SchemeRegistry({"stub": adapter}))
+        try:
+            content = cache.fetch(self.PACK_URL, "1.0")
+        finally:
+            cache.publish()
+        if calls:
+            assert content == b"fetched"
+        else:
+            assert hashlib.sha256(content).hexdigest().encode() in data
 
 
 class TestProbing:

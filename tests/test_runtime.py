@@ -62,7 +62,7 @@ class TestApplyDelta:
 class TestDeltaValidation:
     def test_new_delta_is_empty(self):
         d = EnvDelta()
-        assert d.is_empty()
+        assert not d.sets and not d.prepends
         assert (d.sets, d.prepends, d.area_id) == ([], [], "")
         assert EnvDelta().sets is not d.sets
 

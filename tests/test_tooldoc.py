@@ -27,6 +27,18 @@ def spec_of(text):
     return parse_tool_doc(strip_doc_header(tokenize_markup(text)))
 
 
+def client_vars(block):
+    return [v for v in block.variables if v.client]
+
+
+def derived_vars(block):
+    return [v for v in block.variables if not v.client]
+
+
+def is_empty(delta):
+    return not delta.sets and not delta.prepends
+
+
 @pytest.fixture(scope="module")
 def boost_spec(boost_text):
     return spec_of(boost_text)
@@ -51,12 +63,12 @@ class TestParseToolDoc:
         for block in boost_spec.blocks:
             assert block.libs == ["boost_thread"]
             assert block.info_url == "http://www.boost.org"
-            assert [(v.name, v.var_type) for v in block.client_vars] == [
+            assert [(v.name, v.var_type) for v in client_vars(block)] == [
                 ("BOOST_BASE", VarType.PLAIN),
                 ("LIBDIR", VarType.LIB),
                 ("INCLUDE", VarType.PLAIN),
             ]
-            assert [(v.name, v.var_type, v.value) for v in block.derived_vars] == [
+            assert [(v.name, v.var_type, v.value) for v in derived_vars(block)] == [
                 ("LD_LIBRARY_PATH", VarType.RUNTIME_PATH, "$LIBDIR"),
             ]
             assert [(e.ref, e.version) for e in block.externals] == [("sockets", "1.0")]
@@ -104,7 +116,7 @@ class TestParseToolDoc:
                 "<Environment name=B value=$A/sub></Environment>"
                 "</Tool>")
         spec = spec_of(text)
-        assert spec.blocks[0].derived_vars[1].value == "$A/sub"
+        assert derived_vars(spec.blocks[0])[1].value == "$A/sub"
 
     def test_environment_outside_tool_block(self):
         with pytest.raises(ToolError, match="outside any <Tool>"):
@@ -297,7 +309,7 @@ class TestContributions:
         spec = spec_of("<Tool name=T version=1>"
                        "<Environment name=A value=x></Environment></Tool>")
         rt = resolve_tool(spec.blocks[0], tool_name="T", site=SiteInfo({}))
-        assert runtime_contribution(rt).is_empty()
+        assert is_empty(runtime_contribution(rt))
 
     def test_two_tools_prepend_in_selection_order(self):
         # delta order fixed by construction; later entry ends up ahead

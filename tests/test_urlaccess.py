@@ -1,18 +1,19 @@
 import hashlib
 import json
+import os
+import re
 import sys
 import threading
 import time
 from http.server import HTTPServer, SimpleHTTPRequestHandler
-from pathlib import Path
 
 import pytest
 
-from scram import urlaccess
 from scram.cli import main
 from scram.errors import FetchError, UrlError
 from scram.fsutil import locked
 from scram.urlaccess import (
+    COMPACT_ABOVE,
     HEAD,
     SchemeRegistry,
     UrlCache,
@@ -20,6 +21,8 @@ from scram.urlaccess import (
     external_command_adapter,
     parse_url,
 )
+
+from cachepacks import footer, packs, read_pack
 
 
 class TestParseUrl:
@@ -157,12 +160,6 @@ class TestSchemeRegistry:
             registry.retrieve(parse_url("cvs:?module=M"), "1.0")
 
 
-def read_entry(path):
-    """The header and content of the cache entry file at ``path``."""
-    header, _, content = Path(path).read_bytes().partition(b"\n")
-    return json.loads(header), content
-
-
 def counting_registry(payload=b"data-%s"):
     calls = []
 
@@ -174,17 +171,39 @@ def counting_registry(payload=b"data-%s"):
     return registry, calls
 
 
+def no_fetch_registry():
+    def adapter(url, version):
+        raise AssertionError(f"unexpected fetch of {url} {version}")
+
+    return SchemeRegistry({"stub": adapter})
+
+
+def one_command(root, url, version=None, refresh=False, registry=None) -> bytes:
+    """What one command does with the cache: fetch, then publish."""
+    cache = UrlCache(str(root), registry or counting_registry()[0])
+    try:
+        return cache.fetch(url, version, refresh)
+    finally:
+        cache.publish()
+
+
+def item(n):
+    return parse_url(f"stub:item?n={n}")
+
+
 class TestUrlCache:
     def test_versioned_fetch_hits_adapter_once(self, tmp_path):
         registry, calls = counting_registry()
         cache = UrlCache(str(tmp_path / "cache"), registry)
         url = parse_url("stub:thing?n=1")
-        first, _ = cache.fetch(url, "1.0")
-        second, _ = cache.fetch(url, "1.0")
-        assert first == second
+        first = cache.fetch(url, "1.0")
+        second = cache.fetch(url, "1.0")
+        cache.publish()
+        third = cache.fetch(url, "1.0")
+        assert first == second == third == b"data-1"
         assert len(calls) == 1
         assert cache.stats.adapter_calls == 1
-        assert cache.stats.hits == 1
+        assert cache.stats.hits == 2
 
     def test_refresh_forces_head_refetch(self, tmp_path):
         registry, calls = counting_registry()
@@ -207,21 +226,25 @@ class TestUrlCache:
     def test_hundred_distinct_keys_hash_stable(self, tmp_path):
         registry, calls = counting_registry()
         cache = UrlCache(str(tmp_path), registry)
-        entries = {}
+        fetched = {}
         for i in range(50):
             for version in ("1.0", "2.0"):
-                url = parse_url(f"stub:item?n={i}")
-                content, entry = cache.fetch(url, version)
-                entries[entry.key] = (content, entry)
-        assert len(entries) == 100
+                fetched[item(i).cache_key(version)] = cache.fetch(item(i), version)
+        cache.publish()
+        assert len(fetched) == 100
         assert len(calls) == 100
-        assert len(list((tmp_path / "stub").iterdir())) == 100
-        for content, entry in entries.values():
-            header, on_disk = read_entry(entry.path)
-            assert header["key"] == entry.key
-            assert header["content_hash"] == entry.content_hash
-            assert hashlib.sha256(on_disk).hexdigest() == entry.content_hash
-            assert on_disk == content
+        (pack,) = packs(tmp_path)
+        index, contents = read_pack(pack)
+        assert index.keys() == fetched.keys()
+        for key, (offset, length, content_hash, _) in index.items():
+            on_disk = contents[offset:offset + length]
+            assert hashlib.sha256(on_disk).hexdigest() == content_hash
+            assert on_disk == fetched[key]
+        again = UrlCache(str(tmp_path), no_fetch_registry())
+        for i in range(50):
+            for version in ("1.0", "2.0"):
+                assert again.fetch(item(i), version) == fetched[item(i).cache_key(version)]
+        assert again.stats.hits == 100
 
     def test_query_order_does_not_fragment_cache(self, tmp_path):
         registry, calls = counting_registry()
@@ -242,113 +265,126 @@ class TestUrlCache:
         root = tmp_path / "c"
         cache = UrlCache(str(root), registry)
         url = parse_url("stub:x?n=1")
+        cache.fetch(url, "1.0")
+        (private,) = os.listdir(root / "packs")
+        assert re.fullmatch(rf"\.[0-9]+\.{os.getpid()}\.[0-9a-f]{{8}}\.pack\.tmp", private)
         before = time.time()
-        _, entry = cache.fetch(url, "1.0")
-        digest = hashlib.sha256(url.cache_key("1.0").encode()).hexdigest()
-        expected = root / "stub" / digest
-        assert str(expected) == entry.path
+        cache.publish()
         assert sorted(str(p.relative_to(root)) for p in root.rglob("*")) == [
-            "stub", f"stub/{digest}"]
-        header, content = read_entry(expected)
-        assert header == {"url": "stub:x?n=1", "key": url.cache_key("1.0"),
-                          "fetched_at": entry.fetched_at,
-                          "content_hash": hashlib.sha256(b"data-1").hexdigest()}
-        assert before <= entry.fetched_at <= time.time()
-        assert content == b"data-1"
+            "packs", f"packs/{private[1:-4]}"]
+        data = (root / "packs" / private[1:-4]).read_bytes()
+        index, contents = read_pack(root / "packs" / private[1:-4])
+        (fetched_at,) = [entry.pop() for entry in index.values()]
+        assert before <= fetched_at <= time.time()
+        assert index == {url.cache_key("1.0"):
+                         [0, 6, hashlib.sha256(b"data-1").hexdigest()]}
+        assert contents == b"data-1"
+        assert data.endswith(b"scram-pack-1 %016x" % 6)
 
-    @pytest.mark.parametrize("header", [
-        None,  # lost: the content alone
-        "[1, 2]",
+    @pytest.mark.parametrize("damage", [
+        "lost",  # the footer is cut off
+        "list",
         "null",
-        "{}",
-        '{"fetched_at": 1.5',
-        '{"fetched_at": "now", "content_hash": "abc"}',
-        '{"fetched_at": 1.5, "content_hash": 7}',
-        "",
+        "empty object",
+        "truncated",
+        "wrong types",
+        "hash not a string",
+        "empty line",
         "empty file",
         "another key",
-    ], ids=["lost", "list", "null", "empty object", "truncated", "wrong types",
-            "hash not a string", "empty line", "empty file", "another key"])
-    def test_bad_header_is_refetched_once_under_the_lock(self, tmp_path,
-                                                         monkeypatch, header):
+    ])
+    def test_bad_header_is_refetched_once_under_the_lock(self, tmp_path, damage):
+        """A pack whose footer or index is damaged holds nothing: its keys
+        are missed and fetched once more, also while another command holds
+        the packs' lock, and the next command serves the new copy."""
         registry, calls = counting_registry()
-        cache = UrlCache(str(tmp_path), registry)
         url = parse_url("stub:x?n=5")
-        content, entry = cache.fetch(url, "1.0")
-        path = Path(entry.path)
-        if header is None:
-            path.write_bytes(content)
-        elif header == "empty file":
-            path.write_bytes(b"")
-        elif header == "another key":
-            meta = dict(read_entry(path)[0], key=url.cache_key("2.0"))
-            path.write_bytes(json.dumps(meta).encode() + b"\n" + content)
+        content = one_command(tmp_path, url, "1.0", registry=registry)
+        (pack,) = packs(tmp_path)
+        index, contents = read_pack(pack)
+        entry = index[url.cache_key("1.0")]
+        bad_index = {
+            "list": "[1, 2]",
+            "null": "null",
+            "empty object": "{}",
+            "truncated": json.dumps(index)[:-3],
+            "wrong types": json.dumps({url.cache_key("1.0"): [0, "6", entry[2], "now"]}),
+            "hash not a string": json.dumps({url.cache_key("1.0"): [0, 6, 7, entry[3]]}),
+            "empty line": "",
+            "another key": json.dumps({url.cache_key("2.0"): entry}),
+        }
+        if damage == "lost":
+            pack.write_bytes(contents + json.dumps(index).encode())
+        elif damage == "empty file":
+            pack.write_bytes(b"")
         else:
-            path.write_bytes(header.encode() + b"\n" + content)
-        held = []
-
-        def spy(path, *args, real=urlaccess.locked, **kwargs):
-            held.append(path)
-            return real(path, *args, **kwargs)
-
-        monkeypatch.setattr(urlaccess, "locked", spy)
-        again, refetched = cache.fetch(url, "1.0")
-        assert held == [entry.path]
-        assert again == content
-        assert refetched.content_hash == hashlib.sha256(content).hexdigest()
-        assert (len(calls), cache.stats.misses, cache.stats.hits) == (2, 2, 0)
-        assert read_entry(path)[1] == content
-        assert cache.fetch(url, "1.0")[0] == content
-        assert (len(calls), cache.stats.hits) == (2, 1)
+            pack.write_bytes(contents + bad_index[damage].encode() + footer(len(contents)))
+        with locked(str(tmp_path / "packs" / "lock"), wait=True):
+            cache = UrlCache(str(tmp_path), registry)
+            assert cache.fetch(url, "1.0") == content
+            cache.publish()
+        assert (len(calls), cache.stats.misses, cache.stats.hits) == (2, 1, 0)
+        assert len(packs(tmp_path)) == 2
+        assert one_command(tmp_path, url, "1.0", registry=no_fetch_registry()) == content
 
     @pytest.mark.parametrize("version", ["1.0", None])
     def test_damaged_entry_is_refetched_once(self, tmp_path, version):
         registry, calls = counting_registry(b"full content of %s")
-        cache = UrlCache(str(tmp_path), registry)
         url = parse_url("stub:x?n=6")
-        content, entry = cache.fetch(url, version)
-        path = Path(entry.path)
-        path.write_bytes(path.read_bytes()[:-4])  # truncated
-        again, repaired = cache.fetch(url, version)
-        assert again == content == b"full content of 6"
-        assert (cache.stats.misses, cache.stats.hits, len(calls)) == (2, 0, 2)
-        assert read_entry(path)[1] == content
-        assert repaired.content_hash == hashlib.sha256(content).hexdigest()
-        assert cache.fetch(url, version)[0] == content
-        assert (cache.stats.misses, cache.stats.hits, len(calls)) == (2, 1, 2)
+        content = one_command(tmp_path, url, version, registry=registry)
+        (pack,) = packs(tmp_path)
+        data = bytearray(pack.read_bytes())
+        data[3] ^= 1  # one flipped bit in the content
+        pack.write_bytes(bytes(data))
+        cache = UrlCache(str(tmp_path), registry)
+        assert cache.fetch(url, version) == content == b"full content of 6"
+        cache.publish()
+        assert (cache.stats.misses, cache.stats.hits, len(calls)) == (1, 0, 2)
+        # the damaged copy ranks first for a versioned key and fails its check
+        again = UrlCache(str(tmp_path), no_fetch_registry())
+        assert again.fetch(url, version) == content
+        assert again.stats.hits == 1
 
     def test_hit_takes_no_lock(self, tmp_path):
-        registry, calls = counting_registry()
-        cache = UrlCache(str(tmp_path), registry)
         url = parse_url("stub:x?n=7")
-        content, entry = cache.fetch(url, "1.0")
+        content = one_command(tmp_path, url, "1.0")
         served = []
-        worker = threading.Thread(target=lambda: served.append(cache.fetch(url, "1.0")[0]))
-        with locked(entry.path, wait=True):
+        cache = UrlCache(str(tmp_path), no_fetch_registry())
+        worker = threading.Thread(target=lambda: served.append(cache.fetch(url, "1.0")))
+        with locked(str(tmp_path / "packs" / "lock"), wait=True):
             worker.start()
             worker.join(timeout=5)
             assert served == [content]
-        assert len(calls) == 1
+        cache.publish()
 
     def test_lock_free_readers_never_serve_a_torn_refresh(self, tmp_path):
+        """Readers racing 40 refreshes, and the compactions they bring, only
+        ever serve whole copies, each no older than the last they served."""
         versions = iter(range(10**6))
 
         def adapter(url, version):
             return b"%06d" % next(versions) * 2000
 
-        cache = UrlCache(str(tmp_path), SchemeRegistry({"stub": adapter}))
+        registry = SchemeRegistry({"stub": adapter})
         url = parse_url("stub:head")
-        cache.fetch(url)
-        served, writer_done = [], threading.Event()
+        one_command(tmp_path, url, registry=registry)
+        served, errors, writer_done = [], [], threading.Event()
 
         def write():
-            for _ in range(40):
-                cache.fetch(url, refresh=True)
-            writer_done.set()
+            try:
+                for _ in range(40):
+                    one_command(tmp_path, url, refresh=True, registry=registry)
+            finally:
+                writer_done.set()
 
         def read():
-            while not writer_done.is_set():
-                served.append(cache.fetch(url))
+            mine = []
+            try:
+                while not writer_done.is_set():
+                    mine.append(one_command(tmp_path, url, registry=no_fetch_registry()))
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+            served.append(mine)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -358,69 +394,238 @@ class TestUrlCache:
             for t in threads:
                 t.start()
             for t in threads:
-                t.join(timeout=30)
+                t.join(timeout=60)
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
-        assert served
-        for content, entry in served:
-            assert content == content[:6] * 2000
-            assert entry.content_hash == hashlib.sha256(content).hexdigest()
-        assert cache.stats.adapter_calls == 41
+        assert errors == []
+        assert any(served)
+        for mine in served:
+            for content in mine:
+                assert content == content[:6] * 2000
+            assert mine == sorted(mine)
+        assert next(versions) == 41
+        assert len(packs(tmp_path)) <= COMPACT_ABOVE + 1
+        assert one_command(tmp_path, url, registry=no_fetch_registry()) == b"000040" * 2000
 
-    def test_same_key_concurrent_fetches_serialize(self, tmp_path):
-        slow_started = threading.Event()
-        calls = []
-
-        def slow_adapter(url, version):
-            calls.append(version)
-            slow_started.set()
-            return b"slow"
-
-        registry = SchemeRegistry({"stub": slow_adapter})
-        cache = UrlCache(str(tmp_path), registry)
+    @pytest.mark.parametrize("second", [b"first", b"second"], ids=["same", "differs"])
+    def test_concurrent_misses_of_one_key_both_publish(self, tmp_path, second):
         url = parse_url("stub:one")
-        results = []
+        a = UrlCache(str(tmp_path), SchemeRegistry({"stub": lambda u, v: b"first"}))
+        b = UrlCache(str(tmp_path), SchemeRegistry({"stub": lambda u, v: second}))
+        assert a.fetch(url, "1.0") == b"first"
+        assert b.fetch(url, "1.0") == second
+        a.publish()
+        b.publish()
+        assert (a.stats.adapter_calls, b.stats.adapter_calls) == (1, 1)
+        assert [list(read_pack(pack)[0]) for pack in packs(tmp_path)] == [
+            [url.cache_key("1.0")]] * 2
 
-        def worker():
-            content, _ = cache.fetch(url, "1.0")
-            results.append(content)
+    @pytest.mark.parametrize("later", [b"earlier", b"later"], ids=["same", "differs"])
+    def test_later_copy_is_never_served(self, tmp_path, later):
+        """Of two copies of a versioned key, the one published first is
+        served from then on: by the next commands, and after a compaction
+        that merges both."""
+        url = parse_url("stub:one")
+        early = UrlCache(str(tmp_path), SchemeRegistry({"stub": lambda u, v: b"earlier"}))
+        late = UrlCache(str(tmp_path), SchemeRegistry({"stub": lambda u, v: later}))
+        late.fetch(url, "1.0")  # fetched first, published last
+        early.fetch(url, "1.0")
+        early.publish()
+        (first_pack,) = packs(tmp_path)
+        stamp = read_pack(first_pack)[0][url.cache_key("1.0")][3]
+        assert one_command(tmp_path, url, "1.0", registry=no_fetch_registry()) == b"earlier"
+        late.publish()
+        assert len(packs(tmp_path)) == 2
+        assert one_command(tmp_path, url, "1.0", registry=no_fetch_registry()) == b"earlier"
+        for n in range(COMPACT_ABOVE - 1):
+            one_command(tmp_path, item(n), "1.0")
+        (merged,) = packs(tmp_path)
+        index, contents = read_pack(merged)
+        offset, length, _, fetched_at = index[url.cache_key("1.0")]
+        assert (contents[offset:offset + length], fetched_at) == (b"earlier", stamp)
+        assert one_command(tmp_path, url, "1.0", registry=no_fetch_registry()) == b"earlier"
 
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert results == [b"slow"] * 8
-        assert len(calls) == 1
+    def test_head_refresh_newer_copy_wins(self, tmp_path):
+        versions = iter(range(10**6))
+        registry = SchemeRegistry({"stub": lambda u, v: b"v%d" % next(versions)})
+        url = parse_url("stub:head")
+        assert one_command(tmp_path, url, registry=registry) == b"v0"
+        assert one_command(tmp_path, url, registry=registry) == b"v0"
+        assert one_command(tmp_path, url, refresh=True, registry=registry) == b"v1"
+        assert one_command(tmp_path, url, registry=no_fetch_registry()) == b"v1"
+        for n in range(COMPACT_ABOVE - 1):  # the 17th pack brings a compaction
+            one_command(tmp_path, item(n), "1.0")
+        assert len(packs(tmp_path)) == 1
+        assert one_command(tmp_path, url, registry=no_fetch_registry()) == b"v1"
 
-    def test_entry_lock_of_killed_fetcher_is_free(self, tmp_path, kill_when_held):
+    def test_packs_stay_few_and_every_key_is_served(self, tmp_path):
+        for n in range(20):
+            one_command(tmp_path, item(n), "1.0")
+            assert len(packs(tmp_path)) <= COMPACT_ABOVE + 1
+        assert len(packs(tmp_path)) == 20 - COMPACT_ABOVE - 1 + 1
+        cache = UrlCache(str(tmp_path), no_fetch_registry())
+        assert [cache.fetch(item(n), "1.0") for n in range(20)] == [
+            b"data-%d" % n for n in range(20)]
+        cache.publish()
+        assert sorted(os.listdir(tmp_path)) == ["packs"]
+
+    def test_compaction_is_skipped_while_the_lock_is_held(self, tmp_path):
+        def commands():
+            for n in range(COMPACT_ABOVE + 3):
+                one_command(tmp_path, item(n), "1.0")
+
+        worker = threading.Thread(target=commands, daemon=True)
+        with locked(str(tmp_path / "packs" / "lock"), wait=True):
+            worker.start()
+            worker.join(timeout=10)
+            assert not worker.is_alive()
+            assert len(packs(tmp_path)) == COMPACT_ABOVE + 3
+        one_command(tmp_path, item(99), "1.0")
+        assert len(packs(tmp_path)) == 1
+
+    def test_killed_fetcher_leaves_an_unread_temp_pack(self, tmp_path, kill_when_held,
+                                                       monkeypatch):
         kill_when_held(
             "import time\n"
             "from scram.urlaccess import SchemeRegistry, UrlCache, parse_url\n"
-            "def hang(url, version):\n"
+            "def adapter(url, version):\n"
+            "    if url.authority == 'one':\n"
+            "        return b'from the killed command'\n"
             "    print('held', flush=True)\n"
             "    time.sleep(60)\n"
-            "registry = SchemeRegistry({'stub': hang})\n"
-            f"UrlCache({str(tmp_path)!r}, registry).fetch(parse_url('stub:one'), '1.0')\n")
+            "cache = UrlCache(%r, SchemeRegistry({'stub': adapter}))\n"
+            "cache.fetch(parse_url('stub:one'), '1.0')\n"
+            "cache.fetch(parse_url('stub:two'), '1.0')\n" % str(tmp_path))
+        (temp,) = os.listdir(tmp_path / "packs")
+        assert temp.startswith(".") and temp.endswith(".pack.tmp")
+        assert (tmp_path / "packs" / temp).read_bytes() == b"from the killed command"
+        opened, real_open = [], os.open
+        monkeypatch.setattr(os, "open", lambda path, *args: (
+            opened.append(os.path.basename(path)), real_open(path, *args))[1])
         registry, calls = counting_registry()
-        cache = UrlCache(str(tmp_path), registry)
         start = time.monotonic()
-        content, _ = cache.fetch(parse_url("stub:one"), "1.0")
+        assert one_command(tmp_path, parse_url("stub:one"), "1.0", registry=registry) == b"data-?"
         assert time.monotonic() - start < 2
-        assert content == b"data-?"
         assert len(calls) == 1
+        assert one_command(tmp_path, parse_url("stub:one"), "1.0",
+                           registry=no_fetch_registry()) == b"data-?"
+        assert temp in os.listdir(tmp_path / "packs")
+        assert opened and temp not in opened
+
+    def test_killed_compaction_leaves_every_key_served(self, tmp_path, kill_when_held):
+        for n in range(COMPACT_ABOVE):
+            one_command(tmp_path, item(n), "1.0")
+        kill_when_held(
+            "import time\n"
+            "from scram import urlaccess\n"
+            "from scram.urlaccess import SchemeRegistry, UrlCache, parse_url\n"
+            "class Stalling(urlaccess.PrivateFile):\n"
+            "    def append(self, data):\n"
+            "        offset = super().append(data)\n"
+            "        print('held', flush=True)\n"
+            "        time.sleep(60)\n"
+            "registry = SchemeRegistry({'stub': lambda url, version: b'data-16'})\n"
+            "cache = UrlCache(%r, registry)\n"
+            "cache.fetch(parse_url('stub:item?n=16'), '1.0')\n"
+            "urlaccess.PrivateFile = Stalling  # only the merged pack stalls\n"
+            "cache.publish()\n" % str(tmp_path))
+        names = os.listdir(tmp_path / "packs")
+        assert len(packs(tmp_path)) == COMPACT_ABOVE + 1
+        assert "lock" in names and sum(n.endswith(".pack.tmp") for n in names) == 1
+        cache = UrlCache(str(tmp_path), no_fetch_registry())
+        assert [cache.fetch(item(n), "1.0") for n in range(COMPACT_ABOVE + 1)] == [
+            b"data-%d" % n for n in range(COMPACT_ABOVE + 1)]
+        cache.publish()
+        # the lock died with its holder: the next publishing command merges
+        one_command(tmp_path, item(99), "1.0")
+        assert len(packs(tmp_path)) == 1
+
+    def test_readers_racing_a_compaction_never_fail(self, tmp_path):
+        for n in range(COMPACT_ABOVE):
+            one_command(tmp_path, item(n), "1.0")
+        errors, rounds, writer_done = [], [], threading.Event()
+
+        def write():
+            try:
+                for n in range(COMPACT_ABOVE, 3 * COMPACT_ABOVE):
+                    one_command(tmp_path, item(n), "1.0")
+            finally:
+                writer_done.set()
+
+        def read():
+            try:
+                while not writer_done.is_set():
+                    cache = UrlCache(str(tmp_path), no_fetch_registry())
+                    try:
+                        for n in range(COMPACT_ABOVE):
+                            assert cache.fetch(item(n), "1.0") == b"data-%d" % n
+                    finally:
+                        cache.publish()
+                    rounds.append(1)
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=write)] + [
+                threading.Thread(target=read) for _ in range(3)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert rounds
+        assert len(packs(tmp_path)) <= COMPACT_ABOVE + 1  # 48 packs were published
+
+    def test_every_step_of_a_compaction_leaves_every_key_served(self, tmp_path,
+                                                                monkeypatch):
+        """A reader that lists the packs just before a compaction unlinks
+        them lists again; one that starts at any unlink finds every key."""
+        for n in range(COMPACT_ABOVE):
+            one_command(tmp_path, item(n), "1.0")
+        served, real_listdir, real_unlink = [], os.listdir, os.unlink
+
+        def read_all():
+            cache = UrlCache(str(tmp_path), no_fetch_registry())
+            try:
+                served.append([cache.fetch(item(n), "1.0") for n in range(COMPACT_ABOVE)])
+            finally:
+                cache.publish()
+
+        def unlink(path):
+            read_all()
+            real_unlink(path)
+
+        def listdir(path):
+            names = real_listdir(path)
+            if len(served) == 0:
+                monkeypatch.setattr(os, "listdir", real_listdir)
+                # a compaction merges every listed pack away before they are opened
+                one_command(tmp_path, item(COMPACT_ABOVE), "1.0")
+            return names
+
+        monkeypatch.setattr(os, "unlink", unlink)
+        monkeypatch.setattr(os, "listdir", listdir)
+        read_all()
+        assert len(packs(tmp_path)) == 1
+        # one read per unlinked pack, then the read that was interrupted
+        assert served == [[b"data-%d" % n for n in range(COMPACT_ABOVE)]] * (
+            COMPACT_ABOVE + 2)
 
     def test_adapter_opacity(self, tmp_path):
-        # hit and miss return identical shapes; only the counters differ
+        # hit and miss return identical content; only the counters differ
         registry, _ = counting_registry()
         cache = UrlCache(str(tmp_path), registry)
         url = parse_url("stub:x?n=9")
         miss = cache.fetch(url, "1.0")
         hit = cache.fetch(url, "1.0")
-        assert miss[0] == hit[0]
-        assert miss[1].key == hit[1].key
-        assert miss[1].content_hash == hit[1].content_hash
+        assert miss == hit
+        assert (cache.stats.misses, cache.stats.hits) == (1, 1)
 
 
 @pytest.fixture
@@ -463,8 +668,8 @@ class TestFetchHttp:
         (root / "doc").write_bytes(b"served")
         cache = UrlCache(str(tmp_path / "cache"), default_registry())
         url = parse_url(f"{base}/doc?version=1")
-        assert cache.fetch(url)[0] == b"served"
-        assert cache.fetch(url)[0] == b"served"
+        assert cache.fetch(url) == b"served"
+        assert cache.fetch(url) == b"served"
         assert requested == ["/doc?version=1"]
         assert cache.stats.adapter_calls == 1
 
