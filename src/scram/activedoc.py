@@ -50,16 +50,15 @@ class TypedDocument:
 
 
 class EngineStats:
-    __slots__ = ("fetches", "parses")
+    __slots__ = ("fetches",)
 
-    def __init__(self, fetches: int = 0, parses: int = 0):
+    def __init__(self, fetches: int = 0):
         self.fetches = fetches
-        self.parses = parses
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.fetches, self.parses) == (other.fetches, other.parses)
+        return self.fetches == other.fetches
 
 
 class DocumentEngine:
@@ -107,7 +106,6 @@ class DocumentEngine:
         content = self.cache.fetch(url, version, refresh=self.refresh)
         self.stats.fetches += 1
         text = content.decode("utf-8", errors="replace")
-        self.stats.parses += 1
         return tokenize_markup(text, source_id=str(url))
 
     def _splice(self, events, url, version, doc_type, chain):

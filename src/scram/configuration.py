@@ -236,15 +236,13 @@ class PinnedTool:
 
 
 class ResolvedConfiguration:
-    __slots__ = ("arch", "tools", "config_identity", "base")
+    __slots__ = ("arch", "tools", "config_identity")
 
     def __init__(self, arch: Architecture, tools: dict[str, PinnedTool],
-                 config_identity: tuple[str, str] = ("", ""),
-                 base: str | None = None):
+                 config_identity: tuple[str, str] = ("", "")):
         self.arch = arch
         self.tools = tools  # insertion-ordered by select order
         self.config_identity = config_identity
-        self.base = base
 
     def names(self) -> list[str]:
         return list(self.tools)
@@ -292,4 +290,4 @@ def resolve_selection(req: RequirementsDoc, configs: list[ConfigurationDoc],
         tools[select.folded_name] = PinnedTool(
             select.folded_name, chosen.version, chosen.url, chosen_base
         )
-    return ResolvedConfiguration(arch, tools, identity, req.base)
+    return ResolvedConfiguration(arch, tools, identity)

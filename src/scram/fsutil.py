@@ -1,23 +1,22 @@
-"""How scram state reaches disk and comes back: an atomic write, a private
-tree and a private file each published by one rename, one lock, and two
-readers.
+"""How scram state reaches disk and comes back: a private file and a
+private tree, each published by one rename, one lock, and two readers.
 
-``atomic_write`` writes a dot-named temp file beside the target and renames
-it over the target, so a reader sees the old file or the new one and a
-killed command leaves at most a dot-named temp file. ``private_tree``
-gives a new tree a dot-named sibling of its final path; ``write_new``
-writes each of its files in one create-or-truncate write, with no temp
-file, because nothing reads the tree until it is renamed into place in
-one step. A ``PrivateFile`` is one new file, grown by appends under a
-dot-name and renamed into place once, after which it never changes (a
-document cache pack). ``locked`` holds an ``flock`` on a file that is
-never unlinked; the kernel drops it when the holder exits or is killed. No
-file is fsync'ed: a rename survives the death of the process, and
-surviving power loss is not promised. ``read_text`` and ``read_json``
-give a caller's default for a file that does not exist and turn any other
-failure to open, read, decode or parse (JSON nested too deeply too) into
-one ``AreaError``, ``unreadable <what> <path>: <reason>``; the other
-helpers turn an ``OSError`` into one that names their path.
+A ``PrivateFile`` is a new dot-named temp file ``.<name>.<8 hex>.tmp``
+beside its target, grown by appends and renamed over the target once, so a
+reader sees the old file or the new one and a killed command leaves at
+most a dot-named temp file, which nothing reads. ``atomic_write`` replaces
+a file with one ``PrivateFile``; a document cache pack is one too.
+``private_tree`` gives a new tree a dot-named sibling of its final path;
+``write_new`` writes each of its files in one create-or-truncate write,
+with no temp file, because nothing reads the tree until it is renamed into
+place in one step. ``locked`` holds an ``flock`` on a file that is never
+unlinked; the kernel drops it when the holder exits or is killed. No file
+is fsync'ed: a rename survives the death of the process, and surviving
+power loss is not promised. ``read_text`` and ``read_json`` give a
+caller's default for a file that does not exist and turn any other failure
+to open, read, decode or parse (JSON nested too deeply too) into one
+``AreaError``, ``unreadable <what> <path>: <reason>``; the other helpers
+turn an ``OSError`` into one that names the path they were given.
 """
 
 from __future__ import annotations
@@ -44,10 +43,13 @@ def _open_creating_parent(path: str, flags: int) -> int:
         return os.open(path, flags, 0o666)
 
 
-def _write_all(fd: int, data: bytes | str) -> None:
+def _write_all(fd: int, data: bytes | str, offset: int = 0) -> int:
+    """Write ``data`` at ``offset``; returns the offset just past it."""
     view = memoryview(data.encode() if isinstance(data, str) else data)
     while view:
-        view = view[os.write(fd, view):]
+        written = os.pwrite(fd, view, offset)
+        view, offset = view[written:], offset + written
+    return offset
 
 
 def make_dirs(path: str) -> None:
@@ -59,28 +61,9 @@ def make_dirs(path: str) -> None:
 
 
 def atomic_write(path: str, data: bytes | str) -> None:
-    """Replace ``path`` with ``data``, creating its directory if needed.
-
-    A new file gets ``0o666`` less the umask; a replaced file keeps its
-    mode. A symlinked ``path`` stays a symlink: its target is replaced.
-    """
-    target = os.path.realpath(path) if os.path.islink(path) else path
-    directory, name = os.path.split(target)
-    tmp = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
-    try:
-        fd = _open_creating_parent(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                with suppress(FileNotFoundError):
-                    os.fchmod(fd, stat.S_IMODE(os.stat(target).st_mode))
-                fh.write(data.encode() if isinstance(data, str) else data)
-            os.replace(tmp, target)
-        except BaseException:
-            with suppress(OSError):
-                os.unlink(tmp)
-            raise
-    except OSError as exc:
-        raise _failed("write", path, exc) from exc
+    """Replace ``path`` with ``data``, creating its directory if needed. A
+    symlinked ``path`` stays a symlink: its target is replaced."""
+    PrivateFile(os.path.realpath(path) if os.path.islink(path) else path).finish(data)
 
 
 def write_new(path: str, data: bytes | str) -> None:
@@ -105,34 +88,45 @@ def _publish(private: str, target: str) -> None:
 
 
 class PrivateFile:
-    """A new file ``.<name>.tmp`` beside ``target``, creating its directory
-    if needed, grown by ``append`` and published by one rename to
-    ``target``. ``fd`` is open for reading until then, so what was appended
-    can be read back with ``os.pread``. Nothing reads the dot-name, so a
-    killed command leaves only an unread temp file; ``discard``, or a
-    failed publish, removes it."""
+    """A new file ``.<name>.<8 hex>.tmp`` beside ``target``, creating its
+    directory if needed, grown by ``append`` and published over ``target``
+    by ``finish``. ``fd`` is open for reading until then, so what was
+    appended can be read back with ``os.pread``. A new file gets ``0o666``
+    less the umask; a replaced one keeps its mode. Nothing reads the
+    dot-name, so a killed command leaves only an unread temp file;
+    ``discard``, or a failed ``finish``, removes it. Errors name
+    ``target``."""
 
     def __init__(self, target: str):
         directory, name = os.path.split(target)
         self.target = target
-        self.path = os.path.join(directory, f".{name}.tmp")
+        self.path = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
+        self.size = 0
         try:
             self.fd = _open_creating_parent(self.path,
                                             os.O_CREAT | os.O_EXCL | os.O_RDWR)
         except OSError as exc:
-            raise _failed("write", self.path, exc) from exc
+            raise _failed("write", target, exc) from exc
 
-    def append(self, data: bytes) -> int:
+    def append(self, data: bytes | str) -> int:
         """Append ``data``; returns the offset it starts at."""
+        offset = self.size
         try:
-            offset = os.lseek(self.fd, 0, os.SEEK_END)
-            _write_all(self.fd, data)
+            self.size = _write_all(self.fd, data, offset)
         except OSError as exc:
-            raise _failed("write", self.path, exc) from exc
+            raise _failed("write", self.target, exc) from exc
         return offset
 
-    def publish(self) -> None:
+    def finish(self, data: bytes | str) -> None:
+        """Append ``data`` and rename the file over ``target``; on any
+        failure the file is discarded."""
         try:
+            self.append(data)
+            try:
+                with suppress(FileNotFoundError):
+                    os.fchmod(self.fd, stat.S_IMODE(os.stat(self.target).st_mode))
+            except OSError as exc:
+                raise _failed("write", self.target, exc) from exc
             _publish(self.path, self.target)
         except BaseException:
             self.discard()
@@ -147,16 +141,25 @@ class PrivateFile:
 
 @contextmanager
 def private_tree(target: str) -> Iterator[str]:
-    """A path ``.<name>.<8 hex>.partial`` beside ``target`` for the body to
-    build a new tree in; renamed to ``target`` when the body succeeds, and
-    removed when it fails.
+    """A new directory ``.<name>.<8 hex>.partial`` beside ``target``, and
+    any missing parents, for the body to build a new tree in; renamed to
+    ``target`` when the body succeeds, and removed when it fails. Errors
+    name ``target``.
 
-    The rename fails, and the tree is removed, when ``target`` has appeared
-    meanwhile as a file or a non-empty directory. A killed command leaves
-    only the dot-named tree, which no scram command reads.
+    Anything at ``target`` on entry, a dangling symlink or an empty
+    directory too, fails at once. The rename fails, and the tree is
+    removed, when ``target`` has appeared meanwhile as a file or a
+    non-empty directory. A killed command leaves only the dot-named tree,
+    which no scram command reads.
     """
+    if os.path.lexists(target):
+        raise AreaError(f"target directory already exists: {target}")
     directory, name = os.path.split(target)
     tree = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.partial")
+    try:
+        os.makedirs(tree)
+    except OSError as exc:
+        raise _failed("create directory", target, exc) from exc
     try:
         yield tree
         try:

@@ -158,8 +158,8 @@ class Registry:
 
 class ProjectArea:
     """An area on disk. ``write`` puts one of its files on disk: an atomic
-    replacement, or ``write_new`` for an area that ``bootstrap_install``
-    is still assembling where nobody reads it."""
+    replacement, or ``write_new`` for an area that is still being built in
+    a private tree where nobody reads it."""
 
     def __init__(self, root: str, write=atomic_write):
         self.root = os.path.abspath(root)
@@ -235,17 +235,16 @@ class ProjectArea:
     # ---- creation ---------------------------------------------------
     @classmethod
     def create(cls, root: str, project: str, version: str,
-               link_target: str | None = None,
-               write=atomic_write) -> "ProjectArea":
-        if os.path.exists(root):
-            raise AreaError(f"target directory already exists: {root}")
-        area = cls(root, write)
+               link_target: str | None = None) -> "ProjectArea":
+        """A new area at ``root``, a path in a ``private_tree``; the area
+        writes its files with ``write_new``."""
+        area = cls(root, write_new)
         for sub in AREA_SUBDIRS:
             make_dirs(os.path.join(area.root, sub))
-        write(area._admin_file(AREA_FILE),
-              f"project = {project}\nversion = {version}\n")
+        write_new(area._admin_file(AREA_FILE),
+                  f"project = {project}\nversion = {version}\n")
         if link_target is not None:
-            write(area._admin_file(LINK_FILE), os.path.abspath(link_target) + "\n")
+            write_new(area._admin_file(LINK_FILE), os.path.abspath(link_target) + "\n")
         area.set_state(STATE_INCOMPLETE)
         return area
 
@@ -294,7 +293,7 @@ class BootStrapDoc:
 
 def _safe_destination(dest: str) -> str:
     norm = os.path.normpath(dest)
-    if not dest or os.path.isabs(norm) or norm.startswith(".."):
+    if not dest or os.path.isabs(norm) or norm == ".." or norm.startswith("../"):
         raise AreaError(f"download destination escapes the area: {dest!r}")
     return norm
 
@@ -604,13 +603,10 @@ def bootstrap_install(bootstrap_url: str, dest_root: str,
 
         root = os.path.join(os.path.abspath(dest_root),
                             f"{boot.project}_{boot.version}")
-        if os.path.lexists(root):
-            raise AreaError(f"target directory already exists: {root}")
         if not os.path.isdir(dest_root):
             make_dirs(dest_root)  # here, so a failure names the --dest given
         with private_tree(root) as private:
-            area = ProjectArea.create(private, boot.project, boot.version,
-                                      write=write_new)
+            area = ProjectArea.create(private, boot.project, boot.version)
             for raw_url, dest in boot.downloads:
                 content = engine.cache.fetch(parse_url(raw_url, base=typed.source))
                 area.write(os.path.join(area.root, dest), content)
@@ -675,7 +671,9 @@ def list_installs(registry: Registry, project_filter: str | None,
 def create_dev_area(project: str, version: str, registry: Registry, cwd: str,
                     arch: Architecture | None = None) -> ProjectArea:
     """Developer area linked to a registered central installation; only the
-    configuration identity and administrative metadata are local."""
+    configuration identity and administrative metadata are local. It is
+    built in a private tree, as ``bootstrap_install`` builds a central one,
+    so a failed command leaves nothing behind."""
     arch = arch or detect_architecture()
     record = registry.find(project, version, arch.canonical)
     if record is None:
@@ -693,12 +691,12 @@ def create_dev_area(project: str, version: str, registry: Registry, cwd: str,
     identity = read_text(os.path.join(record.location, "config", REQUIREMENTS_ID_FILE),
                          "configuration identity", missing=None)
     root = os.path.join(os.path.abspath(cwd), f"{project}_{version}")
-    area = ProjectArea.create(root, project, version,
-                              link_target=record.location)
-    if identity is not None:
-        atomic_write(os.path.join(area.root, "config", REQUIREMENTS_ID_FILE),
-                     identity)
-    return area
+    with private_tree(root) as private:
+        ProjectArea.create(private, project, version, link_target=record.location)
+        if identity is not None:
+            write_new(os.path.join(private, "config", REQUIREMENTS_ID_FILE),
+                      identity)
+    return ProjectArea(root)
 
 
 def tool_list(area: ProjectArea, arch: Architecture) -> str:

@@ -436,13 +436,7 @@ def _pack_name() -> str:
 
 def _finish(pack: PrivateFile, index: dict) -> None:
     """Append ``index`` and the footer to ``pack`` and publish it."""
-    try:
-        start = pack.append(json.dumps(index).encode())
-        pack.append(_MAGIC + b"%016x" % start)
-    except BaseException:
-        pack.discard()
-        raise
-    pack.publish()
+    pack.finish(json.dumps(index).encode() + _MAGIC + b"%016x" % pack.size)
 
 
 def _index(fd: int) -> dict[str, list]:

@@ -59,13 +59,13 @@ class TestRegistry:
     def test_memo_hit_under_another_type_gives_the_one_message(self, engine, tmp_path):
         url = write(tmp_path, "a.doc", "<doc type=Test::Names version=1.0><p>")
         engine.activate(url, (NAMES,))
-        parses = engine.stats.parses
+        fetches = engine.stats.fetches
         with pytest.raises(DocTypeError) as exc:
             engine.activate(url, (TOOLDOC,))
         assert str(exc.value) == (
             "expected a BuildSystem::ToolDoc document, found 'Test::Names'")
         assert exc.value.context == f"while activating {url}"
-        assert engine.stats.parses == parses
+        assert engine.stats.fetches == fetches
         assert engine.activate(url, (NAMES,)).payload == ["p"]
 
 
@@ -79,12 +79,11 @@ class TestActivate:
     def test_memoization_skips_fetch_and_parse(self, engine, tmp_path):
         url = write(tmp_path, "a.doc", "<doc type=Test::Names version=1.0><p>")
         first = engine.activate(url, (NAMES,))
-        fetches, parses = engine.stats.fetches, engine.stats.parses
+        fetches = engine.stats.fetches
         adapter_calls = engine.cache.stats.adapter_calls
         second = engine.activate(url, (NAMES,))
         assert second is first
         assert engine.stats.fetches == fetches
-        assert engine.stats.parses == parses
         assert engine.cache.stats.adapter_calls == adapter_calls
 
     def test_include_equals_hand_concatenation(self, engine, tmp_path):
@@ -176,7 +175,7 @@ class TestActivate:
                       "<doc type=Test::Names version=1.0>"
                       + '<inline url="frag.doc"><p>' * 4)
         assert engine.activate(outer, (NAMES,)).payload == ["m", "p"] * 4
-        assert engine.stats == EngineStats(fetches=2, parses=2)
+        assert engine.stats == EngineStats(fetches=2)
 
     def test_refreshed_fragment_reaches_its_adapter_once(self, tmp_path):
         calls = []
@@ -192,7 +191,7 @@ class TestActivate:
         engine = DocumentEngine(cache, refresh=True)
         assert engine.activate("stub:outer", (NAMES,)).payload == ["m"] * 10
         assert calls == ["outer", "frag"]
-        assert engine.stats == EngineStats(fetches=2, parses=2)
+        assert engine.stats == EngineStats(fetches=2)
 
     def test_two_level_nesting_matches_hand_concatenation(self, tmp_path):
         # each level resolves its relative URL against its own directory

@@ -162,6 +162,26 @@ class TestPrivateTree:
                 raise KeyError("boom")
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("occupant", ["empty directory", "dangling symlink"])
+    def test_anything_at_the_target_fails_at_once(self, tmp_path, occupant):
+        target = tmp_path / "P_1"
+        if occupant == "empty directory":
+            target.mkdir()
+        else:
+            target.symlink_to(tmp_path / "nowhere")
+        with pytest.raises(AreaError, match=f"^target directory already exists: {target}$"):
+            with private_tree(str(target)):
+                pytest.fail("the body ran")
+        assert os.listdir(tmp_path) == ["P_1"]
+
+    def test_unusable_directory_names_the_target(self, tmp_path):
+        (tmp_path / "file").write_text("")
+        target = tmp_path / "file" / "P_1"
+        with pytest.raises(AreaError,
+                           match=f"^cannot create directory {target}: Not a directory$"):
+            with private_tree(str(target)):
+                pytest.fail("the body ran")
+
     @pytest.mark.parametrize("winner", ["directory", "file"])
     def test_target_that_appeared_meanwhile(self, tmp_path, winner):
         target = tmp_path / "P_1"
@@ -175,18 +195,31 @@ class TestPrivateTree:
         assert os.listdir(tmp_path) == ["P_1"]
 
 
+TEMP = r"\.{name}\.[0-9a-f]{{8}}\.tmp"
+
+
 class TestPrivateFile:
     def test_appended_then_published_by_one_rename(self, tmp_path):
         target = tmp_path / "packs" / "one.pack"
         private = PrivateFile(str(target))
-        assert os.listdir(tmp_path / "packs") == [".one.pack.tmp"]
+        (temp,) = os.listdir(tmp_path / "packs")
+        assert re.fullmatch(TEMP.format(name=r"one\.pack"), temp)
         assert private.append(b"abc") == 0
         assert private.append(b"de") == 3
         assert os.pread(private.fd, 2, 3) == b"de"
         assert not target.exists()
-        private.publish()
+        private.finish(b"f")
         assert os.listdir(tmp_path / "packs") == ["one.pack"]
-        assert target.read_bytes() == b"abcde"
+        assert target.read_bytes() == b"abcdef"
+
+    def test_two_writers_of_one_target_get_their_own_temp(self, tmp_path):
+        first = PrivateFile(str(tmp_path / "record"))
+        second = PrivateFile(str(tmp_path / "record"))
+        assert first.path != second.path
+        first.finish("one\n")
+        second.finish("two\n")
+        assert os.listdir(tmp_path) == ["record"]
+        assert (tmp_path / "record").read_text() == "two\n"
 
     def test_discard_removes_it(self, tmp_path):
         private = PrivateFile(str(tmp_path / "one.pack"))
@@ -194,11 +227,19 @@ class TestPrivateFile:
         private.discard()
         assert os.listdir(tmp_path) == []
 
-    def test_unusable_directory_names_the_temp_file(self, tmp_path):
+    def test_failed_finish_removes_it(self, tmp_path):
+        target = tmp_path / "record"
+        (target / "occupied").mkdir(parents=True)
+        private = PrivateFile(str(target))
+        with pytest.raises(AreaError, match=f"^cannot publish {target}: "):
+            private.finish(b"x")
+        assert os.listdir(tmp_path) == ["record"]
+
+    def test_unusable_directory_names_the_target(self, tmp_path):
         (tmp_path / "file").write_text("")
-        temp = tmp_path / "file" / ".one.pack.tmp"
-        with pytest.raises(AreaError, match=f"^cannot write {temp}: Not a directory$"):
-            PrivateFile(str(tmp_path / "file" / "one.pack"))
+        target = tmp_path / "file" / "one.pack"
+        with pytest.raises(AreaError, match=f"^cannot write {target}: Not a directory$"):
+            PrivateFile(str(target))
 
 
 def test_make_dirs_names_the_path(tmp_path):
@@ -257,11 +298,10 @@ def _disk_calls(tree: ast.AST) -> list[str]:
 @pytest.mark.parametrize("source", SOURCES, ids=lambda p: p.name)
 def test_state_reaches_disk_only_through_the_helper(source):
     """No threads; every write, rename and lock goes through fsutil, which
-    has one lock call site and two renames: the atomic write's and the
-    publish of a private tree."""
+    has one lock call site and one rename, the publish of a private file or
+    a private tree."""
     found = _disk_calls(ast.parse(source.read_text()))
-    assert found == (["fcntl.flock", "os.rename", "os.replace"]
-                     if source.name == HELPER else [])
+    assert found == (["fcntl.flock", "os.rename"] if source.name == HELPER else [])
 
 
 def _builtin_opens(tree: ast.AST) -> int:

@@ -116,16 +116,24 @@ class TestBootstrap:
         assert not (Path(area.root) / ".SCRAM" / "Linux__2.4").exists()
 
     def test_path_escape_writes_nothing(self, toy):
-        evil = toy.specs / "evil.boot"
-        evil.write_text(
-            "<doc type=BuildSystem::BootStrapDoc version=1.0>\n"
-            "<project name=EVIL version=1>\n"
-            f'<download url="file:{toy.specs}/README.src" to="../x">\n'
-        )
-        with pytest.raises(AreaError, match="escapes the area"):
-            bootstrap_install(f"file:{evil}", str(toy.install_root),
-                              site=SiteInfo({}), env=toy.env, arch=ARCH)
-        assert not (toy.install_root / "EVIL_1").exists()
+        def install(n, to):
+            # one document per destination: a fetched document is cached
+            evil = toy.specs / f"evil{n}.boot"
+            evil.write_text(
+                "<doc type=BuildSystem::BootStrapDoc version=1.0>\n"
+                "<project name=EVIL version=1>\n"
+                f'<download url="file:{toy.specs}/README.src" to="{to}">\n'
+            )
+            return bootstrap_install(f"file:{evil}", str(toy.install_root),
+                                     site=SiteInfo({}), env=toy.env, arch=ARCH)
+
+        for n, to in enumerate(["../x", "..", "a/../..", "/abs"]):
+            with pytest.raises(AreaError, match="escapes the area"):
+                install(n, to)
+            assert not (toy.install_root / "EVIL_1").exists()
+        # a name that only starts with two dots stays inside the area
+        area, _ = install(4, "..data")
+        assert (Path(area.root) / "..data").read_text() == "toy project sources\n"
 
     def test_unresolvable_tool_leaves_incomplete_area(self, toy):
         # empty the site file: boost's client variables cannot bind
@@ -422,9 +430,43 @@ class TestDevArea:
 
     def test_existing_directory_rejected(self, toy):
         _, registry = installed(toy)
-        (toy.workspace / "ORCA_7_1_3").mkdir()
-        with pytest.raises(AreaError, match="already exists"):
+        target = toy.workspace / "ORCA_7_1_3"
+
+        def rejected():
+            with pytest.raises(AreaError,
+                               match=f"^target directory already exists: {target}$"):
+                create_dev_area("ORCA", "7_1_3", registry, str(toy.workspace), ARCH)
+            assert os.listdir(toy.workspace) == ["ORCA_7_1_3"]
+
+        target.mkdir()
+        rejected()
+        target.rmdir()
+        target.symlink_to(toy.workspace / "nowhere")
+        rejected()
+
+    @pytest.mark.parametrize("failing, error", [
+        ("Link", KeyboardInterrupt()),
+        ("requirements.url", AreaError("cannot write requirements.url: No space left")),
+    ], ids=["interrupted at the Link", "failed at requirements.url"])
+    def test_failed_project_leaves_nothing_and_a_rerun_succeeds(
+            self, toy, monkeypatch, failing, error):
+        _, registry = installed(toy)
+        real_write_new = scram.project.write_new
+
+        def write_new(path, data):
+            if os.path.basename(path) == failing:
+                raise error
+            real_write_new(path, data)
+
+        monkeypatch.setattr(scram.project, "write_new", write_new)
+        with pytest.raises(type(error)):
             create_dev_area("ORCA", "7_1_3", registry, str(toy.workspace), ARCH)
+        assert os.listdir(toy.workspace) == []
+        monkeypatch.undo()
+        dev = create_dev_area("ORCA", "7_1_3", registry, str(toy.workspace), ARCH)
+        assert dev.root == str(toy.workspace / "ORCA_7_1_3")
+        assert os.listdir(toy.workspace) == ["ORCA_7_1_3"]
+        assert dev.kind == "developer"
 
     def test_vanished_central_location_rejected(self, toy):
         central, registry = installed(toy)

@@ -187,6 +187,10 @@ def one_command(root, url, version=None, refresh=False, registry=None) -> bytes:
         cache.publish()
 
 
+# the private name of a pack while its command writes it
+TEMP_PACK = r"\.[0-9]+\.[0-9]+\.[0-9a-f]{8}\.pack\.[0-9a-f]{8}\.tmp"
+
+
 def item(n):
     return parse_url(f"stub:item?n={n}")
 
@@ -267,13 +271,15 @@ class TestUrlCache:
         url = parse_url("stub:x?n=1")
         cache.fetch(url, "1.0")
         (private,) = os.listdir(root / "packs")
-        assert re.fullmatch(rf"\.[0-9]+\.{os.getpid()}\.[0-9a-f]{{8}}\.pack\.tmp", private)
+        name = re.fullmatch(
+            rf"\.([0-9]+\.{os.getpid()}\.[0-9a-f]{{8}}\.pack)\.[0-9a-f]{{8}}\.tmp",
+            private)[1]
         before = time.time()
         cache.publish()
         assert sorted(str(p.relative_to(root)) for p in root.rglob("*")) == [
-            "packs", f"packs/{private[1:-4]}"]
-        data = (root / "packs" / private[1:-4]).read_bytes()
-        index, contents = read_pack(root / "packs" / private[1:-4])
+            "packs", f"packs/{name}"]
+        data = (root / "packs" / name).read_bytes()
+        index, contents = read_pack(root / "packs" / name)
         (fetched_at,) = [entry.pop() for entry in index.values()]
         assert before <= fetched_at <= time.time()
         assert index == {url.cache_key("1.0"):
@@ -498,7 +504,7 @@ class TestUrlCache:
             "cache.fetch(parse_url('stub:one'), '1.0')\n"
             "cache.fetch(parse_url('stub:two'), '1.0')\n" % str(tmp_path))
         (temp,) = os.listdir(tmp_path / "packs")
-        assert temp.startswith(".") and temp.endswith(".pack.tmp")
+        assert re.fullmatch(TEMP_PACK, temp)
         assert (tmp_path / "packs" / temp).read_bytes() == b"from the killed command"
         opened, real_open = [], os.open
         monkeypatch.setattr(os, "open", lambda path, *args: (
@@ -532,7 +538,7 @@ class TestUrlCache:
             "cache.publish()\n" % str(tmp_path))
         names = os.listdir(tmp_path / "packs")
         assert len(packs(tmp_path)) == COMPACT_ABOVE + 1
-        assert "lock" in names and sum(n.endswith(".pack.tmp") for n in names) == 1
+        assert "lock" in names and sum(bool(re.fullmatch(TEMP_PACK, n)) for n in names) == 1
         cache = UrlCache(str(tmp_path), no_fetch_registry())
         assert [cache.fetch(item(n), "1.0") for n in range(COMPACT_ABOVE + 1)] == [
             b"data-%d" % n for n in range(COMPACT_ABOVE + 1)]
