@@ -55,11 +55,6 @@ class EngineStats:
     def __init__(self, fetches: int = 0):
         self.fetches = fetches
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.fetches == other.fetches
-
 
 class DocumentEngine:
     """Binds a cache into ``activate``."""

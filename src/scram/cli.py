@@ -18,8 +18,8 @@ from .errors import ScramError
 from .project import (
     Registry,
     area_context,
+    area_environment,
     bootstrap_install,
-    compute_runtime_env,
     create_dev_area,
     list_installs,
     register_install,
@@ -133,7 +133,8 @@ def _dispatch(args, env, cwd, arch) -> int:
 
     if args.verb == "project":
         registry = Registry.locate(env)
-        area = create_dev_area(args.name, args.project_version, registry, cwd, arch)
+        area = create_dev_area(args.name, args.project_version, registry, cwd,
+                               arch=arch)
         print(f"Developer area created: {area.root}")
         return 0
 
@@ -167,7 +168,7 @@ def _dispatch(args, env, cwd, arch) -> int:
         return 0
 
     if args.verb == "runtime":
-        delta = compute_runtime_env(area, arch)
+        delta = area_environment(area, arch)
         if args.app:
             delta = delta.merge(
                 load_app_env_file(area.root, args.app, area_id=delta.area_id))
@@ -182,7 +183,7 @@ def _dispatch(args, env, cwd, arch) -> int:
     if args.verb == "install":
         registry = Registry.locate(env, os.path.dirname(area.root))
         with area.lock():
-            record = register_install(area, registry, arch, force=args.force)
+            record = register_install(area, registry, arch=arch, force=args.force)
         print(f"Registered {record.project} {record.version} ({record.arch}) "
               f"at {record.location}")
         return 0

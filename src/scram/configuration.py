@@ -217,43 +217,33 @@ REQUIREMENTS = DocType("BuildSystem::Requirements", "2.0",
 
 
 class PinnedTool:
-    __slots__ = ("name", "version", "spec_url", "spec_base")
+    __slots__ = ("name", "version", "spec_url")
 
-    def __init__(self, name: str, version: str, spec_url: str,
-                 spec_base: str | None = None):
+    def __init__(self, name: str, version: str, spec_url: str):
         self.name = name
         self.version = version
-        self.spec_url = spec_url
-        # effective base of the configuration that pinned this tool;
-        # spec_url resolves against it at fetch time
-        self.spec_base = spec_base
+        self.spec_url = spec_url  # absolute: resolved when it was pinned
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return ((self.name, self.version, self.spec_url, self.spec_base)
-                == (other.name, other.version, other.spec_url, other.spec_base))
+        return ((self.name, self.version, self.spec_url)
+                == (other.name, other.version, other.spec_url))
 
 
 class ResolvedConfiguration:
-    __slots__ = ("arch", "tools", "config_identity")
+    __slots__ = ("arch", "tools")
 
-    def __init__(self, arch: Architecture, tools: dict[str, PinnedTool],
-                 config_identity: tuple[str, str] = ("", "")):
+    def __init__(self, arch: Architecture, tools: dict[str, PinnedTool]):
         self.arch = arch
         self.tools = tools  # insertion-ordered by select order
-        self.config_identity = config_identity
-
-    def names(self) -> list[str]:
-        return list(self.tools)
 
     def get(self, name: str) -> PinnedTool | None:
         return self.tools.get(name.casefold())
 
 
 def resolve_selection(req: RequirementsDoc, configs: list[ConfigurationDoc],
-                      arch: Architecture,
-                      identity: tuple[str, str] = ("", "")) -> ResolvedConfiguration:
+                      arch: Architecture) -> ResolvedConfiguration:
     """Bind every architecture-matching select to its pinned require entry.
 
     The most specific matching scope wins; equally specific candidates are
@@ -262,11 +252,11 @@ def resolve_selection(req: RequirementsDoc, configs: list[ConfigurationDoc],
     """
     # every architecture-matching entry by folded name, in configuration
     # and entry order
-    by_name: dict[str, list[tuple[RequireEntry, str | None]]] = {}
+    by_name: dict[str, list[RequireEntry]] = {}
     for config in configs:
         for e in config.entries:
             if match_architecture(e.arch_scope, arch):
-                by_name.setdefault(e.folded_name, []).append((e, config.base))
+                by_name.setdefault(e.folded_name, []).append(e)
     tools: dict[str, PinnedTool] = {}
     for select in req.selects:
         if not match_architecture(select.arch_scope, arch):
@@ -279,15 +269,13 @@ def resolve_selection(req: RequirementsDoc, configs: list[ConfigurationDoc],
                 f"'{select.name}' is selected but no configuration entry "
                 f"matches architecture {arch}"
             )
-        best_len = max(len(e.arch_scope) for e, _ in candidates)
-        best = [(e, base) for e, base in candidates if len(e.arch_scope) == best_len]
+        best_len = max(len(e.arch_scope) for e in candidates)
+        best = [e for e in candidates if len(e.arch_scope) == best_len]
         if len(best) > 1:
             raise ConfigError(
                 f"'{select.name}' matches several equally specific "
                 f"configuration entries under {arch}"
             )
-        chosen, chosen_base = best[0]
         tools[select.folded_name] = PinnedTool(
-            select.folded_name, chosen.version, chosen.url, chosen_base
-        )
-    return ResolvedConfiguration(arch, tools, identity)
+            select.folded_name, best[0].version, best[0].url)
+    return ResolvedConfiguration(arch, tools)

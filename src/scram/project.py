@@ -29,10 +29,10 @@ from .configuration import (
     Architecture,
     ConfigurationDoc,
     PinnedTool,
+    RequireEntry,
     RequirementsDoc,
     ResolvedConfiguration,
     SelectEntry,
-    detect_architecture,
 )
 from .errors import AreaError, ToolError
 from .fsutil import (
@@ -55,13 +55,11 @@ from .tooldoc import (
     TOOLDOC,
     LibraryProber,
     ResolvedTool,
-    build_contribution,
     order_by_externals,
     resolve_tool,
-    runtime_contribution,
     select_version,
 )
-from .urlaccess import ResourceUrl, UrlCache, default_registry, parse_url
+from .urlaccess import ResourceUrl, UrlCache, default_registry, parse_url, url_scheme
 
 ADMIN_DIR = ".SCRAM"
 AREA_SUBDIRS = ("src", "config", "lib", "bin", "logs", "tmp", ADMIN_DIR)
@@ -351,16 +349,8 @@ def _is_str(value) -> bool:
     return type(value) is str
 
 
-def _is_str_or_none(value) -> bool:
-    return value is None or type(value) is str
-
-
 def _is_str_list(value) -> bool:
     return type(value) is list and set(map(type, value)) <= {str}
-
-
-def _is_str_pair(value) -> bool:
-    return _is_str_list(value) and len(value) == 2
 
 
 def _is_str_pairs(value) -> bool:
@@ -397,14 +387,10 @@ def _field(payload: dict, key: str, valid, what: str, path: str,
 
 def _write_config_record(area: ProjectArea, arch: Architecture,
                          resolved: ResolvedConfiguration) -> None:
-    payload = {
-        "identity": list(resolved.config_identity),
-        "tools": [
-            {"name": pin.name, "version": pin.version, "spec_url": pin.spec_url,
-             "spec_base": pin.spec_base}
-            for pin in resolved.tools.values()
-        ],
-    }
+    payload = {"tools": [
+        {"name": pin.name, "version": pin.version, "spec_url": pin.spec_url}
+        for pin in resolved.tools.values()
+    ]}
     area.write(area.config_record_path(arch), json.dumps(payload) + "\n")
 
 
@@ -421,11 +407,8 @@ def load_config_record(area: ProjectArea, arch: Architecture) -> ResolvedConfigu
         name = _field(t, "name", _is_str, what, path)
         tools[name] = PinnedTool(
             name, _field(t, "version", _is_str, what, path),
-            _field(t, "spec_url", _is_str, what, path),
-            _field(t, "spec_base", _is_str_or_none, what, path, default=None))
-    identity = tuple(_field(payload, "identity", _is_str_pair, what, path,
-                            default=["", ""]))
-    return ResolvedConfiguration(arch, tools, identity)  # order preserved by json
+            _field(t, "spec_url", _is_str, what, path))
+    return ResolvedConfiguration(arch, tools)  # order preserved by json
 
 
 # ---------------------------------------------------------------------
@@ -510,40 +493,49 @@ def _tool_rows(area: ProjectArea, arch: Architecture,
 # spec loading and resolution
 
 def resolve_project_configuration(engine: DocumentEngine, url: ResourceUrl,
-                                  arch: Architecture) -> ResolvedConfiguration:
+                                  arch: Architecture,
+                                  ) -> tuple[ResolvedConfiguration, str]:
     """Activate a requirements document, load its configurations, and bind
-    the architecture's selection. A configuration document stands for
-    itself with every entry selected."""
+    the architecture's selection; also return the document's identity, its
+    URL and version. A configuration document stands for itself with every
+    entry selected.
+
+    Every ``<require url>`` is made absolute here, once: against its
+    configuration's ``<base>``, else the requirements' ``<base>``; with
+    neither, a URL naming no scheme resolves against the configuration's
+    own URL and one naming a scheme stays as written.
+    """
     from .configuration import resolve_selection
 
     typed = engine.activate(url, (REQUIREMENTS, CONFIGURATION))
     req = typed.payload
 
-    def rebased(config, source, fallback):
-        # activated payloads are memoized and shared; rebase on a copy
-        own = parse_url(config.base, base=source) if config.base else None
-        effective = own or fallback
-        return ConfigurationDoc(entries=list(config.entries),
-                                base=effective.unparse() if effective else None)
+    def absolute(config, source, fallback):
+        # activated payloads are memoized and shared; resolve on a copy
+        base = parse_url(config.base, base=source) if config.base else fallback
+        return ConfigurationDoc([
+            RequireEntry(e.name, e.version, str(parse_url(
+                e.url, base=base or (None if url_scheme(e.url) else source))),
+                e.arch_scope)
+            for e in config.entries])
 
     if isinstance(req, ConfigurationDoc):
-        configs = [rebased(req, typed.source, None)]
-        req = RequirementsDoc(base=req.base, includes=[], selects=[
-            SelectEntry(e.name, e.arch_scope) for e in req.entries])
+        configs = [absolute(req, typed.source, None)]
+        req = RequirementsDoc(selects=[SelectEntry(e.name, e.arch_scope)
+                                       for e in req.entries])
     else:
         req_base = parse_url(req.base, base=typed.source) if req.base else None
         configs = []
         for raw in req.includes:
             inc_url = parse_url(raw, base=req_base or typed.source)
             inc_typed = engine.activate(inc_url, (CONFIGURATION,))
-            configs.append(rebased(inc_typed.payload, inc_typed.source, req_base))
-    identity = (typed.source.unparse(), typed.version)
-    return resolve_selection(req, configs, arch, identity=identity)
+            configs.append(absolute(inc_typed.payload, inc_typed.source, req_base))
+    identity = f"{typed.source.unparse()} {typed.version}"
+    return resolve_selection(req, configs, arch), identity
 
 
 def _activate_spec(engine: DocumentEngine, pin: PinnedTool):
-    base = parse_url(pin.spec_base) if pin.spec_base else None
-    return engine.activate(parse_url(pin.spec_url, base=base), (TOOLDOC,)).payload
+    return engine.activate(parse_url(pin.spec_url), (TOOLDOC,)).payload
 
 
 def resolve_selected_tools(engine: DocumentEngine, area: ProjectArea,
@@ -580,9 +572,8 @@ def resolve_selected_tools(engine: DocumentEngine, area: ProjectArea,
 # ---------------------------------------------------------------------
 # lifecycle commands
 
-def bootstrap_install(bootstrap_url: str, dest_root: str,
-                      site: SiteInfo | None = None, prompt=None, env=None,
-                      arch: Architecture | None = None, refresh: bool = False,
+def bootstrap_install(bootstrap_url: str, dest_root: str, *, site: SiteInfo,
+                      env, arch: Architecture, prompt=None, refresh: bool = False,
                       ) -> tuple[ProjectArea, InstallationRecord]:
     """Assemble a central installation from a bootstrap document.
 
@@ -592,9 +583,6 @@ def bootstrap_install(bootstrap_url: str, dest_root: str,
     is created unregistered and stays in the ``incomplete`` state until a
     successful build (or a forced install) marks it complete.
     """
-    env = os.environ if env is None else env
-    arch = arch or detect_architecture(env=env)
-    site = site if site is not None else SiteInfo.locate(env, dest_root)
     engine = build_engine(site=site, env=env, install_root=dest_root,
                           refresh=refresh)
     try:
@@ -613,11 +601,11 @@ def bootstrap_install(bootstrap_url: str, dest_root: str,
 
             if boot.config_url is not None:
                 config_url = parse_url(boot.config_url, base=typed.source)
-                resolved = resolve_project_configuration(engine, config_url, arch)
+                resolved, identity = resolve_project_configuration(
+                    engine, config_url, arch)
                 _write_config_record(area, arch, resolved)
                 area.write(os.path.join(area.root, "config", REQUIREMENTS_ID_FILE),
-                           f"{resolved.config_identity[0]} "
-                           f"{resolved.config_identity[1]}\n")
+                           identity + "\n")
                 resolve_selected_tools(engine, area, arch, resolved.tools.values(),
                                        site, prompt)
     finally:
@@ -629,10 +617,8 @@ def bootstrap_install(bootstrap_url: str, dest_root: str,
     return area, record
 
 
-def register_install(area: ProjectArea, registry: Registry,
-                     arch: Architecture | None = None,
-                     force: bool = False) -> InstallationRecord:
-    arch = arch or detect_architecture()
+def register_install(area: ProjectArea, registry: Registry, *,
+                     arch: Architecture, force: bool = False) -> InstallationRecord:
     if area.kind != "central":
         raise AreaError("only central installations can be registered; "
                         "this is a developer area")
@@ -669,12 +655,11 @@ def list_installs(registry: Registry, project_filter: str | None,
 
 
 def create_dev_area(project: str, version: str, registry: Registry, cwd: str,
-                    arch: Architecture | None = None) -> ProjectArea:
+                    *, arch: Architecture) -> ProjectArea:
     """Developer area linked to a registered central installation; only the
     configuration identity and administrative metadata are local. It is
     built in a private tree, as ``bootstrap_install`` builds a central one,
     so a failed command leaves nothing behind."""
-    arch = arch or detect_architecture()
     record = registry.find(project, version, arch.canonical)
     if record is None:
         available = [r.version for r in registry.records()
@@ -714,9 +699,9 @@ def _tool_row(name: str, version: str, default: str) -> str:
 
 
 def setup_tool(area: ProjectArea, name: str | None = None,
-               version: str | None = None, url: str | None = None,
-               site: SiteInfo | None = None, prompt=None, env=None,
-               arch: Architecture | None = None, refresh: bool = False) -> list[str]:
+               version: str | None = None, url: str | None = None, *,
+               site: SiteInfo, env, arch: Architecture, prompt=None,
+               refresh: bool = False) -> list[str]:
     """(Re)resolve tools into the area's own records.
 
     With a URL: set up exactly that product/version, overriding locally.
@@ -727,10 +712,7 @@ def setup_tool(area: ProjectArea, name: str | None = None,
 
     Returns the names written.
     """
-    env = os.environ if env is None else env
-    arch = arch or detect_architecture(env=env)
     central = area.central_root()
-    site = site if site is not None else SiteInfo.locate(env, central)
     if url is not None:
         if name is None or version is None:
             raise AreaError("setup with a URL needs both a name and a version")
@@ -814,33 +796,29 @@ def _tools_in_runtime_order(area: ProjectArea,
     return [_load_record(path) for _, _, path in rows]
 
 
-def compute_runtime_env(area: ProjectArea, arch: Architecture) -> EnvDelta:
-    """Runtime delta of an area: every active tool's contribution in
-    configuration order, then the area-level path entries."""
+def area_environment(area: ProjectArea, arch: Architecture, *,
+                     build: bool = False) -> EnvDelta:
+    """The area's delta: every active tool's Runtime_path prepends in
+    configuration order, then the area-level path entries. For ``build``,
+    each tool's other bindings come along as plain settings; at runtime
+    they are not exported."""
     delta = EnvDelta(area_id=area.area_id)
     for record in _tools_in_runtime_order(area, arch):
-        delta.extend(runtime_contribution(record))
+        if build:
+            runtime_names = {name for name, _ in record.runtime_entries}
+            for name, value in record.bindings.items():
+                if name not in runtime_names:
+                    delta.set(name, value)
+        for name, value in record.runtime_entries:
+            delta.prepend(name, value)
     _area_level_prepends(area, delta)
     return delta
 
 
-def build_environment(area: ProjectArea, arch: Architecture) -> EnvDelta:
-    """Build-time delta: every binding of every active tool, plus the
-    runtime path entries."""
-    delta = EnvDelta(area_id=area.area_id)
-    for record in _tools_in_runtime_order(area, arch):
-        delta.extend(build_contribution(record))
-    _area_level_prepends(area, delta)
-    return delta
-
-
-def run_build(area: ProjectArea, args: list[str], site: SiteInfo | None = None,
-              env=None, arch: Architecture | None = None) -> int:
+def run_build(area: ProjectArea, args: list[str], *, site: SiteInfo, env,
+              arch: Architecture) -> int:
     """Pass-through build: run the operator-configured command inside tmp/
     with the area's build environment; a zero exit marks the area complete."""
-    env = os.environ if env is None else env
-    arch = arch or detect_architecture(env=env)
-    site = site if site is not None else SiteInfo.locate(env, area.central_root())
     template = site.get("build.command")
     if not template:
         raise AreaError(
@@ -852,7 +830,7 @@ def run_build(area: ProjectArea, args: list[str], site: SiteInfo | None = None,
 
     from .runtime import apply_delta
 
-    build_env = apply_delta(env, build_environment(area, arch))
+    build_env = apply_delta(env, area_environment(area, arch, build=True))
     argv = shlex.split(template) + list(args)
     try:
         proc = subprocess.run(argv, cwd=os.path.join(area.root, "tmp"),

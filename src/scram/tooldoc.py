@@ -21,7 +21,6 @@ from bisect import bisect_left
 
 from .errors import ToolError
 from .markup import DocType, parse_with_handlers
-from .runtime import EnvDelta
 
 _REF_RE = re.compile(r"\$([A-Za-z_][A-Za-z0-9_]*)")
 
@@ -511,27 +510,3 @@ def order_by_externals(blocks: dict[str, ToolVersionBlock]) -> list[str]:
         visit(name, ())
     return ordered
 
-
-def runtime_contribution(rt: ResolvedTool) -> EnvDelta:
-    """The runtime fragment of a resolved tool: its Runtime_path prepends.
-
-    Plain and lib bindings stay build-time; they are not exported at
-    runtime.
-    """
-    delta = EnvDelta()
-    for name, value in rt.runtime_entries:
-        delta.prepend(name, value)
-    return delta
-
-
-def build_contribution(rt: ResolvedTool) -> EnvDelta:
-    """The build-environment fragment: every binding as a plain setting,
-    plus the runtime prepends."""
-    delta = EnvDelta()
-    runtime_names = {name for name, _ in rt.runtime_entries}
-    for name, value in rt.bindings.items():
-        if name not in runtime_names:
-            delta.set(name, value)
-    for name, value in rt.runtime_entries:
-        delta.prepend(name, value)
-    return delta

@@ -60,7 +60,10 @@ class ResourceUrl:
         return self.raw or self.unparse()
 
     def unparse(self) -> str:
-        out = f"{self.scheme}:{self.authority}"
+        """The URL as a string that ``parse_url`` reads back unchanged."""
+        # parse_url drops one leading '//', so such an authority gets its own
+        slashes = "//" if self.authority.startswith("//") else ""
+        out = f"{self.scheme}:{slashes}{self.authority}"
         if self.query:
             out += "?" + "&".join(f"{k}={v}" for k, v in self.query)
         if self.fragment:
@@ -86,27 +89,33 @@ class ResourceUrl:
         return explicit or self.get("version") or HEAD
 
 
+def url_scheme(raw: str) -> str:
+    """The lower-case scheme that ``raw`` names, or "" when it names none."""
+    cleaned = "".join(raw.split())
+    name, colon, _ = cleaned.split("?", 1)[0].split("#", 1)[0].partition(":")
+    if colon and name[:1].isalpha() \
+            and name.replace("+", "").replace("-", "").replace(".", "").isalnum():
+        return name.lower()
+    return ""
+
+
 def parse_url(raw: str, base: ResourceUrl | None = None) -> ResourceUrl:
     """Decompose a URL string, resolving against ``base`` when one applies.
 
     Whitespace inside ``raw`` is discarded (documents wrap long URLs across
-    lines). A missing scheme, or a same-scheme URL with a relative or empty
-    authority, pulls scheme/authority/query defaults from the base; such a
-    URL prints in its resolved form, so messages and locations name the
-    document it reached, not the bare reference.
+    lines). A missing scheme, or a same-scheme URL with an empty authority
+    or a relative path (not ``//host/...``), pulls scheme/authority/query
+    defaults from the base, and any
+    same-scheme URL takes the base's query keys it lacks. A URL that took
+    anything from its base prints in its resolved form, so messages and
+    locations name the document it reached, not the bare reference.
     """
     cleaned = "".join(raw.split())
     if not cleaned:
         raise UrlError("empty URL")
 
-    scheme = ""
-    rest = cleaned
-    head = cleaned.split("?", 1)[0].split("#", 1)[0]
-    colon = head.find(":")
-    if colon > 0 and cleaned[:colon].replace("+", "").replace("-", "").replace(".", "").isalnum() \
-            and cleaned[:colon][0].isalpha():
-        scheme = cleaned[:colon].lower()
-        rest = cleaned[colon + 1:]
+    scheme = url_scheme(cleaned)
+    rest = cleaned[len(scheme) + 1:] if scheme else cleaned
 
     fragment = ""
     if "#" in rest:
@@ -119,7 +128,9 @@ def parse_url(raw: str, base: ResourceUrl | None = None) -> ResourceUrl:
                 continue
             key, _, value = pair.partition("=")
             query.append((key, value))
-    if rest.startswith("//"):
+    # a '//' authority names its host and is never joined to a base path
+    named_host = rest.startswith("//")
+    if named_host:
         rest = rest[2:]
     authority = rest
 
@@ -131,7 +142,7 @@ def parse_url(raw: str, base: ResourceUrl | None = None) -> ResourceUrl:
             if not authority:
                 authority = base.authority
                 relative = True
-            elif not authority.startswith("/") and base.authority:
+            elif not (named_host or authority.startswith("/")) and base.authority:
                 # a base ending in '/' is a directory root; otherwise the
                 # reference replaces the base's last path segment
                 root = base.authority
@@ -142,6 +153,7 @@ def parse_url(raw: str, base: ResourceUrl | None = None) -> ResourceUrl:
             own = {k for k, _ in query}
             defaults = [(k, v) for k, v in base.query if k not in own]
             query = defaults + query
+            relative = relative or bool(defaults)
 
     if not scheme:
         raise UrlError(f"URL {raw!r} has no scheme and no base is in effect")

@@ -415,11 +415,11 @@ class TestRuntimeCommand:
         emission = capsys.readouterr().out
 
         from scram.configuration import detect_architecture
-        from scram.project import area_context, compute_runtime_env
+        from scram.project import area_context, area_environment
         from scram.runtime import apply_delta
 
-        delta = compute_runtime_env(area_context(central),
-                                    detect_architecture("Linux__2.4"))
+        delta = area_environment(area_context(central),
+                                 detect_architecture("Linux__2.4"))
         evaluated = evaluate_emission(emission, toy.env, "sh")
         computed = apply_delta(dict(toy.env), delta)
         for name in delta.names():

@@ -164,7 +164,7 @@ class TestResolveSelection:
         req = RequirementsDoc(selects=[SelectEntry("Qt"), SelectEntry("CLHEP"),
                                        SelectEntry("LHCxx")])
         resolved = resolve_selection(req, [config_doc], LINUX)
-        assert resolved.names() == ["qt", "clhep", "lhcxx"]
+        assert list(resolved.tools) == ["qt", "clhep", "lhcxx"]
 
     def test_unknown_selection_names_tool_and_arch(self, config_doc):
         from scram.configuration import RequirementsDoc, SelectEntry
@@ -196,16 +196,14 @@ class TestResolveSelection:
     def test_most_specific_entry_across_two_configurations(self):
         from scram.configuration import (ConfigurationDoc, RequireEntry,
                                          RequirementsDoc, SelectEntry)
-        c1 = ConfigurationDoc(entries=[RequireEntry("T", "1.0", "u1", ""),
-                                       RequireEntry("o", "1.0", "uo", "")],
-                              base="file:/one/")
-        c2 = ConfigurationDoc(entries=[RequireEntry("t", "2.0", "u2", "Linux__2")],
-                              base="file:/two/")
+        c1 = ConfigurationDoc(entries=[RequireEntry("T", "1.0", "file:/one/u1", ""),
+                                       RequireEntry("o", "1.0", "file:/one/uo", "")])
+        c2 = ConfigurationDoc(entries=[RequireEntry("t", "2.0", "file:/two/u2",
+                                                    "Linux__2")])
         req = RequirementsDoc(selects=[SelectEntry("t"), SelectEntry("O")])
         linux = resolve_selection(req, [c1, c2], LINUX)
-        assert [(p.name, p.version, p.spec_url, p.spec_base)
-                for p in linux.tools.values()] == [
-            ("t", "2.0", "u2", "file:/two/"), ("o", "1.0", "uo", "file:/one/")]
+        assert [(p.name, p.version, p.spec_url) for p in linux.tools.values()] == [
+            ("t", "2.0", "file:/two/u2"), ("o", "1.0", "file:/one/uo")]
         assert resolve_selection(req, [c1, c2], SUNOS).get("t").version == "1.0"
 
     def test_selection_error_messages(self):
@@ -254,7 +252,7 @@ class TestResolveSelection:
         req = _only_resolvable(req_doc)
         a = resolve_selection(req, [config_doc], LINUX)
         b = resolve_selection(req, [config_doc], LINUX)
-        assert a.tools == b.tools and a.names() == b.names()
+        assert a.tools == b.tools and list(a.tools) == list(b.tools)
 
     def test_centrality_version_bump_reaches_every_project(self):
         # versions live only in the configuration: bumping one pin changes

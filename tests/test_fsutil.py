@@ -315,3 +315,40 @@ def test_state_is_read_only_through_the_helper(source):
     rule; urlaccess also opens files, to read fetched documents."""
     opens = _builtin_opens(ast.parse(source.read_text()))
     assert opens == 0 or source.name in (HELPER, "urlaccess.py"), opens
+
+
+def _scram_imports(tree: ast.AST) -> set[str]:
+    """The scram modules a source imports, at the top or inside a function."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(a.name.split(".")[1] for a in node.names
+                         if a.name.startswith("scram."))
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module != "scram" and not module.startswith("scram."):
+                    continue
+                module = module[len("scram."):]
+            if module:
+                found.add(module.split(".")[0])
+            else:
+                found.update(a.name for a in node.names)
+    return found
+
+
+def test_import_census_sees_every_form():
+    tree = ast.parse("import scram.runtime\nfrom scram.project import x\n"
+                     "from . import cli\nfrom .errors import e\nimport os\n"
+                     "def f():\n    from .markup import m\n")
+    assert _scram_imports(tree) == {"runtime", "project", "cli", "errors", "markup"}
+
+
+@pytest.mark.parametrize("module", ["configuration", "tooldoc"])
+def test_resolution_modules_import_no_area_or_environment_code(module):
+    """Configurations and tool documents resolve to plain pins and records;
+    building environments from them and storing them is left to runtime
+    and project, so neither is imported here."""
+    source = Path(scram.__file__).parent / f"{module}.py"
+    imported = _scram_imports(ast.parse(source.read_text()))
+    assert imported & {"runtime", "project"} == set()

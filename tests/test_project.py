@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import scram.project
 import scram.runtime
+from scram.activedoc import DocumentEngine
 from scram.configuration import (
     CONFIGURATION,
     REQUIREMENTS,
@@ -21,7 +22,7 @@ from scram.configuration import (
     ResolvedConfiguration,
     detect_architecture,
 )
-from scram.errors import AreaError, ScramError, ToolError
+from scram.errors import AreaError, ScramError, ToolError, UrlError
 from scram.fsutil import locked
 from scram.project import (
     AREA_SUBDIRS,
@@ -33,14 +34,14 @@ from scram.project import (
     _tools_in_runtime_order,
     _write_config_record,
     area_context,
+    area_environment,
     bootstrap_install,
     build_engine,
-    build_environment,
-    compute_runtime_env,
     create_dev_area,
     list_installs,
     load_config_record,
     register_install,
+    resolve_project_configuration,
     resolve_selected_tools,
     run_build,
     setup_tool,
@@ -50,10 +51,11 @@ from scram.project import (
 )
 from scram.runtime import EnvDelta, EnvEmitError, emit_shell, load_app_env_file
 from scram.sitefile import SiteInfo
-from scram.tooldoc import ResolvedTool, build_contribution, runtime_contribution
+from scram.tooldoc import TOOLDOC, ResolvedTool
 from scram.urlaccess import SchemeRegistry, UrlCache, parse_url
 
 from cachepacks import footer, make_pack, read_pack
+from envhelpers import build_contribution, runtime_contribution
 
 ARCH = detect_architecture("Linux__2.4")
 
@@ -80,13 +82,14 @@ def installed(toy):
     assert run_build(area, [], site=SiteInfo.load(str(toy.site_path)),
                      env=toy.env, arch=ARCH) == 0
     registry = Registry.locate(toy.env)
-    register_install(area, registry, ARCH)
+    register_install(area, registry, arch=ARCH)
     return area, registry
 
 
 def dev_area(toy):
     area, registry = installed(toy)
-    return create_dev_area("ORCA", "7_1_3", registry, str(toy.workspace), ARCH), area
+    dev = create_dev_area("ORCA", "7_1_3", registry, str(toy.workspace), arch=ARCH)
+    return dev, area
 
 
 class TestBootstrap:
@@ -171,14 +174,17 @@ class TestBootstrap:
         for key, value in toy.env.items():
             monkeypatch.setenv(key, value)
         kill_when_held(
-            "import time\n"
+            "import os, time\n"
             "import scram.project as project\n"
+            "from scram.configuration import detect_architecture\n"
+            "from scram.sitefile import SiteInfo\n"
             "def hang(*args, **kwargs):\n"
             "    print('held', flush=True)\n"
             "    time.sleep(60)\n"
             "project.resolve_tool = hang\n"
             f"project.bootstrap_install({toy.bootstrap_url!r}, "
-            f"{str(toy.install_root)!r})\n")
+            f"{str(toy.install_root)!r}, site=SiteInfo.load({str(toy.site_path)!r}), "
+            "env=os.environ, arch=detect_architecture(env=os.environ))\n")
         [left] = os.listdir(toy.install_root)
         assert re.fullmatch(r"\.ORCA_7_1_3\.[0-9a-f]{8}\.partial", left)
         area, _ = bootstrap(toy)
@@ -261,6 +267,125 @@ class TestBootstrap:
         assert " htl                  1.4        (default=1.4)" in listing
 
 
+PIN_DOC = ("<doc type=BuildSystem::ToolDoc version=1.0>\n"
+           "<Tool name=a version=1>\n"
+           "<Environment name=A_FROM value={where}></Environment>\n"
+           "</Tool>\n")
+
+
+class TestPinUrls:
+    """Every ``<require url>`` is made absolute when the configuration is
+    resolved: against the configuration's ``<base>``, else the
+    requirements' ``<base>``, else the configuration's own URL."""
+
+    @staticmethod
+    def bootstrap_url(toy, conf_base, req_base, direct):
+        # the one relative reference names another document under each base
+        for where in ("cbase", "rbase", "conf"):
+            (toy.specs / where).mkdir()
+            (toy.specs / where / "a.tooldoc").write_text(PIN_DOC.format(where=where))
+        conf = toy.specs / "conf" / "rel.conf"
+        conf.write_text(
+            "<doc type=BuildSystem::Configuration version=1.0>\n"
+            + (f'<base url="file:{toy.specs}/cbase/">\n' if conf_base else "")
+            + '<require name=a version=1 url="a.tooldoc">\n')
+        reqs = toy.specs / "rel.reqs"
+        reqs.write_text(
+            "<doc type=BuildSystem::Requirements version=2.0>\n"
+            + (f'<base url="file:{toy.specs}/rbase/">\n' if req_base else "")
+            + f'<include url="file:{conf}">\n<select name=a>\n')
+        boot = toy.specs / "rel.boot"
+        boot.write_text(
+            "<doc type=BuildSystem::BootStrapDoc version=1.0>\n"
+            "<project name=REL version=1>\n"
+            f'<config url="file:{conf if direct else reqs}">\n')
+        return f"file:{boot}"
+
+    @pytest.mark.parametrize("conf_base, req_base, direct, where", [
+        (True, True, False, "cbase"),
+        (False, True, False, "rbase"),
+        (False, False, False, "conf"),
+        (True, False, True, "cbase"),
+        (False, False, True, "conf"),
+    ], ids=["included, configuration base", "included, requirements base",
+            "included, no base", "direct, configuration base", "direct, no base"])
+    def test_relative_require_is_pinned_absolute(self, toy, monkeypatch, conf_base,
+                                                 req_base, direct, where):
+        activated = []
+        activate = DocumentEngine.activate
+
+        def spy(engine, url, accepted, version=None):
+            if accepted == (TOOLDOC,):
+                activated.append(str(url))
+            return activate(engine, url, accepted, version)
+
+        monkeypatch.setattr(DocumentEngine, "activate", spy)
+        area, _ = bootstrap_install(
+            self.bootstrap_url(toy, conf_base, req_base, direct),
+            str(toy.install_root), site=SiteInfo({}), env=toy.env, arch=ARCH)
+        pinned = f"file:{toy.specs}/{where}/a.tooldoc"
+        assert activated == [pinned]
+        assert f"A_FROM={where}  [substitution]" in tool_info(area, "a", ARCH)
+        record = json.loads(Path(area.config_record_path(ARCH)).read_text())
+        assert record == {"tools": [{"name": "a", "version": "1", "spec_url": pinned}]}
+        # setup NAME re-resolves from the record alone
+        assert setup_tool(area, "a", site=SiteInfo({}), env=toy.env, arch=ARCH) == ["a"]
+        assert activated == [pinned, pinned]
+
+    @pytest.mark.parametrize("direct", [False, True], ids=["included", "direct"])
+    @pytest.mark.parametrize("conf_url", ["http://h/conf/c.conf",
+                                          "cvs:?module=C&version=V"])
+    def test_pin_naming_a_scheme_stays_as_written_without_a_base(
+            self, tmp_path, conf_url, direct):
+        # the configuration's own URL is no base for a URL with a scheme:
+        # the other host keeps its authority and the other module its HEAD
+        docs = {
+            conf_url: "<doc type=BuildSystem::Configuration version=1.0>\n"
+                      '<require name=a version=1 url="http://h2/tools/a.tooldoc">\n'
+                      '<require name=b version=1 url="cvs:?module=T">\n',
+            "http://h/reqs": "<doc type=BuildSystem::Requirements version=2.0>\n"
+                             f'<include url="{conf_url}">\n<select name=a>\n'
+                             "<select name=b>\n",
+        }
+        registry = SchemeRegistry(dict.fromkeys(
+            ("http", "cvs"), lambda url, version: docs[str(url)].encode()))
+        engine = DocumentEngine(UrlCache(str(tmp_path / "cache"), registry))
+        resolved, _ = resolve_project_configuration(
+            engine, parse_url(conf_url if direct else "http://h/reqs"), ARCH)
+        assert [p.spec_url for p in resolved.tools.values()] == [
+            "http://h2/tools/a.tooldoc", "cvs:?module=T"]
+
+    def test_empty_require_url_fails_even_when_not_selected(self, toy):
+        url = self.bootstrap_url(toy, conf_base=True, req_base=False, direct=False)
+        conf = toy.specs / "conf" / "rel.conf"
+        conf.write_text(conf.read_text() + '<require name=b version=1 url="">\n')
+        with pytest.raises(UrlError, match="^empty URL$"):
+            bootstrap_install(url, str(toy.install_root), site=SiteInfo({}),
+                              env=toy.env, arch=ARCH)
+        assert os.listdir(toy.install_root) == []
+
+    def test_record_with_spec_base_and_identity_reads_unchanged(self, toy):
+        area, _ = bootstrap(toy)
+
+        def reads():
+            return (tool_list(area, ARCH), tool_info(area, "boost", ARCH),
+                    emit_shell(area_environment(area, ARCH), {}, "sh"))
+
+        before = reads()
+        path = Path(area.config_record_path(ARCH))
+        record = json.loads(path.read_text())
+        # as a record was written before pins were absolute
+        record["identity"] = [toy.requirements_url, "2.0"]
+        for tool in record["tools"]:
+            tool["spec_url"] = f"{tool['name']}.tooldoc"
+            tool["spec_base"] = f"file:{toy.specs}/"
+        path.write_text(json.dumps(record))
+        assert reads() == before
+        # re-resolving a relative pin needs a new bootstrap
+        with pytest.raises(UrlError, match="'gcc.tooldoc' has no scheme"):
+            setup_tool(area, "gcc", site=SiteInfo({}), env=toy.env, arch=ARCH)
+
+
 class TestEngineDocTypes:
     def test_configuration_include_merges_entries(self, toy):
         # a configuration including a same-type fragment equals the
@@ -296,8 +421,8 @@ class TestRegisterAndList:
         area, _ = bootstrap(toy)
         registry = Registry.locate(toy.env)
         with pytest.raises(AreaError, match="not marked complete"):
-            register_install(area, registry, ARCH)
-        register_install(area, registry, ARCH, force=True)
+            register_install(area, registry, arch=ARCH)
+        register_install(area, registry, arch=ARCH, force=True)
         assert area.state() == "complete"
 
     def test_successful_build_completes(self, toy):
@@ -308,7 +433,7 @@ class TestRegisterAndList:
 
     def test_register_idempotent(self, toy):
         area, registry = installed(toy)
-        register_install(area, registry, ARCH)
+        register_install(area, registry, arch=ARCH)
         rows = [r for r in registry.records() if r.project == "ORCA"]
         assert len(rows) == 1
 
@@ -401,7 +526,7 @@ class TestRegisterAndList:
     def test_developer_area_cannot_register(self, toy):
         dev, _ = dev_area(toy)
         with pytest.raises(AreaError, match="developer area"):
-            register_install(dev, Registry.locate(toy.env), ARCH)
+            register_install(dev, Registry.locate(toy.env), arch=ARCH)
 
 
 class TestDevArea:
@@ -421,12 +546,12 @@ class TestDevArea:
     def test_unknown_version_lists_available(self, toy):
         _, registry = installed(toy)
         with pytest.raises(AreaError, match="7_1_3"):
-            create_dev_area("ORCA", "9_9_9", registry, str(toy.workspace), ARCH)
+            create_dev_area("ORCA", "9_9_9", registry, str(toy.workspace), arch=ARCH)
 
     def test_unregistered_project(self, toy):
         registry = Registry.locate(toy.env)
         with pytest.raises(AreaError, match="no versions registered"):
-            create_dev_area("NOPE", "1", registry, str(toy.workspace), ARCH)
+            create_dev_area("NOPE", "1", registry, str(toy.workspace), arch=ARCH)
 
     def test_existing_directory_rejected(self, toy):
         _, registry = installed(toy)
@@ -435,7 +560,8 @@ class TestDevArea:
         def rejected():
             with pytest.raises(AreaError,
                                match=f"^target directory already exists: {target}$"):
-                create_dev_area("ORCA", "7_1_3", registry, str(toy.workspace), ARCH)
+                create_dev_area("ORCA", "7_1_3", registry, str(toy.workspace),
+                                arch=ARCH)
             assert os.listdir(toy.workspace) == ["ORCA_7_1_3"]
 
         target.mkdir()
@@ -460,10 +586,10 @@ class TestDevArea:
 
         monkeypatch.setattr(scram.project, "write_new", write_new)
         with pytest.raises(type(error)):
-            create_dev_area("ORCA", "7_1_3", registry, str(toy.workspace), ARCH)
+            create_dev_area("ORCA", "7_1_3", registry, str(toy.workspace), arch=ARCH)
         assert os.listdir(toy.workspace) == []
         monkeypatch.undo()
-        dev = create_dev_area("ORCA", "7_1_3", registry, str(toy.workspace), ARCH)
+        dev = create_dev_area("ORCA", "7_1_3", registry, str(toy.workspace), arch=ARCH)
         assert dev.root == str(toy.workspace / "ORCA_7_1_3")
         assert os.listdir(toy.workspace) == ["ORCA_7_1_3"]
         assert dev.kind == "developer"
@@ -472,7 +598,7 @@ class TestDevArea:
         central, registry = installed(toy)
         shutil.rmtree(central.root)
         with pytest.raises(AreaError, match="gone or is not"):
-            create_dev_area("ORCA", "7_1_3", registry, str(toy.workspace), ARCH)
+            create_dev_area("ORCA", "7_1_3", registry, str(toy.workspace), arch=ARCH)
 
 
 class TestAreaContext:
@@ -620,7 +746,7 @@ class TestToolInfo:
 class TestRuntimeEnv:
     def test_boost_prepend_present(self, toy):
         dev, _ = dev_area(toy)
-        delta = compute_runtime_env(dev, ARCH)
+        delta = area_environment(dev, ARCH)
         assert ("LD_LIBRARY_PATH", "/opt/boost/lib") in delta.prepends
         assert delta.area_id == "ORCA:7_1_3"
 
@@ -628,7 +754,7 @@ class TestRuntimeEnv:
         dev, central = dev_area(toy)
         (Path(central.root) / "lib" / "libproj.so").write_bytes(b"")
         (Path(dev.root) / "lib" / "libmine.so").write_bytes(b"")
-        delta = compute_runtime_env(dev, ARCH)
+        delta = area_environment(dev, ARCH)
         from scram.runtime import apply_delta
         path = apply_delta({}, delta)["LD_LIBRARY_PATH"].split(":")
         assert path[0] == str(Path(dev.root) / "lib")
@@ -639,7 +765,7 @@ class TestRuntimeEnv:
         dev, central = dev_area(toy)
         (Path(central.root) / ".SCRAM" / "Linux__2.4" / "tools" / "htl").unlink()
         with pytest.raises(AreaError, match="htl.*scram setup"):
-            compute_runtime_env(dev, ARCH)
+            area_environment(dev, ARCH)
 
     def test_relocated_area_identical_outputs(self, toy):
         dev, _ = dev_area(toy)
@@ -647,12 +773,12 @@ class TestRuntimeEnv:
                    site=SiteInfo({}), env=toy.env, arch=ARCH)
         from scram.runtime import emit_shell
         before_list = tool_list(dev, ARCH)
-        before_rt = emit_shell(compute_runtime_env(dev, ARCH), {}, "sh")
+        before_rt = emit_shell(area_environment(dev, ARCH), {}, "sh")
         moved = toy.workspace / "ORCA_renamed"
         os.rename(dev.root, moved)
         relocated = area_context(str(moved))
         assert tool_list(relocated, ARCH) == before_list
-        assert emit_shell(compute_runtime_env(relocated, ARCH), {}, "sh") == before_rt
+        assert emit_shell(area_environment(relocated, ARCH), {}, "sh") == before_rt
 
 
 def synthetic_tool(name, bindings=None, runtime=None):
@@ -693,6 +819,14 @@ def one_delta_per_tool(area, contribution):
                              EnvDelta(area_id=area.area_id))
     _area_level_prepends(area, delta)
     return delta
+
+
+def compute_runtime_env(area, arch):
+    return area_environment(area, arch)
+
+
+def build_environment(area, arch):
+    return area_environment(area, arch, build=True)
 
 
 ENVIRONMENTS = [(compute_runtime_env, runtime_contribution),
@@ -756,7 +890,7 @@ class TestEnvironmentAccumulation:
         monkeypatch.setattr(ProjectArea, "link_target",
                             lambda self: reads.append(self) or link_target(self))
         tool_list(dev, ARCH)
-        compute_runtime_env(dev, ARCH)
+        area_environment(dev, ARCH)
         build_environment(dev, ARCH)
         assert reads == [dev]
 
@@ -798,7 +932,7 @@ class TestRecordIndex:
             _, dev = synthetic_areas(tmp_path / str(n),
                                      [synthetic_tool(f"t{i:03d}") for i in range(n)])
             calls.clear()
-            compute_runtime_env(dev, ARCH)
+            area_environment(dev, ARCH)
             tool_list(dev, ARCH)
             counts[n] = len(calls)
         assert counts[10] == counts[100] > 0
@@ -824,7 +958,7 @@ class TestStateReaders:
         path = Path(central.root) / ".SCRAM" / ARCH.canonical / "tools" / "t"
         path.write_text(json.dumps(record))
         with pytest.raises(AreaError) as exc:
-            compute_runtime_env(central, ARCH)
+            area_environment(central, ARCH)
         assert str(exc.value) == f"tool record {path} {message}"
 
     @pytest.mark.parametrize("payload, message", [
@@ -832,7 +966,8 @@ class TestStateReaders:
         ({"tools": {}}, "has a malformed 'tools'"),
         ({"tools": [{"name": "t", "version": "1", "spec_url": 5}]},
          "has a malformed 'spec_url'"),
-        ({"tools": [], "identity": "x"}, "has a malformed 'identity'"),
+        ({"tools": [{"name": "t", "version": 1, "spec_url": "u"}]},
+         "has a malformed 'version'"),
     ])
     def test_malformed_configuration_record(self, tmp_path, payload, message):
         central, _ = synthetic_areas(tmp_path, [synthetic_tool("t")])

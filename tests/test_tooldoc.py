@@ -14,13 +14,13 @@ from scram.tooldoc import (
     LibraryProber,
     ResolvedTool,
     VarType,
-    build_contribution,
     order_by_externals,
     parse_tool_doc,
     resolve_tool,
-    runtime_contribution,
     select_version,
 )
+
+from envhelpers import build_contribution, runtime_contribution
 
 
 def spec_of(text):

@@ -8,6 +8,7 @@ import time
 from http.server import HTTPServer, SimpleHTTPRequestHandler
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from scram.cli import main
 from scram.errors import FetchError, UrlError
@@ -23,6 +24,12 @@ from scram.urlaccess import (
 )
 
 from cachepacks import footer, packs, read_pack
+
+
+# text made of the pieces of a URL
+URL_TEXT = st.lists(st.sampled_from(
+    ["file:", "cvs:", "http:", "/", "//", "h", "a.doc", ".", ":", "?", "&", "=",
+     "#", "module=m", "version=v", " "]), max_size=12).map("".join)
 
 
 class TestParseUrl:
@@ -98,6 +105,37 @@ class TestParseUrl:
         again = parse_url(url.unparse())
         assert (again.scheme, again.authority, again.query) == (
             url.scheme, url.authority, url.query)
+
+    def test_authority_with_leading_slashes_prints_its_own(self):
+        url = parse_url("a.tooldoc", base=parse_url("file:////srv/tools/"))
+        assert url.authority == "//srv/tools/a.tooldoc"
+        assert str(url) == "file:////srv/tools/a.tooldoc"
+
+    def test_named_host_is_not_joined_to_the_base_path(self):
+        url = parse_url("http://h2/tools/a.tooldoc", base=parse_url("http://h/conf/c.conf"))
+        assert (url.authority, str(url)) == ("h2/tools/a.tooldoc", "http://h2/tools/a.tooldoc")
+        url = parse_url("cvs://h2/x?module=m", base=parse_url("cvs://h/root/?version=v"))
+        assert url.authority == "h2/x"
+        assert url.query == (("version", "v"), ("module", "m"))
+
+    def test_inherited_query_keys_print(self):
+        # an absolute same-scheme URL still takes the base's query defaults
+        url = parse_url("cvs:/x?module=m", base=parse_url("cvs:/d/?version=v"))
+        assert str(url) == "cvs:/x?version=v&module=m"
+
+    @given(ref=URL_TEXT, base=st.none() | URL_TEXT)
+    @example(ref="a.tooldoc", base="file:////srv/tools/")
+    @example(ref="cvs:/x?module=m", base="cvs:/d/?version=v")
+    @example(ref="cvs://h2/x", base="cvs://h/?version=v")
+    def test_printed_url_parses_back_to_itself(self, ref, base):
+        # a pin stores str() of its resolved URL and is parsed from it later
+        try:
+            url = parse_url(ref, base=None if base is None else parse_url(base))
+        except UrlError:
+            return
+        again = parse_url(str(url))
+        assert (again.scheme, again.authority, again.query, again.fragment) == (
+            url.scheme, url.authority, url.query, url.fragment)
 
     def test_version_tag_precedence(self):
         url = parse_url("cvs:?module=M&version=Q")
