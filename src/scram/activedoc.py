@@ -67,18 +67,17 @@ class DocumentEngine:
         # tokenized events of nested documents, by cache key
         self._nested: dict[str, list] = {}
 
-    def activate(self, url: ResourceUrl | str, accepted: tuple[DocType, ...],
-                 version: str | None = None) -> TypedDocument:
+    def activate(self, url: ResourceUrl | str,
+                 accepted: tuple[DocType, ...]) -> TypedDocument:
         """The document at ``url``, which must be of one of the
         ``accepted`` types."""
         if isinstance(url, str):
             url = parse_url(url)
-        key = url.cache_key(version)
+        key = url.cache_key()
         try:
             doc = self._activated.get(key)
             if doc is None:
-                doc = self._activated[key] = self._activate_uncached(
-                    url, accepted, version)
+                doc = self._activated[key] = self._activate_uncached(url, accepted)
             else:
                 check_doc_type(doc.header, accepted)
         except ScramError as exc:
@@ -87,15 +86,15 @@ class DocumentEngine:
             raise
         return doc
 
-    def _activate_uncached(self, url: ResourceUrl, accepted: tuple[DocType, ...],
-                           version: str | None) -> TypedDocument:
-        events = self.events_for(url, version)
+    def _activate_uncached(self, url: ResourceUrl,
+                           accepted: tuple[DocType, ...]) -> TypedDocument:
+        events = self.events_for(url, None)
         header = read_doc_header(events)
         doc_type = check_doc_type(header, accepted)
-        chain = {url.cache_key(version): url}
-        events = self._splice(events, url, version, doc_type, chain)
+        chain = {url.cache_key(): url}
+        events = self._splice(events, url, None, doc_type, chain)
         payload = doc_type.builder(strip_doc_header(events))
-        return TypedDocument(header, url, url.version_tag(version), payload)
+        return TypedDocument(header, url, url.version_tag(), payload)
 
     def events_for(self, url: ResourceUrl, version: str | None):
         content = self.cache.fetch(url, version, refresh=self.refresh)

@@ -14,7 +14,7 @@ import sys
 
 from . import __version__
 from .configuration import detect_architecture
-from .errors import ScramError
+from .errors import AreaError, ScramError
 from .project import (
     Registry,
     area_context,
@@ -139,6 +139,8 @@ def _dispatch(args, env, cwd, arch) -> int:
         return 0
 
     if args.verb == "bootstrap":
+        if not args.dest:
+            raise AreaError("--dest is empty; name the directory to install under")
         site = SiteInfo.locate(env, args.dest)
         area, record = bootstrap_install(
             args.url, args.dest, site=site, prompt=_make_prompt(sys.stdin),

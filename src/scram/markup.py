@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 import re
+from types import MappingProxyType
 
 from .errors import DocTypeError, MarkupError, ScramError
 
@@ -61,10 +62,12 @@ class EventKind(enum.Enum):
 
 
 OPEN, CLOSE, CHARDATA = EventKind.OPEN, EventKind.CLOSE, EventKind.CHARDATA
+_NO_ATTRS = MappingProxyType({})  # the attrs of every attribute-free event
 
 
 class TagEvent:
-    """One parse event.
+    """One parse event. An open event's ``attrs`` maps each casefolded
+    attribute key to its value; ``name`` keeps the tag's spelling.
 
     Equality deliberately ignores ``location`` so that event streams can be
     compared semantically (round-trip tests, splice tests) regardless of
@@ -74,24 +77,16 @@ class TagEvent:
     """
 
     __slots__ = ("kind", "name", "folded_name", "attrs", "text",
-                 "_attr_map", "_location", "_lines", "_pos")
+                 "_location", "_lines", "_pos")
 
     def __init__(self, kind: EventKind, name: str = "",
-                 attrs: tuple[tuple[str, str], ...] = (), text: str = "",
+                 attrs: dict[str, str] | None = None, text: str = "",
                  location: Location | None = None):
-        if kind is CLOSE and (attrs or text):
-            raise ValueError("close events carry no attributes and no text")
-        if kind is CHARDATA and (name or attrs):
-            raise ValueError("chardata events carry no name and no attributes")
         self.kind = kind
         self.name = name
         self.folded_name = name.casefold()
-        self.attrs = attrs
+        self.attrs = attrs or _NO_ATTRS
         self.text = text
-        attr_map: dict[str, str] = {}  # folded key -> value of its first use
-        for k, v in attrs:
-            attr_map.setdefault(k.casefold(), v)
-        self._attr_map = attr_map
         self._location = location
         self._lines = None
         self._pos = 0
@@ -111,7 +106,7 @@ class TagEvent:
 
     def get(self, key: str, default: str | None = None) -> str | None:
         """Look up an attribute value, matching the key case-insensitively."""
-        return self._attr_map.get(key.casefold(), default)
+        return self.attrs.get(key.casefold(), default)
 
     def require(self, key: str) -> str:
         value = self.get(key)
@@ -197,7 +192,6 @@ _SPACE = re.compile(r"\s*")
 
 
 _new_event = object.__new__
-_NO_ATTRS: dict[str, str] = {}  # shared by every attribute-free event; never written
 
 
 class _LineIndex:
@@ -217,18 +211,15 @@ class _LineIndex:
                         pos - line_start + 1)
 
 
-def _located(kind: EventKind, name: str, attrs: tuple, attr_map: dict,
-             text: str, lines: _LineIndex, pos: int) -> TagEvent:
-    """A tokenized event, located on demand at ``pos`` of ``lines``. The
-    tokenizer builds only valid events and has folded their attribute keys
-    already, so ``TagEvent.__init__``'s work is skipped."""
+def _located(kind: EventKind, name: str, attrs, text: str, lines: _LineIndex,
+             pos: int) -> TagEvent:
+    """A tokenized event, located on demand at ``pos`` of ``lines``."""
     ev = _new_event(TagEvent)
     ev.kind = kind
     ev.name = name
     ev.folded_name = name.casefold()
     ev.attrs = attrs
     ev.text = text
-    ev._attr_map = attr_map
     ev._location = None
     ev._lines = lines
     ev._pos = pos
@@ -238,8 +229,7 @@ def _located(kind: EventKind, name: str, attrs: tuple, attr_map: dict,
 def _scan_open_tag(text: str, at: int, name: str, pos: int,
                    lines: _LineIndex) -> tuple[TagEvent, int]:
     """The open tag at ``at`` whose attributes start at ``pos``."""
-    attrs: list[tuple[str, str]] = []
-    attr_map: dict[str, str] = {}
+    attrs: dict[str, str] = {}
     while (m := _ATTR.match(text, pos)) is not None:
         key, quoted, plain = m.groups()
         pos = m.end()
@@ -249,17 +239,15 @@ def _scan_open_tag(text: str, at: int, name: str, pos: int,
                 location=lines.at(pos + 1),
             )
         folded = key.casefold()
-        if folded in attr_map:
+        if folded in attrs:
             raise MarkupError(
                 f"duplicate attribute '{key}' in tag <{name}>", location=lines.at(at)
             )
-        value = quoted if quoted is not None else plain or ""
-        attr_map[folded] = value
-        attrs.append((key, value))
+        attrs[folded] = quoted if quoted is not None else plain or ""
     m = _TAG_END.match(text, pos)
     if m is not None:
         # ``/>`` is an XML habit; tolerated, treated as a plain open tag.
-        return _located(OPEN, name, tuple(attrs), attr_map, "", lines, at), m.end()
+        return _located(OPEN, name, attrs or _NO_ATTRS, "", lines, at), m.end()
     pos = _SPACE.match(text, pos).end()
     if pos == len(text):
         raise MarkupError(f"unterminated tag <{name}", location=lines.at(at))
@@ -285,10 +273,10 @@ def tokenize_markup(text: str, source_id: str = "<string>") -> list[TagEvent]:
     """Tokenize document text into an ordered event stream.
 
     Total over tag-free text: anything that cannot start a tag is collected
-    into maximal CharData runs, so the concatenation of all CharData equals
-    the input when no tags are present. Open tags never require a matching
-    close. Raises MarkupError only for a tag or quoted value left open at
-    end of input, or a duplicate attribute key.
+    into maximal CharData runs, and a run that ``str.strip`` leaves empty
+    makes no event, so no reader ever sees whitespace-only text. Open tags
+    never require a matching close. Raises MarkupError only for a tag or
+    quoted value left open at end of input, or a duplicate attribute key.
     """
     lines = _LineIndex(text, source_id)
     events: list[TagEvent] = []
@@ -300,12 +288,11 @@ def tokenize_markup(text: str, source_id: str = "<string>") -> list[TagEvent]:
         if not (name[0].isalpha() or name[0] == "_"):
             pos = at + 1
             continue
-        if at > run_start:
-            events.append(_located(CHARDATA, "", (), _NO_ATTRS, text[run_start:at],
-                                   lines, run_start))
+        if at > run_start and not (run := text[run_start:at]).isspace():
+            events.append(_located(CHARDATA, "", _NO_ATTRS, run, lines, run_start))
         if end is not None:
             kind = CLOSE if closing else OPEN
-            events.append(_located(kind, name, (), _NO_ATTRS, "", lines, at))
+            events.append(_located(kind, name, _NO_ATTRS, "", lines, at))
             pos = m.end()
         elif closing:
             _bad_close_tag(text, at, name, m.end(), lines)
@@ -313,46 +300,38 @@ def tokenize_markup(text: str, source_id: str = "<string>") -> list[TagEvent]:
             event, pos = _scan_open_tag(text, at, name, m.end(), lines)
             events.append(event)
         run_start = pos
-    if len(text) > run_start:
-        events.append(_located(CHARDATA, "", (), _NO_ATTRS, text[run_start:],
-                               lines, run_start))
+    if len(text) > run_start and not (run := text[run_start:]).isspace():
+        events.append(_located(CHARDATA, "", _NO_ATTRS, run, lines, run_start))
     return events
 
 
 def read_doc_header(events) -> DocHeader:
-    """Return the type/version declared by the stream's first ``<doc>`` tag.
-
-    Only whitespace character data may precede it.
-    """
-    for ev in events:
-        if ev.kind is CHARDATA:
-            if ev.text.strip():
-                raise MarkupError(
-                    "text before the <doc> header", location=ev.location
-                )
-            continue
-        if ev.kind is OPEN and ev.folded_name == "doc":
-            doc_type = ev.get("type")
-            doc_version = ev.get("version")
-            if not doc_type:
-                raise MarkupError(
-                    "<doc> is missing its type attribute", location=ev.location
-                )
-            if doc_version is None:
-                raise MarkupError(
-                    "<doc> is missing its version attribute", location=ev.location
-                )
-            if not _valid_version(doc_version):
-                raise MarkupError(
-                    f"bad document version {doc_version!r} (want digits and dots)",
-                    location=ev.location,
-                )
-            return DocHeader(doc_type, doc_version, ev.location)
+    """Return the type/version declared by the ``<doc>`` tag that opens the
+    stream."""
+    if not events:
+        raise MarkupError("document has no <doc> header")
+    ev = events[0]
+    if ev.kind is CHARDATA:
+        raise MarkupError("text before the <doc> header", location=ev.location)
+    if ev.kind is CLOSE or ev.folded_name != "doc":
         raise MarkupError(
             f"expected <doc> header, found <{'/' if ev.kind is CLOSE else ''}{ev.name}>",
             location=ev.location,
         )
-    raise MarkupError("document has no <doc> header")
+    doc_type = ev.get("type")
+    doc_version = ev.get("version")
+    if not doc_type:
+        raise MarkupError("<doc> is missing its type attribute", location=ev.location)
+    if doc_version is None:
+        raise MarkupError(
+            "<doc> is missing its version attribute", location=ev.location
+        )
+    if not _valid_version(doc_version):
+        raise MarkupError(
+            f"bad document version {doc_version!r} (want digits and dots)",
+            location=ev.location,
+        )
+    return DocHeader(doc_type, doc_version, ev.location)
 
 
 def _valid_version(version: str) -> bool:
@@ -447,12 +426,8 @@ def splice_inline(events, resolver, *, tags=("inline",)) -> list[TagEvent]:
 
 
 def strip_doc_header(events) -> list[TagEvent]:
-    """Drop the first ``<doc>`` open event, if the stream starts with one."""
-    out = list(events)
-    for i, ev in enumerate(out):
-        if ev.kind is CHARDATA and not ev.text.strip():
-            continue
-        if ev.kind is OPEN and ev.folded_name == "doc":
-            del out[i]
-        break
-    return out
+    """The stream without its first event, if that is a ``<doc>`` open
+    event; otherwise the stream itself."""
+    if events and events[0].kind is OPEN and events[0].folded_name == "doc":
+        return events[1:]
+    return events

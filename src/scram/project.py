@@ -34,7 +34,7 @@ from .configuration import (
     ResolvedConfiguration,
     SelectEntry,
 )
-from .errors import AreaError, ToolError
+from .errors import AreaError, ToolError, UrlError
 from .fsutil import (
     atomic_write,
     locked,
@@ -102,8 +102,7 @@ class Registry:
         self.path = path
 
     @classmethod
-    def locate(cls, env=None, dest_root: str | None = None) -> "Registry":
-        env = os.environ if env is None else env
+    def locate(cls, env, dest_root: str | None = None) -> "Registry":
         path = env.get(LOOKUPDB_ENV)
         if not path:
             if dest_root:
@@ -324,16 +323,9 @@ BOOTSTRAP = DocType("BuildSystem::BootStrapDoc", "1.0", parse_bootstrap)
 # ---------------------------------------------------------------------
 # engine assembly
 
-def build_engine(site: SiteInfo | None = None, env=None,
-                 install_root: str | None = None,
+def build_engine(site: SiteInfo, env, install_root: str,
                  refresh: bool = False) -> DocumentEngine:
-    env = os.environ if env is None else env
-    cache_root = env.get(CACHE_ENV)
-    if not cache_root:
-        if install_root:
-            cache_root = os.path.join(install_root, ".scram-cache")
-        else:
-            cache_root = os.path.join(os.path.expanduser("~"), ".scram-cache")
+    cache_root = env.get(CACHE_ENV) or os.path.join(install_root, ".scram-cache")
     cache = UrlCache(cache_root, default_registry(site))
     return DocumentEngine(cache, refresh=refresh)
 
@@ -513,11 +505,16 @@ def resolve_project_configuration(engine: DocumentEngine, url: ResourceUrl,
     def absolute(config, source, fallback):
         # activated payloads are memoized and shared; resolve on a copy
         base = parse_url(config.base, base=source) if config.base else fallback
-        return ConfigurationDoc([
-            RequireEntry(e.name, e.version, str(parse_url(
-                e.url, base=base or (None if url_scheme(e.url) else source))),
-                e.arch_scope)
-            for e in config.entries])
+        entries = []
+        for e in config.entries:
+            try:
+                pinned = parse_url(e.url, base=base or (None if url_scheme(e.url)
+                                                        else source))
+            except UrlError as exc:
+                raise UrlError(f"{source}: <require name={e.name} version="
+                               f"{e.version}>: {exc.message}") from exc
+            entries.append(RequireEntry(e.name, e.version, str(pinned), e.arch_scope))
+        return ConfigurationDoc(entries)
 
     if isinstance(req, ConfigurationDoc):
         configs = [absolute(req, typed.source, None)]
@@ -583,8 +580,7 @@ def bootstrap_install(bootstrap_url: str, dest_root: str, *, site: SiteInfo,
     is created unregistered and stays in the ``incomplete`` state until a
     successful build (or a forced install) marks it complete.
     """
-    engine = build_engine(site=site, env=env, install_root=dest_root,
-                          refresh=refresh)
+    engine = build_engine(site, env, dest_root, refresh)
     try:
         typed = engine.activate(parse_url(bootstrap_url), (BOOTSTRAP,))
         boot: BootStrapDoc = typed.payload
@@ -731,8 +727,7 @@ def setup_tool(area: ProjectArea, name: str | None = None,
         pins = [pin for _, pin, path in _tool_rows(area, arch)
                 if pin is not None and
                 (path is None or _load_record(path).version != pin.version)]
-    engine = build_engine(site=site, env=env, install_root=central,
-                          refresh=refresh)
+    engine = build_engine(site, env, central, refresh)
     try:
         return [rt.name for rt in
                 resolve_selected_tools(engine, area, arch, pins, site, prompt)]

@@ -46,16 +46,12 @@ class SiteInfo:
         return cls(values, path)
 
     @classmethod
-    def locate(cls, env: dict[str, str] | None = None,
-               install_root: str | None = None) -> "SiteInfo":
+    def locate(cls, env, install_root: str) -> "SiteInfo":
         """``$SCRAM_SITE``, else ``<install_root>/site.cfg`` if it exists."""
-        env = os.environ if env is None else env
         explicit = env.get(SITE_ENV)
         if explicit:
             return cls.load(explicit)
-        if install_root:
-            return cls.load(os.path.join(install_root, SITE_BASENAME), optional=True)
-        return cls({})
+        return cls.load(os.path.join(install_root, SITE_BASENAME), optional=True)
 
     def get(self, key: str, default: str | None = None) -> str | None:
         return self.values.get(key, default)

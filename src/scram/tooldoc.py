@@ -61,18 +61,16 @@ class EnvVarDecl:
 
 
 class ExternalRef:
-    __slots__ = ("ref", "version", "description")
+    __slots__ = ("ref", "version")
 
-    def __init__(self, ref: str, version: str, description: str = ""):
+    def __init__(self, ref: str, version: str):
         self.ref = ref
         self.version = version
-        self.description = description
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return ((self.ref, self.version, self.description)
-                == (other.ref, other.version, other.description))
+        return (self.ref, self.version) == (other.ref, other.version)
 
     @property
     def folded_ref(self) -> str:
@@ -216,13 +214,10 @@ def _on_environment(state: _ToolDocBuilder, ev):
 def _on_description(state: _ToolDocBuilder, ev):
     if state.pending_text is None or state.block is None:
         return
-    text = ev.text.strip()
-    if not text:
-        return
-    existing = state.block.descriptions.get(state.pending_text, "")
+    text = ev.text.strip()  # never empty: blank runs make no event
+    existing = state.block.descriptions.get(state.pending_text)
     state.block.descriptions[state.pending_text] = (
-        f"{existing} {text}".strip() if existing else text
-    )
+        f"{existing} {text}" if existing else text)
 
 
 _TOOL_OPEN = {

@@ -226,14 +226,14 @@ class TestActivate:
         calls = []
 
         def adapter(url, version):
-            calls.append(version)
+            calls.append(url.version_tag(version))
             return b"<doc type=Test::Names version=1.0><x>"
 
         cache = UrlCache(str(tmp_path / "c"), SchemeRegistry({"stub": adapter}))
         engine = DocumentEngine(cache)
-        engine.activate("stub:one", (NAMES,), "1.0")
-        engine.activate("stub:one", (NAMES,), "2.0")
-        engine.activate("stub:one", (NAMES,), "1.0")
+        engine.activate("stub:one?version=1.0", (NAMES,))
+        engine.activate("stub:one?version=2.0", (NAMES,))
+        engine.activate("stub:one?version=1.0", (NAMES,))
         assert calls == ["1.0", "2.0"]
 
 

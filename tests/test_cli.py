@@ -78,6 +78,22 @@ class TestErrors:
         assert run(toy, "--arch", "bogus", "list") == 1
         assert "scram:" in capsys.readouterr().err
 
+    def test_empty_dest_fails_before_it_fetches(self, toy, capsys):
+        assert run(toy, "bootstrap", toy.bootstrap_url, "--dest", "") == 1
+        assert capsys.readouterr().err == (
+            "scram: bootstrap: --dest is empty; name the directory to install under\n")
+        assert not Path(toy.env["SCRAM_CACHE"]).exists()
+        assert sorted(os.listdir(toy.root)) == sorted(
+            ["central", "site.cfg", "specs", "work"])
+
+    def test_empty_require_url_names_the_configuration_and_the_entry(self, toy,
+                                                                    capsys):
+        conf = toy.specs / "toy.conf"
+        conf.write_text(conf.read_text() + '<require name=b version=1 url="">\n')
+        assert run(toy, "bootstrap", toy.bootstrap_url,
+                   "--dest", str(toy.install_root)) == 1
+        assert capsys.readouterr().err == (
+            f"scram: bootstrap: file:{conf}: <require name=b version=1>: empty URL\n")
 
     def test_inclusion_cycle_is_one_line_naming_every_url(self, toy, tmp_path, capsys):
         a, b, c = (f"file:{tmp_path / n}" for n in ("a.doc", "b.doc", "c.doc"))

@@ -20,7 +20,14 @@ from scram.project import parse_bootstrap
 from scram.runtime import parse_app_env
 from scram.tooldoc import parse_tool_doc
 
-from eventhelpers import chardata_event, close_event, open_event, serialize_events
+from eventhelpers import (
+    chardata_event,
+    close_event,
+    open_event,
+    payload_fields,
+    scanner_tokenize,
+    serialize_events,
+)
 
 
 def opens(events, name=None):
@@ -56,11 +63,11 @@ class TestTokenize:
     def test_unquoted_value_ends_at_whitespace_or_gt(self):
         events = tokenize_markup("<e name=LD_LIBRARY_PATH value=$LIBDIR \n  type=Runtime_path>")
         (ev,) = events
-        assert ev.attrs == (
-            ("name", "LD_LIBRARY_PATH"),
-            ("value", "$LIBDIR"),
-            ("type", "Runtime_path"),
-        )
+        assert ev.attrs == {
+            "name": "LD_LIBRARY_PATH",
+            "value": "$LIBDIR",
+            "type": "Runtime_path",
+        }
 
     def test_quoted_value_may_contain_newline_equals_amp(self):
         text = '<base url="cvs://host/root\n  ?auth=x&user=y">'
@@ -107,7 +114,7 @@ class TestTokenize:
 
     def test_value_free_attribute(self):
         (ev,) = tokenize_markup("<a checked>")
-        assert ev.attrs == (("checked", ""),)
+        assert ev.attrs == {"checked": ""}
 
     def test_locations_track_lines_and_columns(self):
         events = tokenize_markup("ab\n<t>", "s")
@@ -115,10 +122,38 @@ class TestTokenize:
         assert events[1].location.line == 2 and events[1].location.column == 1
 
     @given(st.text(alphabet=st.characters(blacklist_characters="<")))
+    @example(" \t\n")
+    @example("\x1c")  # whitespace to str.strip, though no space character
+    @example("\u2003")  # an em space
+    @example("\ufeff")  # a byte-order mark, which str.strip keeps
     def test_total_on_tag_free_text(self, text):
         events = tokenize_markup(text)
-        assert "".join(e.text for e in events) == text
-        assert all(e.kind is EventKind.CHARDATA for e in events)
+        if text.strip():
+            assert events == [chardata_event(text)]
+        else:
+            assert events == []
+
+    @pytest.mark.parametrize("text", ["", " ", "\n\t ", "\x1c\u2003"])
+    def test_blank_runs_make_no_event(self, text):
+        events = tokenize_markup(f"{text}<a>{text}</a>{text}<b x=1>{text}")
+        assert events == [open_event("a"), close_event("a"),
+                          open_event("b", [("x", "1")])]
+
+    def test_byte_order_mark_is_text_before_the_header(self):
+        with pytest.raises(MarkupError, match="text before the <doc> header"):
+            read_doc_header(tokenize_markup("\ufeff<doc type=t version=1>"))
+
+    def test_attribute_free_events_share_one_read_only_map(self):
+        a, b, c = tokenize_markup("<a><b/></a>")
+        assert a.attrs is b.attrs is c.attrs
+        with pytest.raises(TypeError):
+            a.attrs["x"] = "1"
+
+    def test_attribute_keys_fold_and_the_tag_name_keeps_its_spelling(self):
+        (ev,) = tokenize_markup("<Tool NAME=Boost Version=1>")
+        assert ev.name == "Tool"
+        assert ev.attrs == {"name": "Boost", "version": "1"}
+        assert ev.get("Name") == "Boost"
 
     @given(st.text())
     def test_chardata_concatenation_never_loses_tag_free_input(self, text):
@@ -130,141 +165,6 @@ class TestTokenize:
             return
         rebuilt = serialize_events(events)
         assert tokenize_markup(rebuilt) == events
-
-
-class _Scanner:
-    """The character-at-a-time scanner that ``tokenize_markup`` replaced,
-    kept as the reference for ``TestScannerReference``."""
-
-    def __init__(self, text, source):
-        self.text, self.source = text, source
-        self.pos, self.line, self.column = 0, 1, 1
-
-    def location(self):
-        return Location(self.source, self.line, self.column)
-
-    def eof(self):
-        return self.pos >= len(self.text)
-
-    def peek(self, offset=0):
-        i = self.pos + offset
-        return self.text[i] if i < len(self.text) else ""
-
-    def advance(self, count=1):
-        taken = self.text[self.pos : self.pos + count]
-        for ch in taken:
-            if ch == "\n":
-                self.line += 1
-                self.column = 1
-            else:
-                self.column += 1
-        self.pos += len(taken)
-        return taken
-
-    def skip_whitespace(self):
-        while not self.eof() and self.peek().isspace():
-            self.advance()
-
-    def take_while(self, pred):
-        start = self.pos
-        while not self.eof() and pred(self.peek()):
-            self.advance()
-        return self.text[start : self.pos]
-
-
-def _is_name_start(ch):
-    return ch.isalpha() or ch == "_"
-
-
-def _is_name_char(ch):
-    return ch.isalnum() or ch in "_-."
-
-
-def _scanner_open_tag(scanner, start):
-    scanner.advance()
-    name = scanner.take_while(_is_name_char)
-    attrs, seen = [], set()
-    while True:
-        scanner.skip_whitespace()
-        if scanner.eof():
-            raise MarkupError(f"unterminated tag <{name}", location=start)
-        ch = scanner.peek()
-        if ch == ">":
-            scanner.advance()
-            return open_event(name, attrs, start)
-        if ch == "/" and scanner.peek(1) == ">":
-            scanner.advance(2)
-            return open_event(name, attrs, start)
-        key = scanner.take_while(lambda c: not c.isspace() and c not in '=>"')
-        if not key:
-            raise MarkupError(
-                f"unexpected character {scanner.peek()!r} in tag <{name}>",
-                location=scanner.location(),
-            )
-        value = ""
-        if scanner.peek() == "=":
-            scanner.advance()
-            if scanner.peek() == '"':
-                quote_at = scanner.location()
-                scanner.advance()
-                chunk_start = scanner.pos
-                while not scanner.eof() and scanner.peek() != '"':
-                    scanner.advance()
-                if scanner.eof():
-                    raise MarkupError(
-                        f"unterminated quoted value for '{key}' in tag <{name}>",
-                        location=quote_at,
-                    )
-                value = scanner.text[chunk_start : scanner.pos]
-                scanner.advance()
-            else:
-                value = scanner.take_while(lambda c: not c.isspace() and c != ">")
-        folded = key.casefold()
-        if folded in seen:
-            raise MarkupError(
-                f"duplicate attribute '{key}' in tag <{name}>", location=start
-            )
-        seen.add(folded)
-        attrs.append((key, value))
-
-
-def _scanner_close_tag(scanner, start):
-    scanner.advance(2)
-    name = scanner.take_while(_is_name_char)
-    scanner.skip_whitespace()
-    if scanner.eof():
-        raise MarkupError(f"unterminated tag </{name}", location=start)
-    if scanner.peek() != ">":
-        raise MarkupError(
-            f"unexpected character {scanner.peek()!r} in tag </{name}>",
-            location=scanner.location(),
-        )
-    scanner.advance()
-    return close_event(name, start)
-
-
-def scanner_tokenize(text, source_id="<string>"):
-    scanner = _Scanner(text, source_id)
-    events = []
-    run_start, run_location = 0, scanner.location()
-    while not scanner.eof():
-        nxt = scanner.peek(1)
-        plausible = _is_name_start(nxt) or (
-            nxt == "/" and _is_name_start(scanner.peek(2)))
-        if scanner.peek() == "<" and plausible:
-            if scanner.pos > run_start:
-                events.append(chardata_event(text[run_start:scanner.pos], run_location))
-            start = scanner.location()
-            if nxt == "/":
-                events.append(_scanner_close_tag(scanner, start))
-            else:
-                events.append(_scanner_open_tag(scanner, start))
-            run_start, run_location = scanner.pos, scanner.location()
-        else:
-            scanner.advance()
-    if scanner.pos > run_start:
-        events.append(chardata_event(text[run_start:scanner.pos], run_location))
-    return events
 
 
 def _outcome(tokenize, text):
@@ -560,18 +460,6 @@ class TestDispatchReference:
                 == _dispatch_outcome(registrations, text, tables=False))
 
 
-def _fields(value):
-    """A payload as nested lists and tuples of its slotted fields."""
-    slots = getattr(type(value), "__slots__", None)
-    if slots:
-        return (type(value).__name__, *(_fields(getattr(value, s)) for s in slots))
-    if isinstance(value, (list, tuple)):
-        return [_fields(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _fields(v) for k, v in value.items()}
-    return value
-
-
 _PARSER_INPUTS = {
     "tooldoc": (parse_tool_doc, "boost_text"),
     "configuration": (parse_configuration, "configuration_text"),
@@ -593,8 +481,8 @@ def test_upper_case_tags_give_the_usual_payload(doc, request):
         text = request.getfixturevalue(text)
     upper = re.sub(r"<(/?)([^\W\d][\w.-]*)", lambda m: f"<{m[1]}{m[2].upper()}", text)
     assert upper != text
-    usual = _fields(parser(strip_doc_header(tokenize_markup(text))))
-    assert usual == _fields(parser(strip_doc_header(tokenize_markup(upper))))
+    usual = payload_fields(parser(strip_doc_header(tokenize_markup(text))))
+    assert usual == payload_fields(parser(strip_doc_header(tokenize_markup(upper))))
     assert "[]" not in repr(usual)  # every list of the payload was filled
 
 
@@ -661,17 +549,6 @@ class TestSpliceInline:
         streams = {"U": tokenize_markup("<doc type=t version=1><inline url=U></inline>")}
         out = splice_inline(tokenize_markup("<inline url=U>"), by_url(streams))
         assert out == tokenize_markup("<inline url=U></inline>")
-
-
-def test_close_event_invariants():
-    with pytest.raises(ValueError):
-        TagEvent(EventKind.CLOSE, name="x", attrs=(("a", "1"),))
-    with pytest.raises(ValueError):
-        TagEvent(EventKind.CLOSE, name="x", text="t")
-    with pytest.raises(ValueError):
-        TagEvent(EventKind.CHARDATA, name="x", text="t")
-    with pytest.raises(ValueError):
-        TagEvent(EventKind.CHARDATA, attrs=(("a", "1"),), text="t")
 
 
 def test_event_equality_ignores_only_the_location():

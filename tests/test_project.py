@@ -314,10 +314,10 @@ class TestPinUrls:
         activated = []
         activate = DocumentEngine.activate
 
-        def spy(engine, url, accepted, version=None):
+        def spy(engine, url, accepted):
             if accepted == (TOOLDOC,):
                 activated.append(str(url))
-            return activate(engine, url, accepted, version)
+            return activate(engine, url, accepted)
 
         monkeypatch.setattr(DocumentEngine, "activate", spy)
         area, _ = bootstrap_install(
@@ -359,9 +359,10 @@ class TestPinUrls:
         url = self.bootstrap_url(toy, conf_base=True, req_base=False, direct=False)
         conf = toy.specs / "conf" / "rel.conf"
         conf.write_text(conf.read_text() + '<require name=b version=1 url="">\n')
-        with pytest.raises(UrlError, match="^empty URL$"):
+        with pytest.raises(UrlError) as exc:
             bootstrap_install(url, str(toy.install_root), site=SiteInfo({}),
                               env=toy.env, arch=ARCH)
+        assert str(exc.value) == f"file:{conf}: <require name=b version=1>: empty URL"
         assert os.listdir(toy.install_root) == []
 
     def test_record_with_spec_base_and_identity_reads_unchanged(self, toy):
@@ -404,13 +405,13 @@ class TestEngineDocTypes:
             "<doc type=BuildSystem::Configuration version=1.0>\n"
             '<require name=gcc version=2.95.2 url="cvs:?module=G">\n'
             '<require name=zlib version=1.1.3 url="cvs:?module=Z">\n')
-        engine = build_engine(env=toy.env)
+        engine = build_engine(SiteInfo({}), toy.env, str(toy.install_root))
         spliced = engine.activate(f"file:{outer}", (CONFIGURATION,)).payload
         expected = engine.activate(f"file:{combined}", (CONFIGURATION,)).payload
         assert spliced.entries == expected.entries
 
     def test_requirements_include_stays_a_reference(self, toy):
-        engine = build_engine(env=toy.env)
+        engine = build_engine(SiteInfo({}), toy.env, str(toy.install_root))
         payload = engine.activate(toy.requirements_url, (REQUIREMENTS,)).payload
         assert payload.includes == [f"file:{toy.specs}/toy.conf"]
         assert [s.name for s in payload.selects] == ["gcc", "sockets", "boost", "htl"]
@@ -1122,7 +1123,7 @@ class TestProbing:
                     "</Client></Tool>\n")
                 pins.append(PinnedTool(f"t{i}", "1.0", f"file:{spec}"))
             site = SiteInfo({"search.libroots": str(libroot)})
-            engine = build_engine(site, env={"SCRAM_CACHE": str(root / "cache")})
+            engine = build_engine(site, {"SCRAM_CACHE": str(root / "cache")}, str(root))
             area = ProjectArea.create(str(root / "area"), "P", "1")
             listed.clear()
             resolved = resolve_selected_tools(engine, area, ARCH, pins, site)
