@@ -8,9 +8,9 @@ Operational errors render as one line on standard error:
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
+from types import SimpleNamespace
 
 from . import __version__
 from .configuration import detect_architecture
@@ -32,7 +32,89 @@ from .runtime import emit_shell, load_app_env_file
 from .sitefile import SiteInfo
 
 
-def build_parser() -> argparse.ArgumentParser:
+class CommandLine:
+    """scram's argv parser. Canonical argv of every verb is read by
+    ``parse_canonical``; anything else (help, version, usage errors and
+    the other spellings argparse accepts) goes to ``argparse_parser``,
+    the one reference grammar, so its output and exit codes are
+    argparse's own."""
+
+    def parse_args(self, argv: list[str] | None = None) -> SimpleNamespace:
+        argv = sys.argv[1:] if argv is None else list(argv)
+        args = parse_canonical(argv)
+        return argparse_parser().parse_args(argv) if args is None else args
+
+
+def build_parser() -> CommandLine:
+    return CommandLine()
+
+
+def _is_word(token: str) -> bool:
+    """A token argparse reads as a positional value whatever it holds."""
+    return not token.startswith("-")
+
+
+def parse_canonical(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse gives for ``argv`` if it has one of the
+    exact shapes below, else None:
+
+    ``[--arch A | --refresh]... VERB`` followed by ``runtime -sh|-csh
+    [--app X]``, ``tool list``, ``tool info N``, ``setup [N [V [U]]]``,
+    ``project N V``, ``install [--force]``, ``list [P]``, ``bootstrap URL
+    [--dest D]`` or ``build ARGS...``, where every value and build
+    argument is a word (does not start with ``-``)."""
+    arch, refresh, i, n = None, False, 0, len(argv)
+    while i < n and argv[i] in ("--arch", "--refresh"):
+        if argv[i] == "--refresh":
+            refresh, i = True, i + 1
+        elif i + 1 < n and _is_word(argv[i + 1]):
+            arch, i = argv[i + 1], i + 2
+        else:
+            return None
+    if i == n:
+        return None
+    verb, rest = argv[i], argv[i + 1:]
+    fields = _verb_fields(verb, rest)
+    if fields is None:
+        return None
+    return SimpleNamespace(arch=arch, refresh=refresh, verb=verb, **fields)
+
+
+def _verb_fields(verb: str, rest: list[str]) -> dict | None:
+    n = len(rest)
+    if verb == "runtime":
+        if (n in (1, 3) and rest[0] in ("-sh", "-csh")
+                and (n == 1 or rest[1] == "--app" and _is_word(rest[2]))):
+            return {"dialect": rest[0][1:], "app": rest[2] if n == 3 else None}
+        return None
+    if verb == "install":
+        return {"force": rest == ["--force"]} if rest in ([], ["--force"]) else None
+    if verb == "bootstrap":
+        if (n == 1 or n == 3 and rest[1] == "--dest") and all(map(_is_word, rest[::2])):
+            return {"url": rest[0], "dest": rest[2] if n == 3 else "."}
+        return None
+    if not all(map(_is_word, rest)):
+        return None
+    if verb == "tool":
+        if rest == ["list"]:
+            return {"tool_verb": "list"}
+        if n == 2 and rest[0] == "info":
+            return {"tool_verb": "info", "name": rest[1]}
+        return None
+    if verb == "build":
+        return {"args": rest}
+    if verb == "list" and n <= 1:
+        return {"project": rest[0] if rest else None}
+    if verb == "project" and n == 2:
+        return {"name": rest[0], "project_version": rest[1]}
+    if verb == "setup" and n <= 3:
+        return dict(zip(("name", "tool_version", "url"), rest + [None] * (3 - n)))
+    return None
+
+
+def argparse_parser():
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="scram",
         description="Configuration management and developer workspaces.",
@@ -113,7 +195,10 @@ def main(argv: list[str] | None = None, env=None, cwd: str | None = None) -> int
         return int(exc.code or 0)
     try:
         arch = detect_architecture(args.arch, env=env)
-        return _dispatch(args, env, cwd, arch) or 0
+        code = _dispatch(args, env, cwd, arch) or 0
+        # a closed stdout fails here, as one line, not at exit
+        sys.stdout.flush()
+        return code
     except ScramError as exc:
         context = exc.context or args.verb
         print(f"scram: {context}: {exc}", file=sys.stderr)
@@ -194,7 +279,22 @@ def _dispatch(args, env, cwd, arch) -> int:
 
 
 def console_main() -> None:
-    sys.exit(main())
+    """Run ``main`` on ``sys.argv`` and end the process without the
+    interpreter's teardown: every state file is published by a rename and
+    every lock is an ``flock``, so there is nothing left to clean up, and
+    ``atexit`` handlers do not run."""
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        # only output that main did not flush itself (help, version) is left
+        if code == 0:
+            print(f"scram: {exc.strerror or exc}", file=sys.stderr)
+            code = 1
+    try:
+        sys.stderr.flush()
+    finally:
+        os._exit(code)
 
 
 if __name__ == "__main__":

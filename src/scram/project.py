@@ -427,20 +427,47 @@ def write_tool_record(area: ProjectArea, arch: Architecture,
     return path
 
 
+# a tool record's fields in the order their errors take precedence:
+# (key, check, default for a missing key)
+_TOOL_RECORD_FIELDS = (
+    ("name", _is_str, _MISSING),
+    ("version", _is_str, _MISSING),
+    ("bindings", _is_str_map, _MISSING),
+    ("runtime", _is_str_pairs, _MISSING),
+    ("libs", _is_str_list, _MISSING),
+    ("provenance", _is_str_map, _MISSING),
+    ("descriptions", _is_str_map, {}),
+    ("externals", _is_str_pairs, []),
+)
+
+
 def _load_record(path: str) -> ResolvedTool:
     what = "tool record"
     payload = read_json(path, what)
+    get = payload.get
+    name, version, libs = get("name"), get("version"), get("libs")
+    bindings, provenance = get("bindings"), get("provenance")
+    descriptions, runtime = get("descriptions", {}), get("runtime")
+    externals = get("externals", [])
+    # every field's check of _TOOL_RECORD_FIELDS at once; a missing key
+    # reads as None, which no check accepts
+    if not (type(name) is str and type(version) is str
+            and type(bindings) is dict and type(provenance) is dict
+            and type(descriptions) is dict and type(libs) is list
+            and type(runtime) is list and type(externals) is list
+            and set(map(type, chain(runtime, externals))) <= {list}
+            and set(map(len, chain(runtime, externals))) <= {2}
+            and set(map(type, chain(
+                libs, bindings.values(), provenance.values(), descriptions.values(),
+                chain.from_iterable(runtime), chain.from_iterable(externals)))) <= {str}):
+        # one field is missing or malformed: name the first, in order
+        for key, valid, default in _TOOL_RECORD_FIELDS:
+            _field(payload, key, valid, what, path, default)
     return ResolvedTool(
-        name=_field(payload, "name", _is_str, what, path),
-        version=_field(payload, "version", _is_str, what, path),
-        bindings=_field(payload, "bindings", _is_str_map, what, path),
-        runtime_entries=list(map(tuple, _field(payload, "runtime", _is_str_pairs,
-                                                what, path))),
-        lib_names=_field(payload, "libs", _is_str_list, what, path),
-        provenance=_field(payload, "provenance", _is_str_map, what, path),
-        descriptions=_field(payload, "descriptions", _is_str_map, what, path, {}),
-        externals=list(map(tuple, _field(payload, "externals", _is_str_pairs,
-                                         what, path, []))),
+        name=name, version=version, bindings=bindings,
+        runtime_entries=list(map(tuple, runtime)), lib_names=libs,
+        provenance=provenance, descriptions=descriptions,
+        externals=list(map(tuple, externals)),
     )
 
 
@@ -727,7 +754,9 @@ def setup_tool(area: ProjectArea, name: str | None = None,
         pins = [pin for _, pin, path in _tool_rows(area, arch)
                 if pin is not None and
                 (path is None or _load_record(path).version != pin.version)]
-    engine = build_engine(site, env, central, refresh)
+    # the installation's cache, the one bootstrap filled: the central
+    # area's parent is the --dest it was bootstrapped under
+    engine = build_engine(site, env, os.path.dirname(central), refresh)
     try:
         return [rt.name for rt in
                 resolve_selected_tools(engine, area, arch, pins, site, prompt)]

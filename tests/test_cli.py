@@ -325,11 +325,12 @@ class TestWrongDocumentType:
 
 
 # Stdlib modules that only fetching, hashing, building or host detection
-# needs, and dataclasses with the inspect it imports, which scram does not
-# use; a read-only verb must not pay for importing any of them.
+# needs, dataclasses with the inspect it imports, which scram does not use,
+# and argparse with its gettext, which only help, version and usage errors
+# need; a read-only verb must not pay for importing any of them.
 START_UP_DENY_LIST = ("dataclasses", "inspect", "subprocess", "hashlib",
                       "tempfile", "platform", "shlex", "urllib.request",
-                      "http.client")
+                      "http.client", "argparse", "gettext")
 
 # Prints the deny-listed modules that the code after it loads; what the
 # interpreter's own start-up (site and .pth files) loaded is not scram's.
@@ -363,6 +364,41 @@ def test_read_only_verbs_leave_fetch_and_build_modules_unloaded(
     # the toy environment sets SCRAM_ARCH, as a user's shell would
     assert loaded_by_scram(body, child_env(toy.env),
                            toy.workspace / "ORCA_7_1_3") == []
+
+
+class TestBrokenPipe:
+    """A command whose standard output is a closed pipe ends with one line
+    and exit 1, whether its output fails while it runs or at its final
+    flush."""
+
+    @pytest.mark.parametrize("argv, line", [
+        (["tool", "info", "boost"], "scram: tool: Broken pipe\n"),
+        (["runtime", "-sh"], "scram: runtime: Broken pipe\n"),
+        (["--version"], "scram: Broken pipe\n"),
+    ])
+    def test_one_line_and_exit_1(self, toy, capsys, child_env, argv, line):
+        central = lifecycle(toy, capsys)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "scram.cli", *argv],
+                                  cwd=central, env=child_env(toy.env),
+                                  stdout=write_end, stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, line)
+
+
+def test_setup_uses_the_installation_s_cache(toy, capsys):
+    """Without SCRAM_CACHE, a developer's setup reads and writes the cache
+    that bootstrap filled under --dest, not one in the central area."""
+    del toy.env["SCRAM_CACHE"]
+    lifecycle(toy, capsys)
+    assert run(toy, "project", "ORCA", "7_1_3", cwd=str(toy.workspace)) == 0
+    assert run(toy, "setup", "htl", "1.5", f"file:{toy.specs}/htl.tooldoc",
+               cwd=str(toy.workspace / "ORCA_7_1_3")) == 0
+    assert [p.relative_to(toy.root) for p in toy.root.rglob("packs")] == [
+        Path("central/.scram-cache/packs")]
 
 
 class TestLifecycle:

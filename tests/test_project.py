@@ -29,7 +29,9 @@ from scram.project import (
     InstallationRecord,
     ProjectArea,
     Registry,
+    _TOOL_RECORD_FIELDS,
     _area_level_prepends,
+    _field,
     _load_record,
     _tools_in_runtime_order,
     _write_config_record,
@@ -1089,6 +1091,50 @@ class TestAnyBytes:
             assert content == b"fetched"
         else:
             assert hashlib.sha256(content).hexdigest().encode() in data
+
+
+_TEXT = st.text(max_size=4)
+# each tool record field well formed, malformed or missing
+_RECORD_VALUES = {
+    "name": _TEXT, "version": _TEXT,
+    "bindings": st.dictionaries(_TEXT, _TEXT, max_size=3),
+    "provenance": st.dictionaries(_TEXT, _TEXT, max_size=3),
+    "descriptions": st.dictionaries(_TEXT, _TEXT, max_size=3),
+    "libs": st.lists(_TEXT, max_size=3),
+    "runtime": st.lists(st.lists(_TEXT, min_size=2, max_size=2), max_size=3),
+    "externals": st.lists(st.lists(_TEXT, min_size=2, max_size=2), max_size=3),
+}
+_ABSENT = object()
+# each field is well formed in 10 draws of 12, so many whole records are
+_RECORDS = st.fixed_dictionaries({
+    key: st.sampled_from([good] * 10 + [_JSON, st.just(_ABSENT)]).flatmap(
+        lambda values: values)
+    for key, good in _RECORD_VALUES.items()}).map(
+        lambda record: {k: v for k, v in record.items() if v is not _ABSENT})
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(payload=_RECORDS)
+def test_tool_record_check_matches_the_field_by_field_check(tmp_path, payload):
+    """``_load_record`` checks every field in one pass, and must accept what
+    the field-by-field checks of ``_TOOL_RECORD_FIELDS`` accept and fail
+    with the first of their errors otherwise."""
+    path = str(tmp_path / "t")
+    with open(path, "w") as fh:
+        json.dump(payload, fh)
+    try:
+        fields = [_field(payload, key, valid, "tool record", path, default)
+                  for key, valid, default in _TOOL_RECORD_FIELDS]
+    except AreaError as expected:
+        with pytest.raises(AreaError) as exc:
+            _load_record(path)
+        assert str(exc.value) == str(expected)
+        return
+    name, version, bindings, runtime, libs, provenance, descriptions, externals = fields
+    assert _load_record(path) == ResolvedTool(
+        name, version, bindings, list(map(tuple, runtime)), libs, provenance,
+        descriptions, list(map(tuple, externals)))
 
 
 class TestProbing:
