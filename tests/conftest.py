@@ -7,6 +7,7 @@ import select
 import subprocess
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -15,6 +16,30 @@ import pytest
 FIXTURES = Path(__file__).parent / "fixtures"
 
 SESSION_START = time.perf_counter()
+
+# An audit hook cannot be removed, so one is installed for the session and
+# forwards each event to the recorder that ``audit_events`` sets, if any.
+_audit_recorder = None
+
+
+def _forward_audit_event(event: str, args: tuple) -> None:
+    if _audit_recorder is not None:
+        _audit_recorder(event, args)
+
+
+sys.addaudithook(_forward_audit_event)
+
+
+@contextmanager
+def audit_events(recorder):
+    """Call ``recorder(event, args)`` for every audit event (PEP 578)
+    raised inside the block."""
+    global _audit_recorder
+    _audit_recorder = recorder
+    try:
+        yield
+    finally:
+        _audit_recorder = None
 
 TOY_ARCH = "Linux__2.4"
 
