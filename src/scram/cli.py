@@ -255,6 +255,8 @@ def _dispatch(args, env, cwd, arch) -> int:
         return 0
 
     if args.verb == "runtime":
+        if args.app == "":
+            raise AreaError("--app is empty; name an application environment file")
         delta = area_environment(area, arch)
         if args.app:
             delta = delta.merge(

@@ -12,6 +12,10 @@ A flat registry file (one ``project version arch location`` record per
 line) makes central installations discoverable. Developer areas inherit
 tool records and the resolved configuration through their link and keep
 locally only what the developer overrides.
+
+One seam, ``read_tool_records`` and ``write_tool_records``, is the only
+code that knows how and where tool records are stored; every other
+function reads and writes them through it.
 """
 
 from __future__ import annotations
@@ -68,7 +72,6 @@ STATE_FILE = "state"
 AREA_FILE = "area"
 LOCK_FILE = "lock"
 CONFIG_RECORD = "configuration"
-TOOLS_DIR = "tools"
 REQUIREMENTS_ID_FILE = "requirements.url"
 
 STATE_INCOMPLETE = "incomplete"
@@ -388,11 +391,12 @@ def _write_config_record(area: ProjectArea, arch: Architecture,
 
 def load_config_record(area: ProjectArea, arch: Architecture) -> ResolvedConfiguration:
     """The central installation's resolved configuration; an installation
-    never bootstrapped for this architecture reads as empty."""
+    set up for no architecture at all reads as empty."""
     path = ProjectArea(area.central_root()).config_record_path(arch)
     what = "configuration record"
     payload = read_json(path, what, missing=None)
     if payload is None:
+        _require_architecture(area, arch)
         return ResolvedConfiguration(arch, {})
     tools = {}
     for t in _field(payload, "tools", _is_object_list, what, path):
@@ -403,28 +407,40 @@ def load_config_record(area: ProjectArea, arch: Architecture) -> ResolvedConfigu
     return ResolvedConfiguration(arch, tools)  # order preserved by json
 
 
-# ---------------------------------------------------------------------
-# tool records
+def _require_architecture(area: ProjectArea, arch: Architecture) -> None:
+    """Fail if the central installation was set up for other architectures
+    but not for ``arch``."""
+    admin = os.path.join(area.central_root(), ADMIN_DIR)
+    if os.path.isdir(os.path.join(admin, arch.canonical)):
+        return
+    held = sorted(entry.name for entry in os.scandir(admin) if entry.is_dir())
+    if held:
+        raise AreaError(f"{area.central_root()} has no tools for architecture {arch}, "
+                        f"only for {', '.join(held)} (pass --arch or set SCRAM_ARCH)")
 
-def _tools_dir(area_root: str, arch: Architecture) -> str:
-    return os.path.join(area_root, ADMIN_DIR, arch.canonical, TOOLS_DIR)
+
+# ---------------------------------------------------------------------
+# tool records: the one seam that knows how and where they are stored
+TOOLS_DIR = "tools"
 
 
 def write_tool_record(area: ProjectArea, arch: Architecture,
                       rt: ResolvedTool) -> str:
-    path = os.path.join(_tools_dir(area.root, arch), rt.name.casefold())
-    payload = {
-        "name": rt.name,
-        "version": rt.version,
-        "bindings": rt.bindings,
-        "runtime": rt.runtime_entries,
-        "libs": rt.lib_names,
-        "provenance": rt.provenance,
-        "descriptions": rt.descriptions,
-        "externals": rt.externals,
-    }
+    path = os.path.join(area.root, ADMIN_DIR, arch.canonical, TOOLS_DIR,
+                        rt.name.casefold())
+    payload = {"name": rt.name, "version": rt.version, "bindings": rt.bindings,
+               "runtime": rt.runtime_entries, "libs": rt.lib_names,
+               "provenance": rt.provenance, "descriptions": rt.descriptions,
+               "externals": rt.externals}
     area.write(path, json.dumps(payload) + "\n")
     return path
+
+
+def write_tool_records(area: ProjectArea, arch: Architecture,
+                       records: Iterable[ResolvedTool]) -> None:
+    """Write each of ``records`` as it comes: a failure leaves those before it."""
+    for rt in records:
+        write_tool_record(area, arch, rt)
 
 
 # a tool record's fields in the order their errors take precedence:
@@ -467,45 +483,45 @@ def _load_record(path: str) -> ResolvedTool:
         name=name, version=version, bindings=bindings,
         runtime_entries=list(map(tuple, runtime)), lib_names=libs,
         provenance=provenance, descriptions=descriptions,
-        externals=list(map(tuple, externals)),
-    )
+        externals=list(map(tuple, externals)))
 
 
-def _record_index(area: ProjectArea,
-                  arch: Architecture) -> dict[str, tuple[str, str]]:
-    """The area's active tool records: casefolded name -> (record path,
-    ``"central"`` or ``"local"``). The central root's records are listed
-    first, then the area's own, each in sorted order; a local record
-    replaces the inherited one in its position. In a central area both
-    listings are the same directory, so every record is local."""
-    index: dict[str, tuple[str, str]] = {}
+class ToolRecords(dict):
+    """An area's tool records, casefolded name -> ``"central"`` or ``"local"``;
+    ``read(name)`` opens one: the record, or its version if versions-only."""
+
+    def read(self, name: str) -> ResolvedTool | str:
+        rt = _load_record(os.path.join(self._dirs[self[name]], name))
+        return rt.version if self._versions_only else rt
+
+    def by_configuration(self, resolved: ResolvedConfiguration) -> list[tuple]:
+        """(name, pin, record name) of the configured tools in configuration
+        order, None for a missing record, then of the others in order."""
+        others = dict(self)
+        rows = []
+        for pin in resolved.tools.values():
+            key = pin.name.casefold()
+            rows.append((pin.name, pin, key if others.pop(key, None) else None))
+        return rows + [(key, None, key) for key in others]
+
+
+def read_tool_records(area: ProjectArea, arch: Architecture, *,
+                      versions_only: bool = False) -> ToolRecords:
+    """The area's tool records, none opened yet: the central root's, then
+    the area's own in the place of any they replace, each in sorted order;
+    in a central area both are the same, all local."""
+    records = ToolRecords()
+    records._dirs, records._versions_only = {}, versions_only
     for root, source in ((area.central_root(), "central"), (area.root, "local")):
-        directory = _tools_dir(root, arch)
+        directory = os.path.join(root, ADMIN_DIR, arch.canonical, TOOLS_DIR)
         try:
             entries = sorted(os.listdir(directory))
         except FileNotFoundError:
             continue
-        for entry in entries:
-            # dot-names are temp files of an interrupted write
-            if not entry.startswith("."):
-                index[entry] = (os.path.join(directory, entry), source)
-    return index
-
-
-def _tool_rows(area: ProjectArea, arch: Architecture,
-               ) -> list[tuple[str, PinnedTool | None, str | None]]:
-    """Every tool of the area as (name, pin, active record path): the
-    configured tools in configuration order, with None for a missing
-    record, then the unconfigured ones in index order, with None for the
-    pin."""
-    resolved = load_config_record(area, arch)
-    index = _record_index(area, arch)
-    rows = []
-    for pin in resolved.tools.values():
-        entry = index.pop(pin.name.casefold(), None)
-        rows.append((pin.name, pin, entry[0] if entry else None))
-    rows.extend((name, None, path) for name, (path, _) in index.items())
-    return rows
+        records._dirs[source] = directory
+        # dot-names are temp files of an interrupted write
+        records.update((entry, source) for entry in entries if not entry.startswith("."))
+    return records
 
 
 # ---------------------------------------------------------------------
@@ -565,8 +581,8 @@ def _activate_spec(engine: DocumentEngine, pin: PinnedTool):
 def resolve_selected_tools(engine: DocumentEngine, area: ProjectArea,
                            arch: Architecture, pins: Iterable[PinnedTool],
                            site: SiteInfo, prompt=None) -> list[ResolvedTool]:
-    """Resolve ``pins`` in dependency order and persist the records under
-    the area's administrative directory.
+    """Resolve ``pins`` in dependency order and write their records into
+    the area.
 
     Every spec is activated before any record is written. A tool's
     externals come from the tools resolved earlier in this call, then from
@@ -576,21 +592,22 @@ def resolve_selected_tools(engine: DocumentEngine, area: ProjectArea,
     blocks = {key: select_version(_activate_spec(engine, pin), pin.version)
               for key, pin in named.items()}
     order = order_by_externals(blocks)
-    index = _record_index(area, arch)
+    records = read_tool_records(area, arch)
     prober = LibraryProber(site.library_roots())
     done: dict[str, ResolvedTool] = {}
-    out = []
-    for key in order:
-        for ext in blocks[key].externals:
-            ref = ext.folded_ref
-            if ref not in done and ref in index:
-                done[ref] = _load_record(index[ref][0])
-        rt = resolve_tool(blocks[key], tool_name=named[key].name, site=site,
-                          prober=prober, prompt=prompt, already_resolved=done)
-        done[key] = rt
-        write_tool_record(area, arch, rt)
-        out.append(rt)
-    return out
+
+    def resolved() -> Iterator[ResolvedTool]:
+        for key in order:
+            for ext in blocks[key].externals:
+                ref = ext.folded_ref
+                if ref not in done and ref in records:
+                    done[ref] = records.read(ref)
+            done[key] = resolve_tool(blocks[key], tool_name=named[key].name, site=site,
+                                     prober=prober, prompt=prompt, already_resolved=done)
+            yield done[key]
+
+    write_tool_records(area, arch, resolved())
+    return [done[key] for key in order]
 
 
 # ---------------------------------------------------------------------
@@ -711,8 +728,9 @@ def tool_list(area: ProjectArea, arch: Architecture) -> str:
     """The area's tools in configuration order: active version next to the
     configuration default, then local additions."""
     lines = [f"Tool list for location {area.central_root()}", TOOL_LIST_RULE]
-    for name, pin, path in _tool_rows(area, arch):
-        version = _load_record(path).version if path else pin.version
+    versions = read_tool_records(area, arch, versions_only=True)
+    for name, pin, key in versions.by_configuration(load_config_record(area, arch)):
+        version = versions.read(key) if key else pin.version
         lines.append(_tool_row(name, version, pin.version if pin else "none"))
     return "\n".join(lines) + "\n"
 
@@ -728,7 +746,8 @@ def setup_tool(area: ProjectArea, name: str | None = None,
     """(Re)resolve tools into the area's own records.
 
     With a URL: set up exactly that product/version, overriding locally.
-    With a name: re-resolve that tool from the inherited configuration.
+    With a name: re-resolve that tool from the inherited configuration; a
+    version, if given, must be the configured one.
     With nothing: make sure every configured tool has a valid record,
     resolving only the ones whose record is missing or has another version,
     in dependency order.
@@ -749,11 +768,15 @@ def setup_tool(area: ProjectArea, name: str | None = None,
                 f"'{name}' is not in the configuration (known tools: {known}); "
                 f"pass a specification URL to add it"
             )
+        if version is not None and version != pin.version:
+            raise ToolError(f"'{name}' is configured at version {pin.version}; "
+                            f"pass a specification URL to set up version {version}")
         pins = [pin]
     else:
-        pins = [pin for _, pin, path in _tool_rows(area, arch)
-                if pin is not None and
-                (path is None or _load_record(path).version != pin.version)]
+        versions = read_tool_records(area, arch, versions_only=True)
+        rows = versions.by_configuration(load_config_record(area, arch))
+        pins = [pin for _, pin, key in rows
+                if pin is not None and (key is None or versions.read(key) != pin.version)]
     # the installation's cache, the one bootstrap filled: the central
     # area's parent is the --dest it was bootstrapped under
     engine = build_engine(site, env, os.path.dirname(central), refresh)
@@ -765,13 +788,13 @@ def setup_tool(area: ProjectArea, name: str | None = None,
 
 
 def tool_info(area: ProjectArea, name: str, arch: Architecture) -> str:
-    index = _record_index(area, arch)
-    entry = index.get(name.casefold())
-    if entry is None:
-        known = ", ".join(index) or "(none)"
+    records = read_tool_records(area, arch)
+    source = records.get(name.casefold())
+    if source is None:
+        _require_architecture(area, arch)
+        known = ", ".join(records) or "(none)"
         raise ToolError(f"unknown tool '{name}' (known tools: {known})")
-    path, source = entry
-    rt = _load_record(path)
+    rt = records.read(name.casefold())
     lines = [f"Tool: {rt.name}", f"Version: {rt.version}", f"Record: {source}"]
     if rt.lib_names:
         lines.append("Libraries: " + " ".join(rt.lib_names))
@@ -810,14 +833,13 @@ def _area_level_prepends(area: ProjectArea, delta: EnvDelta) -> None:
 
 def _tools_in_runtime_order(area: ProjectArea,
                             arch: Architecture) -> list[ResolvedTool]:
-    rows = _tool_rows(area, arch)
-    missing = [name for name, _, path in rows if path is None]
+    records = read_tool_records(area, arch)
+    rows = records.by_configuration(load_config_record(area, arch))
+    missing = [name for name, _, key in rows if key is None]
     if missing:
-        raise AreaError(
-            "tools without resolved records: " + ", ".join(missing) +
-            " (run 'scram setup')"
-        )
-    return [_load_record(path) for _, _, path in rows]
+        raise AreaError(f"tools without resolved records: {', '.join(missing)} "
+                        "(run 'scram setup')")
+    return [records.read(key) for _, _, key in rows]
 
 
 def area_environment(area: ProjectArea, arch: Architecture, *,

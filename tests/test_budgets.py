@@ -1,5 +1,5 @@
 """Operation budgets: how many files each tool-record verb opens, lists,
-creates directories for and renames, counted with an audit hook on the
+creates directories for, renames and removes, counted with an audit hook on the
 paths under the test's own directory, so imports and the interpreter do not
 count. Counts do not drift from run to run as timings do, so a change that
 adds an open per tool, or reads a record that a verb does not need, fails

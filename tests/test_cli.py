@@ -401,6 +401,20 @@ def test_setup_uses_the_installation_s_cache(toy, capsys):
         Path("central/.scram-cache/packs")]
 
 
+def test_setup_of_another_version_needs_a_url(toy, capsys):
+    """``setup NAME VERSION`` re-resolves the configured pin, so it takes
+    only the configured version; another one needs a specification URL."""
+    central = lifecycle(toy, capsys)
+    before = snapshot(toy.root)
+    assert run(toy, "setup", "boost", "9.9", cwd=central) == 1
+    assert capsys.readouterr() == (
+        "", "scram: setup: 'boost' is configured at version 1.28.0; pass a "
+            "specification URL to set up version 9.9\n")
+    assert snapshot(toy.root) == before
+    assert run(toy, "setup", "boost", "1.28.0", cwd=central) == 0
+    assert capsys.readouterr().out == "set up boost\n"
+
+
 class TestLifecycle:
     def test_full_flow(self, toy, capsys):
         central = lifecycle(toy, capsys)
@@ -501,6 +515,60 @@ class TestRuntimeCommand:
     def test_missing_app_file(self, toy, capsys):
         central = lifecycle(toy, capsys)
         assert run(toy, "runtime", "-sh", "--app", "nosuch", cwd=central) == 1
+
+    def test_empty_app_fails_like_a_missing_one(self, toy, capsys):
+        central = lifecycle(toy, capsys)
+        (Path(central) / "config" / "app-env").mkdir(parents=True)
+        assert run(toy, "runtime", "-sh", "--app", "", cwd=central) == 1
+        assert capsys.readouterr() == (
+            "", "scram: runtime: --app is empty; name an application "
+                "environment file\n")
+
+
+class TestArchitectures:
+    """An area read under an architecture it was not set up for fails,
+    naming the architecture asked for and the ones the area holds."""
+
+    @pytest.mark.parametrize("argv", [["runtime", "-sh"], ["tool", "list"],
+                                      ["tool", "info", "boost"], ["setup"]])
+    @pytest.mark.parametrize("where", ["central", "developer"])
+    def test_read_under_another_architecture_fails(self, toy, capsys, argv, where):
+        central = lifecycle(toy, capsys)
+        assert run(toy, "project", "ORCA", "7_1_3", cwd=str(toy.workspace)) == 0
+        cwd = {"central": central, "developer": str(toy.workspace / "ORCA_7_1_3")}[where]
+        capsys.readouterr()
+
+        def state():  # but the lock file that setup creates
+            return {rel: digest for rel, digest in snapshot(toy.root).items()
+                    if not rel.endswith(".SCRAM/lock")}
+
+        before = state()
+        assert run(toy, "--arch", "SunOS__5.8", *argv, cwd=cwd) == 1
+        assert capsys.readouterr() == (
+            "", f"scram: {argv[0]}: {central} has no tools for architecture "
+                "SunOS__5.8, only for Linux__2.4 (pass --arch or set SCRAM_ARCH)\n")
+        assert state() == before
+
+    def test_setup_with_a_url_needs_no_configured_architecture(self, toy, capsys):
+        central = lifecycle(toy, capsys)
+        assert run(toy, "--arch", "SunOS__5.8", "setup", "htl", "1.5",
+                   f"file:{toy.specs}/htl.tooldoc", cwd=central) == 0
+        assert run(toy, "--arch", "SunOS__5.8", "tool", "info", "htl",
+                   cwd=central) == 0
+        assert "Version: 1.5" in capsys.readouterr().out
+
+    def test_area_set_up_for_no_architecture_reads_as_empty(self, tmp_path, capsys):
+        from conftest import make_toy_project
+        toy = make_toy_project(tmp_path, with_config=False)
+        assert run(toy, "bootstrap", toy.bootstrap_url,
+                   "--dest", str(toy.install_root)) == 0
+        central = str(toy.central_root)
+        capsys.readouterr()
+        for arch in ("Linux__2.4", "SunOS__5.8"):
+            assert run(toy, "--arch", arch, "tool", "list", cwd=central) == 0
+            assert run(toy, "--arch", arch, "runtime", "-sh", cwd=central) == 0
+            assert run(toy, "--arch", arch, "setup", cwd=central) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestReadOnlyVerbs:
