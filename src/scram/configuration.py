@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 
 from .errors import ConfigError
-from .markup import DocType, parse_with_handlers
+from .markup import DocType, Value, parse_with_handlers
 
 ARCH_ENV = "SCRAM_ARCH"
 
@@ -75,7 +75,7 @@ def match_architecture(scope: str, arch: Architecture) -> bool:
     return canonical.startswith(scope) and canonical[len(scope)] == "."
 
 
-class RequireEntry:
+class RequireEntry(Value):
     __slots__ = ("name", "version", "url", "arch_scope")
 
     def __init__(self, name: str, version: str, url: str, arch_scope: str = ""):
@@ -83,12 +83,6 @@ class RequireEntry:
         self.version = version
         self.url = url
         self.arch_scope = arch_scope
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.name, self.version, self.url, self.arch_scope)
-                == (other.name, other.version, other.url, other.arch_scope))
 
     @property
     def folded_name(self) -> str:
@@ -216,19 +210,13 @@ REQUIREMENTS = DocType("BuildSystem::Requirements", "2.0",
                        splice_includes=False)
 
 
-class PinnedTool:
+class PinnedTool(Value):
     __slots__ = ("name", "version", "spec_url")
 
     def __init__(self, name: str, version: str, spec_url: str):
         self.name = name
         self.version = version
         self.spec_url = spec_url  # absolute: resolved when it was pinned
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.name, self.version, self.spec_url)
-                == (other.name, other.version, other.spec_url))
 
 
 class ResolvedConfiguration:

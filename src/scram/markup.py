@@ -24,6 +24,7 @@ from types import MappingProxyType
 from .errors import DocTypeError, MarkupError, ScramError
 
 __all__ = [
+    "Value",
     "Location",
     "EventKind",
     "TagEvent",
@@ -37,19 +38,27 @@ __all__ = [
 ]
 
 
-class Location:
+class Value:
+    """A value object: equal to an object of its own class whose every slot
+    is equal."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        slots = self.__slots__
+        return ([getattr(self, name) for name in slots]
+                == [getattr(other, name) for name in slots])
+
+
+class Location(Value):
     __slots__ = ("source", "line", "column")
 
     def __init__(self, source: str, line: int, column: int):
         self.source = source
         self.line = line
         self.column = column
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.source, self.line, self.column)
-                == (other.source, other.line, other.column))
 
     def __str__(self) -> str:
         return f"{self.source}:{self.line}:{self.column}"

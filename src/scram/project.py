@@ -48,7 +48,7 @@ from .fsutil import (
     read_text,
     write_new,
 )
-from .markup import DocType, parse_with_handlers
+from .markup import DocType, Value, parse_with_handlers
 from .runtime import (
     EXEC_PATH_VAR,
     LIB_PATH_VAR,
@@ -82,7 +82,7 @@ CACHE_ENV = "SCRAM_CACHE"
 REGISTRY_BASENAME = "scramdb"
 
 
-class InstallationRecord:
+class InstallationRecord(Value):
     __slots__ = ("project", "version", "arch", "location")
 
     def __init__(self, project: str, version: str, arch: str, location: str):
@@ -90,12 +90,6 @@ class InstallationRecord:
         self.version = version
         self.arch = arch
         self.location = location
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.project, self.version, self.arch, self.location)
-                == (other.project, other.version, other.arch, other.location))
 
 
 class Registry:
@@ -488,11 +482,26 @@ def _load_record(path: str) -> ResolvedTool:
 
 class ToolRecords(dict):
     """An area's tool records, casefolded name -> ``"central"`` or ``"local"``;
-    ``read(name)`` opens one: the record, or its version if versions-only."""
+    ``read(name)`` opens one, and ``version(name)`` gives its version."""
 
-    def read(self, name: str) -> ResolvedTool | str:
-        rt = _load_record(os.path.join(self._dirs[self[name]], name))
-        return rt.version if self._versions_only else rt
+    def __init__(self, dirs: dict[str, str]):
+        """List ``dirs``, source -> tools directory, in order, each sorted; a
+        later source's record replaces an earlier one in its place."""
+        super().__init__()
+        self._dirs = dirs
+        for source, directory in dirs.items():
+            try:
+                entries = sorted(os.listdir(directory))
+            except FileNotFoundError:
+                continue
+            # dot-names are temp files of an interrupted write
+            self.update((entry, source) for entry in entries if not entry.startswith("."))
+
+    def read(self, name: str) -> ResolvedTool:
+        return _load_record(os.path.join(self._dirs[self[name]], name))
+
+    def version(self, name: str) -> str:
+        return self.read(name).version
 
     def by_configuration(self, resolved: ResolvedConfiguration) -> list[tuple]:
         """(name, pin, record name) of the configured tools in configuration
@@ -505,23 +514,13 @@ class ToolRecords(dict):
         return rows + [(key, None, key) for key in others]
 
 
-def read_tool_records(area: ProjectArea, arch: Architecture, *,
-                      versions_only: bool = False) -> ToolRecords:
+def read_tool_records(area: ProjectArea, arch: Architecture) -> ToolRecords:
     """The area's tool records, none opened yet: the central root's, then
-    the area's own in the place of any they replace, each in sorted order;
-    in a central area both are the same, all local."""
-    records = ToolRecords()
-    records._dirs, records._versions_only = {}, versions_only
-    for root, source in ((area.central_root(), "central"), (area.root, "local")):
-        directory = os.path.join(root, ADMIN_DIR, arch.canonical, TOOLS_DIR)
-        try:
-            entries = sorted(os.listdir(directory))
-        except FileNotFoundError:
-            continue
-        records._dirs[source] = directory
-        # dot-names are temp files of an interrupted write
-        records.update((entry, source) for entry in entries if not entry.startswith("."))
-    return records
+    the area's own in the place of any they replace. A central area is its
+    own central root, so its one directory is listed once, all local."""
+    roots = {area.central_root(): "central", area.root: "local"}
+    return ToolRecords({source: os.path.join(root, ADMIN_DIR, arch.canonical, TOOLS_DIR)
+                        for root, source in roots.items()})
 
 
 # ---------------------------------------------------------------------
@@ -580,19 +579,20 @@ def _activate_spec(engine: DocumentEngine, pin: PinnedTool):
 
 def resolve_selected_tools(engine: DocumentEngine, area: ProjectArea,
                            arch: Architecture, pins: Iterable[PinnedTool],
-                           site: SiteInfo, prompt=None) -> list[ResolvedTool]:
+                           records: ToolRecords, site: SiteInfo,
+                           prompt=None) -> list[ResolvedTool]:
     """Resolve ``pins`` in dependency order and write their records into
     the area.
 
     Every spec is activated before any record is written. A tool's
     externals come from the tools resolved earlier in this call, then from
-    the area's active records; only the records they name are read.
+    ``records``, the area's active records as its caller read them; only
+    the records they name are read.
     """
     named = {pin.name.casefold(): pin for pin in pins}
     blocks = {key: select_version(_activate_spec(engine, pin), pin.version)
               for key, pin in named.items()}
     order = order_by_externals(blocks)
-    records = read_tool_records(area, arch)
     prober = LibraryProber(site.library_roots())
     done: dict[str, ResolvedTool] = {}
 
@@ -647,7 +647,7 @@ def bootstrap_install(bootstrap_url: str, dest_root: str, *, site: SiteInfo,
                 area.write(os.path.join(area.root, "config", REQUIREMENTS_ID_FILE),
                            identity + "\n")
                 resolve_selected_tools(engine, area, arch, resolved.tools.values(),
-                                       site, prompt)
+                                       read_tool_records(area, arch), site, prompt)
     finally:
         engine.cache.publish()
 
@@ -728,9 +728,9 @@ def tool_list(area: ProjectArea, arch: Architecture) -> str:
     """The area's tools in configuration order: active version next to the
     configuration default, then local additions."""
     lines = [f"Tool list for location {area.central_root()}", TOOL_LIST_RULE]
-    versions = read_tool_records(area, arch, versions_only=True)
-    for name, pin, key in versions.by_configuration(load_config_record(area, arch)):
-        version = versions.read(key) if key else pin.version
+    records = read_tool_records(area, arch)
+    for name, pin, key in records.by_configuration(load_config_record(area, arch)):
+        version = records.version(key) if key else pin.version
         lines.append(_tool_row(name, version, pin.version if pin else "none"))
     return "\n".join(lines) + "\n"
 
@@ -759,6 +759,7 @@ def setup_tool(area: ProjectArea, name: str | None = None,
         if name is None or version is None:
             raise AreaError("setup with a URL needs both a name and a version")
         pins = [PinnedTool(name, version, url)]
+        records = read_tool_records(area, arch)
     elif name is not None:
         resolved = load_config_record(area, arch)
         pin = resolved.get(name)
@@ -772,17 +773,18 @@ def setup_tool(area: ProjectArea, name: str | None = None,
             raise ToolError(f"'{name}' is configured at version {pin.version}; "
                             f"pass a specification URL to set up version {version}")
         pins = [pin]
+        records = read_tool_records(area, arch)
     else:
-        versions = read_tool_records(area, arch, versions_only=True)
-        rows = versions.by_configuration(load_config_record(area, arch))
-        pins = [pin for _, pin, key in rows
-                if pin is not None and (key is None or versions.read(key) != pin.version)]
+        records = read_tool_records(area, arch)
+        rows = records.by_configuration(load_config_record(area, arch))
+        pins = [pin for _, pin, key in rows if pin is not None
+                and (key is None or records.version(key) != pin.version)]
     # the installation's cache, the one bootstrap filled: the central
     # area's parent is the --dest it was bootstrapped under
     engine = build_engine(site, env, os.path.dirname(central), refresh)
     try:
         return [rt.name for rt in
-                resolve_selected_tools(engine, area, arch, pins, site, prompt)]
+                resolve_selected_tools(engine, area, arch, pins, records, site, prompt)]
     finally:
         engine.cache.publish()
 

@@ -20,7 +20,7 @@ import sys
 from bisect import bisect_left
 
 from .errors import ToolError
-from .markup import DocType, parse_with_handlers
+from .markup import DocType, Value, parse_with_handlers
 
 _REF_RE = re.compile(r"\$([A-Za-z_][A-Za-z0-9_]*)")
 
@@ -43,7 +43,7 @@ class VarType(enum.Enum):
 _VAR_TYPES = {member.value.casefold(): member for member in VarType}
 
 
-class EnvVarDecl:
+class EnvVarDecl(Value):
     __slots__ = ("name", "value", "var_type", "client")
 
     def __init__(self, name: str, value: str | None = None,
@@ -53,31 +53,20 @@ class EnvVarDecl:
         self.var_type = var_type
         self.client = client
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.name, self.value, self.var_type, self.client)
-                == (other.name, other.value, other.var_type, other.client))
 
-
-class ExternalRef:
+class ExternalRef(Value):
     __slots__ = ("ref", "version")
 
     def __init__(self, ref: str, version: str):
         self.ref = ref
         self.version = version
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.ref, self.version) == (other.ref, other.version)
-
     @property
     def folded_ref(self) -> str:
         return self.ref.casefold()
 
 
-class ToolVersionBlock:
+class ToolVersionBlock(Value):
     __slots__ = ("version", "info_url", "libs", "variables", "externals",
                  "descriptions")
 
@@ -92,14 +81,6 @@ class ToolVersionBlock:
         self.variables = [] if variables is None else variables
         self.externals = [] if externals is None else externals
         self.descriptions = {} if descriptions is None else descriptions
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.version, self.info_url, self.libs, self.variables,
-                 self.externals, self.descriptions)
-                == (other.version, other.info_url, other.libs, other.variables,
-                    other.externals, other.descriptions))
 
     def description_of(self, name: str) -> str:
         return self.descriptions.get(name, "")
@@ -351,7 +332,7 @@ PROVENANCE_PROMPT = "prompt"
 PROVENANCE_SUBSTITUTION = "substitution"
 
 
-class ResolvedTool:
+class ResolvedTool(Value):
     __slots__ = ("name", "version", "bindings", "runtime_entries", "lib_names",
                  "provenance", "descriptions", "externals")
 
@@ -368,16 +349,6 @@ class ResolvedTool:
         self.provenance = provenance
         self.descriptions = {} if descriptions is None else descriptions
         self.externals = [] if externals is None else externals
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.name, self.version, self.bindings, self.runtime_entries,
-                 self.lib_names, self.provenance, self.descriptions,
-                 self.externals)
-                == (other.name, other.version, other.bindings,
-                    other.runtime_entries, other.lib_names, other.provenance,
-                    other.descriptions, other.externals))
 
 
 def resolve_tool(block: ToolVersionBlock, *, tool_name: str, site,

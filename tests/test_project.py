@@ -42,6 +42,7 @@ from scram.project import (
     create_dev_area,
     list_installs,
     load_config_record,
+    read_tool_records,
     register_install,
     resolve_project_configuration,
     resolve_selected_tools,
@@ -1172,7 +1173,8 @@ class TestProbing:
             engine = build_engine(site, {"SCRAM_CACHE": str(root / "cache")}, str(root))
             area = ProjectArea.create(str(root / "area"), "P", "1")
             listed.clear()
-            resolved = resolve_selected_tools(engine, area, ARCH, pins, site)
+            resolved = resolve_selected_tools(engine, area, ARCH, pins,
+                                              read_tool_records(area, ARCH), site)
             assert [rt.bindings["LIBDIR"] for rt in resolved] == [
                 str(libroot / f"d{i % 10}") for i in range(n)]
             assert len(listed) == len(set(listed))
