@@ -212,24 +212,21 @@ def main(argv: list[str] | None = None, env=None, cwd: str | None = None) -> int
 
 def _dispatch(args, env, cwd, arch) -> int:
     if args.verb == "list":
-        registry = Registry.locate(env)
-        sys.stdout.write(list_installs(registry, args.project, arch))
+        sys.stdout.write(list_installs(Registry.locate(env), args.project, arch))
         return 0
 
     if args.verb == "project":
-        registry = Registry.locate(env)
-        area = create_dev_area(args.name, args.project_version, registry, cwd,
-                               arch=arch)
+        area = create_dev_area(args.name, args.project_version,
+                               Registry.locate(env), cwd, arch=arch)
         print(f"Developer area created: {area.root}")
         return 0
 
     if args.verb == "bootstrap":
         if not args.dest:
             raise AreaError("--dest is empty; name the directory to install under")
-        site = SiteInfo.locate(env, args.dest)
-        area, record = bootstrap_install(
-            args.url, args.dest, site=site, prompt=_make_prompt(sys.stdin),
-            env=env, arch=arch, refresh=args.refresh)
+        area, _ = bootstrap_install(
+            args.url, args.dest, site=SiteInfo.locate(env, args.dest),
+            prompt=_make_prompt(sys.stdin), env=env, arch=arch, refresh=args.refresh)
         print(f"Central installation assembled: {area.root}")
         print("Run 'scram build' and 'scram install' inside it to publish.")
         return 0
@@ -237,7 +234,7 @@ def _dispatch(args, env, cwd, arch) -> int:
     area = area_context(cwd)
 
     if args.verb == "setup":
-        site = SiteInfo.locate(env, area.central_root())
+        site = SiteInfo.locate(env, area.install_root)
         with area.lock():
             written = setup_tool(
                 area, args.name, args.tool_version, args.url, site=site,
@@ -265,14 +262,14 @@ def _dispatch(args, env, cwd, arch) -> int:
         return 0
 
     if args.verb == "build":
-        site = SiteInfo.locate(env, area.central_root())
+        site = SiteInfo.locate(env, area.install_root)
         with area.lock():
             return run_build(area, args.args, site=site, env=env, arch=arch)
 
     if args.verb == "install":
-        registry = Registry.locate(env, os.path.dirname(area.root))
         with area.lock():
-            record = register_install(area, registry, arch=arch, force=args.force)
+            record = register_install(area, Registry.locate(env), arch=arch,
+                                      force=args.force)
         print(f"Registered {record.project} {record.version} ({record.arch}) "
               f"at {record.location}")
         return 0

@@ -79,7 +79,7 @@ STATE_COMPLETE = "complete"
 
 LOOKUPDB_ENV = "SCRAM_LOOKUPDB"
 CACHE_ENV = "SCRAM_CACHE"
-REGISTRY_BASENAME = "scramdb"
+REGISTRY_BASENAME = ".scramdb"
 
 
 class InstallationRecord(Value):
@@ -99,14 +99,13 @@ class Registry:
         self.path = path
 
     @classmethod
-    def locate(cls, env, dest_root: str | None = None) -> "Registry":
-        path = env.get(LOOKUPDB_ENV)
-        if not path:
-            if dest_root:
-                path = os.path.join(dest_root, REGISTRY_BASENAME)
-            else:
-                path = os.path.join(os.path.expanduser("~"), "." + REGISTRY_BASENAME)
-        return cls(path)
+    def locate(cls, env) -> "Registry":
+        """``$SCRAM_LOOKUPDB`` of ``env``, else ``.scramdb`` under its ``HOME``."""
+        if env.get(LOOKUPDB_ENV):
+            return cls(env[LOOKUPDB_ENV])
+        if not env.get("HOME"):
+            raise AreaError(f"set {LOOKUPDB_ENV} or HOME to locate the registry")
+        return cls(os.path.join(env["HOME"], REGISTRY_BASENAME))
 
     def _lines(self) -> list[str]:
         return read_text(self.path, "registry", missing="").splitlines()
@@ -198,6 +197,11 @@ class ProjectArea:
                 )
             self._central = target
         return self._central
+
+    @property
+    def install_root(self) -> str:
+        """The ``--dest`` the central root was bootstrapped under."""
+        return os.path.dirname(self.central_root())
 
     def identity(self) -> tuple[str, str]:
         path = self._admin_file(AREA_FILE)
@@ -646,8 +650,9 @@ def bootstrap_install(bootstrap_url: str, dest_root: str, *, site: SiteInfo,
                 _write_config_record(area, arch, resolved)
                 area.write(os.path.join(area.root, "config", REQUIREMENTS_ID_FILE),
                            identity + "\n")
+                # a new area has no records yet
                 resolve_selected_tools(engine, area, arch, resolved.tools.values(),
-                                       read_tool_records(area, arch), site, prompt)
+                                       ToolRecords({}), site, prompt)
     finally:
         engine.cache.publish()
 
@@ -754,12 +759,13 @@ def setup_tool(area: ProjectArea, name: str | None = None,
 
     Returns the names written.
     """
-    central = area.central_root()
+    if url is None and url_scheme(version or ""):
+        url, version = version, None  # a URL given in the VERSION place
+    records = read_tool_records(area, arch)
     if url is not None:
         if name is None or version is None:
             raise AreaError("setup with a URL needs both a name and a version")
         pins = [PinnedTool(name, version, url)]
-        records = read_tool_records(area, arch)
     elif name is not None:
         resolved = load_config_record(area, arch)
         pin = resolved.get(name)
@@ -773,15 +779,11 @@ def setup_tool(area: ProjectArea, name: str | None = None,
             raise ToolError(f"'{name}' is configured at version {pin.version}; "
                             f"pass a specification URL to set up version {version}")
         pins = [pin]
-        records = read_tool_records(area, arch)
     else:
-        records = read_tool_records(area, arch)
         rows = records.by_configuration(load_config_record(area, arch))
         pins = [pin for _, pin, key in rows if pin is not None
                 and (key is None or records.version(key) != pin.version)]
-    # the installation's cache, the one bootstrap filled: the central
-    # area's parent is the --dest it was bootstrapped under
-    engine = build_engine(site, env, os.path.dirname(central), refresh)
+    engine = build_engine(site, env, area.install_root, refresh)
     try:
         return [rt.name for rt in
                 resolve_selected_tools(engine, area, arch, pins, records, site, prompt)]

@@ -8,7 +8,9 @@ skipped. Well-known keys:
     scheme.cvs.command  checkout command template for the cvs/vcs scheme
     build.command       command run by ``scram build``
 
-The file is found through ``$SCRAM_SITE`` or ``<install-root>/site.cfg``.
+The file is ``$SCRAM_SITE``, else ``<dest>/site.cfg`` if it exists: one
+file for every verb, as ``<dest>`` is the ``--dest`` of ``bootstrap`` and
+``ProjectArea.install_root``, the parent of the central root, for the rest.
 """
 
 from __future__ import annotations
@@ -48,9 +50,8 @@ class SiteInfo:
     @classmethod
     def locate(cls, env, install_root: str) -> "SiteInfo":
         """``$SCRAM_SITE``, else ``<install_root>/site.cfg`` if it exists."""
-        explicit = env.get(SITE_ENV)
-        if explicit:
-            return cls.load(explicit)
+        if env.get(SITE_ENV):
+            return cls.load(env[SITE_ENV])
         return cls.load(os.path.join(install_root, SITE_BASENAME), optional=True)
 
     def get(self, key: str, default: str | None = None) -> str | None:

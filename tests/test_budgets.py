@@ -52,7 +52,7 @@ def table(measured: dict, budget: dict) -> str:
 
 def bootstrap_budget(n: int) -> dict[str, int]:
     # half the corpus's tools have their library directory probed
-    return {"open": 2 * n + 17, "list": n // 2 + 4, "mkdir": 12, "rename": 2}
+    return {"open": 2 * n + 16, "list": n // 2 + 3, "mkdir": 12, "rename": 2}
 
 
 def budgets(n: int, area: str, deps: int, work_deps: int) -> dict[str, dict[str, int]]:

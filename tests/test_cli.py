@@ -389,16 +389,38 @@ class TestBrokenPipe:
         assert (proc.returncode, proc.stderr) == (1, line)
 
 
-def test_setup_uses_the_installation_s_cache(toy, capsys):
-    """Without SCRAM_CACHE, a developer's setup reads and writes the cache
-    that bootstrap filled under --dest, not one in the central area."""
-    del toy.env["SCRAM_CACHE"]
-    lifecycle(toy, capsys)
-    assert run(toy, "project", "ORCA", "7_1_3", cwd=str(toy.workspace)) == 0
-    assert run(toy, "setup", "htl", "1.5", f"file:{toy.specs}/htl.tooldoc",
-               cwd=str(toy.workspace / "ORCA_7_1_3")) == 0
+def test_default_paths_follow_the_installation(toy, capsys):
+    """With no SCRAM_LOOKUPDB, SCRAM_SITE or SCRAM_CACHE, installation and
+    distribution run on the defaults alone: every verb reads the site file
+    and the cache under bootstrap's --dest and the registry under the HOME
+    of its environment."""
+    for name in ("SCRAM_LOOKUPDB", "SCRAM_SITE", "SCRAM_CACHE"):
+        del toy.env[name]
+    dest, central = toy.install_root, str(toy.central_root)
+    toy.site_path.rename(dest / "site.cfg")
+    dev = toy.workspace / "ORCA_7_1_3"
+    for cwd, *argv in ((toy.root, "bootstrap", toy.bootstrap_url, "--dest", str(dest)),
+                       (central, "build"),
+                       (central, "install"),
+                       (toy.root, "list"),
+                       (toy.workspace, "project", "ORCA", "7_1_3"),
+                       (dev, "setup", "htl", "1.5", f"file:{toy.specs}/htl.tooldoc")):
+        assert run(toy, *argv, cwd=str(cwd)) == 0, (argv, capsys.readouterr().err)
+    assert f"ORCA 7_1_3 --> {central}" in capsys.readouterr().out
+    assert (Path(toy.env["HOME"]) / ".scramdb").is_file()
+    assert not (dest / "scramdb").exists()
     assert [p.relative_to(toy.root) for p in toy.root.rglob("packs")] == [
         Path("central/.scram-cache/packs")]
+
+
+def test_setup_with_a_url_in_the_version_place_needs_a_version(toy, capsys):
+    """``setup NAME URL`` is a URL without a version, not a version."""
+    central = lifecycle(toy, capsys)
+    before = snapshot(toy.root)
+    assert run(toy, "setup", "htl", f"file:{toy.specs}/htl.tooldoc", cwd=central) == 1
+    assert capsys.readouterr() == (
+        "", "scram: setup: setup with a URL needs both a name and a version\n")
+    assert snapshot(toy.root) == before
 
 
 def test_setup_of_another_version_needs_a_url(toy, capsys):

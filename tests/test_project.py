@@ -456,6 +456,14 @@ class TestRegisterAndList:
         assert reads == [registry.path] * 2
         assert [r.version for r in registry.records()] == ["1", "2"]
 
+    def test_default_registry_is_under_the_home_of_env(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("HOME", "/elsewhere")
+        assert Registry.locate({"HOME": str(tmp_path)}).path == str(tmp_path / ".scramdb")
+        explicit = {"HOME": str(tmp_path), "SCRAM_LOOKUPDB": "/db"}
+        assert Registry.locate(explicit).path == "/db"
+        with pytest.raises(AreaError, match="set SCRAM_LOOKUPDB or HOME"):
+            Registry.locate({"HOME": ""})
+
     def test_conflicting_location(self, toy):
         area, registry = installed(toy)
         clone = InstallationRecord("ORCA", "7_1_3", "Linux__2.4", "/elsewhere")
