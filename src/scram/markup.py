@@ -257,23 +257,18 @@ def _scan_open_tag(text: str, at: int, name: str, pos: int,
     if m is not None:
         # ``/>`` is an XML habit; tolerated, treated as a plain open tag.
         return _located(OPEN, name, attrs or _NO_ATTRS, "", lines, at), m.end()
-    pos = _SPACE.match(text, pos).end()
-    if pos == len(text):
-        raise MarkupError(f"unterminated tag <{name}", location=lines.at(at))
-    raise MarkupError(
-        f"unexpected character {text[pos]!r} in tag <{name}>",
-        location=lines.at(pos),
-    )
+    raise _bad_tag_end(text, at, "<" + name, pos, lines)
 
 
-def _bad_close_tag(text: str, at: int, name: str, pos: int, lines: _LineIndex):
-    """Raise for the close tag at ``at`` whose name ends at ``pos`` and
-    that no ``>`` follows."""
+def _bad_tag_end(text: str, at: int, opening: str, pos: int,
+                 lines: _LineIndex) -> MarkupError:
+    """The error for the tag at ``at`` that begins with ``opening``, ``<name``
+    or ``</name``, and whose contents end at ``pos`` with no ``>``."""
     pos = _SPACE.match(text, pos).end()
     if pos == len(text):
-        raise MarkupError(f"unterminated tag </{name}", location=lines.at(at))
-    raise MarkupError(
-        f"unexpected character {text[pos]!r} in tag </{name}>",
+        return MarkupError(f"unterminated tag {opening}", location=lines.at(at))
+    return MarkupError(
+        f"unexpected character {text[pos]!r} in tag {opening}>",
         location=lines.at(pos),
     )
 
@@ -304,7 +299,7 @@ def tokenize_markup(text: str, source_id: str = "<string>") -> list[TagEvent]:
             events.append(_located(kind, name, _NO_ATTRS, "", lines, at))
             pos = m.end()
         elif closing:
-            _bad_close_tag(text, at, name, m.end(), lines)
+            raise _bad_tag_end(text, at, "</" + name, m.end(), lines)
         else:
             event, pos = _scan_open_tag(text, at, name, m.end(), lines)
             events.append(event)

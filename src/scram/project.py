@@ -291,8 +291,12 @@ class BootStrapDoc:
 
 def _safe_destination(dest: str) -> str:
     norm = os.path.normpath(dest)
-    if not dest or os.path.isabs(norm) or norm == ".." or norm.startswith("../"):
+    top = norm.split(os.sep)[0]
+    if not dest or os.path.isabs(norm) or top == "..":
         raise AreaError(f"download destination escapes the area: {dest!r}")
+    if top == ADMIN_DIR:
+        raise AreaError(f"download destination is in {ADMIN_DIR}, scram's own state: "
+                        f"{dest!r}")
     return norm
 
 
@@ -435,9 +439,9 @@ def write_tool_record(area: ProjectArea, arch: Architecture,
 
 
 def write_tool_records(area: ProjectArea, arch: Architecture,
-                       records: Iterable[ResolvedTool]) -> None:
-    """Write each of ``records`` as it comes: a failure leaves those before it."""
-    for rt in records:
+                       tools: list[ResolvedTool]) -> None:
+    """Write the records of ``tools``, every one of them already resolved."""
+    for rt in tools:
         write_tool_record(area, arch, rt)
 
 
@@ -581,14 +585,12 @@ def _activate_spec(engine: DocumentEngine, pin: PinnedTool):
     return engine.activate(parse_url(pin.spec_url), (TOOLDOC,)).payload
 
 
-def resolve_selected_tools(engine: DocumentEngine, area: ProjectArea,
-                           arch: Architecture, pins: Iterable[PinnedTool],
-                           records: ToolRecords, site: SiteInfo,
+def resolve_selected_tools(engine: DocumentEngine, pins: Iterable[PinnedTool],
+                           records: ToolRecords | dict, site: SiteInfo,
                            prompt=None) -> list[ResolvedTool]:
-    """Resolve ``pins`` in dependency order and write their records into
-    the area.
+    """Resolve ``pins`` in dependency order; write nothing.
 
-    Every spec is activated before any record is written. A tool's
+    Every spec is activated before any tool is resolved. A tool's
     externals come from the tools resolved earlier in this call, then from
     ``records``, the area's active records as its caller read them; only
     the records they name are read.
@@ -599,18 +601,13 @@ def resolve_selected_tools(engine: DocumentEngine, area: ProjectArea,
     order = order_by_externals(blocks)
     prober = LibraryProber(site.library_roots())
     done: dict[str, ResolvedTool] = {}
-
-    def resolved() -> Iterator[ResolvedTool]:
-        for key in order:
-            for ext in blocks[key].externals:
-                ref = ext.folded_ref
-                if ref not in done and ref in records:
-                    done[ref] = records.read(ref)
-            done[key] = resolve_tool(blocks[key], tool_name=named[key].name, site=site,
-                                     prober=prober, prompt=prompt, already_resolved=done)
-            yield done[key]
-
-    write_tool_records(area, arch, resolved())
+    for key in order:
+        for ext in blocks[key].externals:
+            ref = ext.folded_ref
+            if ref not in done and ref in records:
+                done[ref] = records.read(ref)
+        done[key] = resolve_tool(blocks[key], tool_name=named[key].name, site=site,
+                                 prober=prober, prompt=prompt, already_resolved=done)
     return [done[key] for key in order]
 
 
@@ -640,19 +637,21 @@ def bootstrap_install(bootstrap_url: str, dest_root: str, *, site: SiteInfo,
         with private_tree(root) as private:
             area = ProjectArea.create(private, boot.project, boot.version)
             for raw_url, dest in boot.downloads:
-                content = engine.cache.fetch(parse_url(raw_url, base=typed.source))
+                content = engine.cache.fetch(parse_url(raw_url, base=typed.source),
+                                             refresh=refresh)
                 area.write(os.path.join(area.root, dest), content)
 
             if boot.config_url is not None:
                 config_url = parse_url(boot.config_url, base=typed.source)
                 resolved, identity = resolve_project_configuration(
                     engine, config_url, arch)
+                # a new area has no records yet
+                tools = resolve_selected_tools(engine, resolved.tools.values(), {},
+                                               site, prompt)
                 _write_config_record(area, arch, resolved)
                 area.write(os.path.join(area.root, "config", REQUIREMENTS_ID_FILE),
                            identity + "\n")
-                # a new area has no records yet
-                resolve_selected_tools(engine, area, arch, resolved.tools.values(),
-                                       ToolRecords({}), site, prompt)
+                write_tool_records(area, arch, tools)
     finally:
         engine.cache.publish()
 
@@ -785,10 +784,11 @@ def setup_tool(area: ProjectArea, name: str | None = None,
                 and (key is None or records.version(key) != pin.version)]
     engine = build_engine(site, env, area.install_root, refresh)
     try:
-        return [rt.name for rt in
-                resolve_selected_tools(engine, area, arch, pins, records, site, prompt)]
+        tools = resolve_selected_tools(engine, pins, records, site, prompt)
     finally:
         engine.cache.publish()
+    write_tool_records(area, arch, tools)
+    return [rt.name for rt in tools]
 
 
 def tool_info(area: ProjectArea, name: str, arch: Architecture) -> str:

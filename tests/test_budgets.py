@@ -1,12 +1,13 @@
-"""Operation budgets: how many files each tool-record verb opens, lists,
-creates directories for, renames and removes, counted with an audit hook on the
+"""Operation budgets: how many files each verb opens, lists, creates
+directories for, renames and removes, counted with an audit hook on the
 paths under the test's own directory, so imports and the interpreter do not
 count. Counts do not drift from run to run as timings do, so a change that
-adds an open per tool, or reads a record that a verb does not need, fails
-here. The fixture is the benchmark's seed-1 corpus (``perfbench/corpus.py``,
-loaded by path) with 4 and 40 tools, in its central area and in a developer
-area linked to it. A count that grows with the number of tools n is
-asserted as a formula in n; every other count is asserted at both sizes."""
+adds an open per tool, reads a record that a verb does not need, or writes
+a record before every tool has resolved, fails here. The fixture is the
+benchmark's seed-1 corpus (``perfbench/corpus.py``, loaded by path) with 4
+and 40 tools, in its central area and in a developer area linked to it. A
+count that grows with the number of tools n is asserted as a formula in n;
+every other count is asserted at both sizes."""
 
 import os
 from collections import Counter
@@ -55,10 +56,29 @@ def bootstrap_budget(n: int) -> dict[str, int]:
     return {"open": 2 * n + 16, "list": n // 2 + 3, "mkdir": 12, "rename": 2}
 
 
-def budgets(n: int, area: str, deps: int, work_deps: int) -> dict[str, dict[str, int]]:
+def lifecycle_budget(n: int) -> dict[str, dict[str, int]]:
+    return {
+        # the area's lock, Link, state and area files; the state and the
+        # registry, under its lock, are each rewritten by a rename
+        "install --force": {"open": 8, "rename": 2},
+        # the registry and the central configuration identity are read; a
+        # private tree of seven directories is made, its four files written
+        # and the tree renamed into place
+        "project": {"open": 6, "mkdir": 8, "rename": 1},
+        "list": {"open": 1},
+        # the area's Link, lock and area files, the site file, the
+        # configuration and every record; the state's rewrite; the tools,
+        # bin and lib directories
+        "build": {"open": n + 6, "list": 3, "rename": 1},
+    }
+
+
+def budgets(n: int, area: str, deps: int, work_deps: int,
+            fail_deps: int) -> dict[str, dict[str, int]]:
     """Each verb's operations in an area of ``n`` tools, when the tool set
-    up by URL has ``deps`` externals and the tool whose record a bare setup
-    restores has ``work_deps``."""
+    up by URL has ``deps`` externals, the tool whose record a bare setup
+    restores has ``work_deps``, and the two tools of a failing bare setup
+    name ``fail_deps`` records besides their own."""
     # a developer area lists the central tools directory and its own, and
     # its own area directories too; its first local record makes its tools
     # directory: the first open of the temp file fails, both directories
@@ -82,6 +102,10 @@ def budgets(n: int, area: str, deps: int, work_deps: int) -> dict[str, dict[str,
         # records that the tool's externals name are read
         "setup, one record missing": {"open": n + 3 + work_deps, "list": 1 + local,
                                       "rename": 1},
+        # two records are missing and the one resolved last fails: the
+        # other's record is not written, so nothing is renamed
+        "setup, last missing tool fails": {"open": n + 1 + fail_deps,
+                                           "list": 1 + local},
     }
     return {f"{area}: {verb}": {op: count for op, count in ops.items() if count}
             for verb, ops in budget.items()}
@@ -101,9 +125,9 @@ def test_record_verbs_stay_within_their_budgets(tmp_path, capsys, n):
            "SCRAM_CACHE": os.path.join(root, "cache"),
            "SCRAM_LOOKUPDB": os.path.join(root, "scramdb")}
 
-    def scram(cwd, *argv):
+    def scram(cwd, *argv, status=0):
         def verb():
-            assert main(list(argv), env=env, cwd=cwd) == 0, capsys.readouterr().err
+            assert main(list(argv), env=env, cwd=cwd) == status, capsys.readouterr().err
         return verb
 
     central = os.path.join(root, "central", corpus.AREA_NAME)
@@ -111,10 +135,14 @@ def test_record_verbs_stay_within_their_budgets(tmp_path, capsys, n):
     measured = {"bootstrap": counted((root,), scram(
         root, "bootstrap", generated.bootstrap_url(croot),
         "--dest", os.path.join(root, "central")))}
-    budget = {"bootstrap": bootstrap_budget(n)}
-    scram(central, "install", "--force")()
-    scram(os.path.join(root, "work"), "project", corpus.PROJECT,
-          corpus.PROJECT_VERSION)()
+    for verb, cwd, argv in (
+            ("install --force", central, ("install", "--force")),
+            ("project", os.path.join(root, "work"),
+             ("project", corpus.PROJECT, corpus.PROJECT_VERSION)),
+            ("list", root, ("list",)),
+            ("build", central, ("build",))):
+        measured[verb] = counted((root,), scram(cwd, *argv))
+    budget = {"bootstrap": bootstrap_budget(n), **lifecycle_budget(n)}
     # set up a tool at its pinned version, so that a bare setup has
     # nothing to do; in the developer area it becomes a local record. Its
     # library directory comes from the site file, so no probe lists one.
@@ -125,6 +153,14 @@ def test_record_verbs_stay_within_their_budgets(tmp_path, capsys, n):
     work = next(generated.tools[i] for i in generated.select_order
                 if generated.tools[i].deps and generated.tools[i] is not tool)
     work_record = os.path.join(central, ".SCRAM", corpus.ARCH, "tools", work.key)
+    # last, a bare setup has two more tools to restore, and the one
+    # resolved second cannot resolve
+    first, second = [i for i in generated.select_order
+                     if generated.tools[i] not in (tool, work)][:2]
+    if second in generated.tools[first].deps:
+        first, second = second, first
+    failing = generated.tools[second]
+    fail_deps = {*generated.tools[first].deps, *failing.deps} - {first, second}
     for area, cwd in (("central", central), ("developer", developer)):
         for verb, argv in (
                 ("setup NAME VER URL",
@@ -140,5 +176,25 @@ def test_record_verbs_stay_within_their_budgets(tmp_path, capsys, n):
         assert [line for line in capsys.readouterr().out.splitlines()
                 if line.startswith("set up ")] == [f"set up {tool.key}",
                                                    f"set up {work.key}"]
-        budget.update(budgets(n, area, len(tool.deps), len(work.deps)))
+        budget.update(budgets(n, area, len(tool.deps), len(work.deps), len(fail_deps)))
+    # restore the central record, then remove those of the two tools and
+    # the site value of the failing one
+    scram(central, "setup")()
+    for i in (first, second):
+        os.remove(os.path.join(central, ".SCRAM", corpus.ARCH, "tools",
+                               generated.tools[i].key))
+    site = env["SCRAM_SITE"]
+    with open(site) as fh:
+        lines = fh.readlines()
+    with open(site, "w") as fh:
+        fh.writelines(line for line in lines
+                      if not line.startswith(f"tool.{failing.key}.{failing.var}_BASE "))
+    capsys.readouterr()
+    # the developer area first: a record it wrote would stand in for the
+    # central one
+    for area, cwd in (("developer", developer), ("central", central)):
+        measured[f"{area}: setup, last missing tool fails"] = counted(
+            (central, developer), scram(cwd, "setup", status=1))
+        assert (f"cannot resolve client variable '{failing.var}_BASE' of {failing.key} "
+                in capsys.readouterr().err)
     assert measured == budget, "\n" + table(measured, budget)

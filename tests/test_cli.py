@@ -437,6 +437,31 @@ def test_setup_of_another_version_needs_a_url(toy, capsys):
     assert capsys.readouterr().out == "set up boost\n"
 
 
+@pytest.mark.parametrize("kind", ["central", "developer"])
+def test_a_failed_setup_writes_no_record(toy, capsys, kind):
+    """A bare ``setup`` resolves every missing tool before it writes any
+    record, so one that fails on its last tool leaves the records as they
+    were: gcc resolves, then boost cannot."""
+    area = lifecycle(toy, capsys)
+    if kind == "developer":
+        assert run(toy, "project", "ORCA", "7_1_3", cwd=str(toy.workspace)) == 0
+        capsys.readouterr()
+        area = str(toy.workspace / "ORCA_7_1_3")
+    central_tools = toy.central_root / ".SCRAM" / "Linux__2.4" / "tools"
+    for name in ("gcc", "boost"):
+        (central_tools / name).unlink()
+    toy.site_path.write_text(toy.site_path.read_text().replace(
+        "tool.boost.LIBDIR = /opt/boost/lib\n", ""))
+    records = (central_tools, Path(area) / ".SCRAM" / "Linux__2.4")
+    before = [snapshot(path) for path in records]
+    assert run(toy, "setup", cwd=area) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(
+        "scram: setup: cannot resolve client variable 'LIBDIR' of boost 1.28.0; ")
+    assert [snapshot(path) for path in records] == before
+
+
 class TestLifecycle:
     def test_full_flow(self, toy, capsys):
         central = lifecycle(toy, capsys)

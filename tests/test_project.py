@@ -58,6 +58,7 @@ from scram.tooldoc import TOOLDOC, ResolvedTool
 from scram.urlaccess import SchemeRegistry, UrlCache, parse_url
 
 from cachepacks import footer, make_pack, read_pack
+from conftest import audit_events
 from envhelpers import build_contribution, runtime_contribution
 
 ARCH = detect_architecture("Linux__2.4")
@@ -137,9 +138,24 @@ class TestBootstrap:
             with pytest.raises(AreaError, match="escapes the area"):
                 install(n, to)
             assert not (toy.install_root / "EVIL_1").exists()
+        # nor may a download write scram's own state
+        for n, to in enumerate([".SCRAM", ".SCRAM/Link", "./.SCRAM/x"], start=5):
+            with pytest.raises(AreaError, match=r"is in \.SCRAM, scram's own state"):
+                install(n, to)
+            assert os.listdir(toy.install_root) == []
         # a name that only starts with two dots stays inside the area
         area, _ = install(4, "..data")
         assert (Path(area.root) / "..data").read_text() == "toy project sources\n"
+
+    def test_refresh_reaches_the_downloads(self, toy):
+        # a download is an unversioned (HEAD) document: the cache serves
+        # the bytes it first fetched until a refresh fetches them anew
+        bootstrap(toy)
+        (toy.specs / "README.src").write_text("new sources\n")
+        for refresh, text in ((False, "toy project sources\n"), (True, "new sources\n")):
+            shutil.rmtree(toy.central_root)
+            bootstrap(toy, refresh=refresh)
+            assert (toy.central_root / "src" / "README").read_text() == text
 
     def test_unresolvable_tool_leaves_incomplete_area(self, toy):
         # empty the site file: boost's client variables cannot bind
@@ -739,6 +755,38 @@ class TestSetup:
         assert "B_BASE=/opt/a/b  [substitution]" in tool_info(area, "b", ARCH)
 
 
+class TestResolution:
+    def test_resolving_writes_nothing_in_the_area(self, toy):
+        """Resolution reads the records that externals name and writes no
+        file or directory of the area; only the cache may be written."""
+        area, _ = bootstrap(toy)
+        site = SiteInfo.load(str(toy.site_path))
+        engine = build_engine(site, toy.env, str(toy.install_root))
+        prefix = area.root + os.sep
+        opened, changed = set(), []
+
+        def record(event, args):
+            if not (isinstance(args[0], str) and args[0].startswith(prefix)):
+                return
+            path = args[0][len(prefix):]
+            if event in ("os.mkdir", "os.rename"):
+                changed.append((event, path))
+            elif event == "open":
+                mode, flags = args[1], args[2]
+                if flags & os.O_CREAT or set(mode or "") & set("wax"):
+                    changed.append((event, path))
+                else:
+                    opened.add(path)
+
+        pins = [load_config_record(area, ARCH).get("boost")]
+        records = read_tool_records(area, ARCH)
+        with audit_events(record):
+            resolved = resolve_selected_tools(engine, pins, records, site)
+        assert [rt.name for rt in resolved] == ["boost"]
+        assert changed == []
+        assert opened == {".SCRAM/Linux__2.4/tools/sockets"}
+
+
 class TestToolInfo:
     def test_unknown_tool_lists_known(self, toy):
         dev, _ = dev_area(toy)
@@ -1179,10 +1227,8 @@ class TestProbing:
                 pins.append(PinnedTool(f"t{i}", "1.0", f"file:{spec}"))
             site = SiteInfo({"search.libroots": str(libroot)})
             engine = build_engine(site, {"SCRAM_CACHE": str(root / "cache")}, str(root))
-            area = ProjectArea.create(str(root / "area"), "P", "1")
             listed.clear()
-            resolved = resolve_selected_tools(engine, area, ARCH, pins,
-                                              read_tool_records(area, ARCH), site)
+            resolved = resolve_selected_tools(engine, pins, {}, site)
             assert [rt.bindings["LIBDIR"] for rt in resolved] == [
                 str(libroot / f"d{i % 10}") for i in range(n)]
             assert len(listed) == len(set(listed))
