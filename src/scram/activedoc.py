@@ -9,8 +9,9 @@ memoizes the result per engine, keyed by normalized URL and version, so a
 document is activated at most once per engine; a memoized document is
 checked again against the types of each caller. The tokenized events of
 each nested document are memoized per engine under the same key, so a
-fragment referenced many times is fetched and tokenized once per engine,
-also when the engine refreshes.
+fragment referenced many times is fetched and tokenized once per engine.
+What a fetch reaches, a pack or an adapter, and how many fetches were made
+is decided and counted by the engine's ``UrlCache`` alone.
 
 Two splicing tags exist. ``<inline url=...>`` always splices the target's
 events in place. ``<include url=...>`` does the same for document types
@@ -49,20 +50,11 @@ class TypedDocument:
         self.payload = payload
 
 
-class EngineStats:
-    __slots__ = ("fetches",)
-
-    def __init__(self, fetches: int = 0):
-        self.fetches = fetches
-
-
 class DocumentEngine:
     """Binds a cache into ``activate``."""
 
-    def __init__(self, cache: UrlCache, refresh: bool = False):
+    def __init__(self, cache: UrlCache):
         self.cache = cache
-        self.refresh = refresh
-        self.stats = EngineStats()
         self._activated: dict[str, TypedDocument] = {}
         # tokenized events of nested documents, by cache key
         self._nested: dict[str, list] = {}
@@ -97,8 +89,7 @@ class DocumentEngine:
         return TypedDocument(header, url, url.version_tag(), payload)
 
     def events_for(self, url: ResourceUrl, version: str | None):
-        content = self.cache.fetch(url, version, refresh=self.refresh)
-        self.stats.fetches += 1
+        content = self.cache.fetch(url, version)
         text = content.decode("utf-8", errors="replace")
         return tokenize_markup(text, source_id=str(url))
 

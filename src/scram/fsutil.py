@@ -210,20 +210,26 @@ def read_json(path: str, what: str, missing=_REQUIRED) -> dict:
 
 
 @contextmanager
-def locked(path: str, wait: bool) -> Iterator[None]:
-    """Hold an exclusive lock on ``path`` for the ``with`` body.
+def locked(path: str, wait: bool) -> Iterator[bool]:
+    """Try to hold an exclusive lock on ``path`` for the ``with`` body, and
+    give the body whether it holds it.
 
-    With ``wait`` this blocks until the lock is free; without it a held lock
-    raises ``BlockingIOError`` at once. Each call opens the file anew, so
-    threads of one process exclude each other too. The file is opened
-    read-only, so a lock file created by another user still works.
+    With ``wait`` this blocks until the lock is free, so the body always
+    holds it; without it the body runs at once, given False when another
+    holder has the lock. Each call opens the file anew, so threads of one
+    process exclude each other too. The file is opened read-only, so a lock
+    file created by another user still works.
     """
     try:
         fd = _open_creating_parent(path, os.O_RDONLY | os.O_CREAT)
     except OSError as exc:
         raise _failed("lock", path, exc) from exc
     try:
-        fcntl.flock(fd, fcntl.LOCK_EX if wait else fcntl.LOCK_EX | fcntl.LOCK_NB)
-        yield
+        held = True
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX if wait else fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            held = False
+        yield held
     finally:
         os.close(fd)

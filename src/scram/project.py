@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import os
 from collections.abc import Iterable, Iterator
-from contextlib import ExitStack, contextmanager
+from contextlib import contextmanager
 from itertools import chain
 
 from .activedoc import DocumentEngine
@@ -37,6 +37,7 @@ from .configuration import (
     RequirementsDoc,
     ResolvedConfiguration,
     SelectEntry,
+    resolve_selection,
 )
 from .errors import AreaError, ToolError, UrlError
 from .fsutil import (
@@ -251,13 +252,9 @@ class ProjectArea:
         """One mutating command per area; read-only commands never take
         this. A second holder fails at once rather than waiting."""
         path = self._admin_file(LOCK_FILE)
-        with ExitStack() as held:
-            try:
-                held.enter_context(locked(path, wait=False))
-            except BlockingIOError:
-                raise AreaError(
-                    f"another scram command holds the area lock ({path})"
-                ) from None
+        with locked(path, wait=False) as held:
+            if not held:
+                raise AreaError(f"another scram command holds the area lock ({path})")
             yield
 
 
@@ -331,8 +328,7 @@ BOOTSTRAP = DocType("BuildSystem::BootStrapDoc", "1.0", parse_bootstrap)
 def build_engine(site: SiteInfo, env, install_root: str,
                  refresh: bool = False) -> DocumentEngine:
     cache_root = env.get(CACHE_ENV) or os.path.join(install_root, ".scram-cache")
-    cache = UrlCache(cache_root, default_registry(site))
-    return DocumentEngine(cache, refresh=refresh)
+    return DocumentEngine(UrlCache(cache_root, default_registry(site), refresh))
 
 
 # ---------------------------------------------------------------------
@@ -547,8 +543,6 @@ def resolve_project_configuration(engine: DocumentEngine, url: ResourceUrl,
     neither, a URL naming no scheme resolves against the configuration's
     own URL and one naming a scheme stays as written.
     """
-    from .configuration import resolve_selection
-
     typed = engine.activate(url, (REQUIREMENTS, CONFIGURATION))
     req = typed.payload
 
@@ -637,8 +631,7 @@ def bootstrap_install(bootstrap_url: str, dest_root: str, *, site: SiteInfo,
         with private_tree(root) as private:
             area = ProjectArea.create(private, boot.project, boot.version)
             for raw_url, dest in boot.downloads:
-                content = engine.cache.fetch(parse_url(raw_url, base=typed.source),
-                                             refresh=refresh)
+                content = engine.cache.fetch(parse_url(raw_url, base=typed.source))
                 area.write(os.path.join(area.root, dest), content)
 
             if boot.config_url is not None:

@@ -17,9 +17,10 @@ pack per command that fetched something. A pack holds the fetched
 contents, then a JSON index mapping each cache key to ``[offset, length,
 content_hash, fetched_at]``, then a fixed-width footer giving the index's
 offset. Versioned entries never change: the earliest copy of a key wins.
-Unversioned (HEAD) entries are served from cache until a refresh is
-requested, and then the latest copy wins. ``auth`` and ``user`` never enter
-the cache key, so identities share content.
+Unversioned (HEAD) entries are served from cache until a command is made
+with ``refresh``, which refetches each once, and then the latest copy wins.
+``auth`` and ``user`` never enter the cache key, so identities share
+content.
 """
 
 from __future__ import annotations
@@ -162,12 +163,13 @@ def parse_url(raw: str, base: ResourceUrl | None = None) -> ResourceUrl:
 
 
 class CacheStats:
-    __slots__ = ("hits", "misses", "adapter_calls")
+    """A command's fetches: ``hits`` served from a pack, ``misses`` sent to
+    an adapter, failed ones too."""
+    __slots__ = ("hits", "misses")
 
-    def __init__(self, hits: int = 0, misses: int = 0, adapter_calls: int = 0):
+    def __init__(self, hits: int = 0, misses: int = 0):
         self.hits = hits
         self.misses = misses
-        self.adapter_calls = adapter_calls
 
 
 class SchemeRegistry:
@@ -283,7 +285,8 @@ def default_registry(site=None) -> SchemeRegistry:
 
 class UrlCache:
     """Persistent content cache in front of a SchemeRegistry, used by one
-    command at a time.
+    command at a time; it alone decides what is fetched and counts it in
+    ``stats``.
 
     The first fetch lists ``<root>/packs`` (dot-names are skipped), opens
     each pack and reads its index; a pack unlinked by a compaction before
@@ -293,17 +296,19 @@ class UrlCache:
     key with no good copy is a miss. For a versioned key the copy with the
     earliest ``fetched_at`` ranks first, so a served entry never changes;
     for a HEAD key the latest does, so a refresh is served from then on. A
-    miss, and a HEAD fetch with ``refresh``, run the adapter and append the
-    content to this command's private pack, from which the command serves
-    it again. ``publish`` ends the command: it stamps ``fetched_at`` into
+    miss runs the adapter and appends the content to this command's private
+    pack, from which the command serves it again. With ``refresh`` a HEAD
+    key skips the published packs, so it reaches its adapter once per
+    command. ``publish`` ends the command: it stamps ``fetched_at`` into
     the private pack's index, renames the pack into place and, past
     ``COMPACT_ABOVE`` packs, merges them. No fetch takes a lock.
     """
 
-    def __init__(self, root: str, registry: SchemeRegistry):
+    def __init__(self, root: str, registry: SchemeRegistry, refresh: bool = False):
         self.root = root
         self.packs = os.path.join(root, PACKS)
         self.registry = registry
+        self.refresh = refresh
         self.stats = CacheStats()
         # key -> [(fetched_at, fd, offset, length, content_hash)] of the
         # published packs, once listed
@@ -313,18 +318,14 @@ class UrlCache:
         # key -> (offset, length, content_hash) in the private pack
         self._own_index: dict[str, tuple[int, int, str]] = {}
 
-    def fetch(self, url: ResourceUrl, version: str | None = None,
-              refresh: bool = False) -> bytes:
+    def fetch(self, url: ResourceUrl, version: str | None = None) -> bytes:
         key = url.cache_key(version)
-        head = url.version_tag(version) == HEAD
-        if not (refresh and head):
-            content = self._lookup(key, head)
-            if content is not None:
-                self.stats.hits += 1
-                return content
+        content = self._lookup(key, url.version_tag(version) == HEAD)
+        if content is not None:
+            self.stats.hits += 1
+            return content
         self.stats.misses += 1
         content = self.registry.retrieve(url, version)
-        self.stats.adapter_calls += 1
         if self._own is None:
             try:
                 self._own = PrivateFile(os.path.join(self.packs, _pack_name()))
@@ -343,6 +344,8 @@ class UrlCache:
             content = _verified(self._own.fd, *own)
             if content is not None:
                 return content
+        if head and self.refresh:
+            return None  # refetched once per command, then served from its own pack
         if self._copies is None:
             self._copies = self._read_packs(self._list())
         for _, fd, offset, length, content_hash in _ranked(
@@ -413,33 +416,32 @@ class UrlCache:
         under ``<root>/packs/lock``; skipped while another command holds
         it. The merged pack is published before the merged ones are
         unlinked, so a reader always finds every key."""
-        try:
-            with locked(os.path.join(self.packs, "lock"), wait=False):
-                self._close()
-                names = self._list()
-                if len(names) <= COMPACT_ABOVE:
-                    return  # another command has just merged them
-                copies = self._read_packs(names)
-                merged = PrivateFile(os.path.join(self.packs, _pack_name()))
-                index = {}
-                try:
-                    for key, candidates in copies.items():
-                        for fetched_at, fd, offset, length, content_hash in _ranked(
-                                candidates, _is_head(key)):
-                            content = _verified(fd, offset, length, content_hash)
-                            if content is not None:
-                                index[key] = [merged.append(content), length,
-                                              content_hash, fetched_at]
-                                break
-                except BaseException:
-                    merged.discard()
-                    raise
-                _finish(merged, index)
-                for name in names:
-                    with suppress(OSError):
-                        os.unlink(os.path.join(self.packs, name))
-        except BlockingIOError:
-            pass
+        with locked(os.path.join(self.packs, "lock"), wait=False) as held:
+            if not held:
+                return
+            self._close()
+            names = self._list()
+            if len(names) <= COMPACT_ABOVE:
+                return  # another command has just merged them
+            copies = self._read_packs(names)
+            merged = PrivateFile(os.path.join(self.packs, _pack_name()))
+            index = {}
+            try:
+                for key, candidates in copies.items():
+                    for fetched_at, fd, offset, length, content_hash in _ranked(
+                            candidates, _is_head(key)):
+                        content = _verified(fd, offset, length, content_hash)
+                        if content is not None:
+                            index[key] = [merged.append(content), length,
+                                          content_hash, fetched_at]
+                            break
+            except BaseException:
+                merged.discard()
+                raise
+            _finish(merged, index)
+            for name in names:
+                with suppress(OSError):
+                    os.unlink(os.path.join(self.packs, name))
 
 
 def _pack_name() -> str:

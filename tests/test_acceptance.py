@@ -150,7 +150,7 @@ def test_c4_cache_property(tmp_path):
                     seen[key] = content
         assert len(seen) == 50
         assert len(calls) == 50
-        assert cache.stats.adapter_calls == 50
+        assert cache.stats.misses == 50
         assert cache.stats.hits == 1000 - 50
 
 

@@ -10,6 +10,7 @@ count that grows with the number of tools n is asserted as a formula in n;
 every other count is asserted at both sizes."""
 
 import os
+import shutil
 from collections import Counter
 
 import pytest
@@ -91,6 +92,8 @@ def budgets(n: int, area: str, deps: int, work_deps: int,
                                "mkdir": 2 * local, "rename": 1},
         # each area's tools, bin and lib directories
         "runtime -sh": {"open": n + 3, "list": 3 * (1 + local)},
+        # the same and the area's app-env file
+        "runtime -sh --app": {"open": n + 4, "list": 3 * (1 + local)},
         "tool list": {"open": n + 2, "list": 1 + local},
         "tool info": {"open": 2, "list": 1 + local},
         # the records are listed once: to compare versions and to resolve
@@ -162,10 +165,15 @@ def test_record_verbs_stay_within_their_budgets(tmp_path, capsys, n):
     failing = generated.tools[second]
     fail_deps = {*generated.tools[first].deps, *failing.deps} - {first, second}
     for area, cwd in (("central", central), ("developer", developer)):
+        app_dir = os.path.join(cwd, "config", "app-env")
+        os.makedirs(app_dir)
+        shutil.copy(os.path.join(croot, "app-env", area),
+                    os.path.join(app_dir, corpus.APP_NAME))
         for verb, argv in (
                 ("setup NAME VER URL",
                  ("setup", tool.name, tool.pinned, generated.tool_url(croot, tool))),
                 ("runtime -sh", ("runtime", "-sh")),
+                ("runtime -sh --app", ("runtime", "-sh", "--app", corpus.APP_NAME)),
                 ("tool list", ("tool", "list")),
                 ("tool info", ("tool", "info", tool.name)),
                 ("setup", ("setup",))):

@@ -1,11 +1,14 @@
 import hashlib
+import io
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import scram.urlaccess
 from scram.cli import main
 
 from shelloracle import evaluate_emission
@@ -188,6 +191,53 @@ class TestPathErrors:
         assert f"{path}: " in err  # the path itself, not a path below it
         assert os.listdir(toy.install_root) == []
 
+    # each path that a dangling symlink stands in for; those a user names
+    # go under a missing parent too
+    GIVEN = {"registry": "SCRAM_LOOKUPDB", "cache": "SCRAM_CACHE",
+             "site file": "SCRAM_SITE", "dest": "--dest"}
+    IN_AREA = {"area": "central/.SCRAM/area", "state": "central/.SCRAM/state",
+               "Link": "dev/.SCRAM/Link",
+               "tools directory": "central/.SCRAM/Linux__2.4/tools"}
+
+    @pytest.mark.parametrize("name, fault", [
+        *((name, "dangling") for name in [*GIVEN, *IN_AREA]),
+        *((name, "missing parent") for name in GIVEN)])
+    def test_every_verb_exits_0_or_with_one_line(self, toy, capsys, name, fault):
+        central = Path(lifecycle(toy, capsys))
+        assert run(toy, "project", "ORCA", "7_1_3", cwd=str(toy.workspace)) == 0
+        dev = toy.workspace / "ORCA_7_1_3"
+        dest = toy.root / "dest"
+        if name in self.GIVEN:
+            path = toy.root / ("missing" if fault == "missing parent" else "") / "given"
+            if self.GIVEN[name] == "--dest":
+                dest = path
+            else:
+                toy.env[self.GIVEN[name]] = str(path)
+        else:
+            place, rel = self.IN_AREA[name].split("/", 1)
+            path = {"central": central, "dev": dev}[place] / rel
+            if path.is_dir():
+                shutil.rmtree(path)
+            else:
+                path.unlink()
+        if fault == "dangling":
+            path.symlink_to(path.parent / "nowhere")
+        again = toy.root / "again"
+        again.mkdir()
+        capsys.readouterr()
+
+        verbs = [(toy.root, ["list"]), (again, ["project", "ORCA", "7_1_3"]),
+                 (toy.root, ["bootstrap", toy.bootstrap_url, "--dest", str(dest)])]
+        verbs += [(area, argv) for area in (central, dev)
+                  for argv in (["setup"], ["tool", "list"], ["tool", "info", "boost"],
+                               ["runtime", "-sh"], ["build"])]
+        for cwd, argv in [*verbs, (central, ["install"])]:
+            code = run(toy, *argv, cwd=str(cwd))
+            err = capsys.readouterr().err
+            assert (code, err) == (0, "") or (
+                code == 1 and err.startswith("scram: ") and err.count("\n") == 1), (
+                argv, code, err)
+
     @pytest.mark.parametrize("variable", ["SCRAM_LOOKUPDB", "SCRAM_SITE"])
     def test_undecodable_file_is_one_line(self, toy, capsys, variable):
         path = toy.root / "undecodable"
@@ -322,6 +372,68 @@ class TestWrongDocumentType:
         assert err.endswith(
             f"expected a {self.CASES[case]} document, found '{found}'\n"), err
         assert os.listdir(toy.install_root) == ([] if cwd is None else ["ORCA_7_1_3"])
+
+
+class TestDocumentErrors:
+    """A document or a setting that a verb cannot act on: exit 1, nothing on
+    stdout, and one ``scram:`` line that ends with what is wrong."""
+
+    NOT_FOUND = "[Errno 2] No such file or directory: "
+    CASES = {
+        "duplicate <Tool> version": "duplicate <Tool> block for version 2.95.2",
+        "no <Tool> block": "tool document contains no <Tool> block",
+        "<base> after <select>": "<base> must precede every <include> and <select>",
+        "bootstrap without a project":
+            "bootstrap document does not name a project and version",
+        "build command not found":
+            f"build command not found: {NOT_FOUND}'/nonexistent/make'",
+        "unknown app-env type":
+            "application environment entry 'X' has unknown type 'Weird'",
+        "checkout command not found":
+            f"checkout command not found: {NOT_FOUND}'/nonexistent/checkout'",
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_one_line_and_exit_1(self, toy, capsys, case):
+        specs = toy.specs
+        argv = ["bootstrap", toy.bootstrap_url, "--dest", str(toy.install_root)]
+        cwd = None
+        if case == "duplicate <Tool> version":
+            (specs / "gcc.tooldoc").write_text(
+                (specs / "gcc.tooldoc").read_text()
+                + "<Tool name=gcc version=2.95.2>\n</Tool>\n")
+        elif case == "no <Tool> block":
+            (specs / "gcc.tooldoc").write_text(
+                "<doc type=BuildSystem::ToolDoc version=1.0>\n")
+        elif case == "<base> after <select>":
+            (specs / "toy.reqs").write_text(
+                (specs / "toy.reqs").read_text() + f'<base url="file:{specs}/">\n')
+        elif case == "bootstrap without a project":
+            (specs / "toy.boot").write_text(
+                "<doc type=BuildSystem::BootStrapDoc version=1.0>\n")
+        elif case == "checkout command not found":
+            toy.site_path.write_text(
+                toy.site_path.read_text()
+                + "scheme.cvs.command = /nonexistent/checkout {module} {version} {out}\n")
+            argv[1] = "cvs:?module=toy/boot"
+        else:
+            cwd = lifecycle(toy, capsys)
+            if case == "build command not found":
+                toy.site_path.write_text(toy.site_path.read_text().replace(
+                    "build.command = true", "build.command = /nonexistent/make"))
+                argv = ["build"]
+            else:
+                path = toy.central_root / "config" / "app-env" / "viewer"
+                path.parent.mkdir(parents=True)
+                path.write_text("<doc type=BuildSystem::AppEnvDoc version=1.0>\n"
+                                "<Environment name=X value=1 type=Weird>\n")
+                argv = ["runtime", "-sh", "--app", "viewer"]
+
+        assert run(toy, *argv, cwd=cwd) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("scram: ") and err.count("\n") == 1, err
+        assert err.endswith(f": {self.CASES[case]}\n"), err
 
 
 # Stdlib modules that only fetching, hashing, building or host detection
@@ -460,6 +572,69 @@ def test_a_failed_setup_writes_no_record(toy, capsys, kind):
     assert err.startswith(
         "scram: setup: cannot resolve client variable 'LIBDIR' of boost 1.28.0; ")
     assert [snapshot(path) for path in records] == before
+
+
+def test_refresh_fetches_a_twice_downloaded_url_once(toy, capsys, monkeypatch):
+    """Under ``--refresh`` a HEAD document reaches its adapter once per
+    command: a second download of it is served from the command's own
+    pack, with the new bytes."""
+    readme, boot = toy.specs / "README.src", toy.specs / "toy.boot"
+    boot.write_text(boot.read_text() + f'<download url="file:{readme}" to="src/AGAIN">\n')
+    argv = ["bootstrap", toy.bootstrap_url, "--dest", str(toy.install_root)]
+    assert run(toy, *argv) == 0
+    shutil.rmtree(toy.central_root)
+    readme.write_text("new sources\n")
+    reads = []
+
+    def fetch_file(url, version, real=scram.urlaccess.fetch_file):
+        reads.append(url.authority)
+        return real(url, version)
+
+    monkeypatch.setattr(scram.urlaccess, "fetch_file", fetch_file)
+    assert run(toy, "--refresh", *argv) == 0
+    for name in ("README", "AGAIN"):
+        assert (toy.central_root / "src" / name).read_text() == "new sources\n"
+    assert reads.count(str(readme)) == 1
+
+
+class TtyInput(io.StringIO):
+    """Standard input that is a terminal."""
+
+    def isatty(self) -> bool:
+        return True
+
+
+class TestPrompt:
+    """On a terminal, a client variable that the site file lacks is asked
+    for on stderr."""
+
+    HINT = "boost: The top of the Boost distribution.\n"
+    QUESTION = "value for BOOST_BASE of boost (empty to give up): "
+
+    @pytest.fixture(autouse=True)
+    def no_site_value(self, toy):
+        lines = toy.site_path.read_text().splitlines(keepends=True)
+        toy.site_path.write_text("".join(
+            line for line in lines if not line.startswith("tool.boost.BOOST_BASE ")))
+
+    def bootstrap(self, toy, monkeypatch, answer: str) -> int:
+        monkeypatch.setattr(sys, "stdin", TtyInput(answer))
+        return run(toy, "bootstrap", toy.bootstrap_url, "--dest", str(toy.install_root))
+
+    def test_the_answer_is_bound_from_the_prompt(self, toy, capsys, monkeypatch):
+        assert self.bootstrap(toy, monkeypatch, "/sw/asked\n") == 0
+        assert capsys.readouterr().err == self.HINT + self.QUESTION
+        assert run(toy, "tool", "info", "boost", cwd=str(toy.central_root)) == 0
+        assert "  BOOST_BASE=/sw/asked  [prompt]\n" in capsys.readouterr().out
+
+    def test_an_empty_answer_gives_up(self, toy, capsys, monkeypatch):
+        assert self.bootstrap(toy, monkeypatch, "\n") == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(self.HINT + self.QUESTION + "scram: bootstrap: "
+                              "cannot resolve client variable 'BOOST_BASE' of boost ")
+        assert err.count("scram:") == 1 and err.count("\n") == 2, err
+        assert os.listdir(toy.install_root) == []
 
 
 class TestLifecycle:

@@ -252,13 +252,22 @@ def test_make_dirs_names_the_path(tmp_path):
 class TestLocked:
     def test_second_holder_fails_without_wait(self, tmp_path):
         path = str(tmp_path / "locks" / "lock")
-        with locked(path, wait=True):
-            with pytest.raises(BlockingIOError):
-                with locked(path, wait=False):
-                    pass
-        with locked(path, wait=False):
-            pass
+        with locked(path, wait=True) as held:
+            assert held
+            with locked(path, wait=False) as second:
+                assert not second
+        with locked(path, wait=False) as held:
+            assert held
         assert os.path.exists(path)  # never unlinked
+
+    def test_an_error_in_the_body_propagates(self, tmp_path):
+        path = str(tmp_path / "lock")
+        with pytest.raises(BlockingIOError):
+            with locked(path, wait=False) as held:
+                assert held
+                raise BlockingIOError
+        with locked(path, wait=False) as held:
+            assert held  # released
 
     def test_unusable_lock_path_names_it(self, tmp_path):
         (tmp_path / "file").write_text("")

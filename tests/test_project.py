@@ -231,8 +231,8 @@ class TestBootstrap:
     def test_cache_holds_one_pack_of_the_fetched_keys(self, toy, monkeypatch):
         fetched = {}
 
-        def spy(cache, url, version=None, refresh=False, real=UrlCache.fetch):
-            content = real(cache, url, version, refresh)
+        def spy(cache, url, version=None, real=UrlCache.fetch):
+            content = real(cache, url, version)
             fetched[url.cache_key(version)] = content
             return content
 

@@ -10,6 +10,7 @@ from http.server import HTTPServer, SimpleHTTPRequestHandler
 import pytest
 from hypothesis import example, given, strategies as st
 
+import scram.urlaccess
 from scram.cli import main
 from scram.errors import FetchError, UrlError
 from scram.fsutil import locked
@@ -218,9 +219,9 @@ def no_fetch_registry():
 
 def one_command(root, url, version=None, refresh=False, registry=None) -> bytes:
     """What one command does with the cache: fetch, then publish."""
-    cache = UrlCache(str(root), registry or counting_registry()[0])
+    cache = UrlCache(str(root), registry or counting_registry()[0], refresh)
     try:
-        return cache.fetch(url, version, refresh)
+        return cache.fetch(url, version)
     finally:
         cache.publish()
 
@@ -244,25 +245,25 @@ class TestUrlCache:
         third = cache.fetch(url, "1.0")
         assert first == second == third == b"data-1"
         assert len(calls) == 1
-        assert cache.stats.adapter_calls == 1
-        assert cache.stats.hits == 2
+        assert (cache.stats.misses, cache.stats.hits) == (1, 2)
 
     def test_refresh_forces_head_refetch(self, tmp_path):
         registry, calls = counting_registry()
-        cache = UrlCache(str(tmp_path), registry)
         url = parse_url("stub:thing?n=2")
-        cache.fetch(url)
-        cache.fetch(url)
+        one_command(tmp_path, url, registry=registry)
+        one_command(tmp_path, url, registry=registry)
         assert len(calls) == 1
-        cache.fetch(url, refresh=True)
+        cache = UrlCache(str(tmp_path), registry, refresh=True)
+        assert cache.fetch(url) == cache.fetch(url) == b"data-2"
+        cache.publish()
         assert len(calls) == 2
+        assert (cache.stats.misses, cache.stats.hits) == (1, 1)
 
     def test_refresh_does_not_touch_versioned_entries(self, tmp_path):
         registry, calls = counting_registry()
-        cache = UrlCache(str(tmp_path), registry)
         url = parse_url("stub:thing?n=3")
-        cache.fetch(url, "2.0")
-        cache.fetch(url, "2.0", refresh=True)
+        one_command(tmp_path, url, "2.0", registry=registry)
+        one_command(tmp_path, url, "2.0", refresh=True, registry=registry)
         assert len(calls) == 1
 
     def test_hundred_distinct_keys_hash_stable(self, tmp_path):
@@ -461,7 +462,7 @@ class TestUrlCache:
         assert b.fetch(url, "1.0") == second
         a.publish()
         b.publish()
-        assert (a.stats.adapter_calls, b.stats.adapter_calls) == (1, 1)
+        assert (a.stats.misses, b.stats.misses) == (1, 1)
         assert [list(read_pack(pack)[0]) for pack in packs(tmp_path)] == [
             [url.cache_key("1.0")]] * 2
 
@@ -526,6 +527,26 @@ class TestUrlCache:
             assert not worker.is_alive()
             assert len(packs(tmp_path)) == COMPACT_ABOVE + 3
         one_command(tmp_path, item(99), "1.0")
+        assert len(packs(tmp_path)) == 1
+
+    def test_an_error_inside_a_compaction_propagates(self, tmp_path, monkeypatch):
+        """Only a lock held elsewhere skips a compaction: an error raised
+        while merging, a ``BlockingIOError`` too, ends the command, and the
+        packs are left as they were."""
+        for n in range(COMPACT_ABOVE):
+            one_command(tmp_path, item(n), "1.0")
+
+        def fail(key):
+            raise BlockingIOError("raised while merging")
+
+        monkeypatch.setattr(scram.urlaccess, "_is_head", fail)
+        with pytest.raises(BlockingIOError, match="raised while merging"):
+            one_command(tmp_path, item(COMPACT_ABOVE), "1.0")
+        assert len(packs(tmp_path)) == COMPACT_ABOVE + 1
+        assert not [name for name in os.listdir(tmp_path / "packs")
+                    if name.endswith(".tmp")]  # the merged pack was discarded
+        monkeypatch.undo()
+        one_command(tmp_path, item(99), "1.0")  # the lock was let go
         assert len(packs(tmp_path)) == 1
 
     def test_killed_fetcher_leaves_an_unread_temp_pack(self, tmp_path, kill_when_held,
@@ -715,7 +736,7 @@ class TestFetchHttp:
         assert cache.fetch(url) == b"served"
         assert cache.fetch(url) == b"served"
         assert requested == ["/doc?version=1"]
-        assert cache.stats.adapter_calls == 1
+        assert cache.stats.misses == 1
 
     def test_a_404_names_the_url(self, tmp_path, http_root):
         _, base, requested = http_root
