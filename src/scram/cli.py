@@ -256,8 +256,7 @@ def _dispatch(args, env, cwd, arch) -> int:
             raise AreaError("--app is empty; name an application environment file")
         delta = area_environment(area, arch)
         if args.app:
-            delta = delta.merge(
-                load_app_env_file(area.root, args.app, area_id=delta.area_id))
+            delta = delta.merge(load_app_env_file(area.root, args.app))
         sys.stdout.write(emit_shell(delta, env, args.dialect))
         return 0
 

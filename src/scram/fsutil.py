@@ -16,7 +16,9 @@ power loss is not promised. ``read_text`` and ``read_json`` give a
 caller's default for a file that does not exist and turn any other failure
 to open, read, decode or parse (JSON nested too deeply too) into one
 ``AreaError``, ``unreadable <what> <path>: <reason>``; the other helpers
-turn an ``OSError`` into one that names the path they were given.
+turn an ``OSError`` into one that names the path they were given, worded
+by ``cannot``, which the document cache uses too: a dangling symlink in
+the way is named as the reason.
 """
 
 from __future__ import annotations
@@ -31,8 +33,20 @@ from contextlib import contextmanager, suppress
 from .errors import AreaError
 
 
-def _failed(doing: str, path: str, exc: OSError) -> AreaError:
-    return AreaError(f"cannot {doing} {path}: {exc.strerror or exc}")
+def cannot(doing: str, path: str, exc: OSError) -> AreaError:
+    """The one wording of a failed file operation: ``cannot <doing>
+    <path>: <reason>``. A path that is missing or in the way because it, or
+    a directory above it, is a dangling symlink has that link as its
+    reason."""
+    reason = exc.strerror or exc
+    if isinstance(exc, (FileExistsError, FileNotFoundError)) and exc.filename:
+        below, above = None, os.fsdecode(exc.filename)
+        while above != below:
+            if os.path.islink(above) and not os.path.exists(above):
+                reason = f"{above} is a dangling symlink"
+                break
+            below, above = above, os.path.dirname(above)
+    return AreaError(f"cannot {doing} {path}: {reason}")
 
 
 def _open_creating_parent(path: str, flags: int) -> int:
@@ -57,7 +71,7 @@ def make_dirs(path: str) -> None:
     try:
         os.makedirs(path)
     except OSError as exc:
-        raise _failed("create directory", path, exc) from exc
+        raise cannot("create directory", path, exc) from exc
 
 
 def atomic_write(path: str, data: bytes | str) -> None:
@@ -77,14 +91,14 @@ def write_new(path: str, data: bytes | str) -> None:
         finally:
             os.close(fd)
     except OSError as exc:
-        raise _failed("write", path, exc) from exc
+        raise cannot("write", path, exc) from exc
 
 
 def _publish(private: str, target: str) -> None:
     try:
         os.rename(private, target)
     except OSError as exc:
-        raise _failed("publish", target, exc) from exc
+        raise cannot("publish", target, exc) from exc
 
 
 class PrivateFile:
@@ -106,7 +120,7 @@ class PrivateFile:
             self.fd = _open_creating_parent(self.path,
                                             os.O_CREAT | os.O_EXCL | os.O_RDWR)
         except OSError as exc:
-            raise _failed("write", target, exc) from exc
+            raise cannot("write", target, exc) from exc
 
     def append(self, data: bytes | str) -> int:
         """Append ``data``; returns the offset it starts at."""
@@ -114,7 +128,7 @@ class PrivateFile:
         try:
             self.size = _write_all(self.fd, data, offset)
         except OSError as exc:
-            raise _failed("write", self.target, exc) from exc
+            raise cannot("write", self.target, exc) from exc
         return offset
 
     def finish(self, data: bytes | str) -> None:
@@ -126,7 +140,7 @@ class PrivateFile:
                 with suppress(FileNotFoundError):
                     os.fchmod(self.fd, stat.S_IMODE(os.stat(self.target).st_mode))
             except OSError as exc:
-                raise _failed("write", self.target, exc) from exc
+                raise cannot("write", self.target, exc) from exc
             _publish(self.path, self.target)
         except BaseException:
             self.discard()
@@ -159,7 +173,7 @@ def private_tree(target: str) -> Iterator[str]:
     try:
         os.makedirs(tree)
     except OSError as exc:
-        raise _failed("create directory", target, exc) from exc
+        raise cannot("create directory", target, exc) from exc
     try:
         yield tree
         try:
@@ -223,7 +237,7 @@ def locked(path: str, wait: bool) -> Iterator[bool]:
     try:
         fd = _open_creating_parent(path, os.O_RDONLY | os.O_CREAT)
     except OSError as exc:
-        raise _failed("lock", path, exc) from exc
+        raise cannot("lock", path, exc) from exc
     try:
         held = True
         try:

@@ -775,6 +775,8 @@ def setup_tool(area: ProjectArea, name: str | None = None,
         rows = records.by_configuration(load_config_record(area, arch))
         pins = [pin for _, pin, key in rows if pin is not None
                 and (key is None or records.version(key) != pin.version)]
+        if not pins:
+            return []  # nothing to resolve, so no cache to open
     engine = build_engine(site, env, area.install_root, refresh)
     try:
         tools = resolve_selected_tools(engine, pins, records, site, prompt)

@@ -220,10 +220,10 @@ def _render_csh(op: str, name: str, value: str) -> str:
 APP_ENV_DIR = "app-env"
 
 
-def parse_app_env(events, area_id: str = "") -> EnvDelta:
+def parse_app_env(events) -> EnvDelta:
     """Read the body of a ``BuildSystem::AppEnvDoc``: flat
     ``<Environment name= value= [type=Runtime_path]>`` entries."""
-    delta = EnvDelta(area_id=area_id)
+    delta = EnvDelta()
 
     def on_environment(_, ev):
         name = ev.require("name")
@@ -251,7 +251,7 @@ def parse_app_env(events, area_id: str = "") -> EnvDelta:
 APP_ENV = DocType("BuildSystem::AppEnvDoc", "0", parse_app_env)
 
 
-def load_app_env_file(area_root: str, app_name: str, area_id: str = "") -> EnvDelta:
+def load_app_env_file(area_root: str, app_name: str) -> EnvDelta:
     """Read ``config/app-env/<app_name>`` under an area as an overlay delta."""
     path = os.path.join(area_root, "config", APP_ENV_DIR, app_name)
     text = read_text(path, "application environment file", missing=None)
@@ -263,4 +263,4 @@ def load_app_env_file(area_root: str, app_name: str, area_id: str = "") -> EnvDe
     events = tokenize_markup(text, source_id=path)
     header = read_doc_header(events)
     check_doc_type(header, (APP_ENV,), header.location)
-    return parse_app_env(strip_doc_header(events), area_id=area_id)
+    return parse_app_env(strip_doc_header(events))

@@ -264,38 +264,24 @@ class LibraryProber:
     def __init__(self, search_roots: list[str], patterns: list[str] | None = None):
         self.search_roots = list(search_roots)
         self.patterns = patterns if patterns is not None else default_library_patterns()
-        self._candidates: list[str] | None = None
-        self._listings: dict[str, list[str]] = {}
+        self._candidates: list[str] = []  # in scan order, once indexed
         self._names: list[str] | None = None  # every file name, sorted
         self._first: dict[str, int] = {}  # file name -> first candidate holding it
 
-    def _files(self, directory: str) -> list[str]:
-        files = self._listings.get(directory)
-        if files is None:
-            try:
-                files = os.listdir(directory)
-            except OSError:
-                files = []
-            self._listings[directory] = files
-        return files
-
-    def _candidate_dirs(self) -> list[str]:
-        if self._candidates is None:
-            self._candidates = []
-            for root in self.search_roots:
-                if not os.path.isdir(root):
-                    continue
-                self._candidates.append(root)
-                for entry in sorted(self._files(root)):
-                    sub = os.path.join(root, entry)
-                    if os.path.isdir(sub):
-                        self._candidates.append(sub)
-        return self._candidates
-
     def _index(self) -> list[str]:
         if self._names is None:
-            for i, directory in enumerate(self._candidate_dirs()):
-                for name in self._files(directory):
+            # each candidate directory, in scan order, and its file names
+            listings: dict[str, list[str]] = {}
+            for root in filter(os.path.isdir, self.search_roots):
+                if root not in listings:
+                    listings[root] = _listing(root)
+                for entry in sorted(listings[root]):
+                    sub = os.path.join(root, entry)
+                    if sub not in listings and os.path.isdir(sub):
+                        listings[sub] = _listing(sub)
+            self._candidates = list(listings)
+            for i, names in enumerate(listings.values()):
+                for name in names:
                     self._first.setdefault(name, i)
             self._names = sorted(self._first)
         return self._names
@@ -324,6 +310,14 @@ class LibraryProber:
 
 
 _GLOB_MAGIC = re.compile(r"[*?[]")
+
+
+def _listing(directory: str) -> list[str]:
+    """The names in ``directory``; none when it cannot be listed."""
+    try:
+        return os.listdir(directory)
+    except OSError:
+        return []
 
 
 PROVENANCE_SITE = "site-file"

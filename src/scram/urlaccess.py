@@ -13,10 +13,10 @@ in (site key ``scheme.cvs.command``, placeholders ``{module}`` ``{version}``
 ``{out}``).
 
 Cache layout: ``<root>/packs/<time_ns>.<pid>.<8 hex>.pack``, one immutable
-pack per command that fetched something. A pack holds the fetched
-contents, then a JSON index mapping each cache key to ``[offset, length,
-content_hash, fetched_at]``, then a fixed-width footer giving the index's
-offset. Versioned entries never change: the earliest copy of a key wins.
+pack per command that fetched something; a command makes ``<root>/packs``
+when it opens the cache. A pack holds the fetched contents, then a JSON
+index mapping each cache key to ``[offset, length, content_hash,
+fetched_at]``, then a fixed-width footer giving the index's offset. Versioned entries never change: the earliest copy of a key wins.
 Unversioned (HEAD) entries are served from cache until a command is made
 with ``refresh``, which refetches each once, and then the latest copy wins.
 ``auth`` and ``user`` never enter the cache key, so identities share
@@ -30,8 +30,8 @@ import os
 import time
 from contextlib import suppress
 
-from .errors import AreaError, FetchError, UrlError
-from .fsutil import PrivateFile, locked
+from .errors import FetchError, UrlError
+from .fsutil import PrivateFile, cannot, locked
 
 HEAD = "HEAD"
 
@@ -288,7 +288,10 @@ class UrlCache:
     command at a time; it alone decides what is fetched and counts it in
     ``stats``.
 
-    The first fetch lists ``<root>/packs`` (dot-names are skipped), opens
+    Opening the cache makes ``<root>/packs`` unless it is a directory
+    already, so a root that cannot hold the packs fails there, once, as
+    ``cannot use cache <root>: <reason>``, and no later step checks it
+    again. The first fetch lists ``<root>/packs`` (dot-names are skipped), opens
     each pack and reads its index; a pack unlinked by a compaction before
     it is opened makes the listing start again. A hit ``pread``s the
     best-ranked copy of its key and serves it only if its SHA-256 equals
@@ -307,6 +310,11 @@ class UrlCache:
     def __init__(self, root: str, registry: SchemeRegistry, refresh: bool = False):
         self.root = root
         self.packs = os.path.join(root, PACKS)
+        if not os.path.isdir(self.packs):
+            try:
+                os.makedirs(self.packs, exist_ok=True)
+            except OSError as exc:
+                raise cannot("use cache", root, exc) from exc
         self.registry = registry
         self.refresh = refresh
         self.stats = CacheStats()
@@ -327,13 +335,7 @@ class UrlCache:
         self.stats.misses += 1
         content = self.registry.retrieve(url, version)
         if self._own is None:
-            try:
-                self._own = PrivateFile(os.path.join(self.packs, _pack_name()))
-            except AreaError as exc:
-                unusable = self._unusable(exc.__cause__)
-                if unusable is None:
-                    raise
-                raise unusable from exc
+            self._own = PrivateFile(os.path.join(self.packs, _pack_name()))
         offset = self._own.append(content)
         self._own_index[key] = (offset, len(content), _sha256(content))
         return content
@@ -373,21 +375,8 @@ class UrlCache:
         return copies
 
     def _list(self) -> list[str]:
-        try:
-            names = os.listdir(self.packs)
-        except FileNotFoundError:
-            return []
-        except OSError as exc:
-            raise self._unusable(exc) or AreaError(
-                f"cannot list cache {self.packs}: {exc.strerror}") from exc
-        return sorted(n for n in names if n.endswith(".pack") and n[0] != ".")
-
-    def _unusable(self, exc: OSError) -> AreaError | None:
-        # names a cache root that is no directory as it was given, not a
-        # path below it
-        if os.path.isdir(self.root):
-            return None
-        return AreaError(f"cannot use cache {self.root}: {exc.strerror}")
+        return sorted(n for n in os.listdir(self.packs)
+                      if n.endswith(".pack") and n[0] != ".")
 
     def _close(self) -> None:
         for fd in self._fds:

@@ -198,6 +198,8 @@ class TestPathErrors:
     IN_AREA = {"area": "central/.SCRAM/area", "state": "central/.SCRAM/state",
                "Link": "dev/.SCRAM/Link",
                "tools directory": "central/.SCRAM/Linux__2.4/tools"}
+    # the verb that fails making a directory where the path's link dangles
+    WRITER = {"dest": "bootstrap", "cache": "bootstrap", "tools directory": "setup"}
 
     @pytest.mark.parametrize("name, fault", [
         *((name, "dangling") for name in [*GIVEN, *IN_AREA]),
@@ -231,12 +233,29 @@ class TestPathErrors:
         verbs += [(area, argv) for area in (central, dev)
                   for argv in (["setup"], ["tool", "list"], ["tool", "info", "boost"],
                                ["runtime", "-sh"], ["build"])]
+        writer = self.WRITER.get(name) if fault == "dangling" else None
+        writer_errors = []
         for cwd, argv in [*verbs, (central, ["install"])]:
             code = run(toy, *argv, cwd=str(cwd))
             err = capsys.readouterr().err
             assert (code, err) == (0, "") or (
                 code == 1 and err.startswith("scram: ") and err.count("\n") == 1), (
                 argv, code, err)
+            if code and argv[0] == writer:
+                writer_errors.append(err)
+        # the link in the way is named, not what the verb tried to make there
+        assert len(writer_errors) == (writer is not None), writer_errors
+        assert all(f"{path} is a dangling symlink" in err for err in writer_errors)
+
+    def test_a_dangling_cache_fails_the_verb_not_a_document(self, toy, capsys):
+        cache = toy.root / "cache-link"
+        cache.symlink_to(toy.root / "nowhere")
+        toy.env["SCRAM_CACHE"] = str(cache)
+        assert run(toy, "bootstrap", toy.bootstrap_url,
+                   "--dest", str(toy.install_root)) == 1
+        assert capsys.readouterr().err == (
+            f"scram: bootstrap: cannot use cache {cache}: {cache} is a dangling symlink\n")
+        assert os.listdir(toy.install_root) == []
 
     @pytest.mark.parametrize("variable", ["SCRAM_LOOKUPDB", "SCRAM_SITE"])
     def test_undecodable_file_is_one_line(self, toy, capsys, variable):
@@ -282,6 +301,8 @@ class TestReadFaults:
                              ["project", "ORCA", "7_1_3"], "workspace"),
         "registry": ("root", "scramdb", ["list"], "root"),
         "site file": ("root", "site.cfg", ["build"], "central"),
+        # the central area that a developer area's Link names
+        "linked central": ("central", "", ["tool", "list"], "dev"),
     }
     FAULTS = {
         "directory": lambda path: path.mkdir(),
@@ -290,11 +311,13 @@ class TestReadFaults:
         "relative": lambda path: path.write_text("central/ORCA_7_1_3\n"),
         "dangling": lambda path: path.symlink_to(path.parent / "nowhere"),
         "regular file": lambda path: path.write_text(""),
+        "removed": lambda path: None,  # removed with what was there
     }
-    CASES = ([(name, fault) for name in INPUTS if name != "tools directory"
+    CASES = ([(name, fault) for name in INPUTS
+              if name not in ("tools directory", "linked central")
               for fault in ("directory", "non-UTF-8")]
              + [("link", "blank"), ("link", "relative"), ("link", "dangling"),
-                ("tools directory", "regular file")])
+                ("tools directory", "regular file"), ("linked central", "removed")])
 
     @pytest.mark.parametrize("name, fault", CASES)
     def test_one_line_naming_the_path_once(self, toy, capsys, name, fault):
@@ -302,7 +325,8 @@ class TestReadFaults:
 
         owner, rel, argv, cwd = self.INPUTS[name]
         central = Path(lifecycle(toy, capsys))
-        if owner == "dev":
+        with_dev = "dev" in (owner, cwd)
+        if with_dev:
             assert run(toy, "project", "ORCA", "7_1_3", cwd=str(toy.workspace)) == 0
         places = {"dev": toy.workspace / "ORCA_7_1_3", "central": central,
                   "root": toy.root, "workspace": toy.workspace}
@@ -321,7 +345,7 @@ class TestReadFaults:
         assert err.startswith(f"scram: {argv[0]}: ") and err.count("\n") == 1, err
         assert err.count(str(path)) == 1, err
         # a failed `project` leaves no developer area behind
-        assert os.listdir(toy.workspace) == (["ORCA_7_1_3"] if owner == "dev" else [])
+        assert os.listdir(toy.workspace) == (["ORCA_7_1_3"] if with_dev else [])
 
 
 class TestWrongDocumentType:

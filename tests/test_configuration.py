@@ -161,7 +161,10 @@ class TestResolveSelection:
 
     def test_selection_order_preserved(self, config_doc):
         from scram.configuration import RequirementsDoc, SelectEntry
+        # Qt is selected again under the running architecture: one pin, at
+        # its first select
         req = RequirementsDoc(selects=[SelectEntry("Qt"), SelectEntry("CLHEP"),
+                                       SelectEntry("qt", "Linux__2.4"),
                                        SelectEntry("LHCxx")])
         resolved = resolve_selection(req, [config_doc], LINUX)
         assert list(resolved.tools) == ["qt", "clhep", "lhcxx"]

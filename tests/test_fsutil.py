@@ -249,6 +249,19 @@ def test_make_dirs_names_the_path(tmp_path):
         make_dirs(str(tmp_path / "a"))
 
 
+@pytest.mark.parametrize("below", ["", "a/b"], ids=["the path", "a parent"])
+@pytest.mark.parametrize("doing, make", [("create directory", make_dirs),
+                                         ("write", PrivateFile)])
+def test_a_dangling_symlink_in_the_way_is_the_reason(tmp_path, doing, make, below):
+    link = tmp_path / "link"
+    link.symlink_to(tmp_path / "nowhere")
+    path = link / below / "leaf"
+    with pytest.raises(AreaError, match=(
+            f"^cannot {doing} {path}: {link} is a dangling symlink$")):
+        make(str(path))
+    assert os.listdir(tmp_path) == ["link"]
+
+
 class TestLocked:
     def test_second_holder_fails_without_wait(self, tmp_path):
         path = str(tmp_path / "locks" / "lock")

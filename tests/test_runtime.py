@@ -354,8 +354,8 @@ class TestAppEnv:
         target = tmp_path / "config" / "app-env"
         target.mkdir(parents=True)
         (target / "viewer").write_text(APP_ENV_TEXT)
-        delta = load_app_env_file(str(tmp_path), "viewer", area_id="p:v")
-        assert delta.sets == [("DISPLAY_DEPTH", "8")]
+        delta = load_app_env_file(str(tmp_path), "viewer")
+        assert (delta.sets, delta.area_id) == ([("DISPLAY_DEPTH", "8")], "")
 
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(AreaError, match="no application environment"):

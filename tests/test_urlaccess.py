@@ -12,7 +12,7 @@ from hypothesis import example, given, strategies as st
 
 import scram.urlaccess
 from scram.cli import main
-from scram.errors import FetchError, UrlError
+from scram.errors import AreaError, FetchError, UrlError
 from scram.fsutil import locked
 from scram.urlaccess import (
     COMPACT_ABOVE,
@@ -24,7 +24,7 @@ from scram.urlaccess import (
     parse_url,
 )
 
-from cachepacks import footer, packs, read_pack
+from cachepacks import footer, make_pack, packs, read_pack
 
 
 # text made of the pieces of a URL
@@ -235,6 +235,28 @@ def item(n):
 
 
 class TestUrlCache:
+    @pytest.mark.parametrize("given, reason", [
+        ("new/cache", None),
+        ("plain", "Not a directory"),
+        ("plain/cache", "Not a directory"),
+        ("link", "{link} is a dangling symlink"),
+        ("link/cache", "{link} is a dangling symlink"),
+    ])
+    def test_opening_makes_the_packs_directory_or_fails_once(self, tmp_path, given,
+                                                             reason):
+        (tmp_path / "plain").write_text("")
+        link = tmp_path / "link"
+        link.symlink_to(tmp_path / "nowhere")
+        root = tmp_path / given
+        if reason is None:
+            UrlCache(str(root), no_fetch_registry())
+            assert os.listdir(root) == ["packs"]
+        else:
+            with pytest.raises(AreaError, match="^" + re.escape(
+                    f"cannot use cache {root}: {reason.format(link=link)}") + "$"):
+                UrlCache(str(root), no_fetch_registry())
+        assert not (tmp_path / "nowhere").exists()
+
     def test_versioned_fetch_hits_adapter_once(self, tmp_path):
         registry, calls = counting_registry()
         cache = UrlCache(str(tmp_path / "cache"), registry)
@@ -503,6 +525,26 @@ class TestUrlCache:
             one_command(tmp_path, item(n), "1.0")
         assert len(packs(tmp_path)) == 1
         assert one_command(tmp_path, url, registry=no_fetch_registry()) == b"v1"
+
+    @pytest.mark.parametrize("key, kept", [
+        (parse_url("stub:k").cache_key("1.0"), b"early"),
+        (parse_url("stub:k").cache_key(), b"late"),
+        ("not JSON", b"early"),
+    ], ids=["versioned", "HEAD", "not JSON"])
+    def test_a_compaction_keeps_the_copy_that_is_served(self, tmp_path, key, kept):
+        """A merge keeps one copy of a key: the earliest, the latest for a
+        HEAD key; a key that is not JSON is kept and ranks as versioned."""
+        (tmp_path / "packs").mkdir()
+        for name, content, fetched_at in (("1.pack", b"late", 2.0),
+                                          ("2.pack", b"early", 1.0)):
+            (tmp_path / "packs" / name).write_bytes(make_pack(content, {
+                key: [0, len(content), hashlib.sha256(content).hexdigest(), fetched_at]}))
+        for n in range(COMPACT_ABOVE - 1):  # the 17th pack brings a compaction
+            one_command(tmp_path, item(n), "1.0")
+        (merged,) = packs(tmp_path)
+        index, contents = read_pack(merged)
+        offset, length, _, _ = index[key]
+        assert contents[offset:offset + length] == kept
 
     def test_packs_stay_few_and_every_key_is_served(self, tmp_path):
         for n in range(20):
