@@ -59,12 +59,10 @@ class DocumentEngine:
         # tokenized events of nested documents, by cache key
         self._nested: dict[str, list] = {}
 
-    def activate(self, url: ResourceUrl | str,
+    def activate(self, url: ResourceUrl,
                  accepted: tuple[DocType, ...]) -> TypedDocument:
         """The document at ``url``, which must be of one of the
         ``accepted`` types."""
-        if isinstance(url, str):
-            url = parse_url(url)
         key = url.cache_key()
         try:
             doc = self._activated.get(key)

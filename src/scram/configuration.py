@@ -4,9 +4,9 @@ A configuration pins (tool, version, spec URL) triples, optionally grouped
 under ``<Architecture name=...>`` blocks. A requirements document names a
 configuration (``<base>`` + ``<include>``) and selects tools from it by
 name only; versions always come from the configuration, which is what
-keeps a multi-project setup consistent. Selection picks, for each selected
-name, the require entry with the most specific architecture scope that
-matches the running architecture.
+keeps a multi-project setup consistent. ``_ScopedParser`` reads both kinds.
+Selection picks, for each selected name, the require entry with the most
+specific architecture scope that matches the running architecture.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 
 from .errors import ConfigError
-from .markup import DocType, Value, parse_with_handlers
+from .markup import OPEN, DocType, Value, parse_with_handlers
 
 ARCH_ENV = "SCRAM_ARCH"
 
@@ -122,83 +122,71 @@ class RequirementsDoc:
 
 
 class _ScopedParser:
-    """Shared Architecture-scope tracking for both document kinds."""
+    """Reads either document kind into ``doc``: each entry takes the scope
+    of the ``<Architecture name=...>`` around it, a ``<base url=...>`` must
+    precede every entry, and ``is_new`` holds once per (folded name, scope)."""
 
-    def __init__(self):
+    def __init__(self, doc):
+        self.doc = doc
         self.scope = ""
-        self.used = False  # set once any entry is recorded; bases must precede
+        self.used = False  # set once any entry is read; bases must precede
+        self.seen: set[tuple[str, str]] = set()
 
-    def enter_scope(self, _state, ev):
-        self.scope = ev.require("name")
+    def is_new(self, entry) -> bool:
+        key = (entry.folded_name, entry.arch_scope)
+        new = key not in self.seen
+        self.seen.add(key)
+        return new
 
-    def leave_scope(self, _state, ev):
-        self.scope = ""
+    def parse(self, events, **entries):
+        """``doc``, read from ``events``; ``entries``: tag -> open handler."""
+
+        def on_entry(_, ev):
+            self.used = True
+            entries[ev.folded_name](ev)
+
+        def on_base(_, ev):
+            if self.used:
+                tags = " and ".join(f"<{tag}>" for tag in entries)
+                raise ConfigError(f"<base> must precede every {tags}")
+            self.doc.base = ev.require("url")
+
+        def on_scope(_, ev):
+            self.scope = ev.require("name") if ev.kind is OPEN else ""
+
+        handlers = {"architecture": on_scope, "base": on_base}
+        parse_with_handlers(events, None, close={"architecture": on_scope},
+                            open={**handlers, **dict.fromkeys(entries, on_entry)})
+        return self.doc
 
 
 def parse_configuration(events) -> ConfigurationDoc:
     doc = ConfigurationDoc()
-    state = _ScopedParser()
-    seen: set[tuple[str, str]] = set()
+    parser = _ScopedParser(doc)
 
-    def on_require(_, ev):
-        entry = RequireEntry(
-            name=ev.require("name"),
-            version=ev.require("version"),
-            url=ev.require("url"),
-            arch_scope=state.scope,
-        )
-        key = (entry.folded_name, entry.arch_scope)
-        if key in seen:
-            raise ConfigError(
-                f"duplicate require for '{entry.name}' in scope "
-                f"'{entry.arch_scope or '(all)'}'"
-            )
-        seen.add(key)
-        state.used = True
+    def on_require(ev):
+        entry = RequireEntry(ev.require("name"), ev.require("version"),
+                             ev.require("url"), parser.scope)
+        if not parser.is_new(entry):
+            raise ConfigError(f"duplicate require for '{entry.name}' in scope "
+                              f"'{entry.arch_scope or '(all)'}'")
         doc.entries.append(entry)
 
-    def on_base(_, ev):
-        if state.used:
-            raise ConfigError("<base> must precede every <require>")
-        doc.base = ev.require("url")
-
-    parse_with_handlers(
-        events, None,
-        open={"architecture": state.enter_scope, "require": on_require,
-              "base": on_base},
-        close={"architecture": state.leave_scope})
-    return doc
+    return parser.parse(events, require=on_require)
 
 
 def parse_requirements(events) -> RequirementsDoc:
     doc = RequirementsDoc()
-    state = _ScopedParser()
-    seen: set[tuple[str, str]] = set()
+    parser = _ScopedParser(doc)
 
-    def on_select(_, ev):
-        entry = SelectEntry(ev.require("name"), state.scope)
-        key = (entry.folded_name, entry.arch_scope)
-        if key in seen:
-            return  # duplicate selects collapse
-        seen.add(key)
-        state.used = True
-        doc.selects.append(entry)
+    def on_select(ev):
+        entry = SelectEntry(ev.require("name"), parser.scope)
+        if parser.is_new(entry):  # duplicate selects collapse
+            doc.selects.append(entry)
 
-    def on_include(_, ev):
-        state.used = True
-        doc.includes.append(ev.require("url"))
-
-    def on_base(_, ev):
-        if state.used:
-            raise ConfigError("<base> must precede every <include> and <select>")
-        doc.base = ev.require("url")
-
-    parse_with_handlers(
-        events, None,
-        open={"architecture": state.enter_scope, "select": on_select,
-              "include": on_include, "base": on_base},
-        close={"architecture": state.leave_scope})
-    return doc
+    return parser.parse(
+        events, include=lambda ev: doc.includes.append(ev.require("url")),
+        select=on_select)
 
 
 # The builders look their parsers up when they run, so whatever the module
@@ -220,10 +208,9 @@ class PinnedTool(Value):
 
 
 class ResolvedConfiguration:
-    __slots__ = ("arch", "tools")
+    __slots__ = ("tools",)
 
-    def __init__(self, arch: Architecture, tools: dict[str, PinnedTool]):
-        self.arch = arch
+    def __init__(self, tools: dict[str, PinnedTool]):
         self.tools = tools  # insertion-ordered by select order
 
     def get(self, name: str) -> PinnedTool | None:
@@ -266,4 +253,4 @@ def resolve_selection(req: RequirementsDoc, configs: list[ConfigurationDoc],
             )
         tools[select.folded_name] = PinnedTool(
             select.folded_name, best[0].version, best[0].url)
-    return ResolvedConfiguration(arch, tools)
+    return ResolvedConfiguration(tools)

@@ -1,8 +1,8 @@
 """Exception hierarchy shared by all scram modules.
 
-Every error carries an optional context string (rendered by the CLI as
-``scram: <context>: <message>``) and, for document problems, a source
-location.
+Every error carries a context, which only document activation sets (the
+CLI renders ``scram: <context>: <message>``, the verb standing in for a
+missing context), and, for document problems, a source location.
 """
 
 from __future__ import annotations
@@ -11,10 +11,10 @@ from __future__ import annotations
 class ScramError(Exception):
     """Base class for all operational errors raised by scram."""
 
-    def __init__(self, message: str, *, context: str | None = None, location=None):
+    def __init__(self, message: str, *, location=None):
         super().__init__(message)
         self.message = message
-        self.context = context
+        self.context: str | None = None
         self.location = location
 
     def __str__(self) -> str:

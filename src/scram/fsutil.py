@@ -15,10 +15,10 @@ is fsync'ed: a rename survives the death of the process, and surviving
 power loss is not promised. ``read_text`` and ``read_json`` give a
 caller's default for a file that does not exist and turn any other failure
 to open, read, decode or parse (JSON nested too deeply too) into one
-``AreaError``, ``unreadable <what> <path>: <reason>``; the other helpers
-turn an ``OSError`` into one that names the path they were given, worded
-by ``cannot``, which the document cache uses too: a dangling symlink in
-the way is named as the reason.
+``AreaError``, ``unreadable <what> <path>: <reason>``, as ``list_dir``
+does for a directory; the other helpers turn an ``OSError`` into one that
+names the path they were given, worded by ``cannot``, which the document
+cache uses too. Both name a dangling symlink in the way as the reason.
 """
 
 from __future__ import annotations
@@ -33,20 +33,23 @@ from contextlib import contextmanager, suppress
 from .errors import AreaError
 
 
+def _dangling(path) -> str | None:
+    """``<link> is a dangling symlink`` if ``path`` is, or sits below, one;
+    the walk up ends at a path that exists, as all above it resolves."""
+    below, above = None, os.fsdecode(path)
+    while above != below and not os.path.exists(above):
+        if os.path.islink(above):
+            return f"{above} is a dangling symlink"
+        below, above = above, os.path.dirname(above)
+    return None
+
+
 def cannot(doing: str, path: str, exc: OSError) -> AreaError:
     """The one wording of a failed file operation: ``cannot <doing>
-    <path>: <reason>``. A path that is missing or in the way because it, or
-    a directory above it, is a dangling symlink has that link as its
-    reason."""
-    reason = exc.strerror or exc
-    if isinstance(exc, (FileExistsError, FileNotFoundError)) and exc.filename:
-        below, above = None, os.fsdecode(exc.filename)
-        while above != below:
-            if os.path.islink(above) and not os.path.exists(above):
-                reason = f"{above} is a dangling symlink"
-                break
-            below, above = above, os.path.dirname(above)
-    return AreaError(f"cannot {doing} {path}: {reason}")
+    <path>: <reason>``; a dangling symlink in the way is the reason."""
+    link = (isinstance(exc, (FileExistsError, FileNotFoundError)) and exc.filename
+            and _dangling(exc.filename))
+    return AreaError(f"cannot {doing} {path}: {link or exc.strerror or exc}")
 
 
 def _open_creating_parent(path: str, flags: int) -> int:
@@ -200,7 +203,8 @@ def _read(path: str, what: str, missing, load, **how):
     except (OSError, ValueError, RecursionError) as exc:
         if missing is not _REQUIRED and isinstance(exc, FileNotFoundError):
             return missing
-        reason = getattr(exc, "strerror", None) or exc
+        reason = (isinstance(exc, FileNotFoundError) and _dangling(path)
+                  or getattr(exc, "strerror", None) or exc)
         raise AreaError(f"unreadable {what} {path}: {reason}") from exc
 
 
@@ -221,6 +225,20 @@ def read_json(path: str, what: str, missing=_REQUIRED) -> dict:
         return payload
 
     return _read(path, what, missing, load, mode="rb")
+
+
+def list_dir(path: str, what: str) -> list[str]:
+    """The names in the directory ``path``, a ``what``, read under the rule
+    of ``read_text``; a missing one has none, unless a dangling link is why."""
+    try:
+        return os.listdir(path)
+    except FileNotFoundError as exc:
+        link = _dangling(path)
+        if link is None:
+            return []
+        raise AreaError(f"unreadable {what} {path}: {link}") from exc
+    except OSError as exc:
+        raise AreaError(f"unreadable {what} {path}: {exc.strerror or exc}") from exc
 
 
 @contextmanager

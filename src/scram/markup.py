@@ -396,7 +396,6 @@ def parse_with_handlers(events, state, open=_NO_HANDLERS, close=_NO_HANDLERS,
                 f"handler for <{ev.name or 'chardata'}> failed: {exc}",
                 location=ev.location,
             ) from exc
-    return state
 
 
 def splice_inline(events, resolver, *, tags=("inline",)) -> list[TagEvent]:

@@ -42,6 +42,7 @@ from .configuration import (
 from .errors import AreaError, ToolError, UrlError
 from .fsutil import (
     atomic_write,
+    list_dir,
     locked,
     make_dirs,
     private_tree,
@@ -395,14 +396,14 @@ def load_config_record(area: ProjectArea, arch: Architecture) -> ResolvedConfigu
     payload = read_json(path, what, missing=None)
     if payload is None:
         _require_architecture(area, arch)
-        return ResolvedConfiguration(arch, {})
+        return ResolvedConfiguration({})
     tools = {}
     for t in _field(payload, "tools", _is_object_list, what, path):
         name = _field(t, "name", _is_str, what, path)
         tools[name] = PinnedTool(
             name, _field(t, "version", _is_str, what, path),
             _field(t, "spec_url", _is_str, what, path))
-    return ResolvedConfiguration(arch, tools)  # order preserved by json
+    return ResolvedConfiguration(tools)  # order preserved by json
 
 
 def _require_architecture(area: ProjectArea, arch: Architecture) -> None:
@@ -411,7 +412,8 @@ def _require_architecture(area: ProjectArea, arch: Architecture) -> None:
     admin = os.path.join(area.central_root(), ADMIN_DIR)
     if os.path.isdir(os.path.join(admin, arch.canonical)):
         return
-    held = sorted(entry.name for entry in os.scandir(admin) if entry.is_dir())
+    held = sorted(name for name in list_dir(admin, "administrative directory")
+                  if os.path.isdir(os.path.join(admin, name)))
     if held:
         raise AreaError(f"{area.central_root()} has no tools for architecture {arch}, "
                         f"only for {', '.join(held)} (pass --arch or set SCRAM_ARCH)")
@@ -423,7 +425,7 @@ TOOLS_DIR = "tools"
 
 
 def write_tool_record(area: ProjectArea, arch: Architecture,
-                      rt: ResolvedTool) -> str:
+                      rt: ResolvedTool) -> None:
     path = os.path.join(area.root, ADMIN_DIR, arch.canonical, TOOLS_DIR,
                         rt.name.casefold())
     payload = {"name": rt.name, "version": rt.version, "bindings": rt.bindings,
@@ -431,7 +433,6 @@ def write_tool_record(area: ProjectArea, arch: Architecture,
                "provenance": rt.provenance, "descriptions": rt.descriptions,
                "externals": rt.externals}
     area.write(path, json.dumps(payload) + "\n")
-    return path
 
 
 def write_tool_records(area: ProjectArea, arch: Architecture,
@@ -494,10 +495,7 @@ class ToolRecords(dict):
         super().__init__()
         self._dirs = dirs
         for source, directory in dirs.items():
-            try:
-                entries = sorted(os.listdir(directory))
-            except FileNotFoundError:
-                continue
+            entries = sorted(list_dir(directory, "tools directory"))
             # dot-names are temp files of an interrupted write
             self.update((entry, source) for entry in entries if not entry.startswith("."))
 

@@ -25,9 +25,8 @@ SITE_BASENAME = "site.cfg"
 
 
 class SiteInfo:
-    def __init__(self, values: dict[str, str] | None = None, path: str | None = None):
+    def __init__(self, values: dict[str, str] | None = None):
         self.values = dict(values or {})
-        self.path = path
 
     @classmethod
     def load(cls, path: str, optional: bool = False) -> "SiteInfo":
@@ -45,7 +44,7 @@ class SiteInfo:
                     f"{path}:{lineno}: expected 'key = value', got {line!r}"
                 )
             values[key.strip()] = value.strip()
-        return cls(values, path)
+        return cls(values)
 
     @classmethod
     def locate(cls, env, install_root: str) -> "SiteInfo":

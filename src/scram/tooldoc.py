@@ -46,8 +46,7 @@ _VAR_TYPES = {member.value.casefold(): member for member in VarType}
 class EnvVarDecl(Value):
     __slots__ = ("name", "value", "var_type", "client")
 
-    def __init__(self, name: str, value: str | None = None,
-                 var_type: VarType = VarType.PLAIN, client: bool = False):
+    def __init__(self, name: str, value: str | None, var_type: VarType, client: bool):
         self.name = name
         self.value = value
         self.var_type = var_type
@@ -67,20 +66,14 @@ class ExternalRef(Value):
 
 
 class ToolVersionBlock(Value):
-    __slots__ = ("version", "info_url", "libs", "variables", "externals",
-                 "descriptions")
+    __slots__ = ("version", "libs", "variables", "externals", "descriptions")
 
-    def __init__(self, version: str, info_url: str | None = None,
-                 libs: list[str] | None = None,
-                 variables: list[EnvVarDecl] | None = None,
-                 externals: list[ExternalRef] | None = None,
-                 descriptions: dict[str, str] | None = None):
+    def __init__(self, version: str):
         self.version = version
-        self.info_url = info_url
-        self.libs = [] if libs is None else libs
-        self.variables = [] if variables is None else variables
-        self.externals = [] if externals is None else externals
-        self.descriptions = {} if descriptions is None else descriptions
+        self.libs: list[str] = []
+        self.variables: list[EnvVarDecl] = []
+        self.externals: list[ExternalRef] = []
+        self.descriptions: dict[str, str] = {}
 
     def description_of(self, name: str) -> str:
         return self.descriptions.get(name, "")
@@ -89,9 +82,9 @@ class ToolVersionBlock(Value):
 class ToolSpec:
     __slots__ = ("name", "blocks")
 
-    def __init__(self, name: str, blocks: list[ToolVersionBlock] | None = None):
+    def __init__(self, name: str, blocks: list[ToolVersionBlock]):
         self.name = name
-        self.blocks = [] if blocks is None else blocks
+        self.blocks = blocks
 
     def versions(self) -> list[str]:
         return [b.version for b in self.blocks]
@@ -134,7 +127,7 @@ def _open_tool(state: _ToolDocBuilder, ev):
     if version in state.seen_versions:
         raise ToolError(f"duplicate <Tool> block for version {version}")
     state.seen_versions.add(version)
-    state.block = ToolVersionBlock(version=version)
+    state.block = ToolVersionBlock(version)
     state.seen_vars = set()
     state.blocks.append(state.block)
 
@@ -145,7 +138,7 @@ def _close_tool(state: _ToolDocBuilder, ev):
 
 
 def _on_info(state: _ToolDocBuilder, ev):
-    state.require_block(ev).info_url = ev.get("url")
+    state.require_block(ev)  # accepted in a block, and ignored
 
 
 def _on_lib(state: _ToolDocBuilder, ev):
@@ -409,7 +402,7 @@ def resolve_tool(block: ToolVersionBlock, *, tool_name: str, site,
 
 
 def _resolve_client_var(decl, block, tool_name, site, prober, prompt):
-    value = site.tool_value(tool_name, decl.name) if site is not None else None
+    value = site.tool_value(tool_name, decl.name)
     if value is not None:
         return value, PROVENANCE_SITE
     if decl.var_type is VarType.LIB and prober is not None:

@@ -48,9 +48,8 @@ _EXCLUDED_KEY_PARAMS = ("auth", "user")
 class ResourceUrl:
     __slots__ = ("scheme", "authority", "query", "fragment", "raw")
 
-    def __init__(self, scheme: str, authority: str = "",
-                 query: tuple[tuple[str, str], ...] = (), fragment: str = "",
-                 raw: str = ""):
+    def __init__(self, scheme: str, authority: str,
+                 query: tuple[tuple[str, str], ...], fragment: str, raw: str):
         self.scheme = scheme
         self.authority = authority
         self.query = query
@@ -167,9 +166,9 @@ class CacheStats:
     an adapter, failed ones too."""
     __slots__ = ("hits", "misses")
 
-    def __init__(self, hits: int = 0, misses: int = 0):
-        self.hits = hits
-        self.misses = misses
+    def __init__(self):
+        self.hits = 0
+        self.misses = 0
 
 
 class SchemeRegistry:
@@ -193,7 +192,7 @@ class SchemeRegistry:
         adapter = self.adapter_for(url.scheme)
         try:
             return adapter(url, version)
-        except (UrlError, FetchError):
+        except UrlError:
             raise
         except Exception as exc:
             raise FetchError(f"fetch of {url} failed: {exc}") from exc
@@ -267,10 +266,10 @@ def external_command_adapter(template: str):
     return adapter
 
 
-def default_registry(site=None) -> SchemeRegistry:
+def default_registry(site) -> SchemeRegistry:
     """Registry with the built-in schemes; ``cvs:`` needs a site-configured
     command template and errors helpfully without one."""
-    template = site.get("scheme.cvs.command") if site is not None else None
+    template = site.get("scheme.cvs.command")
     if template:
         cvs = external_command_adapter(template)
     else:
@@ -308,7 +307,6 @@ class UrlCache:
     """
 
     def __init__(self, root: str, registry: SchemeRegistry, refresh: bool = False):
-        self.root = root
         self.packs = os.path.join(root, PACKS)
         if not os.path.isdir(self.packs):
             try:

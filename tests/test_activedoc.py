@@ -4,14 +4,15 @@ from scram.activedoc import DocumentEngine
 from scram.errors import DocTypeError, MarkupError, ScramError, ToolError
 from scram.markup import DocType, EventKind
 from scram.tooldoc import TOOLDOC
-from scram.urlaccess import SchemeRegistry, UrlCache, default_registry
+from scram.sitefile import SiteInfo
+from scram.urlaccess import SchemeRegistry, UrlCache, default_registry, parse_url
 
 
 def write(tmp_path, name, text):
     path = tmp_path / name
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text)
-    return f"file:{path}"
+    return parse_url(f"file:{path}")
 
 
 def names_builder(events):
@@ -29,7 +30,8 @@ def fetch_count(engine) -> int:
 
 @pytest.fixture
 def engine(tmp_path):
-    return DocumentEngine(UrlCache(str(tmp_path / "_cache"), default_registry()))
+    return DocumentEngine(UrlCache(str(tmp_path / "_cache"),
+                                   default_registry(SiteInfo())))
 
 
 class TestRegistry:
@@ -134,7 +136,7 @@ class TestActivate:
         b_path.write_text(
             f'<doc type=Test::Names version=1.0><inline url="file:{a_path}">')
         with pytest.raises(DocTypeError, match="cycle"):
-            engine.activate(f"file:{a_path}", (NAMES,))
+            engine.activate(parse_url(f"file:{a_path}"), (NAMES,))
 
     def test_three_document_cycle_names_full_chain(self, engine, tmp_path):
         a, b, c = (f"file:{tmp_path / n}" for n in ("a.doc", "b.doc", "c.doc"))
@@ -142,7 +144,7 @@ class TestActivate:
         write(tmp_path, "b.doc", f'<doc type=Test::Names version=1.0><include url="{c}">')
         write(tmp_path, "c.doc", f'<doc type=Test::Names version=1.0><inline url="{a}">')
         with pytest.raises(DocTypeError) as exc:
-            engine.activate(a, (NAMES,))
+            engine.activate(parse_url(a), (NAMES,))
         assert exc.value.message == (
             f"document inclusion cycle: {a} -> {b} -> {c} -> {a}")
         assert exc.value.location.source == c
@@ -151,7 +153,7 @@ class TestActivate:
         write(tmp_path, "me.doc", '<doc type=Test::Names version=1.0><p><inline url="me.doc">')
         me = f"file:{tmp_path / 'me.doc'}"
         with pytest.raises(DocTypeError) as exc:
-            engine.activate(me, (NAMES,))
+            engine.activate(parse_url(me), (NAMES,))
         assert exc.value.message == f"document inclusion cycle: {me} -> {me}"
 
     def test_error_in_nested_document_names_its_directory(self, engine, tmp_path):
@@ -195,14 +197,15 @@ class TestActivate:
         cache = UrlCache(str(tmp_path / "c"), SchemeRegistry({"stub": adapter}),
                          refresh=True)
         engine = DocumentEngine(cache)
-        assert engine.activate("stub:outer", (NAMES,)).payload == ["m"] * 10
+        assert engine.activate(parse_url("stub:outer"), (NAMES,)).payload == ["m"] * 10
         assert calls == ["outer", "frag"]
         assert fetch_count(engine) == 2
 
     def test_two_level_nesting_matches_hand_concatenation(self, tmp_path):
         # each level resolves its relative URL against its own directory
         events = DocType("Test::Events", "1.0", list)
-        engine = DocumentEngine(UrlCache(str(tmp_path / "c"), default_registry()))
+        engine = DocumentEngine(UrlCache(str(tmp_path / "c"),
+                                         default_registry(SiteInfo())))
         write(tmp_path, "top/mid/leaf/c.doc", "<s t=1>")
         write(tmp_path, "top/mid/b.doc", '<r><inline url="leaf/c.doc"></inline>')
         a = write(tmp_path, "top/a.doc",
@@ -237,14 +240,14 @@ class TestActivate:
 
         cache = UrlCache(str(tmp_path / "c"), SchemeRegistry({"stub": adapter}))
         engine = DocumentEngine(cache)
-        engine.activate("stub:one?version=1.0", (NAMES,))
-        engine.activate("stub:one?version=2.0", (NAMES,))
-        engine.activate("stub:one?version=1.0", (NAMES,))
+        engine.activate(parse_url("stub:one?version=1.0"), (NAMES,))
+        engine.activate(parse_url("stub:one?version=2.0"), (NAMES,))
+        engine.activate(parse_url("stub:one?version=1.0"), (NAMES,))
         assert calls == ["1.0", "2.0"]
 
 
 def test_handler_error_in_an_inlined_fragment_names_the_fragment(tmp_path):
-    engine = DocumentEngine(UrlCache(str(tmp_path / "c"), default_registry()))
+    engine = DocumentEngine(UrlCache(str(tmp_path / "c"), default_registry(SiteInfo())))
     fragment = write(tmp_path, "frag.doc", "<Environment name=A value=1>\n"
                                            "  <Environment name=B type=Weird>\n")
     url = write(tmp_path, "tool.doc", "<doc type=BuildSystem::ToolDoc version=1.0>\n"

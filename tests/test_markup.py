@@ -322,8 +322,8 @@ class TestHandlerDispatch:
 
     def test_empty_map_is_noop(self, boost_text):
         state = {"untouched": True}
-        out = parse_with_handlers(tokenize_markup(boost_text), state)
-        assert out is state and state == {"untouched": True}
+        parse_with_handlers(tokenize_markup(boost_text), state)
+        assert state == {"untouched": True}
 
     def test_case_insensitive_tag_match(self):
         hits = []
@@ -352,7 +352,9 @@ class TestHandlerDispatch:
                 tables["close"] = {"lib": lambda s, e: noise.append(e)}
                 tables["chardata"] = {"lib": lambda s, e: noise.append(e),
                                       "tool": lambda s, e: noise.append(e)}
-            return parse_with_handlers(tokenize_markup(boost_text), [], **tables)
+            state = []
+            parse_with_handlers(tokenize_markup(boost_text), state, **tables)
+            return state
 
         assert collect(False) == collect(True) == ["boost_thread"] * 3
 

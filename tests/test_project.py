@@ -174,7 +174,8 @@ class TestBootstrap:
         written = []
 
         def fail_on_last(area, arch, rt):
-            written.append(write_tool_record(area, arch, rt))
+            write_tool_record(area, arch, rt)
+            written.append(area.root)
             if len(written) == 4:
                 raise ToolError("cannot resolve the last tool")
 
@@ -425,13 +426,13 @@ class TestEngineDocTypes:
             '<require name=gcc version=2.95.2 url="cvs:?module=G">\n'
             '<require name=zlib version=1.1.3 url="cvs:?module=Z">\n')
         engine = build_engine(SiteInfo({}), toy.env, str(toy.install_root))
-        spliced = engine.activate(f"file:{outer}", (CONFIGURATION,)).payload
-        expected = engine.activate(f"file:{combined}", (CONFIGURATION,)).payload
+        spliced = engine.activate(parse_url(f"file:{outer}"), (CONFIGURATION,)).payload
+        expected = engine.activate(parse_url(f"file:{combined}"), (CONFIGURATION,)).payload
         assert spliced.entries == expected.entries
 
     def test_requirements_include_stays_a_reference(self, toy):
         engine = build_engine(SiteInfo({}), toy.env, str(toy.install_root))
-        payload = engine.activate(toy.requirements_url, (REQUIREMENTS,)).payload
+        payload = engine.activate(parse_url(toy.requirements_url), (REQUIREMENTS,)).payload
         assert payload.includes == [f"file:{toy.specs}/toy.conf"]
         assert [s.name for s in payload.selects] == ["gcc", "sockets", "boost", "htl"]
 
@@ -861,7 +862,7 @@ def synthetic_areas(root: Path, tools: list[ResolvedTool]):
         write_tool_record(central, ARCH, rt)
     pins = {rt.name: PinnedTool(rt.name, rt.version, f"file:/specs/{rt.name}")
             for rt in tools}
-    _write_config_record(central, ARCH, ResolvedConfiguration(ARCH, pins))
+    _write_config_record(central, ARCH, ResolvedConfiguration(pins))
     (Path(central.root) / "bin" / "tool").write_bytes(b"")
     dev = ProjectArea.create(str(root / "dev"), "SYN", "1_0",
                              link_target=central.root)

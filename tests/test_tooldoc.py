@@ -62,7 +62,6 @@ class TestParseToolDoc:
         assert boost_spec.versions() == ["1.28.0", "1.29.0", "1.30.0"]
         for block in boost_spec.blocks:
             assert block.libs == ["boost_thread"]
-            assert block.info_url == "http://www.boost.org"
             assert [(v.name, v.var_type) for v in client_vars(block)] == [
                 ("BOOST_BASE", VarType.PLAIN),
                 ("LIBDIR", VarType.LIB),
@@ -121,6 +120,10 @@ class TestParseToolDoc:
     def test_environment_outside_tool_block(self):
         with pytest.raises(ToolError, match="outside any <Tool>"):
             spec_of("<Environment name=X></Environment>")
+
+    def test_info_outside_tool_block(self):
+        with pytest.raises(ToolError, match="<info> outside any <Tool>"):
+            spec_of("<info url=http://www.boost.org></info>")
 
     def test_duplicate_variable_in_block(self):
         text = ("<Tool name=T version=1>"

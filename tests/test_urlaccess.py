@@ -14,6 +14,7 @@ import scram.urlaccess
 from scram.cli import main
 from scram.errors import AreaError, FetchError, UrlError
 from scram.fsutil import locked
+from scram.sitefile import SiteInfo
 from scram.urlaccess import (
     COMPACT_ABOVE,
     HEAD,
@@ -157,11 +158,11 @@ class TestSchemeRegistry:
     def test_unreadable_file_is_named_once(self, tmp_path, name, reason):
         path = tmp_path / name
         with pytest.raises(FetchError) as exc:
-            default_registry().retrieve(parse_url(f"file:{path}"), None)
+            default_registry(SiteInfo()).retrieve(parse_url(f"file:{path}"), None)
         assert str(exc.value) == f"cannot read {path}: {reason}"
 
     def test_unknown_scheme(self):
-        registry = default_registry()
+        registry = default_registry(SiteInfo())
         with pytest.raises(UrlError) as exc:
             registry.retrieve(parse_url("GOPHER:hole"), None)
         assert str(exc.value) == (
@@ -194,7 +195,7 @@ class TestSchemeRegistry:
             adapter(parse_url("cvs:?module=M"), None)
 
     def test_unconfigured_cvs_explains_site_key(self):
-        registry = default_registry()
+        registry = default_registry(SiteInfo())
         with pytest.raises(FetchError, match="scheme.cvs.command"):
             registry.retrieve(parse_url("cvs:?module=M"), "1.0")
 
@@ -426,7 +427,9 @@ class TestUrlCache:
 
     def test_lock_free_readers_never_serve_a_torn_refresh(self, tmp_path):
         """Readers racing 40 refreshes, and the compactions they bring, only
-        ever serve whole copies, each no older than the last they served."""
+        ever serve whole copies, each no older than the last they served.
+        The readers and the writer start together at a barrier, and each
+        reader serves at least one copy however late its thread runs."""
         versions = iter(range(10**6))
 
         def adapter(url, version):
@@ -436,9 +439,11 @@ class TestUrlCache:
         url = parse_url("stub:head")
         one_command(tmp_path, url, registry=registry)
         served, errors, writer_done = [], [], threading.Event()
+        start = threading.Barrier(5, timeout=60)
 
         def write():
             try:
+                start.wait()
                 for _ in range(40):
                     one_command(tmp_path, url, refresh=True, registry=registry)
             finally:
@@ -447,8 +452,11 @@ class TestUrlCache:
         def read():
             mine = []
             try:
-                while not writer_done.is_set():
+                start.wait()
+                while True:  # at least once, however late this thread runs
                     mine.append(one_command(tmp_path, url, registry=no_fetch_registry()))
+                    if writer_done.is_set():
+                        break
             except BaseException as exc:  # noqa: BLE001 - reported below
                 errors.append(exc)
             served.append(mine)
@@ -456,8 +464,8 @@ class TestUrlCache:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=write)] + [
-                threading.Thread(target=read) for _ in range(4)]
+            threads = [threading.Thread(target=read) for _ in range(4)] + [
+                threading.Thread(target=write)]
             for t in threads:
                 t.start()
             for t in threads:
@@ -466,7 +474,7 @@ class TestUrlCache:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert errors == []
-        assert any(served)
+        assert len(served) == 4 and all(served)
         for mine in served:
             for content in mine:
                 assert content == content[:6] * 2000
@@ -773,7 +781,7 @@ class TestFetchHttp:
     def test_a_200_is_served_once_then_from_the_cache(self, tmp_path, http_root):
         root, base, requested = http_root
         (root / "doc").write_bytes(b"served")
-        cache = UrlCache(str(tmp_path / "cache"), default_registry())
+        cache = UrlCache(str(tmp_path / "cache"), default_registry(SiteInfo()))
         url = parse_url(f"{base}/doc?version=1")
         assert cache.fetch(url) == b"served"
         assert cache.fetch(url) == b"served"
@@ -782,7 +790,7 @@ class TestFetchHttp:
 
     def test_a_404_names_the_url(self, tmp_path, http_root):
         _, base, requested = http_root
-        cache = UrlCache(str(tmp_path / "cache"), default_registry())
+        cache = UrlCache(str(tmp_path / "cache"), default_registry(SiteInfo()))
         with pytest.raises(FetchError, match="404") as exc:
             cache.fetch(parse_url(f"{base}/missing.doc"))
         assert f"{base}/missing.doc" in str(exc.value)
