@@ -5,11 +5,13 @@ Each caller names the document types it accepts (``markup.DocType``: a
 turns an event stream into a domain object), and activation checks the
 document's header against them with ``markup.check_doc_type``. Activation
 runs the whole pipeline (fetch, tokenize, header check, splice, build) and
-memoizes the result per engine, keyed by normalized URL and version, so a
-document is activated at most once per engine; a memoized document is
-checked again against the types of each caller. The tokenized events of
-each nested document are memoized per engine under the same key, so a
-fragment referenced many times is fetched and tokenized once per engine.
+returns the payload, the builder's domain object; the caller's URL is the
+base of any reference the payload holds. Header and payload are memoized
+per engine, keyed by normalized URL and version, so a document is
+activated at most once per engine; a memoized document is checked again
+against the types of each caller. The tokenized events of each nested
+document are memoized per engine under the same key, so a fragment
+referenced many times is fetched and tokenized once per engine.
 What a fetch reaches, a pack or an adapter, and how many fetches were made
 is decided and counted by the engine's ``UrlCache`` alone.
 
@@ -21,7 +23,9 @@ document's header against the including document's type; types made with
 the include events and record them as references instead. Both tags are
 spliced in one pass in document order; each nested document is spliced
 against its own URL at every reference, and the chain of documents being
-spliced is the one cycle check, reported with every URL in the cycle.
+spliced is the one cycle check, reported with every URL in the cycle. The
+same chain bounds the nesting: more than ``MAX_NESTING`` documents spliced
+one inside another is an error that names them all.
 """
 
 from __future__ import annotations
@@ -38,16 +42,7 @@ from .markup import (
 )
 from .urlaccess import ResourceUrl, UrlCache, parse_url
 
-
-class TypedDocument:
-    __slots__ = ("header", "source", "version", "payload")
-
-    def __init__(self, header: DocHeader, source: ResourceUrl, version: str,
-                 payload: object):
-        self.header = header
-        self.source = source
-        self.version = version
-        self.payload = payload
+MAX_NESTING = 32  # documents spliced one inside another, below the activated one
 
 
 class DocumentEngine:
@@ -55,36 +50,35 @@ class DocumentEngine:
 
     def __init__(self, cache: UrlCache):
         self.cache = cache
-        self._activated: dict[str, TypedDocument] = {}
+        # the header and payload of each activated document, by cache key
+        self._activated: dict[str, tuple[DocHeader, object]] = {}
         # tokenized events of nested documents, by cache key
         self._nested: dict[str, list] = {}
 
-    def activate(self, url: ResourceUrl,
-                 accepted: tuple[DocType, ...]) -> TypedDocument:
-        """The document at ``url``, which must be of one of the
-        ``accepted`` types."""
+    def activate(self, url: ResourceUrl, accepted: tuple[DocType, ...]):
+        """The payload of the document at ``url``, which must be of one of
+        the ``accepted`` types."""
         key = url.cache_key()
         try:
-            doc = self._activated.get(key)
-            if doc is None:
-                doc = self._activated[key] = self._activate_uncached(url, accepted)
+            done = self._activated.get(key)
+            if done is None:
+                done = self._activated[key] = self._activate_uncached(url, accepted)
             else:
-                check_doc_type(doc.header, accepted)
+                check_doc_type(done[0], accepted)
         except ScramError as exc:
             if exc.context is None:
                 exc.context = f"while activating {url}"
             raise
-        return doc
+        return done[1]
 
-    def _activate_uncached(self, url: ResourceUrl,
-                           accepted: tuple[DocType, ...]) -> TypedDocument:
+    def _activate_uncached(self, url: ResourceUrl, accepted: tuple[DocType, ...],
+                           ) -> tuple[DocHeader, object]:
         events = self.events_for(url, None)
         header = read_doc_header(events)
         doc_type = check_doc_type(header, accepted)
         chain = {url.cache_key(): url}
         events = self._splice(events, url, None, doc_type, chain)
-        payload = doc_type.builder(strip_doc_header(events))
-        return TypedDocument(header, url, url.version_tag(), payload)
+        return header, doc_type.builder(strip_doc_header(events))
 
     def events_for(self, url: ResourceUrl, version: str | None):
         content = self.cache.fetch(url, version)
@@ -97,15 +91,17 @@ class DocumentEngine:
         ``chain`` maps the cache key of each document being spliced to its
         URL, outermost first. A nested document is fetched and tokenized
         once per engine however often it is referenced; it is still spliced,
-        header-checked and cycle-checked at every reference."""
+        header-checked, cycle-checked and depth-checked at every reference."""
 
         def resolve(target: str, tag: str):
             resolved = parse_url(target, base=url)
             resolved_version = resolved.get("version") or url.version_tag(version)
             key = resolved.cache_key(resolved_version)
-            if key in chain:
-                cycle = " -> ".join(str(u) for u in [*chain.values(), resolved])
-                raise DocTypeError(f"document inclusion cycle: {cycle}")
+            if key in chain or len(chain) > MAX_NESTING:
+                names = " -> ".join(str(u) for u in [*chain.values(), resolved])
+                raise DocTypeError(
+                    f"document inclusion cycle: {names}" if key in chain else
+                    f"documents nested more than {MAX_NESTING} deep: {names}")
             inner_events = self._nested.get(key)
             if inner_events is None:
                 inner_events = self._nested[key] = self.events_for(

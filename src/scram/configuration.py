@@ -5,8 +5,11 @@ under ``<Architecture name=...>`` blocks. A requirements document names a
 configuration (``<base>`` + ``<include>``) and selects tools from it by
 name only; versions always come from the configuration, which is what
 keeps a multi-project setup consistent. ``_ScopedParser`` reads both kinds.
-Selection picks, for each selected name, the require entry with the most
-specific architecture scope that matches the running architecture.
+An architecture is its canonical name, ``<os>__<release>``. Selection
+picks, for each selected name, the require entry with the most specific
+architecture scope that matches the running architecture; the resolved
+configuration is a plain map from folded tool name to ``PinnedTool``, in
+select order.
 """
 
 from __future__ import annotations
@@ -21,24 +24,10 @@ ARCH_ENV = "SCRAM_ARCH"
 _CANONICAL_RE = re.compile(r"^[A-Za-z0-9]+__[0-9.]+$")
 
 
-class Architecture:
-    __slots__ = ("os", "release")
-
-    def __init__(self, os: str, release: str):
-        self.os = os
-        self.release = release
-
-    @property
-    def canonical(self) -> str:
-        return f"{self.os}__{self.release}"
-
-    def __str__(self) -> str:
-        return self.canonical
-
-
 def detect_architecture(override: str | None = None,
-                        env: dict[str, str] | None = None) -> Architecture:
-    """Current architecture, from an override, ``$SCRAM_ARCH``, or the OS."""
+                        env: dict[str, str] | None = None) -> str:
+    """The current architecture's canonical name ``<os>__<release>``, from
+    an override, ``$SCRAM_ARCH``, or the OS."""
     if override is None and env is not None:
         override = env.get(ARCH_ENV) or None
     if override is not None:
@@ -47,8 +36,7 @@ def detect_architecture(override: str | None = None,
                 f"bad architecture {override!r} (want <os>__<release>, "
                 f"like Linux__2.4)"
             )
-        os_name, _, release = override.partition("__")
-        return Architecture(os_name, release)
+        return override
     # imported here: only host detection needs it, and $SCRAM_ARCH or
     # --arch usually spares it
     import platform
@@ -61,18 +49,15 @@ def detect_architecture(override: str | None = None,
         release = matched.group(1)
     else:
         release = f"{matched.group(1)}.{matched.group(2)}"
-    return Architecture(os_name, release)
+    return f"{os_name}__{release}"
 
 
-def match_architecture(scope: str, arch: Architecture) -> bool:
+def match_architecture(scope: str, arch: str) -> bool:
     """Scope prefixes match at component boundaries: SunOS__5 covers
     SunOS__5.8 but not SunOS__51; an empty scope covers everything."""
-    if not scope:
+    if not scope or scope == arch:
         return True
-    canonical = arch.canonical
-    if scope == canonical:
-        return True
-    return canonical.startswith(scope) and canonical[len(scope)] == "."
+    return arch.startswith(scope) and arch[len(scope)] == "."
 
 
 class RequireEntry(Value):
@@ -207,19 +192,10 @@ class PinnedTool(Value):
         self.spec_url = spec_url  # absolute: resolved when it was pinned
 
 
-class ResolvedConfiguration:
-    __slots__ = ("tools",)
-
-    def __init__(self, tools: dict[str, PinnedTool]):
-        self.tools = tools  # insertion-ordered by select order
-
-    def get(self, name: str) -> PinnedTool | None:
-        return self.tools.get(name.casefold())
-
-
 def resolve_selection(req: RequirementsDoc, configs: list[ConfigurationDoc],
-                      arch: Architecture) -> ResolvedConfiguration:
-    """Bind every architecture-matching select to its pinned require entry.
+                      arch: str) -> dict[str, PinnedTool]:
+    """Bind every architecture-matching select to its pinned require entry:
+    the resolved configuration, folded name -> pin, in select order.
 
     The most specific matching scope wins; equally specific candidates are
     an error, not a pick. Selects scoped to other architectures are skipped
@@ -253,4 +229,4 @@ def resolve_selection(req: RequirementsDoc, configs: list[ConfigurationDoc],
             )
         tools[select.folded_name] = PinnedTool(
             select.folded_name, best[0].version, best[0].url)
-    return ResolvedConfiguration(tools)
+    return tools

@@ -19,6 +19,9 @@ to open, read, decode or parse (JSON nested too deeply too) into one
 does for a directory; the other helpers turn an ``OSError`` into one that
 names the path they were given, worded by ``cannot``, which the document
 cache uses too. Both name a dangling symlink in the way as the reason.
+``check_name`` is the one rule for a name that a document or a command
+gives a file of scram's own: it stays in its directory and is not taken
+for a temp file.
 """
 
 from __future__ import annotations
@@ -239,6 +242,16 @@ def list_dir(path: str, what: str) -> list[str]:
         raise AreaError(f"unreadable {what} {path}: {link}") from exc
     except OSError as exc:
         raise AreaError(f"unreadable {what} {path}: {exc.strerror or exc}") from exc
+
+
+def check_name(name: str, what: str) -> str:
+    """``name``, a ``what`` (say, "tool name"), if it names a file of its
+    own in one directory: non-empty, no ``/`` or NUL, no leading ``.``
+    (the dot-names are temp files, which listings skip)."""
+    if not name or name.startswith(".") or "/" in name or "\0" in name:
+        raise AreaError(f"bad {what} {name!r}: a name must be non-empty, hold "
+                        f"no '/' or NUL and not start with '.'")
+    return name
 
 
 @contextmanager

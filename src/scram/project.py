@@ -30,18 +30,17 @@ from .activedoc import DocumentEngine
 from .configuration import (
     CONFIGURATION,
     REQUIREMENTS,
-    Architecture,
     ConfigurationDoc,
     PinnedTool,
     RequireEntry,
     RequirementsDoc,
-    ResolvedConfiguration,
     SelectEntry,
     resolve_selection,
 )
 from .errors import AreaError, ToolError, UrlError
 from .fsutil import (
     atomic_write,
+    check_name,
     list_dir,
     locked,
     make_dirs,
@@ -221,8 +220,8 @@ class ProjectArea:
         project, version = self.identity()
         return f"{project}:{version}"
 
-    def config_record_path(self, arch: Architecture) -> str:
-        return os.path.join(self.admin, arch.canonical, CONFIG_RECORD)
+    def config_record_path(self, arch: str) -> str:
+        return os.path.join(self.admin, arch, CONFIG_RECORD)
 
     # ---- state ------------------------------------------------------
     def state(self) -> str:
@@ -288,6 +287,8 @@ class BootStrapDoc:
 
 
 def _safe_destination(dest: str) -> str:
+    if "\0" in dest:
+        raise AreaError(f"download destination holds a NUL byte: {dest!r}")
     norm = os.path.normpath(dest)
     top = norm.split(os.sep)[0]
     if not dest or os.path.isabs(norm) or top == "..":
@@ -379,38 +380,38 @@ def _field(payload: dict, key: str, valid, what: str, path: str,
 # ---------------------------------------------------------------------
 # resolved-configuration persistence
 
-def _write_config_record(area: ProjectArea, arch: Architecture,
-                         resolved: ResolvedConfiguration) -> None:
+def _write_config_record(area: ProjectArea, arch: str,
+                         resolved: dict[str, PinnedTool]) -> None:
     payload = {"tools": [
         {"name": pin.name, "version": pin.version, "spec_url": pin.spec_url}
-        for pin in resolved.tools.values()
+        for pin in resolved.values()
     ]}
     area.write(area.config_record_path(arch), json.dumps(payload) + "\n")
 
 
-def load_config_record(area: ProjectArea, arch: Architecture) -> ResolvedConfiguration:
-    """The central installation's resolved configuration; an installation
-    set up for no architecture at all reads as empty."""
+def load_config_record(area: ProjectArea, arch: str) -> dict[str, PinnedTool]:
+    """The central installation's resolved configuration, folded name -> pin;
+    an installation set up for no architecture at all reads as empty."""
     path = ProjectArea(area.central_root()).config_record_path(arch)
     what = "configuration record"
     payload = read_json(path, what, missing=None)
     if payload is None:
         _require_architecture(area, arch)
-        return ResolvedConfiguration({})
+        return {}
     tools = {}
     for t in _field(payload, "tools", _is_object_list, what, path):
         name = _field(t, "name", _is_str, what, path)
         tools[name] = PinnedTool(
             name, _field(t, "version", _is_str, what, path),
             _field(t, "spec_url", _is_str, what, path))
-    return ResolvedConfiguration(tools)  # order preserved by json
+    return tools  # order preserved by json
 
 
-def _require_architecture(area: ProjectArea, arch: Architecture) -> None:
+def _require_architecture(area: ProjectArea, arch: str) -> None:
     """Fail if the central installation was set up for other architectures
     but not for ``arch``."""
     admin = os.path.join(area.central_root(), ADMIN_DIR)
-    if os.path.isdir(os.path.join(admin, arch.canonical)):
+    if os.path.isdir(os.path.join(admin, arch)):
         return
     held = sorted(name for name in list_dir(admin, "administrative directory")
                   if os.path.isdir(os.path.join(admin, name)))
@@ -424,10 +425,8 @@ def _require_architecture(area: ProjectArea, arch: Architecture) -> None:
 TOOLS_DIR = "tools"
 
 
-def write_tool_record(area: ProjectArea, arch: Architecture,
-                      rt: ResolvedTool) -> None:
-    path = os.path.join(area.root, ADMIN_DIR, arch.canonical, TOOLS_DIR,
-                        rt.name.casefold())
+def write_tool_record(area: ProjectArea, arch: str, rt: ResolvedTool) -> None:
+    path = os.path.join(area.root, ADMIN_DIR, arch, TOOLS_DIR, rt.name.casefold())
     payload = {"name": rt.name, "version": rt.version, "bindings": rt.bindings,
                "runtime": rt.runtime_entries, "libs": rt.lib_names,
                "provenance": rt.provenance, "descriptions": rt.descriptions,
@@ -435,9 +434,12 @@ def write_tool_record(area: ProjectArea, arch: Architecture,
     area.write(path, json.dumps(payload) + "\n")
 
 
-def write_tool_records(area: ProjectArea, arch: Architecture,
+def write_tool_records(area: ProjectArea, arch: str,
                        tools: list[ResolvedTool]) -> None:
-    """Write the records of ``tools``, every one of them already resolved."""
+    """Write the records of ``tools``, every one of them already resolved,
+    once every name is known to stay in the tools directory."""
+    for rt in tools:
+        check_name(rt.name, "tool name")
     for rt in tools:
         write_tool_record(area, arch, rt)
 
@@ -505,23 +507,23 @@ class ToolRecords(dict):
     def version(self, name: str) -> str:
         return self.read(name).version
 
-    def by_configuration(self, resolved: ResolvedConfiguration) -> list[tuple]:
+    def by_configuration(self, resolved: dict[str, PinnedTool]) -> list[tuple]:
         """(name, pin, record name) of the configured tools in configuration
         order, None for a missing record, then of the others in order."""
         others = dict(self)
         rows = []
-        for pin in resolved.tools.values():
+        for pin in resolved.values():
             key = pin.name.casefold()
             rows.append((pin.name, pin, key if others.pop(key, None) else None))
         return rows + [(key, None, key) for key in others]
 
 
-def read_tool_records(area: ProjectArea, arch: Architecture) -> ToolRecords:
+def read_tool_records(area: ProjectArea, arch: str) -> ToolRecords:
     """The area's tool records, none opened yet: the central root's, then
     the area's own in the place of any they replace. A central area is its
     own central root, so its one directory is listed once, all local."""
     roots = {area.central_root(): "central", area.root: "local"}
-    return ToolRecords({source: os.path.join(root, ADMIN_DIR, arch.canonical, TOOLS_DIR)
+    return ToolRecords({source: os.path.join(root, ADMIN_DIR, arch, TOOLS_DIR)
                         for root, source in roots.items()})
 
 
@@ -529,20 +531,18 @@ def read_tool_records(area: ProjectArea, arch: Architecture) -> ToolRecords:
 # spec loading and resolution
 
 def resolve_project_configuration(engine: DocumentEngine, url: ResourceUrl,
-                                  arch: Architecture,
-                                  ) -> tuple[ResolvedConfiguration, str]:
+                                  arch: str) -> tuple[dict[str, PinnedTool], str]:
     """Activate a requirements document, load its configurations, and bind
-    the architecture's selection; also return the document's identity, its
-    URL and version. A configuration document stands for itself with every
-    entry selected.
+    the architecture's selection (see ``resolve_selection``); also return
+    the document's identity, ``url`` and its version. A configuration
+    document stands for itself with every entry selected.
 
     Every ``<require url>`` is made absolute here, once: against its
     configuration's ``<base>``, else the requirements' ``<base>``; with
     neither, a URL naming no scheme resolves against the configuration's
     own URL and one naming a scheme stays as written.
     """
-    typed = engine.activate(url, (REQUIREMENTS, CONFIGURATION))
-    req = typed.payload
+    req = engine.activate(url, (REQUIREMENTS, CONFIGURATION))
 
     def absolute(config, source, fallback):
         # activated payloads are memoized and shared; resolve on a copy
@@ -559,22 +559,22 @@ def resolve_project_configuration(engine: DocumentEngine, url: ResourceUrl,
         return ConfigurationDoc(entries)
 
     if isinstance(req, ConfigurationDoc):
-        configs = [absolute(req, typed.source, None)]
+        configs = [absolute(req, url, None)]
         req = RequirementsDoc(selects=[SelectEntry(e.name, e.arch_scope)
                                        for e in req.entries])
     else:
-        req_base = parse_url(req.base, base=typed.source) if req.base else None
+        req_base = parse_url(req.base, base=url) if req.base else None
         configs = []
         for raw in req.includes:
-            inc_url = parse_url(raw, base=req_base or typed.source)
-            inc_typed = engine.activate(inc_url, (CONFIGURATION,))
-            configs.append(absolute(inc_typed.payload, inc_typed.source, req_base))
-    identity = f"{typed.source.unparse()} {typed.version}"
+            inc_url = parse_url(raw, base=req_base or url)
+            configs.append(absolute(engine.activate(inc_url, (CONFIGURATION,)),
+                                    inc_url, req_base))
+    identity = f"{url.unparse()} {url.version_tag()}"
     return resolve_selection(req, configs, arch), identity
 
 
 def _activate_spec(engine: DocumentEngine, pin: PinnedTool):
-    return engine.activate(parse_url(pin.spec_url), (TOOLDOC,)).payload
+    return engine.activate(parse_url(pin.spec_url), (TOOLDOC,))
 
 
 def resolve_selected_tools(engine: DocumentEngine, pins: Iterable[PinnedTool],
@@ -607,7 +607,7 @@ def resolve_selected_tools(engine: DocumentEngine, pins: Iterable[PinnedTool],
 # lifecycle commands
 
 def bootstrap_install(bootstrap_url: str, dest_root: str, *, site: SiteInfo,
-                      env, arch: Architecture, prompt=None, refresh: bool = False,
+                      env, arch: str, prompt=None, refresh: bool = False,
                       ) -> tuple[ProjectArea, InstallationRecord]:
     """Assemble a central installation from a bootstrap document.
 
@@ -619,25 +619,25 @@ def bootstrap_install(bootstrap_url: str, dest_root: str, *, site: SiteInfo,
     """
     engine = build_engine(site, env, dest_root, refresh)
     try:
-        typed = engine.activate(parse_url(bootstrap_url), (BOOTSTRAP,))
-        boot: BootStrapDoc = typed.payload
+        boot_url = parse_url(bootstrap_url)
+        boot: BootStrapDoc = engine.activate(boot_url, (BOOTSTRAP,))
 
-        root = os.path.join(os.path.abspath(dest_root),
-                            f"{boot.project}_{boot.version}")
+        root = os.path.join(os.path.abspath(dest_root), check_name(
+            f"{boot.project}_{boot.version}", "area name"))
         if not os.path.isdir(dest_root):
             make_dirs(dest_root)  # here, so a failure names the --dest given
         with private_tree(root) as private:
             area = ProjectArea.create(private, boot.project, boot.version)
             for raw_url, dest in boot.downloads:
-                content = engine.cache.fetch(parse_url(raw_url, base=typed.source))
+                content = engine.cache.fetch(parse_url(raw_url, base=boot_url))
                 area.write(os.path.join(area.root, dest), content)
 
             if boot.config_url is not None:
-                config_url = parse_url(boot.config_url, base=typed.source)
+                config_url = parse_url(boot.config_url, base=boot_url)
                 resolved, identity = resolve_project_configuration(
                     engine, config_url, arch)
                 # a new area has no records yet
-                tools = resolve_selected_tools(engine, resolved.tools.values(), {},
+                tools = resolve_selected_tools(engine, resolved.values(), {},
                                                site, prompt)
                 _write_config_record(area, arch, resolved)
                 area.write(os.path.join(area.root, "config", REQUIREMENTS_ID_FILE),
@@ -647,13 +647,12 @@ def bootstrap_install(bootstrap_url: str, dest_root: str, *, site: SiteInfo,
         engine.cache.publish()
 
     area = ProjectArea(root)
-    record = InstallationRecord(boot.project, boot.version, arch.canonical,
-                                area.root)
+    record = InstallationRecord(boot.project, boot.version, arch, area.root)
     return area, record
 
 
 def register_install(area: ProjectArea, registry: Registry, *,
-                     arch: Architecture, force: bool = False) -> InstallationRecord:
+                     arch: str, force: bool = False) -> InstallationRecord:
     if area.kind != "central":
         raise AreaError("only central installations can be registered; "
                         "this is a developer area")
@@ -665,7 +664,7 @@ def register_install(area: ProjectArea, registry: Registry, *,
             )
         area.set_state(STATE_COMPLETE)
     project, version = area.identity()
-    record = InstallationRecord(project, version, arch.canonical, area.root)
+    record = InstallationRecord(project, version, arch, area.root)
     registry.add(record)
     return record
 
@@ -676,29 +675,29 @@ TOOL_LIST_RULE = "+" * 50
 
 
 def list_installs(registry: Registry, project_filter: str | None,
-                  arch: Architecture) -> str:
+                  arch: str) -> str:
     lines = ["Listing installed projects....", "", LIST_RULE, LIST_HEADER,
              LIST_RULE]
     for record in registry.records():
-        if record.arch != arch.canonical:
+        if record.arch != arch:
             continue
         if project_filter is not None and record.project != project_filter:
             continue
         lines.append(f"{record.project} {record.version} --> {record.location}")
-    lines.append(f"Projects available for platform >> {arch.canonical} <<")
+    lines.append(f"Projects available for platform >> {arch} <<")
     return "\n".join(lines) + "\n"
 
 
 def create_dev_area(project: str, version: str, registry: Registry, cwd: str,
-                    *, arch: Architecture) -> ProjectArea:
+                    *, arch: str) -> ProjectArea:
     """Developer area linked to a registered central installation; only the
     configuration identity and administrative metadata are local. It is
     built in a private tree, as ``bootstrap_install`` builds a central one,
     so a failed command leaves nothing behind."""
-    record = registry.find(project, version, arch.canonical)
+    record = registry.find(project, version, arch)
     if record is None:
         available = [r.version for r in registry.records()
-                     if r.project == project and r.arch == arch.canonical]
+                     if r.project == project and r.arch == arch]
         hint = (f" (available versions: {', '.join(available)})" if available
                 else " (no versions registered; see 'scram list')")
         raise AreaError(f"no registered installation of {project} {version} "
@@ -710,7 +709,8 @@ def create_dev_area(project: str, version: str, registry: Registry, cwd: str,
         )
     identity = read_text(os.path.join(record.location, "config", REQUIREMENTS_ID_FILE),
                          "configuration identity", missing=None)
-    root = os.path.join(os.path.abspath(cwd), f"{project}_{version}")
+    root = os.path.join(os.path.abspath(cwd),
+                        check_name(f"{project}_{version}", "area name"))
     with private_tree(root) as private:
         ProjectArea.create(private, project, version, link_target=record.location)
         if identity is not None:
@@ -719,7 +719,7 @@ def create_dev_area(project: str, version: str, registry: Registry, cwd: str,
     return ProjectArea(root)
 
 
-def tool_list(area: ProjectArea, arch: Architecture) -> str:
+def tool_list(area: ProjectArea, arch: str) -> str:
     """The area's tools in configuration order: active version next to the
     configuration default, then local additions."""
     lines = [f"Tool list for location {area.central_root()}", TOOL_LIST_RULE]
@@ -736,7 +736,7 @@ def _tool_row(name: str, version: str, default: str) -> str:
 
 def setup_tool(area: ProjectArea, name: str | None = None,
                version: str | None = None, url: str | None = None, *,
-               site: SiteInfo, env, arch: Architecture, prompt=None,
+               site: SiteInfo, env, arch: str, prompt=None,
                refresh: bool = False) -> list[str]:
     """(Re)resolve tools into the area's own records.
 
@@ -758,9 +758,9 @@ def setup_tool(area: ProjectArea, name: str | None = None,
         pins = [PinnedTool(name, version, url)]
     elif name is not None:
         resolved = load_config_record(area, arch)
-        pin = resolved.get(name)
+        pin = resolved.get(name.casefold())
         if pin is None:
-            known = ", ".join(resolved.tools) or "(none)"
+            known = ", ".join(resolved) or "(none)"
             raise ToolError(
                 f"'{name}' is not in the configuration (known tools: {known}); "
                 f"pass a specification URL to add it"
@@ -784,7 +784,7 @@ def setup_tool(area: ProjectArea, name: str | None = None,
     return [rt.name for rt in tools]
 
 
-def tool_info(area: ProjectArea, name: str, arch: Architecture) -> str:
+def tool_info(area: ProjectArea, name: str, arch: str) -> str:
     records = read_tool_records(area, arch)
     source = records.get(name.casefold())
     if source is None:
@@ -828,8 +828,7 @@ def _area_level_prepends(area: ProjectArea, delta: EnvDelta) -> None:
                 delta.prepend(var, path)
 
 
-def _tools_in_runtime_order(area: ProjectArea,
-                            arch: Architecture) -> list[ResolvedTool]:
+def _tools_in_runtime_order(area: ProjectArea, arch: str) -> list[ResolvedTool]:
     records = read_tool_records(area, arch)
     rows = records.by_configuration(load_config_record(area, arch))
     missing = [name for name, _, key in rows if key is None]
@@ -839,7 +838,7 @@ def _tools_in_runtime_order(area: ProjectArea,
     return [records.read(key) for _, _, key in rows]
 
 
-def area_environment(area: ProjectArea, arch: Architecture, *,
+def area_environment(area: ProjectArea, arch: str, *,
                      build: bool = False) -> EnvDelta:
     """The area's delta: every active tool's Runtime_path prepends in
     configuration order, then the area-level path entries. For ``build``,
@@ -859,7 +858,7 @@ def area_environment(area: ProjectArea, arch: Architecture, *,
 
 
 def run_build(area: ProjectArea, args: list[str], *, site: SiteInfo, env,
-              arch: Architecture) -> int:
+              arch: str) -> int:
     """Pass-through build: run the operator-configured command inside tmp/
     with the area's build environment; a zero exit marks the area complete."""
     template = site.get("build.command")

@@ -84,14 +84,14 @@ def test_c2_resolution_oracle():
     linux = resolve_selection(req, [config], LINUX)
     assert linux.get("gcc3").version == "3.2"
     assert linux.get("g77gcc3").version == "0.5.24"
-    assert linux.get("CLHEP").version == "1.8.0.0"
-    assert linux.get("Qt").version == "3.1.2"
-    assert linux.get("LHCxx").version == "5.0.3"
+    assert linux.get("clhep").version == "1.8.0.0"
+    assert linux.get("qt").version == "3.1.2"
+    assert linux.get("lhcxx").version == "5.0.3"
     assert linux.get("gcc3").spec_url == "cvs:?module=SCRAMToolBox/CXX/gcc3"
-    assert linux.get("CC") is None and linux.get("f77") is None
+    assert linux.get("cc") is None and linux.get("f77") is None
 
     sunos = resolve_selection(req, [config], SUNOS)
-    assert sunos.get("CC").version == "5.4"      # via the SunOS__5 prefix scope
+    assert sunos.get("cc").version == "5.4"      # via the SunOS__5 prefix scope
     assert sunos.get("f77").version == "4.2"
     assert sunos.get("gcc3") is None
 

@@ -1,6 +1,6 @@
 import pytest
 
-from scram.activedoc import DocumentEngine
+from scram.activedoc import MAX_NESTING, DocumentEngine
 from scram.errors import DocTypeError, MarkupError, ScramError, ToolError
 from scram.markup import DocType, EventKind
 from scram.tooldoc import TOOLDOC
@@ -40,7 +40,7 @@ class TestRegistry:
     def test_colon_variants_are_one_type(self, engine, tmp_path):
         url = write(tmp_path, "ab.doc", "<doc type=A:B version=1.0><x>")
         accepted = DocType("A::B", "1.0", names_builder)
-        assert engine.activate(url, (accepted,)).payload == ["x"]
+        assert engine.activate(url, (accepted,)) == ["x"]
 
     @pytest.mark.parametrize("doc_version, ok", [
         ("1.0", False), ("2.0", True), ("2.1", True), ("10.0", True),
@@ -50,7 +50,7 @@ class TestRegistry:
         url = write(tmp_path, f"v{doc_version}.doc",
                     f"<doc type=T::V version={doc_version}><x>")
         if ok:
-            assert engine.activate(url, (accepted,)).payload == ["x"]
+            assert engine.activate(url, (accepted,)) == ["x"]
         else:
             with pytest.raises(DocTypeError, match="older than"):
                 engine.activate(url, (accepted,))
@@ -73,15 +73,13 @@ class TestRegistry:
             "expected a BuildSystem::ToolDoc document, found 'Test::Names'")
         assert exc.value.context == f"while activating {url}"
         assert fetch_count(engine) == fetches
-        assert engine.activate(url, (NAMES,)).payload == ["p"]
+        assert engine.activate(url, (NAMES,)) == ["p"]
 
 
 class TestActivate:
     def test_pipeline_produces_payload(self, engine, tmp_path):
         url = write(tmp_path, "a.doc", "<doc type=Test::Names version=1.0><p><q>")
-        doc = engine.activate(url, (NAMES,))
-        assert doc.payload == ["p", "q"]
-        assert doc.header.doc_type == "Test::Names"
+        assert engine.activate(url, (NAMES,)) == ["p", "q"]
 
     def test_memoization_skips_fetch_and_parse(self, engine, tmp_path):
         url = write(tmp_path, "a.doc", "<doc type=Test::Names version=1.0><p>")
@@ -99,7 +97,7 @@ class TestActivate:
                       f'<doc type=Test::Names version=1.0><p><include url="{frag_url}"><q>')
         combined = write(tmp_path, "ab.doc",
                          "<doc type=Test::Names version=1.0><p><m><n><q>")
-        assert engine.activate(a_url, (NAMES,)).payload == engine.activate(combined, (NAMES,)).payload
+        assert engine.activate(a_url, (NAMES,)) == engine.activate(combined, (NAMES,))
 
     def test_include_requires_typed_document(self, engine, tmp_path):
         frag_url = write(tmp_path, "naked.doc", "<m>")
@@ -126,7 +124,7 @@ class TestActivate:
         # relative url: resolved against the including document's directory
         outer = write(tmp_path, "sub/outer.doc",
                       '<doc type=Test::Names version=1.0><inline url="inner.doc">')
-        assert engine.activate(outer, (NAMES,)).payload == ["leaf"]
+        assert engine.activate(outer, (NAMES,)) == ["leaf"]
 
     def test_cycle_reported_with_urls(self, engine, tmp_path):
         a_path = tmp_path / "a.doc"
@@ -156,6 +154,28 @@ class TestActivate:
             engine.activate(parse_url(me), (NAMES,))
         assert exc.value.message == f"document inclusion cycle: {me} -> {me}"
 
+    def chain(self, tmp_path, depth):
+        """outer.doc, then ``depth`` fragments, each inlining the next."""
+        for i in range(depth):
+            write(tmp_path, f"f{i}.doc", f'<f{i}><inline url="f{i + 1}.doc">'
+                  if i + 1 < depth else f"<f{i}>")
+        return write(tmp_path, "outer.doc",
+                     '<doc type=Test::Names version=1.0><inline url="f0.doc">')
+
+    def test_chain_at_the_nesting_limit_activates(self, engine, tmp_path):
+        outer = self.chain(tmp_path, MAX_NESTING)
+        assert engine.activate(outer, (NAMES,)) == [f"f{i}" for i in range(MAX_NESTING)]
+
+    def test_chain_past_the_nesting_limit_names_the_chain(self, engine, tmp_path):
+        outer = self.chain(tmp_path, 40)
+        with pytest.raises(DocTypeError) as exc:
+            engine.activate(outer, (NAMES,))
+        urls = [str(outer)] + [f"file:{tmp_path / f'f{i}.doc'}"
+                               for i in range(MAX_NESTING + 1)]
+        assert exc.value.message == (
+            f"documents nested more than {MAX_NESTING} deep: {' -> '.join(urls)}")
+        assert fetch_count(engine) == MAX_NESTING + 1
+
     def test_error_in_nested_document_names_its_directory(self, engine, tmp_path):
         # top/a.doc inlines sub/b.doc, which includes frag.doc: both
         # references are relative, and frag.doc has no header
@@ -174,14 +194,14 @@ class TestActivate:
         outer = write(tmp_path, "outer.doc",
                       '<doc type=Test::Names version=1.0>'
                       '<inline url="frag.doc"><p><inline url="frag.doc">')
-        assert engine.activate(outer, (NAMES,)).payload == ["m", "p", "m"]
+        assert engine.activate(outer, (NAMES,)) == ["m", "p", "m"]
 
     def test_repeated_fragment_is_fetched_and_tokenized_once(self, engine, tmp_path):
         write(tmp_path, "frag.doc", "<m>")
         outer = write(tmp_path, "outer.doc",
                       "<doc type=Test::Names version=1.0>"
                       + '<inline url="frag.doc"><p>' * 4)
-        assert engine.activate(outer, (NAMES,)).payload == ["m", "p"] * 4
+        assert engine.activate(outer, (NAMES,)) == ["m", "p"] * 4
         assert fetch_count(engine) == 2
 
     def test_refreshed_fragment_reaches_its_adapter_once(self, tmp_path):
@@ -197,7 +217,7 @@ class TestActivate:
         cache = UrlCache(str(tmp_path / "c"), SchemeRegistry({"stub": adapter}),
                          refresh=True)
         engine = DocumentEngine(cache)
-        assert engine.activate(parse_url("stub:outer"), (NAMES,)).payload == ["m"] * 10
+        assert engine.activate(parse_url("stub:outer"), (NAMES,)) == ["m"] * 10
         assert calls == ["outer", "frag"]
         assert fetch_count(engine) == 2
 
@@ -212,8 +232,8 @@ class TestActivate:
                   '<doc type=Test::Events version=1.0><p><inline url="mid/b.doc"><q>')
         hand = write(tmp_path, "hand.doc",
                      "<doc type=Test::Events version=1.0><p><r><s t=1><q>")
-        assert (engine.activate(a, (events,)).payload
-                == engine.activate(hand, (events,)).payload)
+        assert (engine.activate(a, (events,))
+                == engine.activate(hand, (events,)))
 
     def test_include_error_before_inline_error_surfaces_first(self, engine, tmp_path):
         a = write(tmp_path, "a.doc",

@@ -9,7 +9,9 @@ and 40 tools, in its central area and in a developer area linked to it. A
 count that grows with the number of tools n is asserted as a formula in n;
 every other count is asserted at both sizes. The document caches that
 ``bootstrap`` and ``setup`` open are pinned too, each by its hits and
-misses."""
+misses, and so is the work each verb does on markup: the documents it
+tokenizes and the events they give, counted by a spy on
+``tokenize_markup`` where ``activedoc`` and ``runtime`` bound it."""
 
 import os
 import shutil
@@ -18,6 +20,7 @@ from collections import Counter
 import pytest
 
 from conftest import audit_events
+from scram import activedoc, runtime
 from scram.cli import main
 from scram.urlaccess import UrlCache
 from test_payload_equivalence import load_corpus
@@ -77,6 +80,34 @@ def lifecycle_budget(n: int) -> dict[str, dict[str, int]]:
     }
 
 
+# the events of the documents each verb tokenizes, by corpus size: they
+# follow each tool's versions and externals, not n alone
+EVENTS = {
+    4: {"bootstrap": 265, "setup NAME VER URL": 80, "runtime -sh --app": 10,
+        "setup, one record missing": 70, "setup, last missing tool fails": 84},
+    40: {"bootstrap": 2842, "setup NAME VER URL": 93, "runtime -sh --app": 12,
+         "setup, one record missing": 70, "setup, last missing tool fails": 110},
+}
+
+
+def work_budget(n: int, fragments: dict[str, bool]) -> dict[str, dict[str, int]]:
+    """The documents that each verb tokenizes, and their events; every verb
+    left out tokenizes none. A cold bootstrap tokenizes itself, the
+    requirements, the configuration, the n tool documents and the fragment
+    that some of them inline. A verb that sets up tools tokenizes their
+    documents, and the fragment once if ``fragments[verb]``. Overlaying an
+    application environment tokenizes its file."""
+    documents = {"setup NAME VER URL": 1, "runtime -sh --app": 1,
+                 "setup, one record missing": 1, "setup, last missing tool fails": 2}
+    budget = {"bootstrap": {"documents": n + 4, "events": EVENTS[n]["bootstrap"]}}
+    for area in ("central", "developer"):
+        for verb, count in documents.items():
+            budget[f"{area}: {verb}"] = {
+                "documents": count + fragments.get(verb, False),
+                "events": EVENTS[n][verb]}
+    return budget
+
+
 def budgets(n: int, area: str, deps: int, work_deps: int,
             fail_deps: int) -> dict[str, dict[str, int]]:
     """Each verb's operations in an area of ``n`` tools, when the tool set
@@ -127,6 +158,18 @@ def test_record_verbs_stay_within_their_budgets(tmp_path, capsys, monkeypatch, n
         real_init(self, *args, **kwargs)
 
     monkeypatch.setattr(UrlCache, "__init__", init)
+    tokenized = Counter()  # the documents and events of the last verb
+
+    def spy(real):
+        def tokenize_markup(text, *args, **kwargs):
+            events = real(text, *args, **kwargs)
+            tokenized["documents"] += 1
+            tokenized["events"] += len(events)
+            return events
+        return tokenize_markup
+
+    for module in (activedoc, runtime):
+        monkeypatch.setattr(module, "tokenize_markup", spy(module.tokenize_markup))
 
     def fetches() -> list[tuple[int, int]]:
         """The hits and misses of each cache that the last verb opened."""
@@ -147,14 +190,22 @@ def test_record_verbs_stay_within_their_budgets(tmp_path, capsys, monkeypatch, n
     def scram(cwd, *argv, status=0):
         def verb():
             caches.clear()
+            tokenized.clear()
             assert main(list(argv), env=env, cwd=cwd) == status, capsys.readouterr().err
         return verb
 
     central = os.path.join(root, "central", corpus.AREA_NAME)
     developer = os.path.join(root, "work", corpus.AREA_NAME)
-    measured = {"bootstrap": counted((root,), scram(
+    measured, worked = {}, {}  # each verb's operations, and its markup work
+
+    def measure(key: str, roots: tuple[str, ...], verb) -> None:
+        measured[key] = counted(roots, verb)
+        if tokenized:
+            worked[key] = dict(tokenized)
+
+    measure("bootstrap", (root,), scram(
         root, "bootstrap", generated.bootstrap_url(croot),
-        "--dest", os.path.join(root, "central")))}
+        "--dest", os.path.join(root, "central")))
     fetched = {"bootstrap": fetches()}
     for verb, cwd, argv in (
             ("install --force", central, ("install", "--force")),
@@ -162,7 +213,7 @@ def test_record_verbs_stay_within_their_budgets(tmp_path, capsys, monkeypatch, n
              ("project", corpus.PROJECT, corpus.PROJECT_VERSION)),
             ("list", root, ("list",)),
             ("build", central, ("build",))):
-        measured[verb] = counted((root,), scram(cwd, *argv))
+        measure(verb, (root,), scram(cwd, *argv))
     budget = {"bootstrap": bootstrap_budget(n), **lifecycle_budget(n)}
     # set up a tool at its pinned version, so that a bare setup has
     # nothing to do; in the developer area it becomes a local record. Its
@@ -195,12 +246,12 @@ def test_record_verbs_stay_within_their_budgets(tmp_path, capsys, monkeypatch, n
                 ("tool list", ("tool", "list")),
                 ("tool info", ("tool", "info", tool.name)),
                 ("setup", ("setup",))):
-            measured[f"{area}: {verb}"] = counted((root,), scram(cwd, *argv))
+            measure(f"{area}: {verb}", (root,), scram(cwd, *argv))
             if verb.startswith("setup"):
                 fetched[f"{area}: {verb}"] = fetches()
         os.remove(work_record)
-        measured[f"{area}: setup, one record missing"] = counted(
-            (central, developer), scram(cwd, "setup"))
+        measure(f"{area}: setup, one record missing", (central, developer),
+                scram(cwd, "setup"))
         assert [line for line in capsys.readouterr().out.splitlines()
                 if line.startswith("set up ")] == [f"set up {tool.key}",
                                                    f"set up {work.key}"]
@@ -221,11 +272,17 @@ def test_record_verbs_stay_within_their_budgets(tmp_path, capsys, monkeypatch, n
     # the developer area first: a record it wrote would stand in for the
     # central one
     for area, cwd in (("developer", developer), ("central", central)):
-        measured[f"{area}: setup, last missing tool fails"] = counted(
-            (central, developer), scram(cwd, "setup", status=1))
+        measure(f"{area}: setup, last missing tool fails", (central, developer),
+                scram(cwd, "setup", status=1))
         assert (f"cannot resolve client variable '{failing.var}_BASE' of {failing.key} "
                 in capsys.readouterr().err)
     assert measured == budget, "\n" + table(measured, budget)
+    fragments = {"setup NAME VER URL": tool.inline,
+                 "setup, one record missing": work.inline,
+                 "setup, last missing tool fails":
+                     generated.tools[first].inline or failing.inline}
+    work_budget_n = work_budget(n, fragments)
+    assert worked == work_budget_n, "\n" + table(worked, work_budget_n)
     # a cold bootstrap misses each document once: itself, its two
     # downloads, the requirements, the configuration they include, the n
     # tool documents and the fragment that some of them inline. Setting up

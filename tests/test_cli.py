@@ -468,6 +468,88 @@ class TestDocumentErrors:
         assert err.endswith(f": {self.CASES[case]}\n"), err
 
 
+class TestNamesStayInTheArea:
+    """A name that a document or a command gives a tool record or an area
+    directory is one file name: a path that climbs out, a dot-name, which
+    listings skip as a temp file, or a NUL byte ends the verb with one
+    ``scram:`` line, and no file but the document cache's is written."""
+
+    RULE = "a name must be non-empty, hold no '/' or NUL and not start with '.'"
+    CASES = {
+        # the configuration pins and selects a tool of this name
+        "tool climbs out": "../../../../../../escaped",
+        "tool is a dot-name": ".gcc",
+        "tool holds NUL": "gc\0c",
+        # the bootstrap document names this project, or downloads to here
+        "project climbs out": "../../outside",
+        "download holds NUL": "src/READ\0ME",
+    }
+
+    def files(self, toy) -> dict:
+        """Every file under the toy's root but the cache's and lock files."""
+        return {path: digest for path, digest in snapshot(toy.root).items()
+                if not path.startswith("cache/") and os.path.basename(path) != "lock"}
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_bootstrap(self, toy, capsys, case):
+        name, specs = self.CASES[case], toy.specs
+        if case.startswith("tool"):
+            with open(specs / "toy.conf", "a") as fh:
+                fh.write(f'<require name="{name}" version=2.95.2 '
+                         f'url="file:{specs}/gcc.tooldoc">\n')
+            with open(specs / "toy.reqs", "a") as fh:
+                fh.write(f'<select name="{name}">\n')
+            line = f"bad tool name {name!r}: {self.RULE}"
+        elif case == "project climbs out":
+            boot = (specs / "toy.boot").read_text()
+            (specs / "toy.boot").write_text(boot.replace("name=ORCA", f'name="{name}"'))
+            line = f"bad area name {name + '_7_1_3'!r}: {self.RULE}"
+        else:
+            boot = (specs / "toy.boot").read_text()
+            (specs / "toy.boot").write_text(boot.replace('to="src/README"', f'to="{name}"'))
+            line = f"download destination holds a NUL byte: {name!r}"
+        # six levels above the tools directory is still under the toy's root
+        dest = toy.root / "deep" / "dest"
+        dest.mkdir(parents=True)
+        before = self.files(toy)
+        assert run(toy, "bootstrap", toy.bootstrap_url, "--dest", str(dest)) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("scram: ") and err.count("\n") == 1, err
+        assert err.endswith(f": {line}\n"), err
+        assert self.files(toy) == before
+        assert os.listdir(dest) == []
+
+    @pytest.mark.parametrize("name", ["../../state", ".gcc"])
+    @pytest.mark.parametrize("kind", ["central", "developer"])
+    def test_setup(self, toy, capsys, kind, name):
+        area = lifecycle(toy, capsys)
+        if kind == "developer":
+            assert run(toy, "project", "ORCA", "7_1_3", cwd=str(toy.workspace)) == 0
+            capsys.readouterr()
+            area = str(toy.workspace / "ORCA_7_1_3")
+        before = self.files(toy)
+        assert run(toy, "setup", name, "2.95.2", f"file:{toy.specs}/gcc.tooldoc",
+                   cwd=area) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"scram: setup: bad tool name {name!r}: {self.RULE}\n")
+        assert self.files(toy) == before
+
+    def test_project(self, toy, capsys):
+        """A registry line can name any project; its developer area still
+        goes under the working directory."""
+        central = lifecycle(toy, capsys)
+        with open(toy.registry_path, "a") as fh:
+            fh.write(f"../../outside 1 Linux__2.4 {central}\n")
+        before = self.files(toy)
+        assert run(toy, "project", "../../outside", "1", cwd=str(toy.workspace)) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == (
+            "", f"scram: project: bad area name '../../outside_1': {self.RULE}\n")
+        assert self.files(toy) == before
+        assert not (toy.root.parent / "outside_1").exists()
+
+
 # Stdlib modules that only fetching, hashing, building or host detection
 # needs, dataclasses with the inspect it imports, which scram does not use,
 # and argparse with its gettext, which only help, version and usage errors

@@ -1,7 +1,9 @@
-"""Drift guards between the code and the reference in docs/cli.md."""
+"""Drift guards between the code and the references in docs/."""
 
 import re
 from pathlib import Path
+
+from scram.activedoc import MAX_NESTING
 
 REPO = Path(__file__).parent.parent
 
@@ -14,3 +16,11 @@ def test_every_environment_variable_is_in_the_cli_reference():
     documented = set(re.findall(r"^\| `(SCRAM_[A-Z0-9_]+)` \|", table, re.M))
     assert read, "no SCRAM_ variable found in src/scram"
     assert read <= documented, f"undocumented in docs/cli.md: {sorted(read - documented)}"
+
+
+def test_the_nesting_limit_in_the_dialect_reference_is_the_code_s():
+    text = (REPO / "docs" / "dialect.md").read_text()
+    composition = text.split("\n## Composition\n", 1)[1].split("\n## ", 1)[0]
+    stated = re.findall(r"At most (\d+) documents nest", composition)
+    assert stated == [str(MAX_NESTING)]
+    assert f"nested more than {MAX_NESTING} deep" in composition

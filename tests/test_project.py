@@ -19,7 +19,6 @@ from scram.configuration import (
     CONFIGURATION,
     REQUIREMENTS,
     PinnedTool,
-    ResolvedConfiguration,
     detect_architecture,
 )
 from scram.errors import AreaError, ScramError, ToolError, UrlError
@@ -372,7 +371,7 @@ class TestPinUrls:
         engine = DocumentEngine(UrlCache(str(tmp_path / "cache"), registry))
         resolved, _ = resolve_project_configuration(
             engine, parse_url(conf_url if direct else "http://h/reqs"), ARCH)
-        assert [p.spec_url for p in resolved.tools.values()] == [
+        assert [p.spec_url for p in resolved.values()] == [
             "http://h2/tools/a.tooldoc", "cvs:?module=T"]
 
     def test_empty_require_url_fails_even_when_not_selected(self, toy):
@@ -426,13 +425,13 @@ class TestEngineDocTypes:
             '<require name=gcc version=2.95.2 url="cvs:?module=G">\n'
             '<require name=zlib version=1.1.3 url="cvs:?module=Z">\n')
         engine = build_engine(SiteInfo({}), toy.env, str(toy.install_root))
-        spliced = engine.activate(parse_url(f"file:{outer}"), (CONFIGURATION,)).payload
-        expected = engine.activate(parse_url(f"file:{combined}"), (CONFIGURATION,)).payload
+        spliced = engine.activate(parse_url(f"file:{outer}"), (CONFIGURATION,))
+        expected = engine.activate(parse_url(f"file:{combined}"), (CONFIGURATION,))
         assert spliced.entries == expected.entries
 
     def test_requirements_include_stays_a_reference(self, toy):
         engine = build_engine(SiteInfo({}), toy.env, str(toy.install_root))
-        payload = engine.activate(parse_url(toy.requirements_url), (REQUIREMENTS,)).payload
+        payload = engine.activate(parse_url(toy.requirements_url), (REQUIREMENTS,))
         assert payload.includes == [f"file:{toy.specs}/toy.conf"]
         assert [s.name for s in payload.selects] == ["gcc", "sockets", "boost", "htl"]
 
@@ -862,7 +861,7 @@ def synthetic_areas(root: Path, tools: list[ResolvedTool]):
         write_tool_record(central, ARCH, rt)
     pins = {rt.name: PinnedTool(rt.name, rt.version, f"file:/specs/{rt.name}")
             for rt in tools}
-    _write_config_record(central, ARCH, ResolvedConfiguration(pins))
+    _write_config_record(central, ARCH, pins)
     (Path(central.root) / "bin" / "tool").write_bytes(b"")
     dev = ProjectArea.create(str(root / "dev"), "SYN", "1_0",
                              link_target=central.root)
@@ -976,7 +975,7 @@ class TestRecordIndex:
                                                          monkeypatch):
         # one listing per tools directory, never a stat per record
         calls = []
-        tools = os.path.join(".SCRAM", ARCH.canonical, "tools")
+        tools = os.path.join(".SCRAM", ARCH, "tools")
 
         def counted(real):
             def wrapper(path):
@@ -1016,7 +1015,7 @@ class TestStateReaders:
         central, _ = synthetic_areas(tmp_path, [synthetic_tool("t")])
         record = {k: v for k, v in {**self.RECORD, **change}.items()
                   if v is not None}
-        path = Path(central.root) / ".SCRAM" / ARCH.canonical / "tools" / "t"
+        path = Path(central.root) / ".SCRAM" / ARCH / "tools" / "t"
         path.write_text(json.dumps(record))
         with pytest.raises(AreaError) as exc:
             area_environment(central, ARCH)

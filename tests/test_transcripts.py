@@ -1,10 +1,14 @@
 """Transcripts: every verb run in process through ``cli.main`` on the toy
-project, checked line by line against ``tests/transcripts/*.t``.
+project and on the benchmark's seed-1 corpus of four tools, checked line by
+line against ``tests/transcripts/*.t``.
 
 A transcript is prose and commands. Each ``  $ `` line is a command, run in
-order in one fresh toy project under a fixed environment: ``scram ARGS...``
-through ``cli.main``, or ``cd DIR``, relative to ``$TESTTMP``, the project's
-root. Below each scram command its result is recorded, indented two spaces
+order in one fresh project under a fixed environment: ``scram ARGS...``
+through ``cli.main``, ``cd DIR``, or ``cp FILE DEST``, each path relative to
+``$TESTTMP``, the project's root. ``corpus.t`` runs on the corpus that
+``perfbench/corpus.py`` generates, in ``$TESTTMP/corpus``; every other
+transcript runs on the toy project, in ``$TESTTMP/specs``. Below each scram
+command its result is recorded, indented two spaces
 (a blank line of output is two spaces): its stdout lines, its stderr lines
 after ``! ``, a nonzero exit status as ``[N]``, and then every file and
 directory it created (``+``), changed (``~``) or removed (``-``), sorted, a
@@ -22,26 +26,28 @@ import hashlib
 import os
 import re
 import shlex
+import shutil
 from pathlib import Path
 
 import pytest
 
 from conftest import make_toy_project
 from scram.cli import main
+from test_payload_equivalence import load_corpus
 
 TRANSCRIPTS = Path(__file__).parent / "transcripts"
 PACK_RE = re.compile(r"\d+\.\d+\.[0-9a-f]{8}\.pack$")
 TEMP_RE = re.compile(r"\.[0-9a-f]{8}\.(tmp|partial)(?=$|/)")
 
 
-def _tree(root: str) -> dict[str, str]:
-    """Every path under ``root`` but the toy's inputs -> a digest of its
-    content ("" for a directory, "*" for a pack)."""
+def _tree(root: str, inputs: str) -> dict[str, str]:
+    """Every path under ``root`` but the ``inputs`` directory -> a digest of
+    its content ("" for a directory, "*" for a pack)."""
     tree = {}
     for dirpath, dirnames, filenames in os.walk(root):
         rel_dir = os.path.relpath(dirpath, root)
         if rel_dir == ".":
-            dirnames.remove("specs")
+            dirnames.remove(inputs)
         for name in dirnames:
             tree[os.path.normpath(os.path.join(rel_dir, name)) + "/"] = ""
         for name in filenames:
@@ -71,7 +77,8 @@ def _changes(before: dict[str, str], after: dict[str, str]) -> list[str]:
     return lines
 
 
-def run_transcript(transcript: str, root: str, env: dict, capsys) -> str:
+def run_transcript(transcript: str, root: str, inputs: str, env: dict,
+                   capsys) -> str:
     """``transcript`` with the result of each of its commands recorded anew."""
     out, cwd = [], root
     for line in transcript.splitlines():
@@ -84,25 +91,46 @@ def run_transcript(transcript: str, root: str, env: dict, capsys) -> str:
         if argv[0] == "cd":
             cwd = os.path.join(root, argv[1])
             continue
+        if argv[0] == "cp":
+            dest = os.path.join(root, argv[2])
+            os.makedirs(os.path.dirname(dest), exist_ok=True)
+            shutil.copy(os.path.join(root, argv[1]), dest)
+            continue
         assert argv[0] == "scram", line
-        before = _tree(root)
+        before = _tree(root, inputs)
         code = main(argv[1:], env=env, cwd=cwd)
         stdout, stderr = capsys.readouterr()
         out += [f"  {text}" for text in stdout.replace(root, "$TESTTMP").splitlines()]
         out += [f"  ! {text}" for text in stderr.replace(root, "$TESTTMP").splitlines()]
         if code:
             out.append(f"  [{code}]")
-        out += _changes(before, _tree(root))
+        out += _changes(before, _tree(root, inputs))
     return "\n".join(out) + "\n"
+
+
+def corpus_project(root: str) -> dict:
+    """The seed-1 corpus of four tools written to ``root/corpus``, with the
+    directories a transcript installs into; the environment to run in."""
+    corpus = load_corpus()
+    corpus.generate(1, 4).write(os.path.join(root, "corpus"))
+    for sub in ("central", "work"):
+        os.mkdir(os.path.join(root, sub))
+    return {"PATH": "/usr/bin:/bin", "HOME": root, "SCRAM_ARCH": corpus.ARCH,
+            "SCRAM_SITE": os.path.join(root, "corpus", "site.cfg"),
+            "SCRAM_CACHE": os.path.join(root, "cache"),
+            "SCRAM_LOOKUPDB": os.path.join(root, "scramdb")}
 
 
 @pytest.mark.parametrize("path", sorted(TRANSCRIPTS.glob("*.t")), ids=lambda p: p.stem)
 def test_transcript(path, tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal
     root = os.path.realpath(tmp_path)
-    toy = make_toy_project(Path(root))
+    if path.stem == "corpus":
+        inputs, env = "corpus", corpus_project(root)
+    else:
+        inputs, env = "specs", make_toy_project(Path(root)).env
     expected = path.read_text()
-    got = run_transcript(expected, root, toy.env, capsys)
+    got = run_transcript(expected, root, inputs, env, capsys)
     if os.environ.get("TRANSCRIPTS_UPDATE") == "1":
         path.write_text(got)
     else:
