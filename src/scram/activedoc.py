@@ -15,6 +15,18 @@ referenced many times is fetched and tokenized once per engine.
 What a fetch reaches, a pack or an adapter, and how many fetches were made
 is decided and counted by the engine's ``UrlCache`` alone.
 
+A type with a ``codec`` (tool documents and configurations) has its
+payloads kept in the cache. A parse keeps the payload under the codec's
+tag, the type's name, the document's cache key (a relative reference
+resolves against its URL) and the SHA-256 of its bytes, and records with
+it the header and the URL, version and SHA-256 of each distinct document
+spliced into it. A caller that accepts exactly that one type is served the
+kept payload instead of a parse when each recorded document still has its
+hash; each is fetched through the cache once per engine to learn it, so
+fetch counts and ``refresh`` are what a parse would give. Any doubt (no
+verified copy, another hash, a failed fetch, a header or shape that does
+not decode) is a miss, which parses.
+
 Two splicing tags exist. ``<inline url=...>`` always splices the target's
 events in place. ``<include url=...>`` does the same for document types
 that do not claim the tag themselves, but then checks the included
@@ -40,7 +52,7 @@ from .markup import (
     strip_doc_header,
     tokenize_markup,
 )
-from .urlaccess import ResourceUrl, UrlCache, parse_url
+from .urlaccess import ResourceUrl, UrlCache, parse_url, payload_key, sha256_of
 
 MAX_NESTING = 32  # documents spliced one inside another, below the activated one
 
@@ -52,8 +64,10 @@ class DocumentEngine:
         self.cache = cache
         # the header and payload of each activated document, by cache key
         self._activated: dict[str, tuple[DocHeader, object]] = {}
+        # the SHA-256 and bytes of each nested document, by cache key
+        self._nested: dict[str, tuple[str, bytes]] = {}
         # tokenized events of nested documents, by cache key
-        self._nested: dict[str, list] = {}
+        self._events: dict[str, list] = {}
 
     def activate(self, url: ResourceUrl, accepted: tuple[DocType, ...]):
         """The payload of the document at ``url``, which must be of one of
@@ -62,7 +76,7 @@ class DocumentEngine:
         try:
             done = self._activated.get(key)
             if done is None:
-                done = self._activated[key] = self._activate_uncached(url, accepted)
+                done = self._activated[key] = self._activate_uncached(url, key, accepted)
             else:
                 check_doc_type(done[0], accepted)
         except ScramError as exc:
@@ -71,27 +85,67 @@ class DocumentEngine:
             raise
         return done[1]
 
-    def _activate_uncached(self, url: ResourceUrl, accepted: tuple[DocType, ...],
-                           ) -> tuple[DocHeader, object]:
-        events = self.events_for(url, None)
+    def _activate_uncached(self, url: ResourceUrl, key: str,
+                           accepted: tuple[DocType, ...]) -> tuple[DocHeader, object]:
+        content = self.cache.fetch(url)
+        codec = accepted[0].codec if len(accepted) == 1 else None
+        if codec is not None:
+            kept = payload_key(codec.tag, accepted[0].name, key, sha256_of(content))
+            done = self._recall(kept, accepted[0])
+            if done is not None:
+                return done
+        events = self.events_for(url, content)
         header = read_doc_header(events)
         doc_type = check_doc_type(header, accepted)
-        chain = {url.cache_key(): url}
-        events = self._splice(events, url, None, doc_type, chain)
-        return header, doc_type.builder(strip_doc_header(events))
+        spliced: dict[str, list] = {}
+        events = self._splice(events, url, None, doc_type, {key: url}, spliced)
+        payload = doc_type.builder(strip_doc_header(events))
+        if codec is not None:
+            self.cache.keep(kept, [header.doc_type, header.doc_version,
+                                   list(spliced.values()), codec.encode(payload)])
+        return header, payload
 
-    def events_for(self, url: ResourceUrl, version: str | None):
-        content = self.cache.fetch(url, version)
-        text = content.decode("utf-8", errors="replace")
-        return tokenize_markup(text, source_id=str(url))
+    def _recall(self, kept: str, doc_type: DocType) -> tuple[DocHeader, object] | None:
+        """The header and payload kept under ``kept``, if every document
+        spliced into it still has the SHA-256 recorded with it; any doubt
+        is None."""
+        entry = self.cache.recall(kept)
+        if entry is None:
+            return None
+        try:
+            doc_type_name, doc_version, recorded, value = entry
+            header = DocHeader(doc_type_name, doc_version)
+            check_doc_type(header, (doc_type,))
+            for raw, version, sha in recorded:
+                url = parse_url(raw)
+                if self._nested_doc(url, version, url.cache_key(version))[0] != sha:
+                    return None
+            return header, doc_type.codec.decode(value)
+        except (ScramError, TypeError, ValueError, KeyError, IndexError, AttributeError):
+            return None
 
-    def _splice(self, events, url, version, doc_type, chain):
+    def _nested_doc(self, url: ResourceUrl, version: str, key: str) -> tuple[str, bytes]:
+        """The SHA-256 and bytes of a nested document, fetched once per engine."""
+        doc = self._nested.get(key)
+        if doc is None:
+            content = self.cache.fetch(url, version)
+            doc = self._nested[key] = (sha256_of(content), content)
+        return doc
+
+    def events_for(self, url: ResourceUrl, content: bytes):
+        """The events of ``content``, the bytes of the document at ``url``."""
+        return tokenize_markup(content.decode("utf-8", errors="replace"),
+                               source_id=str(url))
+
+    def _splice(self, events, url, version, doc_type, chain, spliced):
         """Splice ``<inline>`` and, unless the type opts out, ``<include>``
         in one pass, resolving each nested document against its own URL.
         ``chain`` maps the cache key of each document being spliced to its
-        URL, outermost first. A nested document is fetched and tokenized
-        once per engine however often it is referenced; it is still spliced,
-        header-checked, cycle-checked and depth-checked at every reference."""
+        URL, outermost first; ``spliced`` gets the [URL, version, SHA-256]
+        of each distinct nested document, by cache key. A nested document
+        is fetched and tokenized once per engine however often it is
+        referenced; it is still spliced, header-checked, cycle-checked and
+        depth-checked at every reference."""
 
         def resolve(target: str, tag: str):
             resolved = parse_url(target, base=url)
@@ -102,16 +156,18 @@ class DocumentEngine:
                 raise DocTypeError(
                     f"document inclusion cycle: {names}" if key in chain else
                     f"documents nested more than {MAX_NESTING} deep: {names}")
-            inner_events = self._nested.get(key)
+            sha, content = self._nested_doc(resolved, resolved_version, key)
+            if key not in spliced:
+                spliced[key] = [resolved.unparse(), resolved_version, sha]
+            inner_events = self._events.get(key)
             if inner_events is None:
-                inner_events = self._nested[key] = self.events_for(
-                    resolved, resolved_version)
+                inner_events = self._events[key] = self.events_for(resolved, content)
             if tag == "include":
                 # located at the included header, which names its URL
                 inner_header = read_doc_header(inner_events)
                 check_doc_type(inner_header, (doc_type,), inner_header.location)
             return self._splice(inner_events, resolved, resolved_version,
-                                doc_type, {**chain, key: resolved})
+                                doc_type, {**chain, key: resolved}, spliced)
 
         tags = ("inline", "include") if doc_type.splice_includes else ("inline",)
         return splice_inline(events, resolve, tags=tags)

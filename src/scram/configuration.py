@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 
 from .errors import ConfigError
-from .markup import OPEN, DocType, Value, parse_with_handlers
+from .markup import OPEN, DocType, PayloadCodec, Value, parse_with_handlers
 
 ARCH_ENV = "SCRAM_ARCH"
 
@@ -174,10 +174,24 @@ def parse_requirements(events) -> RequirementsDoc:
         select=on_select)
 
 
+def encode_configuration(doc: ConfigurationDoc) -> list:
+    """``doc`` as the JSON value ``decode_configuration`` reads."""
+    return [doc.base, [[e.name, e.version, e.url, e.arch_scope] for e in doc.entries]]
+
+
+def decode_configuration(value) -> ConfigurationDoc:
+    """The ConfigurationDoc that ``encode_configuration`` gave ``value`` for."""
+    base, entries = value
+    return ConfigurationDoc([RequireEntry(name, version, url, scope)
+                             for name, version, url, scope in entries], base)
+
+
 # The builders look their parsers up when they run, so whatever the module
 # attributes are rebound to (the benchmark tracer's wrappers) is called.
 CONFIGURATION = DocType("BuildSystem::Configuration", "1.0",
-                        lambda events: parse_configuration(events))
+                        lambda events: parse_configuration(events),
+                        codec=PayloadCodec("configuration-1", encode_configuration,
+                                           decode_configuration))
 REQUIREMENTS = DocType("BuildSystem::Requirements", "2.0",
                        lambda events: parse_requirements(events),
                        splice_includes=False)

@@ -30,6 +30,7 @@ __all__ = [
     "TagEvent",
     "DocHeader",
     "DocType",
+    "PayloadCodec",
     "check_doc_type",
     "tokenize_markup",
     "read_doc_header",
@@ -152,17 +153,33 @@ class DocType:
     """A document type a reader accepts: the ``type`` its header names, the
     oldest ``version`` it reads, and the ``builder`` that turns the body's
     events into a payload. With ``splice_includes`` false, ``<include>``
-    tags reach the builder as references instead of being spliced."""
+    tags reach the builder as references instead of being spliced. A type
+    whose payloads are cached has a ``codec``."""
 
-    __slots__ = ("name", "path", "min_version", "builder", "splice_includes")
+    __slots__ = ("name", "path", "min_version", "builder", "splice_includes",
+                 "codec")
 
     def __init__(self, name: str, min_version: str, builder,
-                 splice_includes: bool = True):
+                 splice_includes: bool = True, codec: "PayloadCodec | None" = None):
         self.name = name
         self.path = _type_path(name)
         self.min_version = parse_version(min_version)
         self.builder = builder
         self.splice_includes = splice_includes
+        self.codec = codec
+
+
+class PayloadCodec:
+    """A payload's cached form: ``encode(payload)`` gives a JSON value and
+    ``decode(value)`` the payload back, trusting its shape. ``tag`` names
+    the form and must change whenever the form or the builder does."""
+
+    __slots__ = ("tag", "encode", "decode")
+
+    def __init__(self, tag: str, encode, decode):
+        self.tag = tag
+        self.encode = encode
+        self.decode = decode
 
 
 def check_doc_type(header: DocHeader, accepted, location=None) -> DocType:

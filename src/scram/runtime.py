@@ -27,7 +27,7 @@ import os
 import re
 
 from .errors import AreaError, ScramError
-from .fsutil import read_text
+from .fsutil import check_name, read_text
 from .markup import (
     DocType,
     check_doc_type,
@@ -252,8 +252,10 @@ APP_ENV = DocType("BuildSystem::AppEnvDoc", "0", parse_app_env)
 
 
 def load_app_env_file(area_root: str, app_name: str) -> EnvDelta:
-    """Read ``config/app-env/<app_name>`` under an area as an overlay delta."""
-    path = os.path.join(area_root, "config", APP_ENV_DIR, app_name)
+    """Read ``config/app-env/<app_name>`` under an area as an overlay delta;
+    ``app_name`` must name a file of that directory."""
+    path = os.path.join(area_root, "config", APP_ENV_DIR,
+                        check_name(app_name, "application name"))
     text = read_text(path, "application environment file", missing=None)
     if text is None:
         raise AreaError(

@@ -20,7 +20,7 @@ import sys
 from bisect import bisect_left
 
 from .errors import ToolError
-from .markup import DocType, Value, parse_with_handlers
+from .markup import DocType, PayloadCodec, Value, parse_with_handlers
 
 _REF_RE = re.compile(r"\$([A-Za-z_][A-Za-z0-9_]*)")
 
@@ -221,9 +221,35 @@ def parse_tool_doc(events) -> ToolSpec:
     return ToolSpec(state.name, state.blocks)
 
 
+def encode_tool_spec(spec: ToolSpec) -> list:
+    """``spec`` as the JSON value ``decode_tool_spec`` reads."""
+    return [spec.name, [
+        [block.version, block.libs,
+         [[d.name, d.value, d.var_type.value, d.client] for d in block.variables],
+         [[e.ref, e.version] for e in block.externals],
+         block.descriptions]
+        for block in spec.blocks]]
+
+
+def decode_tool_spec(value) -> ToolSpec:
+    """The ToolSpec that ``encode_tool_spec`` gave ``value`` for."""
+    name, encoded = value
+    blocks = []
+    for version, libs, variables, externals, descriptions in encoded:
+        block = ToolVersionBlock(version)
+        block.libs = libs
+        block.variables = [EnvVarDecl(var, default, _VAR_TYPES[kind.casefold()], client)
+                           for var, default, kind, client in variables]
+        block.externals = [ExternalRef(ref, ext_version) for ref, ext_version in externals]
+        block.descriptions = descriptions
+        blocks.append(block)
+    return ToolSpec(name, blocks)
+
+
 # The builder looks ``parse_tool_doc`` up when it runs, so whatever the
 # module attribute is rebound to (the benchmark tracer's wrapper) is called.
-TOOLDOC = DocType("BuildSystem::ToolDoc", "1.0", lambda events: parse_tool_doc(events))
+TOOLDOC = DocType("BuildSystem::ToolDoc", "1.0", lambda events: parse_tool_doc(events),
+                  codec=PayloadCodec("tooldoc-1", encode_tool_spec, decode_tool_spec))
 
 
 def select_version(spec: ToolSpec, version: str) -> ToolVersionBlock:

@@ -13,14 +13,21 @@ in (site key ``scheme.cvs.command``, placeholders ``{module}`` ``{version}``
 ``{out}``).
 
 Cache layout: ``<root>/packs/<time_ns>.<pid>.<8 hex>.pack``, one immutable
-pack per command that fetched something; a command makes ``<root>/packs``
-when it opens the cache. A pack holds the fetched contents, then a JSON
-index mapping each cache key to ``[offset, length, content_hash,
-fetched_at]``, then a fixed-width footer giving the index's offset. Versioned entries never change: the earliest copy of a key wins.
-Unversioned (HEAD) entries are served from cache until a command is made
-with ``refresh``, which refetches each once, and then the latest copy wins.
-``auth`` and ``user`` never enter the cache key, so identities share
+pack per command that fetched or kept something; a command makes
+``<root>/packs`` when it opens the cache. A pack holds the fetched contents
+and the kept payloads, then a JSON index mapping each key to ``[offset,
+length, content_hash, fetched_at]``, then a fixed-width footer giving the
+index's offset. Versioned entries never change: the earliest copy of a key
+wins. Unversioned (HEAD) entries are served from cache until a command is
+made with ``refresh``, which refetches each once, and then the latest copy
+wins. ``auth`` and ``user`` never enter the cache key, so identities share
 content.
+
+A payload is a JSON value that a command ``keep``s under a
+``payload_key``, a list of parts of its own choosing (``activedoc`` keeps
+parsed documents) after ``"payload"``; its latest copy wins, as a HEAD
+entry's does, and compaction keeps it so. ``recall`` serves it under the rules of content,
+hash-checked, and it is neither fetched nor counted.
 """
 
 from __future__ import annotations
@@ -30,10 +37,12 @@ import os
 import time
 from contextlib import suppress
 
-from .errors import FetchError, UrlError
+from .errors import AreaError, FetchError, UrlError
 from .fsutil import PrivateFile, cannot, locked
 
 HEAD = "HEAD"
+# the first part of the key of every value that a command keeps
+PAYLOAD = "payload"
 
 PACKS = "packs"
 # a publishing command merges the packs when it sees more than this many
@@ -46,7 +55,7 @@ _EXCLUDED_KEY_PARAMS = ("auth", "user")
 
 
 class ResourceUrl:
-    __slots__ = ("scheme", "authority", "query", "fragment", "raw")
+    __slots__ = ("scheme", "authority", "query", "fragment", "raw", "_key")
 
     def __init__(self, scheme: str, authority: str,
                  query: tuple[tuple[str, str], ...], fragment: str, raw: str):
@@ -55,6 +64,7 @@ class ResourceUrl:
         self.query = query
         self.fragment = fragment
         self.raw = raw
+        self._key: str | None = None  # cache_key(), once computed
 
     def __str__(self) -> str:
         return self.raw or self.unparse()
@@ -78,12 +88,18 @@ class ResourceUrl:
 
     def cache_key(self, version: str | None = None) -> str:
         """Normalized identity: query order and auth/user identity do not
-        fragment the cache."""
+        fragment the cache. The key of the URL's own version is computed
+        once."""
+        if version is None and self._key is not None:
+            return self._key
         pairs = sorted(
             (k, v) for k, v in self.query if k not in _EXCLUDED_KEY_PARAMS
         )
-        return json.dumps([self.scheme, self.authority, pairs,
-                           self.version_tag(version)])
+        key = json.dumps([self.scheme, self.authority, pairs,
+                          self.version_tag(version)])
+        if version is None:
+            self._key = key
+        return key
 
     def version_tag(self, explicit: str | None = None) -> str:
         return explicit or self.get("version") or HEAD
@@ -301,7 +317,8 @@ class UrlCache:
     miss runs the adapter and appends the content to this command's private
     pack, from which the command serves it again. With ``refresh`` a HEAD
     key skips the published packs, so it reaches its adapter once per
-    command. ``publish`` ends the command: it stamps ``fetched_at`` into
+    command; a payload does not, since whoever kept it checks what it
+    depends on. ``publish`` ends the command: it stamps ``fetched_at`` into
     the private pack's index, renames the pack into place and, past
     ``COMPACT_ABOVE`` packs, merges them. No fetch takes a lock.
     """
@@ -326,30 +343,57 @@ class UrlCache:
 
     def fetch(self, url: ResourceUrl, version: str | None = None) -> bytes:
         key = url.cache_key(version)
-        content = self._lookup(key, url.version_tag(version) == HEAD)
+        head = url.version_tag(version) == HEAD
+        # refetched once per command under refresh, then served from its own pack
+        content = self._lookup(key, head, published=not (head and self.refresh))
         if content is not None:
             self.stats.hits += 1
             return content
         self.stats.misses += 1
         content = self.registry.retrieve(url, version)
-        if self._own is None:
-            self._own = PrivateFile(os.path.join(self.packs, _pack_name()))
-        offset = self._own.append(content)
-        self._own_index[key] = (offset, len(content), _sha256(content))
+        self._append(key, content)
         return content
 
-    def _lookup(self, key: str, head: bool) -> bytes | None:
+    def recall(self, key: str):
+        """The value that ``keep`` stored under ``key``, a ``payload_key``:
+        the copy in this command's pack, else the latest verified copy in a
+        published one; None when there is none or it does not decode. A
+        recall is not a fetch and is not counted."""
+        data = self._lookup(key, True)
+        if data is not None:
+            try:
+                return json.loads(data)
+            except (ValueError, RecursionError):
+                pass
+        return None
+
+    def keep(self, key: str, value) -> None:
+        """Store ``value``, a JSON value, under ``key``, a ``payload_key``,
+        in this command's pack, as compact JSON. A pack that cannot be
+        written keeps nothing, and the command goes on."""
+        try:
+            self._append(key, _compact(value).encode())
+        except AreaError:
+            pass
+
+    def _append(self, key: str, data: bytes) -> None:
+        if self._own is None:
+            self._own = PrivateFile(os.path.join(self.packs, _pack_name()))
+        offset = self._own.append(data)
+        self._own_index[key] = (offset, len(data), sha256_of(data))
+
+    def _lookup(self, key: str, latest: bool, published: bool = True) -> bytes | None:
         own = self._own_index.get(key)
         if own is not None:
             content = _verified(self._own.fd, *own)
             if content is not None:
                 return content
-        if head and self.refresh:
-            return None  # refetched once per command, then served from its own pack
+        if not published:
+            return None
         if self._copies is None:
             self._copies = self._read_packs(self._list())
         for _, fd, offset, length, content_hash in _ranked(
-                self._copies.get(key, ()), head):
+                self._copies.get(key, ()), latest):
             content = _verified(fd, offset, length, content_hash)
             if content is not None:
                 return content
@@ -470,15 +514,27 @@ def _well_formed(entry, limit: int) -> bool:
             and type(content_hash) is str and type(fetched_at) in (int, float))
 
 
-def _ranked(copies, head: bool) -> list[tuple]:
-    """Copies in serving order: earliest ``fetched_at`` first, latest first
-    for a HEAD key."""
-    return sorted(copies, key=lambda copy: copy[0], reverse=head)
+def _ranked(copies, latest: bool) -> list[tuple]:
+    """Copies in serving order: earliest ``fetched_at`` first, or latest
+    first."""
+    return sorted(copies, key=lambda copy: copy[0], reverse=latest)
+
+
+# a JSON encoder for the values that commands keep, which never hold a cycle
+_compact = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
+
+
+def payload_key(*parts: str) -> str:
+    """The key of the payload that ``parts`` name."""
+    return _compact([PAYLOAD, *parts])
 
 
 def _is_head(key: str) -> bool:
+    """Whether ``key`` ranks as a HEAD key, latest copy first: a payload's
+    key does too."""
     try:
-        return json.loads(key)[-1] == HEAD
+        parts = json.loads(key)
+        return parts[-1] == HEAD or parts[0] == PAYLOAD
     except (ValueError, RecursionError, TypeError, KeyError, IndexError):
         return False
 
@@ -490,10 +546,10 @@ def _verified(fd: int, offset: int, length: int, content_hash: str) -> bytes | N
         content = os.pread(fd, length, offset)
     except OSError:
         return None
-    return content if _sha256(content) == content_hash else None
+    return content if sha256_of(content) == content_hash else None
 
 
-def _sha256(data: bytes) -> str:
+def sha256_of(data: bytes) -> str:
     # imported here: only fetching hashes, and hashlib loads OpenSSL
     import hashlib
 

@@ -159,6 +159,9 @@ hostile = st.text(
     alphabet=st.characters(min_codepoint=32, max_codepoint=126),
     max_size=16,
 ).filter(lambda s: "\n" not in s)
+# the values C5 quotes: the hostile alphabet and the classic traps
+hostile_values = st.one_of(hostile, st.sampled_from(
+    ['a b c', '$HOME', '"x"', "'y'", '\\', '`t`', ' $ " \' mixed ']))
 
 
 @st.composite
@@ -189,9 +192,7 @@ class TestC5RollbackExactness:
         assert e3 == fresh
 
     @settings(max_examples=100, deadline=None)
-    @given(value=st.one_of(hostile, st.sampled_from(
-        ['a b c', '$HOME', '"x"', "'y'", '\\', '`t`', ' $ " \' mixed '])),
-        dialect=st.sampled_from(["sh", "csh"]))
+    @given(value=hostile_values, dialect=st.sampled_from(["sh", "csh"]))
     def test_c5_hostile_quoting(self, value, dialect):
         text = emit_shell(EnvDelta(area_id="q").set("V", value), {}, dialect)
         assert evaluate_emission(text, {}, dialect)["V"] == value

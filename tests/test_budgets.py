@@ -63,6 +63,15 @@ def bootstrap_budget(n: int) -> dict[str, int]:
     return {"open": 2 * n + 15, "list": n // 2 + 3, "mkdir": 12, "rename": 2}
 
 
+def warm_bootstrap_budget(n: int) -> dict[str, int]:
+    # every document comes from the one pack the cold bootstrap published,
+    # so no document file is opened and no pack is written; the site file,
+    # the pack, the area and state files, the two downloads, the identity
+    # and the records, of which the configuration's and the first tool's
+    # are opened again once their directory is made
+    return {"open": n + 10, "list": n // 2 + 2, "mkdir": 11, "rename": 1}
+
+
 def lifecycle_budget(n: int) -> dict[str, dict[str, int]]:
     return {
         # the area's lock, Link, state and area files; the state and the
@@ -83,28 +92,26 @@ def lifecycle_budget(n: int) -> dict[str, dict[str, int]]:
 # the events of the documents each verb tokenizes, by corpus size: they
 # follow each tool's versions and externals, not n alone
 EVENTS = {
-    4: {"bootstrap": 265, "setup NAME VER URL": 80, "runtime -sh --app": 10,
-        "setup, one record missing": 70, "setup, last missing tool fails": 84},
-    40: {"bootstrap": 2842, "setup NAME VER URL": 93, "runtime -sh --app": 12,
-         "setup, one record missing": 70, "setup, last missing tool fails": 110},
+    4: {"bootstrap": 265, "bootstrap, warm cache": 16, "runtime -sh --app": 10},
+    40: {"bootstrap": 2842, "bootstrap, warm cache": 62, "runtime -sh --app": 12},
 }
 
 
-def work_budget(n: int, fragments: dict[str, bool]) -> dict[str, dict[str, int]]:
+def work_budget(n: int) -> dict[str, dict[str, int]]:
     """The documents that each verb tokenizes, and their events; every verb
     left out tokenizes none. A cold bootstrap tokenizes itself, the
     requirements, the configuration, the n tool documents and the fragment
-    that some of them inline. A verb that sets up tools tokenizes their
-    documents, and the fragment once if ``fragments[verb]``. Overlaying an
-    application environment tokenizes its file."""
-    documents = {"setup NAME VER URL": 1, "runtime -sh --app": 1,
-                 "setup, one record missing": 1, "setup, last missing tool fails": 2}
-    budget = {"bootstrap": {"documents": n + 4, "events": EVENTS[n]["bootstrap"]}}
+    that some of them inline; it keeps the payloads of the configuration
+    and the tool documents in its pack. From then on those payloads are
+    served, so a warm bootstrap tokenizes only itself and the requirements,
+    and setting up tools tokenizes nothing. Overlaying an application
+    environment tokenizes its file."""
+    budget = {"bootstrap": {"documents": n + 4, "events": EVENTS[n]["bootstrap"]},
+              "bootstrap, warm cache": {"documents": 2,
+                                        "events": EVENTS[n]["bootstrap, warm cache"]}}
     for area in ("central", "developer"):
-        for verb, count in documents.items():
-            budget[f"{area}: {verb}"] = {
-                "documents": count + fragments.get(verb, False),
-                "events": EVENTS[n][verb]}
+        budget[f"{area}: runtime -sh --app"] = {
+            "documents": 1, "events": EVENTS[n]["runtime -sh --app"]}
     return budget
 
 
@@ -203,10 +210,12 @@ def test_record_verbs_stay_within_their_budgets(tmp_path, capsys, monkeypatch, n
         if tokenized:
             worked[key] = dict(tokenized)
 
-    measure("bootstrap", (root,), scram(
-        root, "bootstrap", generated.bootstrap_url(croot),
-        "--dest", os.path.join(root, "central")))
-    fetched = {"bootstrap": fetches()}
+    fetched = {}
+    for verb, dest in (("bootstrap", "central"), ("bootstrap, warm cache", "warm")):
+        measure(verb, (root,), scram(
+            root, "bootstrap", generated.bootstrap_url(croot),
+            "--dest", os.path.join(root, dest)))
+        fetched[verb] = fetches()
     for verb, cwd, argv in (
             ("install --force", central, ("install", "--force")),
             ("project", os.path.join(root, "work"),
@@ -214,7 +223,8 @@ def test_record_verbs_stay_within_their_budgets(tmp_path, capsys, monkeypatch, n
             ("list", root, ("list",)),
             ("build", central, ("build",))):
         measure(verb, (root,), scram(cwd, *argv))
-    budget = {"bootstrap": bootstrap_budget(n), **lifecycle_budget(n)}
+    budget = {"bootstrap": bootstrap_budget(n),
+              "bootstrap, warm cache": warm_bootstrap_budget(n), **lifecycle_budget(n)}
     # set up a tool at its pinned version, so that a bare setup has
     # nothing to do; in the developer area it becomes a local record. Its
     # library directory comes from the site file, so no probe lists one.
@@ -277,19 +287,18 @@ def test_record_verbs_stay_within_their_budgets(tmp_path, capsys, monkeypatch, n
         assert (f"cannot resolve client variable '{failing.var}_BASE' of {failing.key} "
                 in capsys.readouterr().err)
     assert measured == budget, "\n" + table(measured, budget)
-    fragments = {"setup NAME VER URL": tool.inline,
-                 "setup, one record missing": work.inline,
-                 "setup, last missing tool fails":
-                     generated.tools[first].inline or failing.inline}
-    work_budget_n = work_budget(n, fragments)
+    work_budget_n = work_budget(n)
     assert worked == work_budget_n, "\n" + table(worked, work_budget_n)
     # a cold bootstrap misses each document once: itself, its two
     # downloads, the requirements, the configuration they include, the n
-    # tool documents and the fragment that some of them inline. Setting up
+    # tool documents and the fragment that some of them inline. A warm
+    # bootstrap hits the same keys: the fragment is fetched to check the
+    # hash that the payloads of the tools inlining it recorded. Setting up
     # by URL is served the tool's documents from that cache, and a bare
     # setup with nothing to do opens no cache at all.
     tool_docs = 1 + tool.inline
     assert fetched == {"bootstrap": [(0, n + 6)],
+                       "bootstrap, warm cache": [(n + 6, 0)],
                        "central: setup NAME VER URL": [(tool_docs, 0)],
                        "central: setup": [],
                        "developer: setup NAME VER URL": [(tool_docs, 0)],

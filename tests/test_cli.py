@@ -535,6 +535,28 @@ class TestNamesStayInTheArea:
         assert (out, err) == ("", f"scram: setup: bad tool name {name!r}: {self.RULE}\n")
         assert self.files(toy) == before
 
+    @pytest.mark.parametrize("how", ["absolute", "climbs out"])
+    @pytest.mark.parametrize("kind", ["central", "developer"])
+    def test_runtime_app(self, toy, capsys, kind, how):
+        """``--app`` names a file of the area's ``config/app-env``: a path
+        to a well-formed overlay outside it is not read."""
+        area = lifecycle(toy, capsys)
+        if kind == "developer":
+            assert run(toy, "project", "ORCA", "7_1_3", cwd=str(toy.workspace)) == 0
+            capsys.readouterr()
+            area = str(toy.workspace / "ORCA_7_1_3")
+        outside = toy.root / "outside-app"
+        outside.write_text("<doc type=BuildSystem::AppEnvDoc version=1.0>\n"
+                           "<Environment name=STOLEN value=yes>\n")
+        name = (str(outside) if how == "absolute"
+                else os.path.relpath(outside, os.path.join(area, "config", "app-env")))
+        before = self.files(toy)
+        assert run(toy, "runtime", "-sh", "--app", name, cwd=area) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == (
+            "", f"scram: runtime: bad application name {name!r}: {self.RULE}\n")
+        assert self.files(toy) == before
+
     def test_project(self, toy, capsys):
         """A registry line can name any project; its developer area still
         goes under the working directory."""

@@ -1,8 +1,10 @@
+import os
 import shutil
 import subprocess
+import tempfile
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from scram.errors import AreaError
 from scram.runtime import (
@@ -18,6 +20,7 @@ from scram.runtime import (
 from scram.markup import strip_doc_header, tokenize_markup
 
 from shelloracle import evaluate_emission
+from test_acceptance import hostile_values
 
 
 def delta_of(sets=(), prepends=(), area_id="proj:1.0"):
@@ -324,6 +327,37 @@ class TestRealShellAgreement:
         script = first + second + '\nprintf "%s|%s|%s" "$PATH" "$KEEP" "${NEW-unset}"'
         proc = subprocess.run(["sh", "-c", script], capture_output=True, env=env)
         assert proc.stdout.decode() == "/usr/bin:/bin|as is|unset"
+
+
+def installed(shell: str):
+    return pytest.param(shell, marks=pytest.mark.skipif(
+        shutil.which(shell) is None, reason=f"{shell} is not installed"))
+
+
+@pytest.mark.parametrize("shell", [installed("dash"), installed("bash")])
+@settings(max_examples=30, deadline=None)
+@given(values=st.lists(hostile_values, min_size=1, max_size=8))
+@example(values=["  two  spaces", "a * b", "*", "[ab]", "x?y", "tab\tin"])
+def test_the_documented_eval_reads_c5_values_exactly(shell, values):
+    """``eval "$(scram runtime -sh)"``, as the docs give it, reads every
+    value back exactly and runs nothing, in a directory whose file names
+    match globs and one of which holds a command substitution. The
+    example's values do not survive the unquoted form."""
+    delta = EnvDelta(area_id="q")
+    for i, value in enumerate(values):
+        delta.set(f"V{i}", value)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in ("x$(touch PWNED)", "a", "b", "ab", "x y", "t"):
+            open(os.path.join(tmp, name), "w").close()
+        with open(os.path.join(tmp, ".emission"), "w") as fh:
+            fh.write(emit_shell(delta, {}, "sh"))
+        script = ('eval "$(cat .emission)"\nprintf "%s\\0" '
+                  + " ".join(f'"$V{i}"' for i in range(len(values))))
+        proc = subprocess.run([shell, "-c", script], cwd=tmp, capture_output=True,
+                              env={"PATH": "/usr/bin:/bin"})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.decode().split("\0")[:-1] == values
+        assert not os.path.exists(os.path.join(tmp, "PWNED"))
 
 
 APP_ENV_TEXT = """<doc type=BuildSystem::AppEnvDoc version=1.0>
