@@ -160,7 +160,7 @@ class DocType:
                  "codec")
 
     def __init__(self, name: str, min_version: str, builder,
-                 splice_includes: bool = True, codec: "PayloadCodec | None" = None):
+                 splice_includes: bool = True, codec: PayloadCodec | None = None):
         self.name = name
         self.path = _type_path(name)
         self.min_version = parse_version(min_version)
