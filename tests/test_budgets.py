@@ -11,16 +11,22 @@ every other count is asserted at both sizes. The document caches that
 ``bootstrap`` and ``setup`` open are pinned too, each by its hits and
 misses, and so is the work each verb does on markup: the documents it
 tokenizes and the events they give, counted by a spy on
-``tokenize_markup`` where ``activedoc`` and ``runtime`` bound it."""
+``tokenize_markup`` where ``activedoc`` and ``runtime`` bound it. The bytes
+each verb decodes as JSON are pinned too, counted by a spy on
+``json.load`` and ``json.loads`` where ``fsutil``, ``urlaccess`` and
+``activedoc`` bind them; the test's directory gets a name of fixed length,
+so that the paths in records, documents and pack keys do not move them."""
 
+import json
 import os
+import re
 import shutil
 from collections import Counter
 
 import pytest
 
 from conftest import audit_events
-from scram import activedoc, runtime
+from scram import activedoc, fsutil, runtime, urlaccess
 from scram.cli import main
 from scram.urlaccess import UrlCache
 from test_payload_equivalence import load_corpus
@@ -115,6 +121,76 @@ def work_budget(n: int) -> dict[str, dict[str, int]]:
     return budget
 
 
+# the bytes that each verb decodes as JSON, by corpus size; every verb left
+# out decodes none. Records, pack indexes and kept payloads all count.
+JSON_BYTES = {
+    4: {
+        "bootstrap, warm cache": 11836,
+        "build": 5757,
+        "central: setup NAME VER URL": 8157,
+        "central: runtime -sh": 5757,
+        "central: runtime -sh --app": 5757,
+        "central: tool list": 5757,
+        "central: tool info": 739,
+        "central: setup": 5757,
+        "central: setup, one record missing": 13211,
+        "developer: setup NAME VER URL": 8157,
+        "developer: runtime -sh": 5757,
+        "developer: runtime -sh --app": 5757,
+        "developer: tool list": 5757,
+        "developer: tool info": 739,
+        "developer: setup": 5757,
+        "developer: setup, one record missing": 13211,
+        "developer: setup, last missing tool fails": 11312,
+        "central: setup, last missing tool fails": 11312,
+    },
+    40: {
+        "bootstrap, warm cache": 104024,
+        "build": 59908,
+        "central: setup NAME VER URL": 41819,
+        "central: runtime -sh": 59908,
+        "central: runtime -sh --app": 59908,
+        "central: tool list": 59908,
+        "central: tool info": 787,
+        "central: setup": 59908,
+        "central: setup, one record missing": 100456,
+        "developer: setup NAME VER URL": 41819,
+        "developer: runtime -sh": 59908,
+        "developer: runtime -sh --app": 59908,
+        "developer: tool list": 59908,
+        "developer: tool info": 787,
+        "developer: setup": 59908,
+        "developer: setup, one record missing": 100456,
+        "developer: setup, last missing tool fails": 99115,
+        "central: setup, last missing tool fails": 99115,
+    },
+}
+# the length of the test's directory, padded to it
+ROOT_LENGTH = 240
+# a pack index entry's last field, the time of its fetch, whose printed
+# width varies from run to run; it counts as one byte
+_FETCHED_AT = re.compile(rb", \d+(\.\d+)?(e[-+]?\d+)?\]")
+
+
+class CountingJson:
+    """The ``json`` module as a module that binds it sees it, but adding
+    the bytes that ``load`` and ``loads`` decode to ``counter["bytes"]``."""
+
+    def __init__(self, counter: Counter):
+        self._counter = counter
+
+    def __getattr__(self, name):
+        return getattr(json, name)
+
+    def loads(self, data, *args, **kwargs):
+        raw = data.encode() if isinstance(data, str) else bytes(data)
+        self._counter["bytes"] += len(_FETCHED_AT.sub(b", 0]", raw))
+        return json.loads(data, *args, **kwargs)
+
+    def load(self, fh, *args, **kwargs):
+        return self.loads(fh.read(), *args, **kwargs)
+
+
 def budgets(n: int, area: str, deps: int, work_deps: int,
             fail_deps: int) -> dict[str, dict[str, int]]:
     """Each verb's operations in an area of ``n`` tools, when the tool set
@@ -177,6 +253,10 @@ def test_record_verbs_stay_within_their_budgets(tmp_path, capsys, monkeypatch, n
 
     for module in (activedoc, runtime):
         monkeypatch.setattr(module, "tokenize_markup", spy(module.tokenize_markup))
+    decoded = Counter()  # the JSON bytes of the last verb
+    for module in (fsutil, urlaccess, activedoc):
+        if hasattr(module, "json"):
+            monkeypatch.setattr(module, "json", CountingJson(decoded))
 
     def fetches() -> list[tuple[int, int]]:
         """The hits and misses of each cache that the last verb opened."""
@@ -184,7 +264,10 @@ def test_record_verbs_stay_within_their_budgets(tmp_path, capsys, monkeypatch, n
 
     corpus = load_corpus()
     generated = corpus.generate(1, n)
-    root = str(tmp_path)
+    padding = ROOT_LENGTH - len(str(tmp_path)) - 1
+    assert padding > 0, f"{tmp_path} is too long to pad to {ROOT_LENGTH}"
+    root = os.path.join(str(tmp_path), "r" * padding)
+    os.mkdir(root)
     croot = os.path.join(root, "corpus")
     generated.write(croot)
     for sub in ("central", "work"):
@@ -198,17 +281,21 @@ def test_record_verbs_stay_within_their_budgets(tmp_path, capsys, monkeypatch, n
         def verb():
             caches.clear()
             tokenized.clear()
+            decoded.clear()
             assert main(list(argv), env=env, cwd=cwd) == status, capsys.readouterr().err
         return verb
 
     central = os.path.join(root, "central", corpus.AREA_NAME)
     developer = os.path.join(root, "work", corpus.AREA_NAME)
-    measured, worked = {}, {}  # each verb's operations, and its markup work
+    # each verb's operations, its markup work and its JSON bytes
+    measured, worked, json_bytes = {}, {}, {}
 
     def measure(key: str, roots: tuple[str, ...], verb) -> None:
         measured[key] = counted(roots, verb)
         if tokenized:
             worked[key] = dict(tokenized)
+        if decoded:
+            json_bytes[key] = decoded["bytes"]
 
     fetched = {}
     for verb, dest in (("bootstrap", "central"), ("bootstrap, warm cache", "warm")):
@@ -289,6 +376,9 @@ def test_record_verbs_stay_within_their_budgets(tmp_path, capsys, monkeypatch, n
     assert measured == budget, "\n" + table(measured, budget)
     work_budget_n = work_budget(n)
     assert worked == work_budget_n, "\n" + table(worked, work_budget_n)
+    assert json_bytes == JSON_BYTES[n], "\n" + table(
+        {verb: {"json": count} for verb, count in json_bytes.items()},
+        {verb: {"json": count} for verb, count in JSON_BYTES[n].items()})
     # a cold bootstrap misses each document once: itself, its two
     # downloads, the requirements, the configuration they include, the n
     # tool documents and the fragment that some of them inline. A warm

@@ -4,8 +4,13 @@ line against ``tests/transcripts/*.t``.
 
 A transcript is prose and commands. Each ``  $ `` line is a command, run in
 order in one fresh project under a fixed environment: ``scram ARGS...``
-through ``cli.main``, ``cd DIR``, or ``cp FILE DEST``, each path relative to
-``$TESTTMP``, the project's root. ``corpus.t`` runs on the corpus that
+through ``cli.main``, ``cd DIR``, or a file command, each path relative to
+``$TESTTMP``, the project's root. The file commands are ``cp SOURCE DEST``
+(a directory is copied whole), ``write FILE TEXT [TIMES]`` (``TEXT`` read
+with Python's backslash escapes, written ``TIMES`` times over), ``mkdir
+DIR``, ``remove PATH...`` (each file, link or whole tree that is there),
+``symlink LINK TARGET`` and ``export NAME=VALUE``, which sets a variable of the
+environment of the later commands. ``corpus.t`` runs on the corpus that
 ``perfbench/corpus.py`` generates, in ``$TESTTMP/corpus``; every other
 transcript runs on the toy project, in ``$TESTTMP/specs``. Below each scram
 command its result is recorded, indented two spaces
@@ -49,9 +54,13 @@ def _tree(root: str, inputs: str) -> dict[str, str]:
         if rel_dir == ".":
             dirnames.remove(inputs)
         for name in dirnames:
-            tree[os.path.normpath(os.path.join(rel_dir, name)) + "/"] = ""
+            rel = os.path.normpath(os.path.join(rel_dir, name))
+            tree[rel + "/"] = _link(root, rel) or ""
         for name in filenames:
             rel = os.path.normpath(os.path.join(rel_dir, name))
+            if os.path.islink(os.path.join(root, rel)):
+                tree[rel] = _link(root, rel)
+                continue
             if PACK_RE.search(name):
                 tree[rel] = "*"
                 continue
@@ -59,6 +68,47 @@ def _tree(root: str, inputs: str) -> dict[str, str]:
                 content = fh.read().replace(root.encode(), b"$TESTTMP")
             tree[rel] = hashlib.sha256(content).hexdigest()[:12]
     return tree
+
+
+def _link(root: str, rel: str) -> str | None:
+    """``-> TARGET`` if ``rel`` is a symlink, with ``$TESTTMP`` for ``root``."""
+    path = os.path.join(root, rel)
+    if not os.path.islink(path):
+        return None
+    return "-> " + os.readlink(path).replace(root, "$TESTTMP")
+
+
+def _file_command(argv: list[str], root: str, env: dict) -> None:
+    """Run the file command ``argv``, its paths relative to ``root``."""
+    command, args = argv[0], argv[1:]
+    if command == "export":
+        name, _, value = args[0].partition("=")
+        env[name] = value
+        return
+    path = os.path.join(root, args[0])
+    if command == "cp":
+        dest = os.path.join(root, args[1])
+        if os.path.isdir(path):
+            shutil.copytree(path, dest, symlinks=True)
+        else:
+            os.makedirs(os.path.dirname(dest), exist_ok=True)
+            shutil.copy(path, dest)
+    elif command == "write":
+        data = args[1].encode().decode("unicode_escape").encode("latin-1")
+        with open(path, "wb") as fh:
+            fh.write(data * int(args[2] if len(args) > 2 else 1))
+    elif command == "mkdir":
+        os.makedirs(path)
+    elif command == "remove":
+        for path in (os.path.join(root, arg) for arg in args):
+            if os.path.isdir(path) and not os.path.islink(path):
+                shutil.rmtree(path)
+            elif os.path.lexists(path):
+                os.unlink(path)
+    elif command == "symlink":
+        os.symlink(args[1], path)
+    else:
+        raise AssertionError(f"unknown command {command!r}")
 
 
 def _changes(before: dict[str, str], after: dict[str, str]) -> list[str]:
@@ -80,7 +130,7 @@ def _changes(before: dict[str, str], after: dict[str, str]) -> list[str]:
 def run_transcript(transcript: str, root: str, inputs: str, env: dict,
                    capsys) -> str:
     """``transcript`` with the result of each of its commands recorded anew."""
-    out, cwd = [], root
+    out, cwd, env = [], root, dict(env)
     for line in transcript.splitlines():
         if line.startswith("  ") and not line.startswith("  $ "):
             continue  # a recorded result: recorded anew below its command
@@ -91,12 +141,9 @@ def run_transcript(transcript: str, root: str, inputs: str, env: dict,
         if argv[0] == "cd":
             cwd = os.path.join(root, argv[1])
             continue
-        if argv[0] == "cp":
-            dest = os.path.join(root, argv[2])
-            os.makedirs(os.path.dirname(dest), exist_ok=True)
-            shutil.copy(os.path.join(root, argv[1]), dest)
+        if argv[0] != "scram":
+            _file_command(argv, root, env)
             continue
-        assert argv[0] == "scram", line
         before = _tree(root, inputs)
         code = main(argv[1:], env=env, cwd=cwd)
         stdout, stderr = capsys.readouterr()
