@@ -16,11 +16,13 @@ What a fetch reaches, a pack or an adapter, and how many fetches were made
 is decided and counted by the engine's ``UrlCache`` alone.
 
 A type with a ``codec`` (tool documents and configurations) has its
-payloads kept in the cache. A parse keeps the payload under the codec's
-tag, the type's name, the document's cache key (a relative reference
-resolves against its URL) and the SHA-256 of its bytes, and records with
-it the header and the URL, version and SHA-256 of each distinct document
-spliced into it. A caller that accepts exactly that one type is served the
+payloads kept in the cache, which stores bytes: this module alone encodes,
+decodes and checks the entry, and a cache it cannot write to keeps nothing
+and the command goes on. A parse keeps the payload under the codec's tag,
+the type's name, the document's cache key (a relative reference resolves
+against its URL) and the SHA-256 of its bytes, and records with it the
+header and the URL, version and SHA-256 of each distinct document spliced
+into it. A caller that accepts exactly that one type is served the
 kept payload instead of a parse when each recorded document still has its
 hash; each is fetched through the cache once per engine to learn it, so
 fetch counts and ``refresh`` are what a parse would give. Any doubt (no
@@ -42,7 +44,10 @@ one inside another is an error that names them all.
 
 from __future__ import annotations
 
-from .errors import DocTypeError, ScramError
+import json
+from contextlib import suppress
+
+from .errors import AreaError, DocTypeError, ScramError
 from .markup import (
     DocHeader,
     DocType,
@@ -55,6 +60,9 @@ from .markup import (
 from .urlaccess import ResourceUrl, UrlCache, parse_url, payload_key, sha256_of
 
 MAX_NESTING = 32  # documents spliced one inside another, below the activated one
+
+# the encoder of kept payload entries, compact JSON without a cycle
+_compact = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
 
 
 class DocumentEngine:
@@ -101,19 +109,21 @@ class DocumentEngine:
         events = self._splice(events, url, None, doc_type, {key: url}, spliced)
         payload = doc_type.builder(strip_doc_header(events))
         if codec is not None:
-            self.cache.keep(kept, [header.doc_type, header.doc_version,
-                                   list(spliced.values()), codec.encode(payload)])
+            entry = [header.doc_type, header.doc_version, list(spliced.values()),
+                     codec.encode(payload)]
+            with suppress(AreaError):
+                self.cache.keep(kept, _compact(entry).encode())
         return header, payload
 
     def _recall(self, kept: str, doc_type: DocType) -> tuple[DocHeader, object] | None:
         """The header and payload kept under ``kept``, if every document
         spliced into it still has the SHA-256 recorded with it; any doubt
         is None."""
-        entry = self.cache.recall(kept)
-        if entry is None:
+        data = self.cache.recall(kept)
+        if data is None:
             return None
         try:
-            doc_type_name, doc_version, recorded, value = entry
+            doc_type_name, doc_version, recorded, value = json.loads(data)
             header = DocHeader(doc_type_name, doc_version)
             check_doc_type(header, (doc_type,))
             for raw, version, sha in recorded:
@@ -121,7 +131,8 @@ class DocumentEngine:
                 if self._nested_doc(url, version, url.cache_key(version))[0] != sha:
                     return None
             return header, doc_type.codec.decode(value)
-        except (ScramError, TypeError, ValueError, KeyError, IndexError, AttributeError):
+        except (ScramError, ValueError, LookupError, TypeError, AttributeError,
+                RecursionError):
             return None
 
     def _nested_doc(self, url: ResourceUrl, version: str, key: str) -> tuple[str, bytes]:

@@ -4,8 +4,9 @@ private tree, each published by one rename, one lock, and two readers.
 A ``PrivateFile`` is a new dot-named temp file ``.<name>.<8 hex>.tmp``
 beside its target, grown by appends and renamed over the target once, so a
 reader sees the old file or the new one and a killed command leaves at
-most a dot-named temp file, which nothing reads. ``atomic_write`` replaces
-a file with one ``PrivateFile``; a document cache pack is one too.
+most a dot-named temp file, which nothing reads: ``list_dir``, which lists
+scram's state, alone skips dot-names. ``atomic_write`` replaces a file
+with one ``PrivateFile``; a document cache pack is one too.
 ``private_tree`` gives a new tree a dot-named sibling of its final path;
 ``write_new`` writes each of its files in one create-or-truncate write,
 with no temp file, because nothing reads the tree until it is renamed into
@@ -231,10 +232,11 @@ def read_json(path: str, what: str, missing=_REQUIRED) -> dict:
 
 
 def list_dir(path: str, what: str) -> list[str]:
-    """The names in the directory ``path``, a ``what``, read under the rule
-    of ``read_text``; a missing one has none, unless a dangling link is why."""
+    """The names in the directory ``path``, a ``what``, but the dot-names
+    of temp files, read under the rule of ``read_text``; a missing one has
+    none, unless a dangling link is why."""
     try:
-        return os.listdir(path)
+        return [name for name in os.listdir(path) if name[0] != "."]
     except FileNotFoundError as exc:
         link = _dangling(path)
         if link is None:

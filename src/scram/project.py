@@ -497,9 +497,8 @@ class ToolRecords(dict):
         super().__init__()
         self._dirs = dirs
         for source, directory in dirs.items():
-            entries = sorted(list_dir(directory, "tools directory"))
-            # dot-names are temp files of an interrupted write
-            self.update((entry, source) for entry in entries if not entry.startswith("."))
+            self.update((entry, source)
+                        for entry in sorted(list_dir(directory, "tools directory")))
 
     def read(self, name: str) -> ResolvedTool:
         return _load_record(os.path.join(self._dirs[self[name]], name))

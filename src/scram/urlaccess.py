@@ -23,10 +23,10 @@ made with ``refresh``, which refetches each once, and then the latest copy
 wins. ``auth`` and ``user`` never enter the cache key, so identities share
 content.
 
-A payload is a JSON value that a command ``keep``s under a
-``payload_key``, a list of parts of its own choosing (``activedoc`` keeps
-parsed documents) after ``"payload"``; its latest copy wins, as a HEAD
-entry's does, and compaction keeps it so. ``recall`` serves it under the rules of content,
+The cache keeps bytes. A payload is bytes that ``activedoc``, their one
+reader and writer, ``keep``s under a ``payload_key`` (``"payload"`` and
+parts of its choosing); its latest copy wins, as a HEAD entry's does, and
+compaction keeps it so. ``recall`` serves it under the rules of content,
 hash-checked, and it is neither fetched nor counted.
 """
 
@@ -37,11 +37,11 @@ import os
 import time
 from contextlib import suppress
 
-from .errors import AreaError, FetchError, UrlError
-from .fsutil import PrivateFile, cannot, locked
+from .errors import FetchError, UrlError
+from .fsutil import PrivateFile, cannot, list_dir, locked
 
 HEAD = "HEAD"
-# the first part of the key of every value that a command keeps
+# the first part of the key of every payload
 PAYLOAD = "payload"
 
 PACKS = "packs"
@@ -306,17 +306,17 @@ class UrlCache:
     Opening the cache makes ``<root>/packs`` unless it is a directory
     already, so a root that cannot hold the packs fails there, once, as
     ``cannot use cache <root>: <reason>``, and no later step checks it
-    again. The first fetch lists ``<root>/packs`` (dot-names are skipped), opens
-    each pack and reads its index; a pack unlinked by a compaction before
-    it is opened makes the listing start again. A hit ``pread``s the
-    best-ranked copy of its key and serves it only if its SHA-256 equals
-    the index's ``content_hash``; otherwise the next copy is tried, and a
-    key with no good copy is a miss. For a versioned key the copy with the
-    earliest ``fetched_at`` ranks first, so a served entry never changes;
-    for a HEAD key the latest does, so a refresh is served from then on. A
-    miss runs the adapter and appends the content to this command's private
-    pack, from which the command serves it again. With ``refresh`` a HEAD
-    key skips the published packs, so it reaches its adapter once per
+    again. The first fetch lists ``<root>/packs``, opens each pack and reads
+    its index; a pack unlinked by a compaction before it is opened makes
+    the listing start again. A hit ``pread``s the best-ranked copy of its
+    key and serves it only if its SHA-256 equals the index's
+    ``content_hash``; otherwise the next copy is tried, and a key with no
+    good copy is a miss. For a versioned key the copy with the earliest
+    ``fetched_at`` ranks first, so a served entry never changes; for a HEAD
+    key the latest does, so a refresh is served from then on. A miss runs
+    the adapter and ``keep``s the content in this command's private pack,
+    from which the command serves it again. With ``refresh`` a HEAD key
+    skips the published packs, so it reaches its adapter once per
     command; a payload does not, since whoever kept it checks what it
     depends on. ``publish`` ends the command: it stamps ``fetched_at`` into
     the private pack's index, renames the pack into place and, past
@@ -351,32 +351,19 @@ class UrlCache:
             return content
         self.stats.misses += 1
         content = self.registry.retrieve(url, version)
-        self._append(key, content)
+        self.keep(key, content)
         return content
 
-    def recall(self, key: str):
-        """The value that ``keep`` stored under ``key``, a ``payload_key``:
-        the copy in this command's pack, else the latest verified copy in a
-        published one; None when there is none or it does not decode. A
-        recall is not a fetch and is not counted."""
-        data = self._lookup(key, True)
-        if data is not None:
-            try:
-                return json.loads(data)
-            except (ValueError, RecursionError):
-                pass
-        return None
+    def recall(self, key: str) -> bytes | None:
+        """The bytes kept under ``key``, a ``payload_key``: the copy in
+        this command's pack, else the latest verified copy in a published
+        one; None when there is none. A recall is not a fetch and is not
+        counted."""
+        return self._lookup(key, True)
 
-    def keep(self, key: str, value) -> None:
-        """Store ``value``, a JSON value, under ``key``, a ``payload_key``,
-        in this command's pack, as compact JSON. A pack that cannot be
-        written keeps nothing, and the command goes on."""
-        try:
-            self._append(key, _compact(value).encode())
-        except AreaError:
-            pass
-
-    def _append(self, key: str, data: bytes) -> None:
+    def keep(self, key: str, data: bytes) -> None:
+        """Append ``data`` under ``key`` to this command's pack; a pack
+        that cannot be written is an ``AreaError``."""
         if self._own is None:
             self._own = PrivateFile(os.path.join(self.packs, _pack_name()))
         offset = self._own.append(data)
@@ -417,8 +404,8 @@ class UrlCache:
         return copies
 
     def _list(self) -> list[str]:
-        return sorted(n for n in os.listdir(self.packs)
-                      if n.endswith(".pack") and n[0] != ".")
+        return sorted(n for n in list_dir(self.packs, "document cache")
+                      if n.endswith(".pack"))
 
     def _close(self) -> None:
         for fd in self._fds:
@@ -520,13 +507,9 @@ def _ranked(copies, latest: bool) -> list[tuple]:
     return sorted(copies, key=lambda copy: copy[0], reverse=latest)
 
 
-# a JSON encoder for the values that commands keep, which never hold a cycle
-_compact = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
-
-
 def payload_key(*parts: str) -> str:
     """The key of the payload that ``parts`` name."""
-    return _compact([PAYLOAD, *parts])
+    return json.dumps([PAYLOAD, *parts], separators=(",", ":"))
 
 
 def _is_head(key: str) -> bool:
