@@ -39,7 +39,12 @@ spliced in one pass in document order; each nested document is spliced
 against its own URL at every reference, and the chain of documents being
 spliced is the one cycle check, reported with every URL in the cycle. The
 same chain bounds the nesting: more than ``MAX_NESTING`` documents spliced
-one inside another is an error that names them all.
+one inside another is an error that names them all. The same pass bounds
+the expansion: the events that references splice into one activation,
+counted once per reference, may not pass ``SPLICE_FLOOR`` or, if larger,
+``SPLICE_FACTOR`` times the events of the distinct documents it reads, so
+a few hundred bytes of fragments that each inline the next twice fail
+early instead of growing to millions of events.
 """
 
 from __future__ import annotations
@@ -60,6 +65,10 @@ from .markup import (
 from .urlaccess import ResourceUrl, UrlCache, parse_url, payload_key, sha256_of
 
 MAX_NESTING = 32  # documents spliced one inside another, below the activated one
+# the events that references may splice into one activation: this many
+# times the events of the distinct documents it reads, and at least the floor
+SPLICE_FACTOR = 16
+SPLICE_FLOOR = 10_000
 
 # the encoder of kept payload entries, compact JSON without a cycle
 _compact = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
@@ -106,7 +115,8 @@ class DocumentEngine:
         header = read_doc_header(events)
         doc_type = check_doc_type(header, accepted)
         spliced: dict[str, list] = {}
-        events = self._splice(events, url, None, doc_type, {key: url}, spliced)
+        events = self._splice(events, url, None, doc_type, {key: url}, spliced,
+                              [0, len(events)])
         payload = doc_type.builder(strip_doc_header(events))
         if codec is not None:
             entry = [header.doc_type, header.doc_version, list(spliced.values()),
@@ -148,15 +158,16 @@ class DocumentEngine:
         return tokenize_markup(content.decode("utf-8", errors="replace"),
                                source_id=str(url))
 
-    def _splice(self, events, url, version, doc_type, chain, spliced):
+    def _splice(self, events, url, version, doc_type, chain, spliced, counts):
         """Splice ``<inline>`` and, unless the type opts out, ``<include>``
         in one pass, resolving each nested document against its own URL.
         ``chain`` maps the cache key of each document being spliced to its
         URL, outermost first; ``spliced`` gets the [URL, version, SHA-256]
-        of each distinct nested document, by cache key. A nested document
-        is fetched and tokenized once per engine however often it is
-        referenced; it is still spliced, header-checked, cycle-checked and
-        depth-checked at every reference."""
+        of each distinct nested document, by cache key; ``counts`` holds
+        the events spliced so far and those of the distinct documents read.
+        A nested document is fetched and tokenized once per engine however
+        often it is referenced; it is still spliced, header-checked,
+        cycle-checked, depth-checked and counted at every reference."""
 
         def resolve(target: str, tag: str):
             resolved = parse_url(target, base=url)
@@ -168,17 +179,25 @@ class DocumentEngine:
                     f"document inclusion cycle: {names}" if key in chain else
                     f"documents nested more than {MAX_NESTING} deep: {names}")
             sha, content = self._nested_doc(resolved, resolved_version, key)
-            if key not in spliced:
-                spliced[key] = [resolved.unparse(), resolved_version, sha]
             inner_events = self._events.get(key)
             if inner_events is None:
                 inner_events = self._events[key] = self.events_for(resolved, content)
+            if key not in spliced:
+                spliced[key] = [resolved.unparse(), resolved_version, sha]
+                counts[1] += len(inner_events)
+            counts[0] += len(inner_events)
+            bound = max(SPLICE_FLOOR, SPLICE_FACTOR * counts[1])
+            if counts[0] > bound:
+                raise DocTypeError(
+                    f"references splice more than {bound} events, the larger of "
+                    f"{SPLICE_FLOOR} and {SPLICE_FACTOR} times the {counts[1]} events "
+                    f"of the {len(spliced) + 1} documents read")
             if tag == "include":
                 # located at the included header, which names its URL
                 inner_header = read_doc_header(inner_events)
                 check_doc_type(inner_header, (doc_type,), inner_header.location)
             return self._splice(inner_events, resolved, resolved_version,
-                                doc_type, {**chain, key: resolved}, spliced)
+                                doc_type, {**chain, key: resolved}, spliced, counts)
 
         tags = ("inline", "include") if doc_type.splice_includes else ("inline",)
         return splice_inline(events, resolve, tags=tags)

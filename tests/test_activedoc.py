@@ -1,6 +1,6 @@
 import pytest
 
-from scram.activedoc import MAX_NESTING, DocumentEngine
+from scram.activedoc import MAX_NESTING, SPLICE_FACTOR, SPLICE_FLOOR, DocumentEngine
 from scram.errors import DocTypeError, MarkupError, ScramError, ToolError
 from scram.markup import DocType, EventKind
 from scram.tooldoc import TOOLDOC
@@ -175,6 +175,39 @@ class TestActivate:
         assert exc.value.message == (
             f"documents nested more than {MAX_NESTING} deep: {' -> '.join(urls)}")
         assert fetch_count(engine) == MAX_NESTING + 1
+
+    def repeated(self, tmp_path, events, times):
+        """outer.doc, inlining ``times`` times a fragment of ``events`` tags."""
+        write(tmp_path, "frag.doc", "<m>" * events)
+        return write(tmp_path, "outer.doc", "<doc type=Test::Names version=1.0>"
+                     + '<inline url="frag.doc">' * times)
+
+    def test_splicing_up_to_the_floor_activates(self, engine, tmp_path):
+        outer = self.repeated(tmp_path, 100, SPLICE_FLOOR // 100)
+        assert len(engine.activate(outer, (NAMES,))) == SPLICE_FLOOR
+
+    def test_splicing_past_the_floor_fails_at_the_crossing_reference(self, engine,
+                                                                     tmp_path):
+        times = SPLICE_FLOOR // 100 + 1
+        outer = self.repeated(tmp_path, 100, times)
+        with pytest.raises(DocTypeError) as exc:
+            engine.activate(outer, (NAMES,))
+        read = 1 + times + 100  # the outer document's events and the fragment's
+        assert exc.value.message == (
+            f"references splice more than {SPLICE_FLOOR} events, the larger of "
+            f"{SPLICE_FLOOR} and {SPLICE_FACTOR} times the {read} events of the "
+            f"2 documents read")
+        assert exc.value.location.column == 1 + len(
+            "<doc type=Test::Names version=1.0>" + '<inline url="frag.doc">' * (times - 1))
+
+    def test_above_the_floor_the_bound_follows_the_documents_read(self, engine, tmp_path):
+        # 16 copies of a fragment of 1000 tags read 1017 events, so 16,000
+        # spliced events are within the bound; 20 copies are not
+        fits = self.repeated(tmp_path / "fits", 1000, SPLICE_FACTOR)
+        assert len(engine.activate(fits, (NAMES,))) == SPLICE_FACTOR * 1000 > SPLICE_FLOOR
+        too_many = self.repeated(tmp_path / "too-many", 1000, SPLICE_FACTOR + 4)
+        with pytest.raises(DocTypeError, match=f"more than {SPLICE_FACTOR * 1021} events"):
+            engine.activate(too_many, (NAMES,))
 
     def test_error_in_nested_document_names_its_directory(self, engine, tmp_path):
         # top/a.doc inlines sub/b.doc, which includes frag.doc: both

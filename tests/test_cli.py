@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -108,6 +109,28 @@ class TestErrors:
         assert err.startswith(f"scram: while activating {a}: ")
         assert err.count("\n") == 1
         assert err.endswith(f"document inclusion cycle: {a} -> {b} -> {c} -> {a}\n")
+
+
+    @pytest.mark.parametrize("depth", [14, 20])
+    def test_fragments_inlining_the_next_twice_fail_within_a_second(
+            self, toy, tmp_path, capsys, depth):
+        # a bootstrap document and ``depth`` fragments, each inlining the
+        # next twice: 2 ** (depth + 1) - 1 tags from well under 1100 bytes
+        for i in range(depth):
+            inner = f'<inline url="f{i + 1}.doc">' * 2 if i + 1 < depth else ""
+            (tmp_path / f"f{i}.doc").write_text(f"<x>{inner}\n")
+        top = tmp_path / "top.boot"
+        top.write_text("<doc type=BuildSystem::BootStrapDoc version=1.0>\n"
+                       "<project name=ORCA version=7_1_3>\n"
+                       '<inline url="f0.doc"><inline url="f0.doc">\n')
+        start = time.perf_counter()
+        assert run(toy, "bootstrap", f"file:{top}", "--dest", str(toy.install_root)) == 1
+        assert time.perf_counter() - start < 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1, err
+        assert err.startswith(f"scram: while activating file:{top}: ")
+        assert "references splice more than 10000 events" in err
+        assert os.listdir(toy.install_root) == []
 
 
 class TestCorruptState:

@@ -3,7 +3,7 @@
 import re
 from pathlib import Path
 
-from scram.activedoc import MAX_NESTING
+from scram.activedoc import MAX_NESTING, SPLICE_FACTOR, SPLICE_FLOOR
 
 REPO = Path(__file__).parent.parent
 
@@ -24,3 +24,13 @@ def test_the_nesting_limit_in_the_dialect_reference_is_the_code_s():
     stated = re.findall(r"At most (\d+) documents nest", composition)
     assert stated == [str(MAX_NESTING)]
     assert f"nested more than {MAX_NESTING} deep" in composition
+
+
+def test_the_expansion_bound_in_the_dialect_reference_is_the_code_s():
+    text = (REPO / "docs" / "dialect.md").read_text()
+    composition = text.split("\n## Composition\n", 1)[1].split("\n## ", 1)[0]
+    stated = re.findall(r"References splice at most (\d+) events into one activated "
+                        r"document, or,\s+if larger, (\d+) times", composition)
+    assert stated == [(str(SPLICE_FLOOR), str(SPLICE_FACTOR))]
+    assert (f"references splice more than {SPLICE_FLOOR} events, the larger of "
+            f"{SPLICE_FLOOR} and {SPLICE_FACTOR}\n  times") in composition
