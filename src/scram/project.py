@@ -742,9 +742,10 @@ def setup_tool(area: ProjectArea, name: str | None = None,
     With a URL: set up exactly that product/version, overriding locally.
     With a name: re-resolve that tool from the inherited configuration; a
     version, if given, must be the configured one.
-    With nothing: make sure every configured tool has a valid record,
-    resolving only the ones whose record is missing or has another version,
-    in dependency order.
+    With nothing: make sure every configured tool has a record, resolving,
+    in dependency order, those with none and those whose record is the
+    central one at another version. A local record, a developer's
+    override, is left alone; re-resolving it takes its name.
 
     Returns the names written.
     """
@@ -771,7 +772,8 @@ def setup_tool(area: ProjectArea, name: str | None = None,
     else:
         rows = records.by_configuration(load_config_record(area, arch))
         pins = [pin for _, pin, key in rows if pin is not None
-                and (key is None or records.version(key) != pin.version)]
+                and (key is None or records[key] == "central"
+                     and records.version(key) != pin.version)]
         if not pins:
             return []  # nothing to resolve, so no cache to open
     engine = build_engine(site, env, area.install_root, refresh)

@@ -132,17 +132,17 @@ JSON_BYTES = {
         "central: runtime -sh --app": 5757,
         "central: tool list": 5757,
         "central: tool info": 739,
-        "central: setup": 5757,
-        "central: setup, one record missing": 13211,
+        "central: setup": 1344,
+        "central: setup, one record missing": 10342,
         "developer: setup NAME VER URL": 8157,
         "developer: runtime -sh": 5757,
         "developer: runtime -sh --app": 5757,
         "developer: tool list": 5757,
         "developer: tool info": 739,
-        "developer: setup": 5757,
-        "developer: setup, one record missing": 13211,
-        "developer: setup, last missing tool fails": 11312,
-        "central: setup, last missing tool fails": 11312,
+        "developer: setup": 5018,
+        "developer: setup, one record missing": 12472,
+        "developer: setup, last missing tool fails": 9029,
+        "central: setup, last missing tool fails": 9029,
     },
     40: {
         "bootstrap, warm cache": 104024,
@@ -152,17 +152,17 @@ JSON_BYTES = {
         "central: runtime -sh --app": 59908,
         "central: tool list": 59908,
         "central: tool info": 787,
-        "central: setup": 59908,
-        "central: setup, one record missing": 100456,
+        "central: setup": 13349,
+        "central: setup, one record missing": 55432,
         "developer: setup NAME VER URL": 41819,
         "developer: runtime -sh": 59908,
         "developer: runtime -sh --app": 59908,
         "developer: tool list": 59908,
         "developer: tool info": 787,
-        "developer: setup": 59908,
-        "developer: setup, one record missing": 100456,
-        "developer: setup, last missing tool fails": 99115,
-        "central: setup, last missing tool fails": 99115,
+        "developer: setup": 59121,
+        "developer: setup, one record missing": 99669,
+        "developer: setup, last missing tool fails": 96793,
+        "central: setup, last missing tool fails": 54549,
     },
 }
 # the length of the test's directory, padded to it
@@ -202,6 +202,13 @@ def budgets(n: int, area: str, deps: int, work_deps: int,
     # directory: the first open of the temp file fails, both directories
     # are made, and the open is retried
     local = {"central": 0, "developer": 1}[area]
+
+    def compared(skipped: int) -> int:
+        """The records that a bare setup opens to compare versions: the
+        central ones of a developer area, less the ``skipped`` that are
+        local or missing there; a central area's records are all local."""
+        return (n - skipped) * local
+
     budget = {
         # the records that the tool's externals name, and no other; the
         # spec fetch lists the cache
@@ -213,18 +220,20 @@ def budgets(n: int, area: str, deps: int, work_deps: int,
         "runtime -sh --app": {"open": n + 4, "list": 3 * (1 + local)},
         "tool list": {"open": n + 2, "list": 1 + local},
         "tool info": {"open": 2, "list": 1 + local},
-        # the records are listed once: to compare versions and to resolve
-        "setup": {"open": n + 4, "list": 1 + local},
+        # the records are listed once: to compare versions and to resolve;
+        # the tool set up by URL has a local record, which is not compared
+        "setup": {"open": 4 + compared(1), "list": 1 + local},
         # counted in the areas alone, so the site file, the spec fetch and
         # any library probe do not count: a bare setup with nothing to do
-        # has the same listings and, less the site file, n + 3 opens; here
-        # the record's write takes the place of its version read, and the
-        # records that the tool's externals name are read
-        "setup, one record missing": {"open": n + 3 + work_deps, "list": 1 + local,
-                                      "rename": 1},
+        # has the same listings and, less the site file, 3 opens besides
+        # the records it compares; here the missing record is written, and
+        # the records that the tool's externals name are read
+        "setup, one record missing": {"open": 4 + compared(2) + work_deps,
+                                      "list": 1 + local, "rename": 1},
         # two records are missing and the one resolved last fails: the
-        # other's record is not written, so nothing is renamed
-        "setup, last missing tool fails": {"open": n + 1 + fail_deps,
+        # other's record is not written, so nothing is renamed; the record
+        # restored before is local to a developer area by now
+        "setup, last missing tool fails": {"open": 3 + compared(4) + fail_deps,
                                            "list": 1 + local},
     }
     return {f"{area}: {verb}": {op: count for op, count in ops.items() if count}

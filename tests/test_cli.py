@@ -300,6 +300,24 @@ class TestPathErrors:
         assert err.startswith(f"scram: {argv[0]}: ") and err.count("\n") == 1
         assert str(path) in err
 
+    def test_an_unlistable_cache_is_one_line(self, toy, capsys, monkeypatch):
+        packs = os.path.join(toy.env["SCRAM_CACHE"], "packs")
+        real_listdir = os.listdir
+
+        def listdir(path):
+            if os.fspath(path) == packs:
+                raise PermissionError(13, "Permission denied", path)
+            return real_listdir(path)
+
+        monkeypatch.setattr(os, "listdir", listdir)
+        assert run(toy, "bootstrap", toy.bootstrap_url,
+                   "--dest", str(toy.install_root)) == 1
+        # the first fetch lists the packs, while the bootstrap document activates
+        assert capsys.readouterr() == (
+            "", f"scram: while activating {toy.bootstrap_url}: unreadable document "
+                f"cache {packs}: Permission denied\n")
+        assert os.listdir(toy.install_root) == []
+
     def test_last_resort_names_verb_and_file(self, toy, capsys, monkeypatch):
         def fail(*args, **kwargs):
             raise PermissionError(13, "Permission denied", "/some/registry")
@@ -731,6 +749,47 @@ def test_a_failed_setup_writes_no_record(toy, capsys, kind):
     assert err.startswith(
         "scram: setup: cannot resolve client variable 'LIBDIR' of boost 1.28.0; ")
     assert [snapshot(path) for path in records] == before
+
+
+def htl_row(toy, area, capsys) -> str:
+    """htl's row of ``tool list`` in ``area``."""
+    assert run(toy, "tool", "list", cwd=area) == 0
+    (row,) = [line for line in capsys.readouterr().out.splitlines()
+              if line.startswith(" htl ")]
+    return row
+
+
+@pytest.mark.parametrize("kind", ["central", "developer"])
+def test_a_bare_setup_keeps_a_local_override(toy, capsys, kind):
+    """htl set up at 1.5 by URL stays at 1.5 through a bare ``setup``; its
+    configured 1.4 comes back when it is set up by name."""
+    area = lifecycle(toy, capsys)
+    if kind == "developer":
+        assert run(toy, "project", "ORCA", "7_1_3", cwd=str(toy.workspace)) == 0
+        area = str(toy.workspace / "ORCA_7_1_3")
+    assert run(toy, "setup", "htl", "1.5", f"file:{toy.specs}/htl.tooldoc", cwd=area) == 0
+    capsys.readouterr()
+    assert run(toy, "setup", cwd=area) == 0
+    assert capsys.readouterr() == ("", "")
+    assert htl_row(toy, area, capsys) == " htl                  1.5        (default=1.4)"
+    assert run(toy, "setup", "htl", cwd=area) == 0
+    assert capsys.readouterr().out == "set up htl\n"
+    assert htl_row(toy, area, capsys) == " htl                  1.4        (default=1.4)"
+
+
+def test_a_bare_setup_resolves_a_central_record_at_another_version(toy, capsys):
+    """In a developer area a central record at another version than the
+    configured one is resolved again, into a local record."""
+    central = lifecycle(toy, capsys)
+    assert run(toy, "setup", "htl", "1.5", f"file:{toy.specs}/htl.tooldoc",
+               cwd=central) == 0
+    assert run(toy, "project", "ORCA", "7_1_3", cwd=str(toy.workspace)) == 0
+    dev = str(toy.workspace / "ORCA_7_1_3")
+    capsys.readouterr()
+    assert run(toy, "setup", cwd=dev) == 0
+    assert capsys.readouterr().out == "set up htl\n"
+    assert htl_row(toy, dev, capsys) == " htl                  1.4        (default=1.4)"
+    assert htl_row(toy, central, capsys) == " htl                  1.5        (default=1.4)"
 
 
 def test_refresh_fetches_a_twice_downloaded_url_once(toy, capsys, monkeypatch):

@@ -11,6 +11,7 @@ from scram.errors import AreaError
 from scram.fsutil import (
     PrivateFile,
     atomic_write,
+    list_dir,
     locked,
     make_dirs,
     private_tree,
@@ -240,6 +241,17 @@ class TestPrivateFile:
         target = tmp_path / "file" / "one.pack"
         with pytest.raises(AreaError, match=f"^cannot write {target}: Not a directory$"):
             PrivateFile(str(target))
+
+
+def test_list_dir_skips_the_dot_names_of_temp_files(tmp_path):
+    PrivateFile(str(tmp_path / "record")).append("half")
+    with pytest.raises(OSError):
+        with private_tree(str(tmp_path / "tree")):
+            raise OSError("the tree is never published")
+    (tmp_path / "kept").write_text("")
+    (tmp_path / ".partial-left-by-a-kill").mkdir()
+    assert len(os.listdir(tmp_path)) == 3
+    assert list_dir(str(tmp_path), "directory") == ["kept"]
 
 
 def test_make_dirs_names_the_path(tmp_path):

@@ -599,6 +599,20 @@ class TestUrlCache:
         one_command(tmp_path, item(99), "1.0")  # the lock was let go
         assert len(packs(tmp_path)) == 1
 
+    def test_a_fault_listing_the_packs_is_one_area_error(self, tmp_path, monkeypatch):
+        real_listdir = os.listdir
+
+        def listdir(path):
+            if os.fspath(path).endswith("packs"):
+                raise PermissionError(13, "Permission denied", path)
+            return real_listdir(path)
+
+        monkeypatch.setattr(os, "listdir", listdir)
+        cache = UrlCache(str(tmp_path), no_fetch_registry())
+        with pytest.raises(AreaError, match="^" + re.escape(
+                f"unreadable document cache {tmp_path / 'packs'}: Permission denied") + "$"):
+            cache.fetch(item(1), "1.0")
+
     def test_killed_fetcher_leaves_an_unread_temp_pack(self, tmp_path, kill_when_held,
                                                        monkeypatch):
         kill_when_held(
