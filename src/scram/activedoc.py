@@ -52,7 +52,7 @@ from __future__ import annotations
 import json
 from contextlib import suppress
 
-from .errors import AreaError, DocTypeError, ScramError
+from .errors import CacheError, DocTypeError, ScramError
 from .markup import (
     DocHeader,
     DocType,
@@ -97,7 +97,7 @@ class DocumentEngine:
             else:
                 check_doc_type(done[0], accepted)
         except ScramError as exc:
-            if exc.context is None:
+            if exc.context is None and not isinstance(exc, CacheError):
                 exc.context = f"while activating {url}"
             raise
         return done[1]
@@ -121,7 +121,7 @@ class DocumentEngine:
         if codec is not None:
             entry = [header.doc_type, header.doc_version, list(spliced.values()),
                      codec.encode(payload)]
-            with suppress(AreaError):
+            with suppress(CacheError):
                 self.cache.keep(kept, _compact(entry).encode())
         return header, payload
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import os
 from collections.abc import Iterable, Iterator
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from itertools import chain
 
 from .activedoc import DocumentEngine
@@ -612,10 +612,12 @@ def bootstrap_install(bootstrap_url: str, dest_root: str, *, site: SiteInfo,
 
     The whole area is built in a private dot-named directory beside its
     final path and published by one rename, so a failed bootstrap leaves
-    nothing behind and a killed one only the dot-named directory. The area
-    is created unregistered and stays in the ``incomplete`` state until a
-    successful build (or a forced install) marks it complete.
+    nothing behind, not even a ``dest_root`` it made that is still empty,
+    and a killed one only the dot-named directory. The area is created
+    unregistered and stays in the ``incomplete`` state until a successful
+    build (or a forced install) marks it complete.
     """
+    made_dest = not os.path.lexists(dest_root)
     engine = build_engine(site, env, dest_root, refresh)
     try:
         boot_url = parse_url(bootstrap_url)
@@ -642,6 +644,11 @@ def bootstrap_install(bootstrap_url: str, dest_root: str, *, site: SiteInfo,
                 area.write(os.path.join(area.root, "config", REQUIREMENTS_ID_FILE),
                            identity + "\n")
                 write_tool_records(area, arch, tools)
+    except BaseException:
+        if made_dest:
+            with suppress(OSError):
+                os.rmdir(dest_root)  # only while it is empty
+        raise
     finally:
         engine.cache.publish()
 

@@ -17,17 +17,17 @@ pack per command that fetched or kept something; a command makes
 ``<root>/packs`` when it opens the cache. A pack holds the fetched contents
 and the kept payloads, then a JSON index mapping each key to ``[offset,
 length, content_hash, fetched_at]``, then a fixed-width footer giving the
-index's offset. Versioned entries never change: the earliest copy of a key
-wins. Unversioned (HEAD) entries are served from cache until a command is
-made with ``refresh``, which refetches each once, and then the latest copy
-wins. ``auth`` and ``user`` never enter the cache key, so identities share
-content.
+index's offset. One rule, ``_served``, picks the copy of a key that
+lookups serve and compaction keeps: versioned entries never change, as the
+earliest verified copy wins, and unversioned (HEAD) entries are served from
+cache until a command is made with ``refresh``, which refetches each once,
+and then the latest copy wins. ``auth`` and ``user`` never enter the cache
+key, so identities share content.
 
 The cache keeps bytes. A payload is bytes that ``activedoc``, their one
 reader and writer, ``keep``s under a ``payload_key`` (``"payload"`` and
-parts of its choosing); its latest copy wins, as a HEAD entry's does, and
-compaction keeps it so. ``recall`` serves it under the rules of content,
-hash-checked, and it is neither fetched nor counted.
+parts of its choosing); ``recall`` serves it as a HEAD entry, its latest
+copy first, and it is neither fetched nor counted.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import os
 import time
 from contextlib import suppress
 
-from .errors import FetchError, UrlError
+from .errors import AreaError, CacheError, FetchError, UrlError
 from .fsutil import PrivateFile, cannot, list_dir, locked
 
 HEAD = "HEAD"
@@ -306,21 +306,19 @@ class UrlCache:
     Opening the cache makes ``<root>/packs`` unless it is a directory
     already, so a root that cannot hold the packs fails there, once, as
     ``cannot use cache <root>: <reason>``, and no later step checks it
-    again. The first fetch lists ``<root>/packs``, opens each pack and reads
-    its index; a pack unlinked by a compaction before it is opened makes
-    the listing start again. A hit ``pread``s the best-ranked copy of its
-    key and serves it only if its SHA-256 equals the index's
-    ``content_hash``; otherwise the next copy is tried, and a key with no
-    good copy is a miss. For a versioned key the copy with the earliest
-    ``fetched_at`` ranks first, so a served entry never changes; for a HEAD
-    key the latest does, so a refresh is served from then on. A miss runs
-    the adapter and ``keep``s the content in this command's private pack,
-    from which the command serves it again. With ``refresh`` a HEAD key
-    skips the published packs, so it reaches its adapter once per
-    command; a payload does not, since whoever kept it checks what it
-    depends on. ``publish`` ends the command: it stamps ``fetched_at`` into
-    the private pack's index, renames the pack into place and, past
-    ``COMPACT_ABOVE`` packs, merges them. No fetch takes a lock.
+    again. The first lookup lists ``<root>/packs``, opens each pack and
+    decodes its index; a pack unlinked by a compaction before it is opened
+    makes the listing start again. A lookup serves the copy that
+    ``_served`` picks from this command's private pack, whose copies rank
+    as the latest, and the published packs; a key with none is a miss,
+    which runs the adapter and ``keep``s the content in the private pack.
+    With ``refresh`` a HEAD key skips the published packs, so it reaches
+    its adapter once per command; a payload does not, since whoever kept
+    it checks what it depends on. A fault listing ``packs`` or writing a
+    pack is a ``CacheError``. ``publish`` ends the command: it stamps
+    ``fetched_at`` into the private pack's index, renames the pack into
+    place and, past ``COMPACT_ABOVE`` packs, merges them, keeping the copy
+    of each key that ``_served`` picks. No fetch takes a lock.
     """
 
     def __init__(self, root: str, registry: SchemeRegistry, refresh: bool = False):
@@ -333,13 +331,13 @@ class UrlCache:
         self.registry = registry
         self.refresh = refresh
         self.stats = CacheStats()
-        # key -> [(fetched_at, fd, offset, length, content_hash)] of the
-        # published packs, once listed
-        self._copies: dict[str, list[tuple]] | None = None
+        # (fd, index, index offset) of each published pack, once listed
+        self._packs: list[tuple] | None = None
         self._fds: list[int] = []
         self._own: PrivateFile | None = None
-        # key -> (offset, length, content_hash) in the private pack
-        self._own_index: dict[str, tuple[int, int, str]] = {}
+        # key -> [offset, length, content_hash, fetched_at] in the private
+        # pack, whose copies rank as the latest until it is published
+        self._own_index: dict[str, list] = {}
 
     def fetch(self, url: ResourceUrl, version: str | None = None) -> bytes:
         key = url.cache_key(version)
@@ -363,31 +361,27 @@ class UrlCache:
 
     def keep(self, key: str, data: bytes) -> None:
         """Append ``data`` under ``key`` to this command's pack; a pack
-        that cannot be written is an ``AreaError``."""
-        if self._own is None:
-            self._own = PrivateFile(os.path.join(self.packs, _pack_name()))
-        offset = self._own.append(data)
-        self._own_index[key] = (offset, len(data), sha256_of(data))
+        that cannot be written is a ``CacheError``."""
+        try:
+            if self._own is None:
+                self._own = PrivateFile(os.path.join(self.packs, _pack_name()))
+            offset = self._own.append(data)
+        except AreaError as exc:
+            raise CacheError(exc.message) from exc
+        self._own_index[key] = [offset, len(data), sha256_of(data), float("inf")]
 
     def _lookup(self, key: str, latest: bool, published: bool = True) -> bytes | None:
-        own = self._own_index.get(key)
-        if own is not None:
-            content = _verified(self._own.fd, *own)
-            if content is not None:
-                return content
-        if not published:
-            return None
-        if self._copies is None:
-            self._copies = self._read_packs(self._list())
-        for _, fd, offset, length, content_hash in _ranked(
-                self._copies.get(key, ()), latest):
-            content = _verified(fd, offset, length, content_hash)
-            if content is not None:
-                return content
-        return None
+        packs = [] if self._own is None else [
+            (self._own.fd, self._own_index, self._own.size)]
+        if published:
+            if self._packs is None:
+                self._packs = self._read_packs(self._list())
+            packs += self._packs
+        served = _served(key, packs, latest)
+        return served[0] if served else None
 
-    def _read_packs(self, names: list[str]) -> dict[str, list[tuple]]:
-        copies: dict[str, list[tuple]] = {}
+    def _read_packs(self, names: list[str]) -> list[tuple]:
+        packs = []
         for name in names:
             try:
                 fd = os.open(os.path.join(self.packs, name), os.O_RDONLY)
@@ -398,20 +392,21 @@ class UrlCache:
             except OSError:
                 continue  # unreadable to this user: it holds nothing
             self._fds.append(fd)
-            for key, (offset, length, content_hash, fetched_at) in _index(fd).items():
-                copies.setdefault(key, []).append(
-                    (fetched_at, fd, offset, length, content_hash))
-        return copies
+            packs.append((fd, *_index(fd)))
+        return packs
 
     def _list(self) -> list[str]:
-        return sorted(n for n in list_dir(self.packs, "document cache")
-                      if n.endswith(".pack"))
+        try:
+            names = list_dir(self.packs, "document cache")
+        except AreaError as exc:
+            raise CacheError(exc.message) from exc
+        return sorted(name for name in names if name.endswith(".pack"))
 
     def _close(self) -> None:
         for fd in self._fds:
             os.close(fd)
         self._fds = []
-        self._copies = None
+        self._packs = None
 
     def publish(self) -> None:
         """End the command: publish what it fetched as one pack, merge the
@@ -422,7 +417,7 @@ class UrlCache:
         try:
             if own is not None:
                 fetched_at = time.time()
-                _finish(own, {key: [*entry, fetched_at]
+                _finish(own, {key: [*entry[:3], fetched_at]
                               for key, entry in index.items()})
                 if len(self._list()) > COMPACT_ABOVE:
                     self._compact()
@@ -430,7 +425,7 @@ class UrlCache:
             self._close()
 
     def _compact(self) -> None:
-        """Merge the packs into one holding each key's best verified copy,
+        """Merge the packs into one holding each key's served copy,
         under ``<root>/packs/lock``; skipped while another command holds
         it. The merged pack is published before the merged ones are
         unlinked, so a reader always finds every key."""
@@ -441,18 +436,15 @@ class UrlCache:
             names = self._list()
             if len(names) <= COMPACT_ABOVE:
                 return  # another command has just merged them
-            copies = self._read_packs(names)
+            packs = self._read_packs(names)
             merged = PrivateFile(os.path.join(self.packs, _pack_name()))
             index = {}
             try:
-                for key, candidates in copies.items():
-                    for fetched_at, fd, offset, length, content_hash in _ranked(
-                            candidates, _is_head(key)):
-                        content = _verified(fd, offset, length, content_hash)
-                        if content is not None:
-                            index[key] = [merged.append(content), length,
-                                          content_hash, fetched_at]
-                            break
+                for key in dict.fromkeys(key for _, index, _ in packs for key in index):
+                    served = _served(key, packs, _is_head(key))
+                    if served is not None:
+                        content, (_, *entry) = served
+                        index[key] = [merged.append(content), *entry]
             except BaseException:
                 merged.discard()
                 raise
@@ -471,25 +463,20 @@ def _finish(pack: PrivateFile, index: dict) -> None:
     pack.finish(json.dumps(index).encode() + _MAGIC + b"%016x" % pack.size)
 
 
-def _index(fd: int) -> dict[str, list]:
-    """The well-formed entries of the index of the pack open at ``fd``;
-    none for a file that is not a pack."""
-    try:
+def _index(fd: int) -> tuple[dict, int]:
+    """The index of the pack open at ``fd`` and its offset, which no entry
+    may pass; an empty one for a file that is not a pack. Its entries are
+    checked only when their key is looked up."""
+    with suppress(OSError, ValueError, RecursionError):
         size = os.fstat(fd).st_size
         footer = os.pread(fd, _FOOTER_LEN, max(size - _FOOTER_LEN, 0))
-        if len(footer) != _FOOTER_LEN or not footer.startswith(_MAGIC):
-            return {}
-        start = int(footer[len(_MAGIC):], 16)
-        end = size - _FOOTER_LEN
-        if not 0 <= start <= end:
-            return {}
-        index = json.loads(os.pread(fd, end - start, start))
-    except (OSError, ValueError, RecursionError):
-        return {}
-    if type(index) is not dict:
-        return {}
-    return {key: entry for key, entry in index.items()
-            if _well_formed(entry, start)}
+        if len(footer) == _FOOTER_LEN and footer.startswith(_MAGIC):
+            start, end = int(footer[len(_MAGIC):], 16), size - _FOOTER_LEN
+            if 0 <= start <= end:
+                index = json.loads(os.pread(fd, end - start, start))
+                if type(index) is dict:
+                    return index, start
+    return {}, 0
 
 
 def _well_formed(entry, limit: int) -> bool:
@@ -501,10 +488,22 @@ def _well_formed(entry, limit: int) -> bool:
             and type(content_hash) is str and type(fetched_at) in (int, float))
 
 
-def _ranked(copies, latest: bool) -> list[tuple]:
-    """Copies in serving order: earliest ``fetched_at`` first, or latest
-    first."""
-    return sorted(copies, key=lambda copy: copy[0], reverse=latest)
+def _served(key: str, packs: list[tuple], latest: bool) -> tuple[bytes, list] | None:
+    """The copy of ``key`` that ``packs``, each ``(fd, index, index
+    offset)``, serve, and its entry; None when none verifies. The one
+    serving rule: of the key's well-formed entries, and no other, the
+    earliest ``fetched_at`` is tried first, or the latest when ``latest``
+    (a HEAD or payload key), and the first copy whose SHA-256 matches its
+    ``content_hash`` is served, so a served versioned entry never changes
+    and a refresh is served from then on."""
+    copies = sorted(((index[key], fd) for fd, index, limit in packs
+                     if key in index and _well_formed(index[key], limit)),
+                    key=lambda copy: copy[0][3], reverse=latest)
+    for entry, fd in copies:
+        content = _verified(fd, *entry[:3])
+        if content is not None:
+            return content, entry
+    return None
 
 
 def payload_key(*parts: str) -> str:

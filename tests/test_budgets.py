@@ -15,7 +15,9 @@ tokenizes and the events they give, counted by a spy on
 each verb decodes as JSON are pinned too, counted by a spy on
 ``json.load`` and ``json.loads`` where ``fsutil``, ``urlaccess`` and
 ``activedoc`` bind them; the test's directory gets a name of fixed length,
-so that the paths in records, documents and pack keys do not move them."""
+so that the paths in records, documents and pack keys do not move them.
+The pack index entries each verb checks are pinned too, counted by a spy on
+``urlaccess._well_formed``."""
 
 import json
 import os
@@ -165,6 +167,31 @@ JSON_BYTES = {
         "central: setup, last missing tool fails": 54549,
     },
 }
+# the pack index entries that each verb checks, by corpus size; every verb
+# left out checks none. A lookup checks only its key's entries, one in each
+# pack that holds the key: a warm bootstrap looks up each of the 2n + 7 keys
+# of the one pack, and setting up tools only the keys of their documents
+# and payloads, however many other keys the pack holds.
+ENTRIES_CHECKED = {
+    4: {
+        "bootstrap, warm cache": 15,
+        "central: setup NAME VER URL": 3,
+        "central: setup, one record missing": 2,
+        "central: setup, last missing tool fails": 4,
+        "developer: setup NAME VER URL": 3,
+        "developer: setup, one record missing": 2,
+        "developer: setup, last missing tool fails": 4,
+    },
+    40: {
+        "bootstrap, warm cache": 87,
+        "central: setup NAME VER URL": 2,
+        "central: setup, one record missing": 2,
+        "central: setup, last missing tool fails": 4,
+        "developer: setup NAME VER URL": 2,
+        "developer: setup, one record missing": 2,
+        "developer: setup, last missing tool fails": 4,
+    },
+}
 # the length of the test's directory, padded to it
 ROOT_LENGTH = 240
 # a pack index entry's last field, the time of its fetch, whose printed
@@ -266,6 +293,14 @@ def test_record_verbs_stay_within_their_budgets(tmp_path, capsys, monkeypatch, n
     for module in (fsutil, urlaccess, activedoc):
         if hasattr(module, "json"):
             monkeypatch.setattr(module, "json", CountingJson(decoded))
+    checked = Counter()  # the pack index entries the last verb checked
+    real_well_formed = urlaccess._well_formed
+
+    def well_formed(*args):
+        checked["entries"] += 1
+        return real_well_formed(*args)
+
+    monkeypatch.setattr(urlaccess, "_well_formed", well_formed)
 
     def fetches() -> list[tuple[int, int]]:
         """The hits and misses of each cache that the last verb opened."""
@@ -291,13 +326,15 @@ def test_record_verbs_stay_within_their_budgets(tmp_path, capsys, monkeypatch, n
             caches.clear()
             tokenized.clear()
             decoded.clear()
+            checked.clear()
             assert main(list(argv), env=env, cwd=cwd) == status, capsys.readouterr().err
         return verb
 
     central = os.path.join(root, "central", corpus.AREA_NAME)
     developer = os.path.join(root, "work", corpus.AREA_NAME)
-    # each verb's operations, its markup work and its JSON bytes
-    measured, worked, json_bytes = {}, {}, {}
+    # each verb's operations, its markup work, its JSON bytes and the
+    # index entries it checked
+    measured, worked, json_bytes, entries = {}, {}, {}, {}
 
     def measure(key: str, roots: tuple[str, ...], verb) -> None:
         measured[key] = counted(roots, verb)
@@ -305,6 +342,8 @@ def test_record_verbs_stay_within_their_budgets(tmp_path, capsys, monkeypatch, n
             worked[key] = dict(tokenized)
         if decoded:
             json_bytes[key] = decoded["bytes"]
+        if checked:
+            entries[key] = checked["entries"]
 
     fetched = {}
     for verb, dest in (("bootstrap", "central"), ("bootstrap, warm cache", "warm")):
@@ -388,6 +427,9 @@ def test_record_verbs_stay_within_their_budgets(tmp_path, capsys, monkeypatch, n
     assert json_bytes == JSON_BYTES[n], "\n" + table(
         {verb: {"json": count} for verb, count in json_bytes.items()},
         {verb: {"json": count} for verb, count in JSON_BYTES[n].items()})
+    assert entries == ENTRIES_CHECKED[n], "\n" + table(
+        {verb: {"entries": count} for verb, count in entries.items()},
+        {verb: {"entries": count} for verb, count in ENTRIES_CHECKED[n].items()})
     # a cold bootstrap misses each document once: itself, its two
     # downloads, the requirements, the configuration they include, the n
     # tool documents and the fragment that some of them inline. A warm

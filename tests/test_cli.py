@@ -132,6 +132,29 @@ class TestErrors:
         assert "references splice more than 10000 events" in err
         assert os.listdir(toy.install_root) == []
 
+    def test_a_failed_bootstrap_removes_only_a_dest_it_made(self, toy, tmp_path,
+                                                            capsys):
+        # the requirements include a tool document, which fails only after
+        # the bootstrap document has named the area and --dest is made
+        (toy.specs / "toy.reqs").write_text(
+            "<doc type=BuildSystem::Requirements version=2.0>\n"
+            f'<include url="file:{toy.specs}/gcc.tooldoc">\n<select name=gcc>\n')
+        dest = tmp_path / "made" / "dest"
+        assert run(toy, "bootstrap", toy.bootstrap_url, "--dest", str(dest)) == 1
+        assert capsys.readouterr().err.count("\n") == 1
+        assert os.listdir(tmp_path / "made") == []
+        # a --dest that was there before is kept, empty as it was
+        dest.mkdir()
+        assert run(toy, "bootstrap", toy.bootstrap_url, "--dest", str(dest)) == 1
+        assert capsys.readouterr().err.count("\n") == 1
+        assert os.listdir(dest) == []
+        # a --dest that holds the cache is not empty, so it stays
+        env = {k: v for k, v in toy.env.items() if k != "SCRAM_CACHE"}
+        fresh = tmp_path / "fresh"
+        assert main(["bootstrap", toy.bootstrap_url, "--dest", str(fresh)],
+                    env=env, cwd=str(toy.root)) == 1
+        assert os.listdir(fresh) == [".scram-cache"]
+
 
 class TestCorruptState:
     CORRUPTIONS = {
@@ -312,10 +335,29 @@ class TestPathErrors:
         monkeypatch.setattr(os, "listdir", listdir)
         assert run(toy, "bootstrap", toy.bootstrap_url,
                    "--dest", str(toy.install_root)) == 1
-        # the first fetch lists the packs, while the bootstrap document activates
+        # the first fetch lists the packs, while the bootstrap document
+        # activates, but the fault is the cache's and names the verb
         assert capsys.readouterr() == (
-            "", f"scram: while activating {toy.bootstrap_url}: unreadable document "
-                f"cache {packs}: Permission denied\n")
+            "", f"scram: bootstrap: unreadable document cache {packs}: "
+                "Permission denied\n")
+        assert os.listdir(toy.install_root) == []
+
+    def test_an_unwritable_pack_names_the_verb(self, toy, capsys, monkeypatch):
+        packs = os.path.join(toy.env["SCRAM_CACHE"], "packs")
+        real_open = os.open
+
+        def open_(path, flags, *args, **kwargs):
+            if flags & os.O_CREAT and os.path.dirname(os.fspath(path)) == packs:
+                raise PermissionError(13, "Permission denied", path)
+            return real_open(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", open_)
+        assert run(toy, "bootstrap", toy.bootstrap_url,
+                   "--dest", str(toy.install_root)) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(f"scram: bootstrap: cannot write {packs}{os.sep}")
+        assert err.endswith(".pack: Permission denied\n")
         assert os.listdir(toy.install_root) == []
 
     def test_last_resort_names_verb_and_file(self, toy, capsys, monkeypatch):
