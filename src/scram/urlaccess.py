@@ -440,7 +440,7 @@ class UrlCache:
             merged = PrivateFile(os.path.join(self.packs, _pack_name()))
             index = {}
             try:
-                for key in dict.fromkeys(key for _, index, _ in packs for key in index):
+                for key in dict.fromkeys(key for _, keys, _ in packs for key in keys):
                     served = _served(key, packs, _is_head(key))
                     if served is not None:
                         content, (_, *entry) = served
