@@ -17,7 +17,9 @@ each verb decodes as JSON are pinned too, counted by a spy on
 ``activedoc`` bind them; the test's directory gets a name of fixed length,
 so that the paths in records, documents and pack keys do not move them.
 The pack index entries each verb checks are pinned too, counted by a spy on
-``urlaccess._well_formed``."""
+``urlaccess._well_formed``, and so are the SHA-256s each verb computes,
+counted by a spy on ``sha256_of`` where ``urlaccess`` and ``activedoc``
+bind it."""
 
 import json
 import os
@@ -192,6 +194,33 @@ ENTRIES_CHECKED = {
         "developer: setup, last missing tool fails": 4,
     },
 }
+# the SHA-256s that each verb computes, by corpus size; every verb left out
+# computes none. A fetch hashes what it serves or keeps, a recall what it
+# serves and a kept payload its bytes; activation hashes each document it
+# has a codec for again, for the payload's key. A bootstrap, cold or warm,
+# hashes 3n + 9 times.
+SHA256 = {
+    4: {
+        "bootstrap": 21,
+        "bootstrap, warm cache": 21,
+        "central: setup NAME VER URL": 5,
+        "central: setup, one record missing": 3,
+        "central: setup, last missing tool fails": 6,
+        "developer: setup NAME VER URL": 5,
+        "developer: setup, one record missing": 3,
+        "developer: setup, last missing tool fails": 6,
+    },
+    40: {
+        "bootstrap": 129,
+        "bootstrap, warm cache": 129,
+        "central: setup NAME VER URL": 3,
+        "central: setup, one record missing": 3,
+        "central: setup, last missing tool fails": 6,
+        "developer: setup NAME VER URL": 3,
+        "developer: setup, one record missing": 3,
+        "developer: setup, last missing tool fails": 6,
+    },
+}
 # the length of the test's directory, padded to it
 ROOT_LENGTH = 240
 # a pack index entry's last field, the time of its fetch, whose printed
@@ -301,6 +330,13 @@ def test_record_verbs_stay_within_their_budgets(tmp_path, capsys, monkeypatch, n
         return real_well_formed(*args)
 
     monkeypatch.setattr(urlaccess, "_well_formed", well_formed)
+    hashed = Counter()  # the SHA-256s the last verb computed
+    for module in (urlaccess, activedoc):
+        if hasattr(module, "sha256_of"):
+            def sha256_of(data, real=module.sha256_of):
+                hashed["sha256"] += 1
+                return real(data)
+            monkeypatch.setattr(module, "sha256_of", sha256_of)
 
     def fetches() -> list[tuple[int, int]]:
         """The hits and misses of each cache that the last verb opened."""
@@ -327,14 +363,15 @@ def test_record_verbs_stay_within_their_budgets(tmp_path, capsys, monkeypatch, n
             tokenized.clear()
             decoded.clear()
             checked.clear()
+            hashed.clear()
             assert main(list(argv), env=env, cwd=cwd) == status, capsys.readouterr().err
         return verb
 
     central = os.path.join(root, "central", corpus.AREA_NAME)
     developer = os.path.join(root, "work", corpus.AREA_NAME)
-    # each verb's operations, its markup work, its JSON bytes and the
-    # index entries it checked
-    measured, worked, json_bytes, entries = {}, {}, {}, {}
+    # each verb's operations, its markup work, its JSON bytes, the index
+    # entries it checked and the SHA-256s it computed
+    measured, worked, json_bytes, entries, hashes = {}, {}, {}, {}, {}
 
     def measure(key: str, roots: tuple[str, ...], verb) -> None:
         measured[key] = counted(roots, verb)
@@ -344,6 +381,8 @@ def test_record_verbs_stay_within_their_budgets(tmp_path, capsys, monkeypatch, n
             json_bytes[key] = decoded["bytes"]
         if checked:
             entries[key] = checked["entries"]
+        if hashed:
+            hashes[key] = hashed["sha256"]
 
     fetched = {}
     for verb, dest in (("bootstrap", "central"), ("bootstrap, warm cache", "warm")):
@@ -430,6 +469,9 @@ def test_record_verbs_stay_within_their_budgets(tmp_path, capsys, monkeypatch, n
     assert entries == ENTRIES_CHECKED[n], "\n" + table(
         {verb: {"entries": count} for verb, count in entries.items()},
         {verb: {"entries": count} for verb, count in ENTRIES_CHECKED[n].items()})
+    assert hashes == SHA256[n], "\n" + table(
+        {verb: {"sha256": count} for verb, count in hashes.items()},
+        {verb: {"sha256": count} for verb, count in SHA256[n].items()})
     # a cold bootstrap misses each document once: itself, its two
     # downloads, the requirements, the configuration they include, the n
     # tool documents and the fragment that some of them inline. A warm
