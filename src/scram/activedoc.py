@@ -6,14 +6,14 @@ turns an event stream into a domain object), and activation checks the
 document's header against them with ``markup.check_doc_type``. Activation
 runs the whole pipeline (fetch, tokenize, header check, splice, build) and
 returns the payload, the builder's domain object; the caller's URL is the
-base of any reference the payload holds. Header and payload are memoized
-per engine, keyed by normalized URL and version, so a document is
-activated at most once per engine; a memoized document is checked again
-against the types of each caller. The tokenized events of each nested
-document are memoized per engine under the same key, so a fragment
-referenced many times is fetched and tokenized once per engine.
-What a fetch reaches, a pack or an adapter, and how many fetches were made
-is decided and counted by the engine's ``UrlCache`` alone.
+base of any reference the payload holds. An engine keeps nothing of the
+documents it activates, so a second activation fetches again and is
+checked against its own caller's types. Its one memo holds the documents
+spliced into them, keyed by normalized URL and version: each one's
+SHA-256, then its events once tokenized, so a fragment referenced many
+times is fetched and tokenized once per engine. What a fetch reaches, a
+pack or an adapter, is decided and counted by the engine's ``UrlCache``
+alone, and the fetch gives each document's SHA-256: this module hashes none.
 
 A type with a ``codec`` (tool documents and configurations) has its
 payloads kept in the cache, which stores bytes: this module alone encodes,
@@ -62,7 +62,7 @@ from .markup import (
     strip_doc_header,
     tokenize_markup,
 )
-from .urlaccess import ResourceUrl, UrlCache, parse_url, payload_key, sha256_of
+from .urlaccess import ResourceUrl, UrlCache, parse_url, payload_key
 
 MAX_NESTING = 32  # documents spliced one inside another, below the activated one
 # the events that references may splice into one activation: this many
@@ -79,38 +79,29 @@ class DocumentEngine:
 
     def __init__(self, cache: UrlCache):
         self.cache = cache
-        # the header and payload of each activated document, by cache key
-        self._activated: dict[str, tuple[DocHeader, object]] = {}
-        # the SHA-256 and bytes of each nested document, by cache key
-        self._nested: dict[str, tuple[str, bytes]] = {}
-        # tokenized events of nested documents, by cache key
-        self._events: dict[str, list] = {}
+        # each nested document by cache key: [its SHA-256, its bytes], the
+        # bytes replaced by their events once they are tokenized
+        self._nested: dict[str, list] = {}
 
     def activate(self, url: ResourceUrl, accepted: tuple[DocType, ...]):
         """The payload of the document at ``url``, which must be of one of
         the ``accepted`` types."""
-        key = url.cache_key()
         try:
-            done = self._activated.get(key)
-            if done is None:
-                done = self._activated[key] = self._activate_uncached(url, key, accepted)
-            else:
-                check_doc_type(done[0], accepted)
+            return self._activate_uncached(url, url.cache_key(), accepted)
         except ScramError as exc:
             if exc.context is None and not isinstance(exc, CacheError):
                 exc.context = f"while activating {url}"
             raise
-        return done[1]
 
     def _activate_uncached(self, url: ResourceUrl, key: str,
-                           accepted: tuple[DocType, ...]) -> tuple[DocHeader, object]:
-        content = self.cache.fetch(url)
+                           accepted: tuple[DocType, ...]):
+        content, sha = self.cache.fetch(url)
         codec = accepted[0].codec if len(accepted) == 1 else None
         if codec is not None:
-            kept = payload_key(codec.tag, accepted[0].name, key, sha256_of(content))
-            done = self._recall(kept, accepted[0])
-            if done is not None:
-                return done
+            kept = payload_key(codec.tag, accepted[0].name, key, sha)
+            payload = self._recall(kept, accepted[0])
+            if payload is not None:
+                return payload
         events = self.events_for(url, content)
         header = read_doc_header(events)
         doc_type = check_doc_type(header, accepted)
@@ -123,34 +114,32 @@ class DocumentEngine:
                      codec.encode(payload)]
             with suppress(CacheError):
                 self.cache.keep(kept, _compact(entry).encode())
-        return header, payload
+        return payload
 
-    def _recall(self, kept: str, doc_type: DocType) -> tuple[DocHeader, object] | None:
-        """The header and payload kept under ``kept``, if every document
-        spliced into it still has the SHA-256 recorded with it; any doubt
-        is None."""
+    def _recall(self, kept: str, doc_type: DocType):
+        """The payload kept under ``kept``, if every document spliced into
+        it still has the SHA-256 recorded with it; any doubt is None."""
         data = self.cache.recall(kept)
         if data is None:
             return None
         try:
             doc_type_name, doc_version, recorded, value = json.loads(data)
-            header = DocHeader(doc_type_name, doc_version)
-            check_doc_type(header, (doc_type,))
+            check_doc_type(DocHeader(doc_type_name, doc_version), (doc_type,))
             for raw, version, sha in recorded:
                 url = parse_url(raw)
                 if self._nested_doc(url, version, url.cache_key(version))[0] != sha:
                     return None
-            return header, doc_type.codec.decode(value)
+            return doc_type.codec.decode(value)
         except (ScramError, ValueError, LookupError, TypeError, AttributeError,
                 RecursionError):
             return None
 
-    def _nested_doc(self, url: ResourceUrl, version: str, key: str) -> tuple[str, bytes]:
-        """The SHA-256 and bytes of a nested document, fetched once per engine."""
+    def _nested_doc(self, url: ResourceUrl, version: str, key: str) -> list:
+        """The memo entry of a nested document, fetched once per engine."""
         doc = self._nested.get(key)
         if doc is None:
-            content = self.cache.fetch(url, version)
-            doc = self._nested[key] = (sha256_of(content), content)
+            content, sha = self.cache.fetch(url, version)
+            doc = self._nested[key] = [sha, content]
         return doc
 
     def events_for(self, url: ResourceUrl, content: bytes):
@@ -178,10 +167,10 @@ class DocumentEngine:
                 raise DocTypeError(
                     f"document inclusion cycle: {names}" if key in chain else
                     f"documents nested more than {MAX_NESTING} deep: {names}")
-            sha, content = self._nested_doc(resolved, resolved_version, key)
-            inner_events = self._events.get(key)
-            if inner_events is None:
-                inner_events = self._events[key] = self.events_for(resolved, content)
+            doc = self._nested_doc(resolved, resolved_version, key)
+            if not isinstance(doc[1], list):
+                doc[1] = self.events_for(resolved, doc[1])
+            sha, inner_events = doc
             if key not in spliced:
                 spliced[key] = [resolved.unparse(), resolved_version, sha]
                 counts[1] += len(inner_events)

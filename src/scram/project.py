@@ -544,7 +544,7 @@ def resolve_project_configuration(engine: DocumentEngine, url: ResourceUrl,
     req = engine.activate(url, (REQUIREMENTS, CONFIGURATION))
 
     def absolute(config, source, fallback):
-        # activated payloads are memoized and shared; resolve on a copy
+        # the payload stays as activated; the resolved entries make a new one
         base = parse_url(config.base, base=source) if config.base else fallback
         entries = []
         for e in config.entries:
@@ -630,7 +630,7 @@ def bootstrap_install(bootstrap_url: str, dest_root: str, *, site: SiteInfo,
         with private_tree(root) as private:
             area = ProjectArea.create(private, boot.project, boot.version)
             for raw_url, dest in boot.downloads:
-                content = engine.cache.fetch(parse_url(raw_url, base=boot_url))
+                content, _ = engine.cache.fetch(parse_url(raw_url, base=boot_url))
                 area.write(os.path.join(area.root, dest), content)
 
             if boot.config_url is not None:

@@ -24,10 +24,11 @@ cache until a command is made with ``refresh``, which refetches each once,
 and then the latest copy wins. ``auth`` and ``user`` never enter the cache
 key, so identities share content.
 
-The cache keeps bytes. A payload is bytes that ``activedoc``, their one
-reader and writer, ``keep``s under a ``payload_key`` (``"payload"`` and
-parts of its choosing); ``recall`` serves it as a HEAD entry, its latest
-copy first, and it is neither fetched nor counted.
+The cache keeps bytes and alone hashes them: a fetch returns them with
+the SHA-256 it verified or computed. A payload is bytes that
+``activedoc``, their one reader and writer, ``keep``s under a
+``payload_key`` (``"payload"`` and parts of its choosing); ``recall``
+serves it as a HEAD entry, latest copy first, and neither fetches nor counts.
 """
 
 from __future__ import annotations
@@ -339,38 +340,43 @@ class UrlCache:
         # pack, whose copies rank as the latest until it is published
         self._own_index: dict[str, list] = {}
 
-    def fetch(self, url: ResourceUrl, version: str | None = None) -> bytes:
+    def fetch(self, url: ResourceUrl, version: str | None = None) -> tuple[bytes, str]:
+        """The content at ``url`` and its SHA-256."""
         key = url.cache_key(version)
         head = url.version_tag(version) == HEAD
         # refetched once per command under refresh, then served from its own pack
-        content = self._lookup(key, head, published=not (head and self.refresh))
-        if content is not None:
+        served = self._lookup(key, head, published=not (head and self.refresh))
+        if served is not None:
             self.stats.hits += 1
-            return content
+            return served
         self.stats.misses += 1
         content = self.registry.retrieve(url, version)
-        self.keep(key, content)
-        return content
+        return content, self.keep(key, content)
 
     def recall(self, key: str) -> bytes | None:
         """The bytes kept under ``key``, a ``payload_key``: the copy in
         this command's pack, else the latest verified copy in a published
         one; None when there is none. A recall is not a fetch and is not
         counted."""
-        return self._lookup(key, True)
+        served = self._lookup(key, True)
+        return None if served is None else served[0]
 
-    def keep(self, key: str, data: bytes) -> None:
-        """Append ``data`` under ``key`` to this command's pack; a pack
-        that cannot be written is a ``CacheError``."""
+    def keep(self, key: str, data: bytes) -> str:
+        """Append ``data`` under ``key`` to this command's pack and return
+        its SHA-256; a pack that cannot be written is a ``CacheError``."""
         try:
             if self._own is None:
                 self._own = PrivateFile(os.path.join(self.packs, _pack_name()))
             offset = self._own.append(data)
         except AreaError as exc:
             raise CacheError(exc.message) from exc
-        self._own_index[key] = [offset, len(data), sha256_of(data), float("inf")]
+        content_hash = sha256_of(data)
+        self._own_index[key] = [offset, len(data), content_hash, float("inf")]
+        return content_hash
 
-    def _lookup(self, key: str, latest: bool, published: bool = True) -> bytes | None:
+    def _lookup(self, key: str, latest: bool,
+                published: bool = True) -> tuple[bytes, str] | None:
+        """The served copy of ``key`` and its SHA-256, or None."""
         packs = [] if self._own is None else [
             (self._own.fd, self._own_index, self._own.size)]
         if published:
@@ -378,7 +384,7 @@ class UrlCache:
                 self._packs = self._read_packs(self._list())
             packs += self._packs
         served = _served(key, packs, latest)
-        return served[0] if served else None
+        return None if served is None else (served[0], served[1][2])
 
     def _read_packs(self, names: list[str]) -> list[tuple]:
         packs = []

@@ -142,7 +142,7 @@ def test_c4_cache_property(tmp_path):
         seen: dict[str, bytes] = {}
         for round_no in range(20):
             for url in urls:
-                content = cache.fetch(url, "1.0")
+                content, _ = cache.fetch(url, "1.0")
                 key = url.cache_key("1.0")
                 if key in seen:
                     assert content == seen[key]

@@ -196,29 +196,29 @@ ENTRIES_CHECKED = {
 }
 # the SHA-256s that each verb computes, by corpus size; every verb left out
 # computes none. A fetch hashes what it serves or keeps, a recall what it
-# serves and a kept payload its bytes; activation hashes each document it
-# has a codec for again, for the payload's key. A bootstrap, cold or warm,
-# hashes 3n + 9 times.
+# serves and a kept payload its bytes, and nothing else hashes: a
+# bootstrap, cold or warm, hashes 2n + 7 times, each tool document once for
+# its content and once for its payload.
 SHA256 = {
     4: {
-        "bootstrap": 21,
-        "bootstrap, warm cache": 21,
-        "central: setup NAME VER URL": 5,
-        "central: setup, one record missing": 3,
-        "central: setup, last missing tool fails": 6,
-        "developer: setup NAME VER URL": 5,
-        "developer: setup, one record missing": 3,
-        "developer: setup, last missing tool fails": 6,
+        "bootstrap": 15,
+        "bootstrap, warm cache": 15,
+        "central: setup NAME VER URL": 3,
+        "central: setup, one record missing": 2,
+        "central: setup, last missing tool fails": 4,
+        "developer: setup NAME VER URL": 3,
+        "developer: setup, one record missing": 2,
+        "developer: setup, last missing tool fails": 4,
     },
     40: {
-        "bootstrap": 129,
-        "bootstrap, warm cache": 129,
-        "central: setup NAME VER URL": 3,
-        "central: setup, one record missing": 3,
-        "central: setup, last missing tool fails": 6,
-        "developer: setup NAME VER URL": 3,
-        "developer: setup, one record missing": 3,
-        "developer: setup, last missing tool fails": 6,
+        "bootstrap": 87,
+        "bootstrap, warm cache": 87,
+        "central: setup NAME VER URL": 2,
+        "central: setup, one record missing": 2,
+        "central: setup, last missing tool fails": 4,
+        "developer: setup NAME VER URL": 2,
+        "developer: setup, one record missing": 2,
+        "developer: setup, last missing tool fails": 4,
     },
 }
 # the length of the test's directory, padded to it

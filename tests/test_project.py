@@ -232,9 +232,8 @@ class TestBootstrap:
         fetched = {}
 
         def spy(cache, url, version=None, real=UrlCache.fetch):
-            content = real(cache, url, version)
-            fetched[url.cache_key(version)] = content
-            return content
+            served = fetched[url.cache_key(version)] = real(cache, url, version)
+            return served
 
         monkeypatch.setattr(UrlCache, "fetch", spy)
         bootstrap(toy)
@@ -253,7 +252,7 @@ class TestBootstrap:
         for key, (offset, length, content_hash, _) in index.items():
             assert hashlib.sha256(contents[offset:offset + length]).hexdigest() == content_hash
             if key in fetched:
-                assert contents[offset:offset + length] == fetched[key]
+                assert (contents[offset:offset + length], content_hash) == fetched[key]
 
     def test_a_failed_bootstrap_keeps_what_it_fetched(self, toy, monkeypatch):
         htl = toy.specs / "htl.tooldoc"
@@ -1145,13 +1144,14 @@ class TestAnyBytes:
 
         cache = UrlCache(str(root), SchemeRegistry({"stub": adapter}))
         try:
-            content = cache.fetch(self.PACK_URL, "1.0")
+            content, content_hash = cache.fetch(self.PACK_URL, "1.0")
         finally:
             cache.publish()
+        assert hashlib.sha256(content).hexdigest() == content_hash
         if calls:
             assert content == b"fetched"
         else:
-            assert hashlib.sha256(content).hexdigest().encode() in data
+            assert content_hash.encode() in data
 
 
 _TEXT = st.text(max_size=4)

@@ -222,7 +222,7 @@ def one_command(root, url, version=None, refresh=False, registry=None) -> bytes:
     """What one command does with the cache: fetch, then publish."""
     cache = UrlCache(str(root), registry or counting_registry()[0], refresh)
     try:
-        return cache.fetch(url, version)
+        return cache.fetch(url, version)[0]
     finally:
         cache.publish()
 
@@ -262,10 +262,10 @@ class TestUrlCache:
         registry, calls = counting_registry()
         cache = UrlCache(str(tmp_path / "cache"), registry)
         url = parse_url("stub:thing?n=1")
-        first = cache.fetch(url, "1.0")
-        second = cache.fetch(url, "1.0")
+        first = cache.fetch(url, "1.0")[0]
+        second = cache.fetch(url, "1.0")[0]
         cache.publish()
-        third = cache.fetch(url, "1.0")
+        third = cache.fetch(url, "1.0")[0]
         assert first == second == third == b"data-1"
         assert len(calls) == 1
         assert (cache.stats.misses, cache.stats.hits) == (1, 2)
@@ -277,7 +277,7 @@ class TestUrlCache:
         one_command(tmp_path, url, registry=registry)
         assert len(calls) == 1
         cache = UrlCache(str(tmp_path), registry, refresh=True)
-        assert cache.fetch(url) == cache.fetch(url) == b"data-2"
+        assert cache.fetch(url)[0] == cache.fetch(url)[0] == b"data-2"
         cache.publish()
         assert len(calls) == 2
         assert (cache.stats.misses, cache.stats.hits) == (1, 1)
@@ -305,7 +305,7 @@ class TestUrlCache:
         for key, (offset, length, content_hash, _) in index.items():
             on_disk = contents[offset:offset + length]
             assert hashlib.sha256(on_disk).hexdigest() == content_hash
-            assert on_disk == fetched[key]
+            assert (on_disk, content_hash) == fetched[key]
         again = UrlCache(str(tmp_path), no_fetch_registry())
         for i in range(50):
             for version in ("1.0", "2.0"):
@@ -389,7 +389,7 @@ class TestUrlCache:
             pack.write_bytes(contents + bad_index[damage].encode() + footer(len(contents)))
         with locked(str(tmp_path / "packs" / "lock"), wait=True):
             cache = UrlCache(str(tmp_path), registry)
-            assert cache.fetch(url, "1.0") == content
+            assert cache.fetch(url, "1.0")[0] == content
             cache.publish()
         assert (len(calls), cache.stats.misses, cache.stats.hits) == (2, 1, 0)
         assert len(packs(tmp_path)) == 2
@@ -405,12 +405,12 @@ class TestUrlCache:
         data[3] ^= 1  # one flipped bit in the content
         pack.write_bytes(bytes(data))
         cache = UrlCache(str(tmp_path), registry)
-        assert cache.fetch(url, version) == content == b"full content of 6"
+        assert cache.fetch(url, version)[0] == content == b"full content of 6"
         cache.publish()
         assert (cache.stats.misses, cache.stats.hits, len(calls)) == (1, 0, 2)
         # the damaged copy ranks first for a versioned key and fails its check
         again = UrlCache(str(tmp_path), no_fetch_registry())
-        assert again.fetch(url, version) == content
+        assert again.fetch(url, version)[0] == content
         assert again.stats.hits == 1
 
     def test_hit_takes_no_lock(self, tmp_path):
@@ -418,7 +418,7 @@ class TestUrlCache:
         content = one_command(tmp_path, url, "1.0")
         served = []
         cache = UrlCache(str(tmp_path), no_fetch_registry())
-        worker = threading.Thread(target=lambda: served.append(cache.fetch(url, "1.0")))
+        worker = threading.Thread(target=lambda: served.append(cache.fetch(url, "1.0")[0]))
         with locked(str(tmp_path / "packs" / "lock"), wait=True):
             worker.start()
             worker.join(timeout=5)
@@ -488,8 +488,8 @@ class TestUrlCache:
         url = parse_url("stub:one")
         a = UrlCache(str(tmp_path), SchemeRegistry({"stub": lambda u, v: b"first"}))
         b = UrlCache(str(tmp_path), SchemeRegistry({"stub": lambda u, v: second}))
-        assert a.fetch(url, "1.0") == b"first"
-        assert b.fetch(url, "1.0") == second
+        assert a.fetch(url, "1.0")[0] == b"first"
+        assert b.fetch(url, "1.0")[0] == second
         a.publish()
         b.publish()
         assert (a.stats.misses, b.stats.misses) == (1, 1)
@@ -560,7 +560,7 @@ class TestUrlCache:
             assert len(packs(tmp_path)) <= COMPACT_ABOVE + 1
         assert len(packs(tmp_path)) == 20 - COMPACT_ABOVE - 1 + 1
         cache = UrlCache(str(tmp_path), no_fetch_registry())
-        assert [cache.fetch(item(n), "1.0") for n in range(20)] == [
+        assert [cache.fetch(item(n), "1.0")[0] for n in range(20)] == [
             b"data-%d" % n for n in range(20)]
         cache.publish()
         assert sorted(os.listdir(tmp_path)) == ["packs"]
@@ -663,7 +663,7 @@ class TestUrlCache:
         assert len(packs(tmp_path)) == COMPACT_ABOVE + 1
         assert "lock" in names and sum(bool(re.fullmatch(TEMP_PACK, n)) for n in names) == 1
         cache = UrlCache(str(tmp_path), no_fetch_registry())
-        assert [cache.fetch(item(n), "1.0") for n in range(COMPACT_ABOVE + 1)] == [
+        assert [cache.fetch(item(n), "1.0")[0] for n in range(COMPACT_ABOVE + 1)] == [
             b"data-%d" % n for n in range(COMPACT_ABOVE + 1)]
         cache.publish()
         # the lock died with its holder: the next publishing command merges
@@ -688,7 +688,7 @@ class TestUrlCache:
                     cache = UrlCache(str(tmp_path), no_fetch_registry())
                     try:
                         for n in range(COMPACT_ABOVE):
-                            assert cache.fetch(item(n), "1.0") == b"data-%d" % n
+                            assert cache.fetch(item(n), "1.0")[0] == b"data-%d" % n
                     finally:
                         cache.publish()
                     rounds.append(1)
@@ -722,7 +722,7 @@ class TestUrlCache:
         def read_all():
             cache = UrlCache(str(tmp_path), no_fetch_registry())
             try:
-                served.append([cache.fetch(item(n), "1.0") for n in range(COMPACT_ABOVE)])
+                served.append([cache.fetch(item(n), "1.0")[0] for n in range(COMPACT_ABOVE)])
             finally:
                 cache.publish()
 
@@ -747,13 +747,14 @@ class TestUrlCache:
             COMPACT_ABOVE + 2)
 
     def test_adapter_opacity(self, tmp_path):
-        # hit and miss return identical content; only the counters differ
+        # hit and miss return identical content and its SHA-256; only the
+        # counters differ
         registry, _ = counting_registry()
         cache = UrlCache(str(tmp_path), registry)
         url = parse_url("stub:x?n=9")
         miss = cache.fetch(url, "1.0")
         hit = cache.fetch(url, "1.0")
-        assert miss == hit
+        assert miss == hit == (b"data-9", hashlib.sha256(b"data-9").hexdigest())
         assert (cache.stats.misses, cache.stats.hits) == (1, 1)
 
 
@@ -797,8 +798,8 @@ class TestFetchHttp:
         (root / "doc").write_bytes(b"served")
         cache = UrlCache(str(tmp_path / "cache"), default_registry(SiteInfo()))
         url = parse_url(f"{base}/doc?version=1")
-        assert cache.fetch(url) == b"served"
-        assert cache.fetch(url) == b"served"
+        assert cache.fetch(url)[0] == b"served"
+        assert cache.fetch(url)[0] == b"served"
         assert requested == ["/doc?version=1"]
         assert cache.stats.misses == 1
 
