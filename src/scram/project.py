@@ -612,12 +612,15 @@ def bootstrap_install(bootstrap_url: str, dest_root: str, *, site: SiteInfo,
 
     The whole area is built in a private dot-named directory beside its
     final path and published by one rename, so a failed bootstrap leaves
-    nothing behind, not even a ``dest_root`` it made that is still empty,
-    and a killed one only the dot-named directory. The area is created
-    unregistered and stays in the ``incomplete`` state until a successful
-    build (or a forced install) marks it complete.
+    nothing behind, not even a directory of ``dest_root`` it made that is
+    still empty, and a killed one only the dot-named directory. The area
+    is created unregistered and stays in the ``incomplete`` state until a
+    successful build (or a forced install) marks it complete.
     """
-    made_dest = not os.path.lexists(dest_root)
+    # the highest directory of dest_root that this command makes, if any
+    made, path = None, os.path.abspath(dest_root)
+    while not os.path.lexists(path):
+        made, path = path, os.path.dirname(path)
     engine = build_engine(site, env, dest_root, refresh)
     try:
         boot_url = parse_url(bootstrap_url)
@@ -645,9 +648,12 @@ def bootstrap_install(bootstrap_url: str, dest_root: str, *, site: SiteInfo,
                            identity + "\n")
                 write_tool_records(area, arch, tools)
     except BaseException:
-        if made_dest:
-            with suppress(OSError):
-                os.rmdir(dest_root)  # only while it is empty
+        if made is not None:
+            path = os.path.abspath(dest_root)
+            with suppress(OSError):  # bottom-up, each only while it is empty
+                while path != os.path.dirname(made):
+                    os.rmdir(path)
+                    path = os.path.dirname(path)
         raise
     finally:
         engine.cache.publish()

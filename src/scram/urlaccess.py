@@ -10,7 +10,8 @@ Built-in schemes: ``file`` reads the local filesystem, ``http``/``https``
 do a plain GET, and ``cvs`` (alias ``vcs``) shells out to an operator
 configured checkout command so that any versioning backend can be plugged
 in (site key ``scheme.cvs.command``, placeholders ``{module}`` ``{version}``
-``{out}``).
+``{out}``). Neither may hang: an HTTP connect or read, or a checkout
+command, that takes more than ``FETCH_TIMEOUT`` seconds fails the fetch.
 
 Cache layout: ``<root>/packs/<time_ns>.<pid>.<8 hex>.pack``, one immutable
 pack per command that fetched or kept something; a command makes
@@ -53,6 +54,9 @@ _MAGIC = b"scram-pack-1 "
 _FOOTER_LEN = len(_MAGIC) + 16
 
 _EXCLUDED_KEY_PARAMS = ("auth", "user")
+
+# seconds that an HTTP connect or read, or a checkout command, may take
+FETCH_TIMEOUT = 60
 
 
 class ResourceUrl:
@@ -233,9 +237,13 @@ def fetch_http(url: ResourceUrl, version: str | None) -> bytes:
     query = "&".join(f"{k}={v}" for k, v in url.query)
     target = f"{url.scheme}://{url.authority}" + (f"?{query}" if query else "")
     try:
-        with urllib.request.urlopen(target) as resp:  # noqa: S310 - plain GET by design
+        # a plain GET by design
+        with urllib.request.urlopen(target, timeout=FETCH_TIMEOUT) as resp:  # noqa: S310
             return resp.read()
     except Exception as exc:
+        # a connect that times out comes wrapped in a URLError
+        if isinstance(getattr(exc, "reason", exc), TimeoutError):
+            raise FetchError(f"GET {target} timed out after {FETCH_TIMEOUT:g} s") from exc
         raise FetchError(f"GET {target} failed: {exc}") from exc
 
 
@@ -264,7 +272,11 @@ def external_command_adapter(template: str):
                 part.format(module=module, version=tag, out=out_path or "")
                 for part in shlex.split(template)
             ]
-            proc = subprocess.run(argv, capture_output=True)
+            try:
+                proc = subprocess.run(argv, capture_output=True, timeout=FETCH_TIMEOUT)
+            except subprocess.TimeoutExpired:
+                raise FetchError(f"checkout command for {url} timed out after "
+                                 f"{FETCH_TIMEOUT:g} s") from None
             if proc.returncode != 0:
                 detail = proc.stderr.decode(errors="replace").strip()
                 raise FetchError(

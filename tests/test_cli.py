@@ -142,6 +142,11 @@ class TestErrors:
         dest = tmp_path / "made" / "dest"
         assert run(toy, "bootstrap", toy.bootstrap_url, "--dest", str(dest)) == 1
         assert capsys.readouterr().err.count("\n") == 1
+        # the parent it made goes too, and a parent that was there stays
+        assert not (tmp_path / "made").exists()
+        dest.parent.mkdir()
+        assert run(toy, "bootstrap", toy.bootstrap_url, "--dest", str(dest)) == 1
+        assert capsys.readouterr().err.count("\n") == 1
         assert os.listdir(tmp_path / "made") == []
         # a --dest that was there before is kept, empty as it was
         dest.mkdir()

@@ -4,6 +4,7 @@ import re
 from pathlib import Path
 
 from scram.activedoc import MAX_NESTING, SPLICE_FACTOR, SPLICE_FLOOR
+from scram.urlaccess import FETCH_TIMEOUT
 
 REPO = Path(__file__).parent.parent
 
@@ -34,3 +35,11 @@ def test_the_expansion_bound_in_the_dialect_reference_is_the_code_s():
     assert stated == [(str(SPLICE_FLOOR), str(SPLICE_FACTOR))]
     assert (f"references splice more than {SPLICE_FLOOR} events, the larger of "
             f"{SPLICE_FLOOR} and {SPLICE_FACTOR}\n  times") in composition
+
+
+def test_the_fetch_timeout_in_the_cli_reference_is_the_code_s():
+    # every time in seconds that the reference states is the fetch timeout
+    text = (REPO / "docs" / "cli.md").read_text()
+    stated = re.findall(r"(\d+)\s+s(?:econds)?\b", text)
+    assert len(stated) >= 4 and set(stated) == {str(FETCH_TIMEOUT)}
+    assert f"timed out after {FETCH_TIMEOUT} s" in text

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import re
+import socket
 import sys
 import threading
 import time
@@ -759,13 +760,19 @@ class TestUrlCache:
 
 
 @pytest.fixture
-def http_root(tmp_path, monkeypatch):
-    """A loopback HTTP server, in a thread, over a fresh directory: yields
-    the directory, the server's base URL and the paths requested so far."""
+def no_proxy(monkeypatch):
+    """Requests go straight to a loopback server, whatever proxies the
+    environment names."""
     for name in ("http_proxy", "https_proxy", "all_proxy"):
         monkeypatch.delenv(name, raising=False)
         monkeypatch.delenv(name.upper(), raising=False)
     monkeypatch.setenv("no_proxy", "*")
+
+
+@pytest.fixture
+def http_root(tmp_path, no_proxy):
+    """A loopback HTTP server, in a thread, over a fresh directory: yields
+    the directory, the server's base URL and the paths requested so far."""
     root = tmp_path / "served"
     root.mkdir()
     requested = []
@@ -824,3 +831,43 @@ class TestFetchHttp:
         assert main(argv, env=toy.env, cwd=str(toy.root)) == 0, capsys.readouterr().err
         assert (toy.central_root / "src" / "README").read_text() == "served sources\n"
         assert requested == ["/toy.boot", "/README.src"]
+
+
+class TestFetchTimeout:
+    """A fetch that hangs fails after ``FETCH_TIMEOUT`` seconds as one line."""
+
+    def bootstrap(self, toy, url, capsys) -> str:
+        """The error line of a bootstrap from ``url``, which must fail
+        within 5 s."""
+        start = time.monotonic()
+        status = main(["bootstrap", url, "--dest", str(toy.install_root)],
+                      env=toy.env, cwd=str(toy.root))
+        assert (status, time.monotonic() - start < 5) == (1, True)
+        return capsys.readouterr().err
+
+    def test_an_http_server_that_never_answers(self, toy, no_proxy, monkeypatch,
+                                               capsys):
+        monkeypatch.setattr(scram.urlaccess, "FETCH_TIMEOUT", 0.5)
+        # the kernel accepts the connection and nothing ever answers it
+        with socket.create_server(("127.0.0.1", 0)) as server:
+            url = f"http://127.0.0.1:{server.getsockname()[1]}/toy.boot"
+            err = self.bootstrap(toy, url, capsys)
+        assert err == (f"scram: while activating {url}: "
+                       f"GET {url} timed out after 0.5 s\n")
+
+    def test_a_checkout_command_that_never_ends(self, toy, tmp_path, monkeypatch,
+                                                capsys):
+        monkeypatch.setattr(scram.urlaccess, "FETCH_TIMEOUT", 0.5)
+        pid_file = tmp_path / "checkout.pid"
+        stub = tmp_path / "checkout"
+        stub.write_text(f"#!/bin/sh\necho $$ > {pid_file}\nexec sleep 60\n")
+        stub.chmod(0o755)
+        toy.site_path.write_text(toy.site_path.read_text()
+                                 + f"scheme.cvs.command = {stub} {{module}}\n")
+        url = "cvs:?module=toy/boot"
+        assert self.bootstrap(toy, url, capsys) == (
+            f"scram: while activating {url}: "
+            f"checkout command for {url} timed out after 0.5 s\n")
+        # the sleep that the stub became is gone: killed and reaped
+        with pytest.raises(ProcessLookupError):
+            os.kill(int(pid_file.read_text()), 0)
