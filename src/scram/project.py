@@ -544,7 +544,6 @@ def resolve_project_configuration(engine: DocumentEngine, url: ResourceUrl,
     req = engine.activate(url, (REQUIREMENTS, CONFIGURATION))
 
     def absolute(config, source, fallback):
-        # the payload stays as activated; the resolved entries make a new one
         base = parse_url(config.base, base=source) if config.base else fallback
         entries = []
         for e in config.entries:
