@@ -33,7 +33,6 @@ __version__ = "0.1.0"
 
 from .errors import (  # noqa: F401
     AreaError,
-    CacheError,
     ConfigError,
     DocTypeError,
     FetchError,

@@ -3,17 +3,22 @@
 Each caller names the document types it accepts (``markup.DocType``: a
 ``<doc type=...>`` path, a minimum document version and a builder that
 turns an event stream into a domain object), and activation checks the
-document's header against them with ``markup.check_doc_type``. Activation
-runs the whole pipeline (fetch, tokenize, header check, splice, build) and
-returns the payload, the builder's domain object; the caller's URL is the
-base of any reference the payload holds. An engine keeps nothing of the
-documents it activates, so a second activation fetches again and is
-checked against its own caller's types. Its one memo holds the documents
-spliced into them, keyed by normalized URL and version: each one's
-SHA-256, then its events once tokenized, so a fragment referenced many
-times is fetched and tokenized once per engine. What a fetch reaches, a
-pack or an adapter, is decided and counted by the engine's ``UrlCache``
-alone, and the fetch gives each document's SHA-256: this module hashes none.
+document's header against them with ``markup.check_doc_type``.
+``activate`` fetches the document and recalls a kept payload, and
+``_activate_uncached`` parses it otherwise (tokenize, header check,
+splice, build); either gives the payload, the builder's domain object,
+and the caller's URL is the base of any reference it holds. A cache fault
+or a failed fetch of the activated document is the command's. Only a
+parse names the document, as ``while activating <url>``, and not when its
+error is located in that document, which names it already. An engine
+keeps nothing of the documents it activates, so a second activation
+fetches again and is checked against its own caller's types. Its one
+memo holds the documents spliced into them, keyed by normalized URL and
+version: each one's SHA-256, then its events once tokenized, so a
+fragment referenced many times is fetched and tokenized once per engine.
+What a fetch reaches, a pack or an adapter, is decided and counted by the
+engine's ``UrlCache`` alone, and the fetch gives each document's SHA-256:
+this module hashes none.
 
 A type with a ``codec`` (tool documents and configurations) has its
 payloads kept in the cache, which stores bytes: this module alone encodes,
@@ -52,7 +57,7 @@ from __future__ import annotations
 import json
 from contextlib import suppress
 
-from .errors import CacheError, DocTypeError, ScramError
+from .errors import AreaError, DocTypeError, ScramError
 from .markup import (
     DocHeader,
     DocType,
@@ -86,33 +91,38 @@ class DocumentEngine:
     def activate(self, url: ResourceUrl, accepted: tuple[DocType, ...]):
         """The payload of the document at ``url``, which must be of one of
         the ``accepted`` types."""
-        try:
-            return self._activate_uncached(url, url.cache_key(), accepted)
-        except ScramError as exc:
-            if exc.context is None and not isinstance(exc, CacheError):
-                exc.context = f"while activating {url}"
-            raise
-
-    def _activate_uncached(self, url: ResourceUrl, key: str,
-                           accepted: tuple[DocType, ...]):
         content, sha = self.cache.fetch(url)
         codec = accepted[0].codec if len(accepted) == 1 else None
+        kept = None
         if codec is not None:
-            kept = payload_key(codec.tag, accepted[0].name, key, sha)
+            kept = payload_key(codec.tag, accepted[0].name, url.cache_key(), sha)
             payload = self._recall(kept, accepted[0])
             if payload is not None:
                 return payload
+        try:
+            return self._activate_uncached(url, content, accepted, kept)
+        except ScramError as exc:
+            # an error located in this document names it already
+            if exc.context is None and (exc.location is None
+                                        or exc.location.source != str(url)):
+                exc.context = f"while activating {url}"
+            raise
+
+    def _activate_uncached(self, url: ResourceUrl, content: bytes,
+                           accepted: tuple[DocType, ...], kept: str | None):
+        """Parse ``content``, the bytes at ``url``, and keep the payload
+        under ``kept``, if given."""
         events = self.events_for(url, content)
         header = read_doc_header(events)
         doc_type = check_doc_type(header, accepted)
         spliced: dict[str, list] = {}
-        events = self._splice(events, url, None, doc_type, {key: url}, spliced,
-                              [0, len(events)])
+        events = self._splice(events, url, None, doc_type, {url.cache_key(): url},
+                              spliced, [0, len(events)])
         payload = doc_type.builder(strip_doc_header(events))
-        if codec is not None:
+        if kept is not None:
             entry = [header.doc_type, header.doc_version, list(spliced.values()),
-                     codec.encode(payload)]
-            with suppress(CacheError):
+                     doc_type.codec.encode(payload)]
+            with suppress(AreaError):
                 self.cache.keep(kept, _compact(entry).encode())
         return payload
 

@@ -2,9 +2,7 @@
 
 Every error carries a context, which only document activation sets (the
 CLI renders ``scram: <context>: <message>``, the verb standing in for a
-missing context), and, for document problems, a source location. A fault
-in the document cache's own files (``CacheError``) is the command's, not
-the document's being activated, so it keeps the verb.
+missing context), and, for document problems, a source location.
 """
 
 from __future__ import annotations
@@ -57,7 +55,3 @@ class ToolError(ScramError):
 class AreaError(ScramError):
     """Project area or registry problem: missing area, conflicting install,
     path escapes, lock contention."""
-
-
-class CacheError(AreaError):
-    """The document cache's own files cannot be listed or written."""

@@ -26,7 +26,7 @@ from __future__ import annotations
 import os
 import re
 
-from .errors import AreaError, ScramError
+from .errors import AreaError, MarkupError, ScramError
 from .fsutil import check_name, read_text
 from .markup import (
     DocType,
@@ -263,6 +263,8 @@ def load_app_env_file(area_root: str, app_name: str) -> EnvDelta:
             f"(expected {path})"
         )
     events = tokenize_markup(text, source_id=path)
+    if not events:
+        raise MarkupError(f"application environment file {path} has no <doc> header")
     header = read_doc_header(events)
     check_doc_type(header, (APP_ENV,), header.location)
     return parse_app_env(strip_doc_header(events))

@@ -39,7 +39,7 @@ import os
 import time
 from contextlib import suppress
 
-from .errors import AreaError, CacheError, FetchError, UrlError
+from .errors import FetchError, UrlError
 from .fsutil import PrivateFile, cannot, list_dir, locked
 
 HEAD = "HEAD"
@@ -199,18 +199,18 @@ class SchemeRegistry:
     def __init__(self, adapters: dict):
         self._adapters = adapters
 
-    def adapter_for(self, scheme: str):
-        scheme = scheme.lower()
+    def adapter_for(self, url: ResourceUrl):
+        scheme = url.scheme.lower()
         try:
             return self._adapters[scheme]
         except KeyError:
             known = ", ".join(sorted(self._adapters))
             raise UrlError(
-                f"unknown URL scheme '{scheme}' (registered: {known})"
+                f"unknown URL scheme '{scheme}' in {url} (registered: {known})"
             ) from None
 
     def retrieve(self, url: ResourceUrl, version: str | None) -> bytes:
-        adapter = self.adapter_for(url.scheme)
+        adapter = self.adapter_for(url)
         try:
             return adapter(url, version)
         except UrlError:
@@ -258,6 +258,7 @@ def external_command_adapter(template: str):
     def adapter(url: ResourceUrl, version: str | None) -> bytes:
         # imported here: only a checkout runs a command
         import shlex
+        import signal
         import subprocess
         import tempfile
 
@@ -272,22 +273,29 @@ def external_command_adapter(template: str):
                 part.format(module=module, version=tag, out=out_path or "")
                 for part in shlex.split(template)
             ]
-            try:
-                proc = subprocess.run(argv, capture_output=True, timeout=FETCH_TIMEOUT)
-            except subprocess.TimeoutExpired:
-                raise FetchError(f"checkout command for {url} timed out after "
-                                 f"{FETCH_TIMEOUT:g} s") from None
+            # a session of its own, which a timeout or an interrupt kills
+            # whole while the command is unreaped and its pid names the group
+            with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                  start_new_session=True) as proc:
+                try:
+                    stdout, stderr = proc.communicate(timeout=FETCH_TIMEOUT)
+                except subprocess.TimeoutExpired:
+                    raise FetchError(f"checkout command for {url} timed out after "
+                                     f"{FETCH_TIMEOUT:g} s") from None
+                finally:
+                    if proc.returncode is None:
+                        os.killpg(proc.pid, signal.SIGKILL)
             if proc.returncode != 0:
-                detail = proc.stderr.decode(errors="replace").strip()
+                detail = stderr.decode(errors="replace").strip()
                 raise FetchError(
                     f"checkout command for {url} exited {proc.returncode}: {detail}"
                 )
             if out_path is not None:
                 with open(out_path, "rb") as fh:
                     return fh.read()
-            return proc.stdout
+            return stdout
         except FileNotFoundError as exc:
-            raise FetchError(f"checkout command not found: {exc}") from exc
+            raise FetchError(f"checkout command for {url} not found: {exc}") from exc
         finally:
             if out_path is not None and os.path.exists(out_path):
                 os.unlink(out_path)
@@ -304,7 +312,7 @@ def default_registry(site) -> SchemeRegistry:
     else:
         def cvs(url, version):
             raise FetchError(
-                "scheme 'cvs' needs site key scheme.cvs.command "
+                f"{url}: scheme 'cvs' needs site key scheme.cvs.command "
                 "(a checkout command template with {module} {version} {out})"
             )
     return SchemeRegistry({"file": fetch_file, "http": fetch_http,
@@ -327,8 +335,7 @@ class UrlCache:
     which runs the adapter and ``keep``s the content in the private pack.
     With ``refresh`` a HEAD key skips the published packs, so it reaches
     its adapter once per command; a payload does not, since whoever kept
-    it checks what it depends on. A fault listing ``packs`` or writing a
-    pack is a ``CacheError``. ``publish`` ends the command: it stamps
+    it checks what it depends on. ``publish`` ends the command: it stamps
     ``fetched_at`` into the private pack's index, renames the pack into
     place and, past ``COMPACT_ABOVE`` packs, merges them, keeping the copy
     of each key that ``_served`` picks. No fetch takes a lock.
@@ -375,13 +382,10 @@ class UrlCache:
 
     def keep(self, key: str, data: bytes) -> str:
         """Append ``data`` under ``key`` to this command's pack and return
-        its SHA-256; a pack that cannot be written is a ``CacheError``."""
-        try:
-            if self._own is None:
-                self._own = PrivateFile(os.path.join(self.packs, _pack_name()))
-            offset = self._own.append(data)
-        except AreaError as exc:
-            raise CacheError(exc.message) from exc
+        its SHA-256."""
+        if self._own is None:
+            self._own = PrivateFile(os.path.join(self.packs, _pack_name()))
+        offset = self._own.append(data)
         content_hash = sha256_of(data)
         self._own_index[key] = [offset, len(data), content_hash, float("inf")]
         return content_hash
@@ -414,10 +418,7 @@ class UrlCache:
         return packs
 
     def _list(self) -> list[str]:
-        try:
-            names = list_dir(self.packs, "document cache")
-        except AreaError as exc:
-            raise CacheError(exc.message) from exc
+        names = list_dir(self.packs, "document cache")
         return sorted(name for name in names if name.endswith(".pack"))
 
     def _close(self) -> None:

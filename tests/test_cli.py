@@ -413,7 +413,8 @@ class TestReadFaults:
               if name not in ("tools directory", "linked central")
               for fault in ("directory", "non-UTF-8")]
              + [("link", "blank"), ("link", "relative"), ("link", "dangling"),
-                ("tools directory", "regular file"), ("linked central", "removed")])
+                ("tools directory", "regular file"), ("linked central", "removed"),
+                ("app-env", "blank")])
 
     @pytest.mark.parametrize("name, fault", CASES)
     def test_one_line_naming_the_path_once(self, toy, capsys, name, fault):
@@ -510,7 +511,8 @@ class TestDocumentErrors:
         "unknown app-env type":
             "application environment entry 'X' has unknown type 'Weird'",
         "checkout command not found":
-            f"checkout command not found: {NOT_FOUND}'/nonexistent/checkout'",
+            "checkout command for cvs:?module=toy/boot not found: "
+            f"{NOT_FOUND}'/nonexistent/checkout'",
     }
 
     @pytest.mark.parametrize("case", CASES)
@@ -554,6 +556,74 @@ class TestDocumentErrors:
         assert out == ""
         assert err.startswith("scram: ") and err.count("\n") == 1, err
         assert err.endswith(f": {self.CASES[case]}\n"), err
+
+
+class TestEachFailingDocumentIsNamedOnce:
+    """A bootstrap that fails on a document it activates: exit 1 and one
+    ``scram:`` line that names the document once, whether the fetch fails,
+    the error is located in the document or it is neither. A fragment's
+    error names the fragment and the document that splices it, each once."""
+
+    HEADER = "<doc type=BuildSystem::BootStrapDoc version=1.0>\n"
+    # case -> how the line ends
+    CASES = {
+        "missing file": "No such file or directory",
+        "unknown scheme": "(registered: cvs, file, http, https, vcs)",
+        "unconfigured cvs": "{module} {version} {out})",
+        "missing checkout command": "'/nonexistent/checkout'",
+        "syntax error": "unterminated tag <project",
+        "missing attribute": "<project> is missing required attribute 'version'",
+        "escaping download": "download destination escapes the area: '../../escaped'",
+        "type mismatch": "found 'BuildSystem::ToolDoc'",
+        "empty document": "document has no <doc> header",
+        "no <Tool> block": "tool document contains no <Tool> block",
+        "fragment handler error": "<project> is missing required attribute 'version'",
+        "fragment not fetched": "No such file or directory",
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_one_line_naming_each_document_once(self, toy, capsys, case):
+        specs = toy.specs
+        boot, frag = specs / "toy.boot", specs / "frag.doc"
+        # each file: URL is named by its path, with or without the scheme
+        url, named = toy.bootstrap_url, [str(boot)]
+        if case == "missing file":
+            url, named = f"file:{specs}/missing.boot", [f"{specs}/missing.boot"]
+        elif case == "unknown scheme":
+            url = f"gopher:{boot}"
+        elif case in ("unconfigured cvs", "missing checkout command"):
+            url = named[0] = "cvs:?module=toy/boot"
+            if case == "missing checkout command":
+                toy.site_path.write_text(
+                    toy.site_path.read_text()
+                    + "scheme.cvs.command = /nonexistent/checkout {module} {out}\n")
+        elif case == "syntax error":
+            boot.write_text(self.HEADER + "<project name=ORCA version=7_1_3\n")
+        elif case == "missing attribute":
+            boot.write_text(self.HEADER + "<project name=ORCA>\n")
+        elif case == "escaping download":
+            boot.write_text(boot.read_text().replace('to="src/README"',
+                                                      'to="../../escaped"'))
+        elif case == "type mismatch":
+            url, named = f"file:{specs}/gcc.tooldoc", [f"{specs}/gcc.tooldoc"]
+        elif case == "empty document":
+            boot.write_text("")
+        elif case == "no <Tool> block":
+            named = [f"{specs}/gcc.tooldoc"]
+            (specs / "gcc.tooldoc").write_text(
+                "<doc type=BuildSystem::ToolDoc version=1.0>\n")
+        else:
+            named.append(str(frag))
+            boot.write_text(self.HEADER + '<inline url="frag.doc">\n')
+            if case == "fragment handler error":
+                frag.write_text("\n<project name=ORCA>\n")
+
+        assert run(toy, "bootstrap", url, "--dest", str(toy.install_root)) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("scram: ") and err.count("\n") == 1, err
+        assert err.endswith(f"{self.CASES[case]}\n"), err
+        assert [err.count(name) for name in named] == [1] * len(named), err
 
 
 class TestNamesStayInTheArea:

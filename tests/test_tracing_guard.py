@@ -10,6 +10,7 @@ import sys
 from pathlib import Path
 
 from conftest import make_toy_project
+from scram.activedoc import DocumentEngine
 from scram.cli import main
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -81,3 +82,37 @@ def test_every_wrapped_function_is_called_by_the_toy_lifecycle(tmp_path, capsys)
     called = {span[tracing.NAME] for span in tracer.spans}
     wanted = [attr for _, attr, _ in tracing.WRAPPED] + ["ArgumentParser.parse_args"]
     assert [attr for attr in wanted if attr not in called] == []
+
+
+def test_store_hit_ratio_is_the_share_of_activations_served_a_kept_payload(
+        tmp_path, capsys, monkeypatch):
+    """A warm bootstrap is served the configuration's and the four tool
+    documents' kept payloads, and parses the bootstrap document and the
+    requirements, which keep none: 5 of its 7 activations are recalled."""
+    toy = make_toy_project(tmp_path)
+    recalled = []
+    real_recall = DocumentEngine._recall
+
+    def recall(self, kept, doc_type):
+        payload = real_recall(self, kept, doc_type)
+        recalled.append(payload is not None)
+        return payload
+
+    monkeypatch.setattr(DocumentEngine, "_recall", recall)
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        for dest in ("cold", "warm"):
+            first = len(tracer.spans)
+            recalled.clear()
+            assert main(["bootstrap", toy.bootstrap_url, "--dest", str(tmp_path / dest)],
+                        env=toy.env, cwd=str(tmp_path)) == 0, capsys.readouterr().err
+    finally:
+        tracer.uninstall()
+    metrics = tracing.layer_metrics(tracer.spans, first)
+    activations = metrics["activedoc.activate_calls"]
+    assert metrics["activedoc.store_hit_ratio"] == sum(recalled) / activations
+    parses = [span for span in tracer.spans[first:]
+              if span[tracing.NAME] == "DocumentEngine._activate_uncached"]
+    assert (sum(recalled), len(parses), activations) == (5, 2, 7)

@@ -3,6 +3,7 @@ import json
 import os
 import re
 import socket
+import subprocess
 import sys
 import threading
 import time
@@ -167,12 +168,14 @@ class TestSchemeRegistry:
         with pytest.raises(UrlError) as exc:
             registry.retrieve(parse_url("GOPHER:hole"), None)
         assert str(exc.value) == (
-            "unknown URL scheme 'gopher' (registered: cvs, file, http, https, vcs)")
+            "unknown URL scheme 'gopher' in GOPHER:hole "
+            "(registered: cvs, file, http, https, vcs)")
 
     def test_vcs_is_alias_for_cvs(self, tmp_path):
         site = {"scheme.cvs.command": "true"}
         registry = default_registry(site)
-        assert registry.adapter_for("vcs") is registry.adapter_for("cvs")
+        assert registry.adapter_for(parse_url("vcs:m")) is \
+            registry.adapter_for(parse_url("cvs:m"))
 
     def test_external_command_stub_sees_module_and_version(self):
         # stub echoes its arguments; compare against its known output
@@ -852,22 +855,66 @@ class TestFetchTimeout:
         with socket.create_server(("127.0.0.1", 0)) as server:
             url = f"http://127.0.0.1:{server.getsockname()[1]}/toy.boot"
             err = self.bootstrap(toy, url, capsys)
-        assert err == (f"scram: while activating {url}: "
-                       f"GET {url} timed out after 0.5 s\n")
+        assert err == f"scram: bootstrap: GET {url} timed out after 0.5 s\n"
 
     def test_a_checkout_command_that_never_ends(self, toy, tmp_path, monkeypatch,
                                                 capsys):
         monkeypatch.setattr(scram.urlaccess, "FETCH_TIMEOUT", 0.5)
-        pid_file = tmp_path / "checkout.pid"
-        stub = tmp_path / "checkout"
-        stub.write_text(f"#!/bin/sh\necho $$ > {pid_file}\nexec sleep 60\n")
-        stub.chmod(0o755)
+        stub, pid_files = checkout_stub(tmp_path)
         toy.site_path.write_text(toy.site_path.read_text()
                                  + f"scheme.cvs.command = {stub} {{module}}\n")
         url = "cvs:?module=toy/boot"
         assert self.bootstrap(toy, url, capsys) == (
-            f"scram: while activating {url}: "
-            f"checkout command for {url} timed out after 0.5 s\n")
-        # the sleep that the stub became is gone: killed and reaped
+            f"scram: bootstrap: checkout command for {url} timed out after 0.5 s\n")
+        assert_killed(pid_files)
+        # the sleep that the stub became is reaped too
         with pytest.raises(ProcessLookupError):
-            os.kill(int(pid_file.read_text()), 0)
+            os.kill(int(pid_files[0].read_text()), 0)
+
+    def test_an_interrupted_checkout_command_is_killed(self, tmp_path, monkeypatch):
+        stub, pid_files = checkout_stub(tmp_path)
+
+        def communicate(proc, timeout=None):
+            # interrupted once the stub has started its background sleep
+            deadline = time.monotonic() + 5
+            while not pid_files[0].read_text() and time.monotonic() < deadline:
+                time.sleep(0.05)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(subprocess.Popen, "communicate", communicate)
+        with pytest.raises(KeyboardInterrupt):
+            external_command_adapter(str(stub))(parse_url("cvs:?module=m"), None)
+        assert_killed(pid_files)
+
+
+def checkout_stub(tmp_path):
+    """A checkout command that starts a sleep in the background and then
+    becomes a sleep itself, and the files that get its pid and the
+    background sleep's; it writes its own last, into a file made empty up
+    front."""
+    pid_files = [tmp_path / "checkout.pid", tmp_path / "child.pid"]
+    pid_files[0].write_text("")
+    stub = tmp_path / "checkout"
+    stub.write_text(f"#!/bin/sh\nsleep 60 &\necho $! > {pid_files[1]}\n"
+                    f"echo $$ > {pid_files[0]}\nexec sleep 60\n")
+    stub.chmod(0o755)
+    return stub, pid_files
+
+
+def assert_killed(pid_files):
+    """Both sleeps of ``checkout_stub`` are killed within 5 s."""
+    pids = [int(path.read_text()) for path in pid_files]
+    deadline = time.monotonic() + 5
+    while not all(map(dead, pids)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert [pid for pid in pids if not dead(pid)] == []
+
+
+def dead(pid: int) -> bool:
+    """Whether process ``pid`` is gone or a zombie: an orphan is reaped by
+    whichever process adopted it."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rpartition(")")[2].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
