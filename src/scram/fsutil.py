@@ -10,10 +10,11 @@ with one ``PrivateFile``; a document cache pack is one too.
 ``private_tree`` gives a new tree a dot-named sibling of its final path;
 ``write_new`` writes each of its files in one create-or-truncate write,
 with no temp file, because nothing reads the tree until it is renamed into
-place in one step. ``locked`` holds an ``flock`` on a file that is never
-unlinked; the kernel drops it when the holder exits or is killed. No file
-is fsync'ed: a rename survives the death of the process, and surviving
-power loss is not promised. ``read_text`` and ``read_json`` give a
+place in one step. ``link`` hard-links a file, and replaces a target by a
+dot-named link renamed over it. ``locked`` holds an ``flock`` on a file
+that is never unlinked; the kernel drops it when the holder exits or is
+killed. No file is fsync'ed: a rename survives the death of the process,
+and surviving power loss is not promised. ``read_text`` and ``read_json`` give a
 caller's default for a file that does not exist and turn any other failure
 to open, read, decode or parse (JSON nested too deeply too) into one
 ``AreaError``, ``unreadable <what> <path>: <reason>``, as ``list_dir``
@@ -56,12 +57,17 @@ def cannot(doing: str, path: str, exc: OSError) -> AreaError:
     return AreaError(f"cannot {doing} {path}: {link or exc.strerror or exc}")
 
 
-def _open_creating_parent(path: str, flags: int) -> int:
+def _creating_parent(make, path: str):
+    """``make(path)``, made again once the missing directory of ``path`` is."""
     try:
-        return os.open(path, flags, 0o666)
+        return make(path)
     except FileNotFoundError:
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        return os.open(path, flags, 0o666)
+        return make(path)
+
+
+def _open_creating_parent(path: str, flags: int) -> int:
+    return _creating_parent(lambda new: os.open(new, flags, 0o666), path)
 
 
 def _write_all(fd: int, data: bytes | str, offset: int = 0) -> int:
@@ -106,6 +112,27 @@ def _publish(private: str, target: str) -> None:
         os.rename(private, target)
     except OSError as exc:
         raise cannot("publish", target, exc) from exc
+
+
+def link(source: str, target: str, replace: bool = False) -> None:
+    """Make ``target`` a hard link to the file ``source``, creating its
+    directory if needed. A ``target`` that exists fails, unless
+    ``replace``: then a link ``.<name>.<8 hex>.tmp`` beside it is renamed
+    over it, so a reader sees the old file or the new one."""
+    directory, name = os.path.split(target)
+    new = (os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp") if replace
+           else target)
+    try:
+        _creating_parent(lambda path: os.link(source, path), new)
+    except OSError as exc:
+        raise cannot("link", target, exc) from exc
+    if replace:
+        try:
+            _publish(new, target)
+        except AreaError:
+            with suppress(OSError):
+                os.unlink(new)
+            raise
 
 
 class PrivateFile:

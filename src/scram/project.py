@@ -15,7 +15,9 @@ locally only what the developer overrides.
 
 One seam, ``read_tool_records`` and ``write_tool_records``, is the only
 code that knows how and where tool records are stored; every other
-function reads and writes them through it.
+function reads and writes them through it. A bootstrap hands each record
+to the document cache's record store, which links an identical record it
+holds in the record's place.
 """
 
 from __future__ import annotations
@@ -132,9 +134,19 @@ class Registry:
         return None
 
     def add(self, record: InstallationRecord) -> None:
-        """Register ``record`` unless an identical one exists. The check and
-        the rewrite hold the registry lock and use one read of it, so
-        concurrent installs cannot record duplicate or conflicting entries."""
+        """Register ``record`` unless an identical one exists; a record whose
+        line would read back as another record, or none, is refused. The
+        check and the rewrite hold the registry lock and use one read of it,
+        so concurrent installs cannot record duplicate or conflicting
+        entries."""
+        line = f"{record.project} {record.version} {record.arch} {record.location}"
+        if self.records(line.splitlines()) != [record]:
+            raise AreaError(
+                f"cannot register project {record.project!r} version "
+                f"{record.version!r} for {record.arch!r} at {record.location!r}: "
+                "a registry line holds a project, version and architecture with "
+                "no whitespace, the first not starting with '#', then a location "
+                "with no line break and no whitespace at either end")
         with locked(os.path.realpath(self.path) + ".lock", wait=True):
             lines = self._lines()
             existing = self.find(record.project, record.version, record.arch, lines)
@@ -145,19 +157,21 @@ class Registry:
                     f"{record.project} {record.version} ({record.arch}) is "
                     f"already registered at {existing.location}"
                 )
-            lines.append(f"{record.project} {record.version} {record.arch} "
-                         f"{record.location}")
+            lines.append(line)
             atomic_write(self.path, "\n".join(lines) + "\n")
 
 
 class ProjectArea:
     """An area on disk. ``write`` puts one of its files on disk: an atomic
     replacement, or ``write_new`` for an area that is still being built in
-    a private tree where nobody reads it."""
+    a private tree where nobody reads it. ``write_record`` puts a tool
+    record there: ``write`` too, unless a bootstrap gives the record store's
+    ``UrlCache.write_record``."""
 
-    def __init__(self, root: str, write=atomic_write):
+    def __init__(self, root: str, write=atomic_write, write_record=None):
         self.root = os.path.abspath(root)
         self.write = write
+        self.write_record = write_record or write
         self._central: str | None = None
 
     # ---- layout -----------------------------------------------------
@@ -234,10 +248,11 @@ class ProjectArea:
     # ---- creation ---------------------------------------------------
     @classmethod
     def create(cls, root: str, project: str, version: str,
-               link_target: str | None = None) -> "ProjectArea":
+               link_target: str | None = None, write_record=None) -> "ProjectArea":
         """A new area at ``root``, a path in a ``private_tree``; the area
-        writes its files with ``write_new``."""
-        area = cls(root, write_new)
+        writes its files with ``write_new``, and its tool records with
+        ``write_record`` if given."""
+        area = cls(root, write_new, write_record)
         for sub in AREA_SUBDIRS:
             make_dirs(os.path.join(area.root, sub))
         write_new(area._admin_file(AREA_FILE),
@@ -431,7 +446,7 @@ def write_tool_record(area: ProjectArea, arch: str, rt: ResolvedTool) -> None:
                "runtime": rt.runtime_entries, "libs": rt.lib_names,
                "provenance": rt.provenance, "descriptions": rt.descriptions,
                "externals": rt.externals}
-    area.write(path, json.dumps(payload) + "\n")
+    area.write_record(path, (json.dumps(payload) + "\n").encode())
 
 
 def write_tool_records(area: ProjectArea, arch: str,
@@ -630,7 +645,8 @@ def bootstrap_install(bootstrap_url: str, dest_root: str, *, site: SiteInfo,
         if not os.path.isdir(dest_root):
             make_dirs(dest_root)  # here, so a failure names the --dest given
         with private_tree(root) as private:
-            area = ProjectArea.create(private, boot.project, boot.version)
+            area = ProjectArea.create(private, boot.project, boot.version,
+                                      write_record=engine.cache.write_record)
             for raw_url, dest in boot.downloads:
                 content, _ = engine.cache.fetch(parse_url(raw_url, base=boot_url))
                 area.write(os.path.join(area.root, dest), content)

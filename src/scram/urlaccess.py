@@ -25,6 +25,11 @@ cache until a command is made with ``refresh``, which refetches each once,
 and then the latest copy wins. ``auth`` and ``user`` never enter the cache
 key, so identities share content.
 
+Beside the packs, ``<root>/records/<SHA-256>`` is the record store: one
+file per distinct tool record that a bootstrap wrote, named by its bytes'
+hash, which ``write_record`` hard-links into the next new area that needs
+those bytes instead of creating a file there.
+
 The cache keeps bytes and alone hashes them: a fetch returns them with
 the SHA-256 it verified or computed. A payload is bytes that
 ``activedoc``, their one reader and writer, ``keep``s under a
@@ -39,14 +44,15 @@ import os
 import time
 from contextlib import suppress
 
-from .errors import FetchError, UrlError
-from .fsutil import PrivateFile, cannot, list_dir, locked
+from .errors import AreaError, FetchError, UrlError
+from .fsutil import PrivateFile, cannot, link, list_dir, locked, write_new
 
 HEAD = "HEAD"
 # the first part of the key of every payload
 PAYLOAD = "payload"
 
 PACKS = "packs"
+RECORDS = "records"
 # a publishing command merges the packs when it sees more than this many
 COMPACT_ABOVE = 16
 # a pack ends with this and its index's offset, as 16 hex digits
@@ -343,6 +349,7 @@ class UrlCache:
 
     def __init__(self, root: str, registry: SchemeRegistry, refresh: bool = False):
         self.packs = os.path.join(root, PACKS)
+        self.records = os.path.join(root, RECORDS)
         if not os.path.isdir(self.packs):
             try:
                 os.makedirs(self.packs, exist_ok=True)
@@ -389,6 +396,23 @@ class UrlCache:
         content_hash = sha256_of(data)
         self._own_index[key] = [offset, len(data), content_hash, float("inf")]
         return content_hash
+
+    def write_record(self, path: str, data: bytes) -> None:
+        """Write ``data`` to ``path``, a new file in a tree that
+        ``private_tree`` is building: a hard link to the record store's
+        entry ``<root>/records/<SHA-256 of data>`` if that holds ``data``,
+        read and compared first; else a ``write_new``, which is then linked
+        into the store, in place of an entry that holds other bytes. A
+        fault of the store only costs the link: the record is written."""
+        entry = os.path.join(self.records, sha256_of(data))
+        held = _held(entry, len(data))
+        if held == data:
+            with suppress(AreaError):
+                link(entry, path)
+                return
+        write_new(path, data)
+        with suppress(AreaError):
+            link(path, entry, replace=held is not None)
 
     def _lookup(self, key: str, latest: bool,
                 published: bool = True) -> tuple[bytes, str] | None:
@@ -548,6 +572,21 @@ def _verified(fd: int, offset: int, length: int, content_hash: str) -> bytes | N
     except OSError:
         return None
     return content if sha256_of(content) == content_hash else None
+
+
+def _held(path: str, size: int) -> bytes | None:
+    """Up to ``size + 1`` bytes of the file ``path``, enough to tell
+    whether it holds ``size`` bytes alone; None if it cannot be read."""
+    try:
+        fd = os.open(path, os.O_RDONLY)
+    except OSError:
+        return None
+    try:
+        return os.read(fd, size + 1)
+    except OSError:
+        return None
+    finally:
+        os.close(fd)
 
 
 def sha256_of(data: bytes) -> str:

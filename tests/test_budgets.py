@@ -1,5 +1,6 @@
-"""Operation budgets: how many files each verb opens, lists, creates
-directories for, renames and removes, counted with an audit hook on the
+"""Operation budgets: how many files each verb opens, of them how many
+with ``O_CREAT``, lists, creates directories for, renames, removes and
+hard-links, counted with an audit hook on the
 paths under the test's own directory, so imports and the interpreter do not
 count. Counts do not drift from run to run as timings do, so a change that
 adds an open per tool, reads a record that a verb does not need, or writes
@@ -35,9 +36,11 @@ from scram.cli import main
 from scram.urlaccess import UrlCache
 from test_payload_equivalence import load_corpus
 
-# audit event -> the operation it counts
+# audit event -> the operation it counts; an open that may create its
+# file (its flags hold O_CREAT) counts as a create too
 OPERATIONS = {"open": "open", "os.listdir": "list", "os.scandir": "list",
-              "os.mkdir": "mkdir", "os.rename": "rename", "os.remove": "remove"}
+              "os.mkdir": "mkdir", "os.rename": "rename", "os.remove": "remove",
+              "os.link": "link"}
 
 
 def counted(roots: tuple[str, ...], verb):
@@ -50,6 +53,8 @@ def counted(roots: tuple[str, ...], verb):
         if operation is not None and isinstance(args[0], (str, bytes, os.PathLike)):
             if os.fsdecode(args[0]).startswith(prefixes):
                 counts[operation] += 1
+                if operation == "open" and args[2] & os.O_CREAT:
+                    counts["create"] += 1
 
     with audit_events(record):
         verb()
@@ -69,33 +74,44 @@ def table(measured: dict, budget: dict) -> str:
 
 
 def bootstrap_budget(n: int) -> dict[str, int]:
-    # half the corpus's tools have their library directory probed
-    return {"open": 2 * n + 15, "list": n // 2 + 3, "mkdir": 12, "rename": 2}
+    # half the corpus's tools have their library directory probed. Each
+    # tool record's entry in the record store is opened first, and is not
+    # there; the record is created, then linked into the store, whose
+    # directory is made at the first link, which is made again. The
+    # creates are the area and state files, the two downloads, the
+    # identity, the pack and the records, of which the configuration's and
+    # the first tool's are opened again once their directory is made.
+    return {"open": 3 * n + 15, "create": n + 9, "link": n + 1,
+            "list": n // 2 + 3, "mkdir": 13, "rename": 2}
 
 
 def warm_bootstrap_budget(n: int) -> dict[str, int]:
     # every document comes from the one pack the cold bootstrap published,
     # so no document file is opened and no pack is written; the site file,
-    # the pack, the area and state files, the two downloads, the identity
-    # and the records, of which the configuration's and the first tool's
-    # are opened again once their directory is made
-    return {"open": n + 10, "list": n // 2 + 2, "mkdir": 11, "rename": 1}
+    # the pack, the area and state files, the two downloads, the identity,
+    # the configuration record, opened again once its directory is made,
+    # and each tool record's entry in the record store, which holds it and
+    # is linked in its place: no tool record is created, and the first
+    # link is made again once the tools directory is made
+    return {"open": n + 9, "create": 7, "link": n + 1,
+            "list": n // 2 + 2, "mkdir": 11, "rename": 1}
 
 
 def lifecycle_budget(n: int) -> dict[str, dict[str, int]]:
     return {
         # the area's lock, Link, state and area files; the state and the
-        # registry, under its lock, are each rewritten by a rename
-        "install --force": {"open": 8, "rename": 2},
+        # registry, under its lock, are each rewritten by a rename; the
+        # two locks and two temp files are creates
+        "install --force": {"open": 8, "create": 4, "rename": 2},
         # the registry and the central configuration identity are read; a
-        # private tree of seven directories is made, its four files written
-        # and the tree renamed into place
-        "project": {"open": 6, "mkdir": 8, "rename": 1},
+        # private tree of seven directories is made, its four files
+        # created and the tree renamed into place
+        "project": {"open": 6, "create": 4, "mkdir": 8, "rename": 1},
         "list": {"open": 1},
         # the area's Link, lock and area files, the site file, the
         # configuration and every record; the state's rewrite; the tools,
-        # bin and lib directories
-        "build": {"open": n + 6, "list": 3, "rename": 1},
+        # bin and lib directories; the lock and the temp file are creates
+        "build": {"open": n + 6, "create": 2, "list": 3, "rename": 1},
     }
 
 
@@ -196,13 +212,15 @@ ENTRIES_CHECKED = {
 }
 # the SHA-256s that each verb computes, by corpus size; every verb left out
 # computes none. A fetch hashes what it serves or keeps, a recall what it
-# serves and a kept payload its bytes, and nothing else hashes: a
-# bootstrap, cold or warm, hashes 2n + 7 times, each tool document once for
-# its content and once for its payload.
+# serves, a kept payload its bytes and a tool record that a bootstrap
+# writes its bytes, for its name in the record store, and nothing else
+# hashes: a bootstrap, cold or warm, hashes 3n + 7 times, each tool
+# document once for its content and once for its payload, and each tool
+# record once.
 SHA256 = {
     4: {
-        "bootstrap": 15,
-        "bootstrap, warm cache": 15,
+        "bootstrap": 19,
+        "bootstrap, warm cache": 19,
         "central: setup NAME VER URL": 3,
         "central: setup, one record missing": 2,
         "central: setup, last missing tool fails": 4,
@@ -211,8 +229,8 @@ SHA256 = {
         "developer: setup, last missing tool fails": 4,
     },
     40: {
-        "bootstrap": 87,
-        "bootstrap, warm cache": 87,
+        "bootstrap": 127,
+        "bootstrap, warm cache": 127,
         "central: setup NAME VER URL": 2,
         "central: setup, one record missing": 2,
         "central: setup, last missing tool fails": 4,
@@ -256,7 +274,8 @@ def budgets(n: int, area: str, deps: int, work_deps: int,
     # a developer area lists the central tools directory and its own, and
     # its own area directories too; its first local record makes its tools
     # directory: the first open of the temp file fails, both directories
-    # are made, and the open is retried
+    # are made, and the open is retried. The area lock, opened with
+    # O_CREAT by every setup, counts as a create.
     local = {"central": 0, "developer": 1}[area]
 
     def compared(skipped: int) -> int:
@@ -267,9 +286,10 @@ def budgets(n: int, area: str, deps: int, work_deps: int,
 
     budget = {
         # the records that the tool's externals name, and no other; the
-        # spec fetch lists the cache
-        "setup NAME VER URL": {"open": 5 + deps + local, "list": 2 + local,
-                               "mkdir": 2 * local, "rename": 1},
+        # spec fetch lists the cache. The lock and the record's temp file
+        # are created, and no record is linked: setup has no record store
+        "setup NAME VER URL": {"open": 5 + deps + local, "create": 2 + local,
+                               "list": 2 + local, "mkdir": 2 * local, "rename": 1},
         # each area's tools, bin and lib directories
         "runtime -sh": {"open": n + 3, "list": 3 * (1 + local)},
         # the same and the area's app-env file
@@ -278,19 +298,19 @@ def budgets(n: int, area: str, deps: int, work_deps: int,
         "tool info": {"open": 2, "list": 1 + local},
         # the records are listed once: to compare versions and to resolve;
         # the tool set up by URL has a local record, which is not compared
-        "setup": {"open": 4 + compared(1), "list": 1 + local},
+        "setup": {"open": 4 + compared(1), "create": 1, "list": 1 + local},
         # counted in the areas alone, so the site file, the spec fetch and
         # any library probe do not count: a bare setup with nothing to do
         # has the same listings and, less the site file, 3 opens besides
         # the records it compares; here the missing record is written, and
         # the records that the tool's externals name are read
         "setup, one record missing": {"open": 4 + compared(2) + work_deps,
-                                      "list": 1 + local, "rename": 1},
+                                      "create": 2, "list": 1 + local, "rename": 1},
         # two records are missing and the one resolved last fails: the
         # other's record is not written, so nothing is renamed; the record
         # restored before is local to a developer area by now
         "setup, last missing tool fails": {"open": 3 + compared(4) + fail_deps,
-                                           "list": 1 + local},
+                                           "create": 1, "list": 1 + local},
     }
     return {f"{area}: {verb}": {op: count for op, count in ops.items() if count}
             for verb, ops in budget.items()}

@@ -82,6 +82,25 @@ class TestErrors:
         assert run(toy, "--arch", "bogus", "list") == 1
         assert "scram:" in capsys.readouterr().err
 
+    def test_install_refuses_a_project_name_the_registry_cannot_read_back(
+            self, toy, capsys):
+        boot = toy.specs / "spaced.boot"
+        boot.write_text("<doc type=BuildSystem::BootStrapDoc version=1.0>\n"
+                        '<project name="my proj" version=1.0>\n')
+        assert run(toy, "bootstrap", f"file:{boot}",
+                   "--dest", str(toy.install_root)) == 0
+        area = toy.install_root / "my proj_1.0"
+        capsys.readouterr()
+        for _ in range(2):
+            assert run(toy, "install", "--force", cwd=str(area)) == 1
+            assert capsys.readouterr().err == (
+                f"scram: install: cannot register project 'my proj' version '1.0' "
+                f"for 'Linux__2.4' at '{area}': a registry line holds a project, "
+                "version and architecture with no whitespace, the first not "
+                "starting with '#', then a location with no line break and no "
+                "whitespace at either end\n")
+        assert not Path(toy.env["SCRAM_LOOKUPDB"]).exists()
+
     def test_empty_dest_fails_before_it_fetches(self, toy, capsys):
         assert run(toy, "bootstrap", toy.bootstrap_url, "--dest", "") == 1
         assert capsys.readouterr().err == (

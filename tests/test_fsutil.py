@@ -311,7 +311,8 @@ def _writes_mode(call: ast.Call) -> bool:
 
 
 def _disk_calls(tree: ast.AST) -> list[str]:
-    """Thread imports, write-mode opens, renames over a target and locks."""
+    """Thread imports, write-mode opens, renames over a target, hard links
+    and locks."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -322,7 +323,7 @@ def _disk_calls(tree: ast.AST) -> list[str]:
             func = node.func
             if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
                 call = f"{func.value.id}.{func.attr}"
-                if call in ("os.replace", "os.rename", "fcntl.flock"):
+                if call in ("os.replace", "os.rename", "os.link", "fcntl.flock"):
                     found.append(call)
             elif isinstance(func, ast.Name) and func.id == "open" and _writes_mode(node):
                 found.append("write-mode open")
@@ -331,11 +332,12 @@ def _disk_calls(tree: ast.AST) -> list[str]:
 
 @pytest.mark.parametrize("source", SOURCES, ids=lambda p: p.name)
 def test_state_reaches_disk_only_through_the_helper(source):
-    """No threads; every write, rename and lock goes through fsutil, which
-    has one lock call site and one rename, the publish of a private file or
-    a private tree."""
+    """No threads; every write, rename, link and lock goes through fsutil,
+    which has one lock call site, one rename, the publish of a private
+    file, a private tree or a replacing link, and one link."""
     found = _disk_calls(ast.parse(source.read_text()))
-    assert found == (["fcntl.flock", "os.rename"] if source.name == HELPER else [])
+    assert found == (["fcntl.flock", "os.link", "os.rename"] if source.name == HELPER
+                     else [])
 
 
 def _builtin_opens(tree: ast.AST) -> int:

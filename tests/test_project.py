@@ -1,3 +1,4 @@
+import errno
 import functools
 import hashlib
 import json
@@ -236,9 +237,16 @@ class TestBootstrap:
             return served
 
         monkeypatch.setattr(UrlCache, "fetch", spy)
-        bootstrap(toy)
+        area, _ = bootstrap(toy)
         cache = Path(toy.env["SCRAM_CACHE"])
-        assert os.listdir(cache) == ["packs"]
+        assert sorted(os.listdir(cache)) == ["packs", "records"]
+        # the record store holds each tool record under its SHA-256, as one
+        # file with the area's record
+        tools = Path(area.root) / ".SCRAM" / ARCH / "tools"
+        for record in tools.iterdir():
+            entry = cache / "records" / hashlib.sha256(record.read_bytes()).hexdigest()
+            assert os.path.samefile(entry, record)
+        assert len(os.listdir(cache / "records")) == 4
         (pack,) = os.listdir(cache / "packs")
         assert re.fullmatch(r"[0-9]+\.[0-9]+\.[0-9a-f]{8}\.pack", pack)
         index, contents = read_pack(cache / "packs" / pack)
@@ -287,6 +295,110 @@ class TestBootstrap:
         listing = tool_list(area, ARCH)
         assert listing.index(" gcc ") < listing.index(" boost")
         assert " htl                  1.4        (default=1.4)" in listing
+
+
+class TestRecordStore:
+    """A bootstrap links each tool record that the cache's record store
+    holds with the same bytes, and never fails because of the store."""
+
+    @staticmethod
+    def tools(area) -> Path:
+        return Path(area.root) / ".SCRAM" / ARCH / "tools"
+
+    def records(self, area) -> dict[str, bytes]:
+        return {p.name: p.read_bytes() for p in sorted(self.tools(area).iterdir())}
+
+    @staticmethod
+    def second(toy):
+        """A bootstrap into a second dest that shares the first's cache."""
+        dest = toy.root / "second"
+        dest.mkdir()
+        return bootstrap_install(toy.bootstrap_url, str(dest),
+                                 site=SiteInfo.load(str(toy.site_path)),
+                                 env=toy.env, arch=ARCH)[0]
+
+    @staticmethod
+    def entry(toy, data: bytes) -> Path:
+        return (Path(toy.env["SCRAM_CACHE"]) / "records"
+                / hashlib.sha256(data).hexdigest())
+
+    def test_a_warm_bootstrap_links_every_record(self, toy):
+        first, _ = bootstrap(toy)
+        second = self.second(toy)
+        assert self.records(second) == self.records(first)
+        tools = self.tools(second)
+        for name, data in self.records(second).items():
+            assert os.path.samefile(tools / name, self.entry(toy, data))
+            assert os.stat(tools / name).st_nlink == 3
+
+    def test_a_corrupt_entry_is_not_linked_and_is_healed(self, toy):
+        first, _ = bootstrap(toy)
+        want = self.records(first)
+        entry = self.entry(toy, want["boost"])
+        shutil.rmtree(toy.central_root)  # the corruption reaches no area
+        entry.write_bytes(want["boost"][:-2] + b"}\n")
+        second = self.second(toy)
+        assert self.records(second) == want
+        tools = self.tools(second)
+        assert entry.read_bytes() == want["boost"]
+        assert os.path.samefile(entry, tools / "boost")
+        # the entry was replaced by a rename: no temp link is left
+        assert not [name for name in os.listdir(entry.parent) if name[0] == "."]
+
+    @pytest.mark.parametrize("errno_name", ["EXDEV", "EPERM"])
+    def test_a_store_that_cannot_link_costs_only_the_link(self, toy, monkeypatch,
+                                                          errno_name):
+        first, _ = bootstrap(toy)
+        want = self.records(first)
+
+        def cannot_link(*args, **kwargs):
+            code = getattr(errno, errno_name)
+            raise OSError(code, os.strerror(code))
+
+        monkeypatch.setattr(os, "link", cannot_link)
+        second = self.second(toy)
+        assert self.records(second) == want
+        tools = self.tools(second)
+        for name, data in want.items():
+            assert os.stat(tools / name).st_nlink == 1
+            assert self.entry(toy, data).read_bytes() == data
+
+    def test_an_entry_at_the_link_limit_is_replaced_by_the_new_record(
+            self, toy, monkeypatch):
+        first, _ = bootstrap(toy)
+        want = self.records(first)
+        store, real_link = str(Path(toy.env["SCRAM_CACHE"]) / "records"), os.link
+
+        def full(source, target, **kwargs):
+            if source.startswith(store):
+                raise OSError(errno.EMLINK, os.strerror(errno.EMLINK))
+            real_link(source, target, **kwargs)
+
+        monkeypatch.setattr(os, "link", full)
+        second = self.second(toy)
+        assert self.records(second) == want
+        tools = self.tools(second)
+        for name, data in want.items():
+            assert os.path.samefile(self.entry(toy, data), tools / name)
+            assert os.stat(self.tools(first) / name).st_nlink == 1
+
+    def test_an_unmakeable_store_costs_only_the_links(self, toy):
+        cache = Path(toy.env["SCRAM_CACHE"])
+        cache.mkdir()
+        (cache / "records").write_text("not a directory\n")
+        area, _ = bootstrap(toy)
+        assert len(self.records(area)) == 4
+        assert (cache / "records").read_text() == "not a directory\n"
+
+    def test_setup_replaces_a_linked_record_and_leaves_its_entry(self, toy):
+        first, _ = bootstrap(toy)
+        second = self.second(toy)
+        want = self.records(second)
+        setup_tool(first, "htl", "1.5", f"file:{toy.specs}/htl.tooldoc",
+                   site=SiteInfo.load(str(toy.site_path)), env=toy.env, arch=ARCH)
+        assert '"version": "1.5"' in self.records(first)["htl"].decode()
+        assert self.records(second) == want
+        assert self.entry(toy, want["htl"]).read_bytes() == want["htl"]
 
 
 PIN_DOC = ("<doc type=BuildSystem::ToolDoc version=1.0>\n"
@@ -474,6 +586,34 @@ class TestRegisterAndList:
         registry.add(InstallationRecord("P", "2", "Linux__2.4", "/p2"))
         assert reads == [registry.path] * 2
         assert [r.version for r in registry.records()] == ["1", "2"]
+
+    @pytest.mark.parametrize("record", [
+        InstallationRecord("my proj", "1.0", "Linux__2.4", "/p"),
+        InstallationRecord("P", "1\t0", "Linux__2.4", "/p"),
+        InstallationRecord("P", "1", "Linux 2.4", "/p"),
+        InstallationRecord("#P", "1", "Linux__2.4", "/p"),
+        InstallationRecord("", "1", "Linux__2.4", "/p"),
+        InstallationRecord("P", "1", "Linux__2.4", "/p\nQ 2 Linux__2.4 /q"),
+        InstallationRecord("P", "1", "Linux__2.4", "/p\r"),
+        InstallationRecord("P", "1", "Linux__2.4", "/p "),
+    ], ids=["project", "version", "arch", "comment", "empty", "newline",
+            "return", "trailing"])
+    def test_a_record_whose_line_reads_back_otherwise_is_refused(self, tmp_path,
+                                                                  record):
+        registry = Registry(str(tmp_path / "scramdb"))
+        registry.add(InstallationRecord("P", "0", "Linux__2.4", "/p0"))
+        before = Path(registry.path).read_bytes()
+        with pytest.raises(AreaError, match="^cannot register project "):
+            registry.add(record)
+        assert Path(registry.path).read_bytes() == before
+
+    def test_a_location_may_hold_spaces(self, tmp_path):
+        registry = Registry(str(tmp_path / "scramdb"))
+        record = InstallationRecord("P", "1", "Linux__2.4", "/my areas/P_1")
+        registry.add(record)
+        registry.add(record)
+        assert registry.records() == [record]
+        assert registry.find("P", "1", "Linux__2.4") == record
 
     def test_default_registry_is_under_the_home_of_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HOME", "/elsewhere")

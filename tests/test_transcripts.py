@@ -20,7 +20,10 @@ directory it created (``+``), changed (``~``) or removed (``-``), sorted, a
 file with a digest of its content.
 ``$TESTTMP`` stands for the root in output and content alike; a pack name
 reads as ``<pack>`` and its content is not digested, as it holds the time
-of its fetches, and the random part of a temp-file name reads as ``<tmp>``.
+of its fetches, a file named by the SHA-256 of its content (a tool record
+in the cache's record store) reads as ``<sha256:DIGEST>``, with the digest
+shown beside it, and the random part of a temp-file name reads as
+``<tmp>``.
 
 ``TRANSCRIPTS_UPDATE=1`` rewrites the files from what the commands give.
 """
@@ -65,8 +68,12 @@ def _tree(root: str, inputs: str) -> dict[str, str]:
                 tree[rel] = "*"
                 continue
             with open(os.path.join(dirpath, name), "rb") as fh:
-                content = fh.read().replace(root.encode(), b"$TESTTMP")
-            tree[rel] = hashlib.sha256(content).hexdigest()[:12]
+                raw = fh.read()
+            digest = hashlib.sha256(raw.replace(root.encode(), b"$TESTTMP")).hexdigest()[:12]
+            if name == hashlib.sha256(raw).hexdigest():
+                # named by its own bytes, which may hold the root
+                rel = os.path.normpath(os.path.join(rel_dir, f"<sha256:{digest}>"))
+            tree[rel] = digest
     return tree
 
 
