@@ -22,6 +22,7 @@ The pack index entries each verb checks are pinned too, counted by a spy on
 counted by a spy on ``sha256_of`` where ``urlaccess`` and ``activedoc``
 bind it."""
 
+import hashlib
 import json
 import os
 import re
@@ -97,6 +98,15 @@ def warm_bootstrap_budget(n: int) -> dict[str, int]:
             "list": n // 2 + 2, "mkdir": 11, "rename": 1}
 
 
+def heal_bootstrap_budget(n: int) -> dict[str, int]:
+    # a warm bootstrap whose store entry for one tool record, not the
+    # first written, holds other bytes: that record is created instead of
+    # linked, and then linked into the store by a link beside the entry
+    # renamed over it
+    return {"open": n + 10, "create": 8, "link": n + 1,
+            "list": n // 2 + 2, "mkdir": 11, "rename": 2}
+
+
 def lifecycle_budget(n: int) -> dict[str, dict[str, int]]:
     return {
         # the area's lock, Link, state and area files; the state and the
@@ -135,6 +145,7 @@ def work_budget(n: int) -> dict[str, dict[str, int]]:
     budget = {"bootstrap": {"documents": n + 4, "events": EVENTS[n]["bootstrap"]},
               "bootstrap, warm cache": {"documents": 2,
                                         "events": EVENTS[n]["bootstrap, warm cache"]}}
+    budget["bootstrap, a corrupt store entry"] = budget["bootstrap, warm cache"]
     for area in ("central", "developer"):
         budget[f"{area}: runtime -sh --app"] = {
             "documents": 1, "events": EVENTS[n]["runtime -sh --app"]}
@@ -146,6 +157,7 @@ def work_budget(n: int) -> dict[str, dict[str, int]]:
 JSON_BYTES = {
     4: {
         "bootstrap, warm cache": 11836,
+        "bootstrap, a corrupt store entry": 11836,
         "build": 5757,
         "central: setup NAME VER URL": 8157,
         "central: runtime -sh": 5757,
@@ -166,6 +178,7 @@ JSON_BYTES = {
     },
     40: {
         "bootstrap, warm cache": 104024,
+        "bootstrap, a corrupt store entry": 104024,
         "build": 59908,
         "central: setup NAME VER URL": 41819,
         "central: runtime -sh": 59908,
@@ -193,6 +206,7 @@ JSON_BYTES = {
 ENTRIES_CHECKED = {
     4: {
         "bootstrap, warm cache": 15,
+        "bootstrap, a corrupt store entry": 15,
         "central: setup NAME VER URL": 3,
         "central: setup, one record missing": 2,
         "central: setup, last missing tool fails": 4,
@@ -202,6 +216,7 @@ ENTRIES_CHECKED = {
     },
     40: {
         "bootstrap, warm cache": 87,
+        "bootstrap, a corrupt store entry": 87,
         "central: setup NAME VER URL": 2,
         "central: setup, one record missing": 2,
         "central: setup, last missing tool fails": 4,
@@ -221,6 +236,7 @@ SHA256 = {
     4: {
         "bootstrap": 19,
         "bootstrap, warm cache": 19,
+        "bootstrap, a corrupt store entry": 19,
         "central: setup NAME VER URL": 3,
         "central: setup, one record missing": 2,
         "central: setup, last missing tool fails": 4,
@@ -231,6 +247,7 @@ SHA256 = {
     40: {
         "bootstrap": 127,
         "bootstrap, warm cache": 127,
+        "bootstrap, a corrupt store entry": 127,
         "central: setup NAME VER URL": 2,
         "central: setup, one record missing": 2,
         "central: setup, last missing tool fails": 4,
@@ -404,12 +421,28 @@ def test_record_verbs_stay_within_their_budgets(tmp_path, capsys, monkeypatch, n
         if hashed:
             hashes[key] = hashed["sha256"]
 
-    fetched = {}
-    for verb, dest in (("bootstrap", "central"), ("bootstrap, warm cache", "warm")):
+    def bootstrap(verb: str, dest: str) -> None:
         measure(verb, (root,), scram(
             root, "bootstrap", generated.bootstrap_url(croot),
             "--dest", os.path.join(root, dest)))
         fetched[verb] = fetches()
+
+    fetched = {}
+    bootstrap("bootstrap", "central")
+    bootstrap("bootstrap, warm cache", "warm")
+    # a new file in place of the store entry of a tool record that is not
+    # written first, as a tool with externals is not, holding other bytes
+    healed = next(tool for tool in generated.tools if tool.deps)
+    with open(os.path.join(root, "warm", corpus.AREA_NAME, ".SCRAM", corpus.ARCH,
+                           "tools", healed.key), "rb") as fh:
+        data = fh.read()
+    entry = os.path.join(env["SCRAM_CACHE"], "records", hashlib.sha256(data).hexdigest())
+    os.remove(entry)
+    with open(entry, "wb") as fh:
+        fh.write(data[:-2] + b"]\n")
+    bootstrap("bootstrap, a corrupt store entry", "heal")
+    with open(entry, "rb") as fh:
+        assert fh.read() == data
     for verb, cwd, argv in (
             ("install --force", central, ("install", "--force")),
             ("project", os.path.join(root, "work"),
@@ -418,7 +451,9 @@ def test_record_verbs_stay_within_their_budgets(tmp_path, capsys, monkeypatch, n
             ("build", central, ("build",))):
         measure(verb, (root,), scram(cwd, *argv))
     budget = {"bootstrap": bootstrap_budget(n),
-              "bootstrap, warm cache": warm_bootstrap_budget(n), **lifecycle_budget(n)}
+              "bootstrap, warm cache": warm_bootstrap_budget(n),
+              "bootstrap, a corrupt store entry": heal_bootstrap_budget(n),
+              **lifecycle_budget(n)}
     # set up a tool at its pinned version, so that a bare setup has
     # nothing to do; in the developer area it becomes a local record. Its
     # library directory comes from the site file, so no probe lists one.
@@ -502,6 +537,7 @@ def test_record_verbs_stay_within_their_budgets(tmp_path, capsys, monkeypatch, n
     tool_docs = 1 + tool.inline
     assert fetched == {"bootstrap": [(0, n + 6)],
                        "bootstrap, warm cache": [(n + 6, 0)],
+                       "bootstrap, a corrupt store entry": [(n + 6, 0)],
                        "central: setup NAME VER URL": [(tool_docs, 0)],
                        "central: setup": [],
                        "developer: setup NAME VER URL": [(tool_docs, 0)],

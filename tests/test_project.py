@@ -336,7 +336,7 @@ class TestRecordStore:
         want = self.records(first)
         entry = self.entry(toy, want["boost"])
         shutil.rmtree(toy.central_root)  # the corruption reaches no area
-        entry.write_bytes(want["boost"][:-2] + b"}\n")
+        entry.write_bytes(want["boost"][:-2] + b"]\n")
         second = self.second(toy)
         assert self.records(second) == want
         tools = self.tools(second)
