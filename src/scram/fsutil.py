@@ -10,8 +10,8 @@ with one ``PrivateFile``; a document cache pack is one too.
 ``private_tree`` gives a new tree a dot-named sibling of its final path;
 ``write_new`` writes each of its files in one create-or-truncate write,
 with no temp file, because nothing reads the tree until it is renamed into
-place in one step. ``link`` hard-links a file, and replaces a target by a
-dot-named link renamed over it. ``locked`` holds an ``flock`` on a file
+place in one step. ``link`` hard-links a file and replaces nothing:
+``PrivateFile`` alone replaces one. ``locked`` holds an ``flock`` on a file
 that is never unlinked; the kernel drops it when the holder exits or is
 killed. No file is fsync'ed: a rename survives the death of the process,
 and surviving power loss is not promised. ``read_text`` and ``read_json`` give a
@@ -114,25 +114,13 @@ def _publish(private: str, target: str) -> None:
         raise cannot("publish", target, exc) from exc
 
 
-def link(source: str, target: str, replace: bool = False) -> None:
-    """Make ``target`` a hard link to the file ``source``, creating its
-    directory if needed. A ``target`` that exists fails, unless
-    ``replace``: then a link ``.<name>.<8 hex>.tmp`` beside it is renamed
-    over it, so a reader sees the old file or the new one."""
-    directory, name = os.path.split(target)
-    new = (os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp") if replace
-           else target)
+def link(source: str, target: str) -> None:
+    """Make the new ``target`` a hard link to the file ``source``, creating
+    its directory if needed; a ``target`` that exists fails."""
     try:
-        _creating_parent(lambda path: os.link(source, path), new)
+        _creating_parent(lambda path: os.link(source, path), target)
     except OSError as exc:
         raise cannot("link", target, exc) from exc
-    if replace:
-        try:
-            _publish(new, target)
-        except AreaError:
-            with suppress(OSError):
-                os.unlink(new)
-            raise
 
 
 class PrivateFile:

@@ -15,9 +15,9 @@ locally only what the developer overrides.
 
 One seam, ``read_tool_records`` and ``write_tool_records``, is the only
 code that knows how and where tool records are stored; every other
-function reads and writes them through it. A bootstrap hands each record
-to the document cache's record store, which links an identical record it
-holds in the record's place.
+function reads and writes them through it. ``write_tool_records`` alone
+decides how a record reaches disk: a bootstrap has the document cache's
+record store link in an identical record it holds.
 """
 
 from __future__ import annotations
@@ -162,16 +162,13 @@ class Registry:
 
 
 class ProjectArea:
-    """An area on disk. ``write`` puts one of its files on disk: an atomic
-    replacement, or ``write_new`` for an area that is still being built in
-    a private tree where nobody reads it. ``write_record`` puts a tool
-    record there: ``write`` too, unless a bootstrap gives the record store's
-    ``UrlCache.write_record``."""
+    """An area on disk, named by its root. It holds no way of writing: a
+    file of an area still being built in a private tree, where nobody
+    reads it, is made by ``write_new``, and a published area's files are
+    replaced by ``atomic_write``."""
 
-    def __init__(self, root: str, write=atomic_write, write_record=None):
+    def __init__(self, root: str):
         self.root = os.path.abspath(root)
-        self.write = write
-        self.write_record = write_record or write
         self._central: str | None = None
 
     # ---- layout -----------------------------------------------------
@@ -243,23 +240,22 @@ class ProjectArea:
                          missing=STATE_INCOMPLETE).strip()
 
     def set_state(self, state: str) -> None:
-        self.write(self._admin_file(STATE_FILE), state + "\n")
+        atomic_write(self._admin_file(STATE_FILE), state + "\n")
 
     # ---- creation ---------------------------------------------------
     @classmethod
     def create(cls, root: str, project: str, version: str,
-               link_target: str | None = None, write_record=None) -> "ProjectArea":
-        """A new area at ``root``, a path in a ``private_tree``; the area
-        writes its files with ``write_new``, and its tool records with
-        ``write_record`` if given."""
-        area = cls(root, write_new, write_record)
+               link_target: str | None = None) -> "ProjectArea":
+        """A new area at ``root``, a path in a ``private_tree``, whose
+        files are made with ``write_new``."""
+        area = cls(root)
         for sub in AREA_SUBDIRS:
             make_dirs(os.path.join(area.root, sub))
         write_new(area._admin_file(AREA_FILE),
                   f"project = {project}\nversion = {version}\n")
         if link_target is not None:
             write_new(area._admin_file(LINK_FILE), os.path.abspath(link_target) + "\n")
-        area.set_state(STATE_INCOMPLETE)
+        write_new(area._admin_file(STATE_FILE), STATE_INCOMPLETE + "\n")
         return area
 
     @contextmanager
@@ -401,7 +397,7 @@ def _write_config_record(area: ProjectArea, arch: str,
         {"name": pin.name, "version": pin.version, "spec_url": pin.spec_url}
         for pin in resolved.values()
     ]}
-    area.write(area.config_record_path(arch), json.dumps(payload) + "\n")
+    write_new(area.config_record_path(arch), json.dumps(payload) + "\n")
 
 
 def load_config_record(area: ProjectArea, arch: str) -> dict[str, PinnedTool]:
@@ -440,23 +436,24 @@ def _require_architecture(area: ProjectArea, arch: str) -> None:
 TOOLS_DIR = "tools"
 
 
-def write_tool_record(area: ProjectArea, arch: str, rt: ResolvedTool) -> None:
+def write_tool_record(area: ProjectArea, arch: str, rt: ResolvedTool, write) -> None:
     path = os.path.join(area.root, ADMIN_DIR, arch, TOOLS_DIR, rt.name.casefold())
     payload = {"name": rt.name, "version": rt.version, "bindings": rt.bindings,
                "runtime": rt.runtime_entries, "libs": rt.lib_names,
                "provenance": rt.provenance, "descriptions": rt.descriptions,
                "externals": rt.externals}
-    area.write_record(path, (json.dumps(payload) + "\n").encode())
+    write(path, (json.dumps(payload) + "\n").encode())
 
 
-def write_tool_records(area: ProjectArea, arch: str,
-                       tools: list[ResolvedTool]) -> None:
+def write_tool_records(area: ProjectArea, arch: str, tools: list[ResolvedTool],
+                       write=atomic_write) -> None:
     """Write the records of ``tools``, every one of them already resolved,
-    once every name is known to stay in the tools directory."""
+    once every name is known to stay in the tools directory, each by
+    ``write``: a bootstrap gives the record store's ``write_record``."""
     for rt in tools:
         check_name(rt.name, "tool name")
     for rt in tools:
-        write_tool_record(area, arch, rt)
+        write_tool_record(area, arch, rt, write)
 
 
 # a tool record's fields in the order their errors take precedence:
@@ -645,11 +642,10 @@ def bootstrap_install(bootstrap_url: str, dest_root: str, *, site: SiteInfo,
         if not os.path.isdir(dest_root):
             make_dirs(dest_root)  # here, so a failure names the --dest given
         with private_tree(root) as private:
-            area = ProjectArea.create(private, boot.project, boot.version,
-                                      write_record=engine.cache.write_record)
+            area = ProjectArea.create(private, boot.project, boot.version)
             for raw_url, dest in boot.downloads:
                 content, _ = engine.cache.fetch(parse_url(raw_url, base=boot_url))
-                area.write(os.path.join(area.root, dest), content)
+                write_new(os.path.join(area.root, dest), content)
 
             if boot.config_url is not None:
                 config_url = parse_url(boot.config_url, base=boot_url)
@@ -659,9 +655,9 @@ def bootstrap_install(bootstrap_url: str, dest_root: str, *, site: SiteInfo,
                 tools = resolve_selected_tools(engine, resolved.values(), {},
                                                site, prompt)
                 _write_config_record(area, arch, resolved)
-                area.write(os.path.join(area.root, "config", REQUIREMENTS_ID_FILE),
-                           identity + "\n")
-                write_tool_records(area, arch, tools)
+                write_new(os.path.join(area.root, "config", REQUIREMENTS_ID_FILE),
+                          identity + "\n")
+                write_tool_records(area, arch, tools, engine.cache.write_record)
     except BaseException:
         if made is not None:
             path = os.path.abspath(dest_root)

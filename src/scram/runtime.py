@@ -141,7 +141,9 @@ def rollback_actions(env) -> tuple[dict[str, str], list[tuple[str, str, str]]]:
     """Undo whatever a previous emission recorded in ``env``.
 
     Returns the restored map plus the ordered (op, name, value) actions
-    that transform ``env`` into it.
+    that transform ``env`` into it. A shadow variable that names something
+    other than a variable name, which no emission writes, fails: the name
+    would reach the shell as code.
     """
     restored = dict(env)
     actions: list[tuple[str, str, str]] = []
@@ -154,16 +156,23 @@ def rollback_actions(env) -> tuple[dict[str, str], list[tuple[str, str, str]]]:
         target = key[len(SHADOW_PREFIX):]
         if not target:
             continue
-        actions.append(("set", target, env[key]))
+        actions.append(("set", _rollback_name(target, key), env[key]))
         restored[target] = env[key]
     for name in env.get(SHADOW_UNSET, "").split(PATH_SEP):
         if name:
-            actions.append(("unset", name, ""))
+            actions.append(("unset", _rollback_name(name, SHADOW_UNSET), ""))
             restored.pop(name, None)
     for key in shadow_keys:
         actions.append(("unset", key, ""))
         restored.pop(key, None)
     return restored, actions
+
+
+def _rollback_name(name: str, key: str) -> str:
+    if not _NAME_RE.match(name):
+        raise EnvEmitError(f"rollback variable {key!r} names {name!r}, which is "
+                           "not a variable name; unset it")
+    return name
 
 
 def emit_shell(delta: EnvDelta, prior_env, dialect: str) -> str:

@@ -28,7 +28,10 @@ key, so identities share content.
 Beside the packs, ``<root>/records/<SHA-256>`` is the record store: one
 file per distinct tool record that a bootstrap wrote, named by its bytes'
 hash, which ``write_record`` hard-links into the next new area that needs
-those bytes instead of creating a file there.
+those bytes instead of creating a file there. An entry is read before it
+is used, so one is healed by an unlink and a link, not atomically. A pack
+or entry that is a FIFO, a dangling symlink or unopenable holds nothing,
+and no open of one waits.
 
 The cache keeps bytes and alone hashes them: a fetch returns them with
 the SHA-256 it verified or computed. A payload is bytes that
@@ -39,8 +42,10 @@ serves it as a HEAD entry, latest copy first, and neither fetches nor counts.
 
 from __future__ import annotations
 
+import errno
 import json
 import os
+import stat
 import time
 from contextlib import suppress
 
@@ -335,7 +340,8 @@ class UrlCache:
     ``cannot use cache <root>: <reason>``, and no later step checks it
     again. The first lookup lists ``<root>/packs``, opens each pack and
     decodes its index; a pack unlinked by a compaction before it is opened
-    makes the listing start again. A lookup serves the copy that
+    makes the listing start again, and one still listed, a dangling
+    symlink, holds nothing. A lookup serves the copy that
     ``_served`` picks from this command's private pack, whose copies rank
     as the latest, and the published packs; a key with none is a miss,
     which runs the adapter and ``keep``s the content in the private pack.
@@ -402,17 +408,24 @@ class UrlCache:
         ``private_tree`` is building: a hard link to the record store's
         entry ``<root>/records/<SHA-256 of data>`` if that holds ``data``,
         read and compared first; else a ``write_new``, which is then linked
-        into the store, in place of an entry that holds other bytes. A
-        fault of the store only costs the link: the record is written."""
+        into the store, in place of an entry that holds other bytes or is at
+        the link limit, which is unlinked first. A fault of the store only
+        costs the link: the record is written."""
         entry = os.path.join(self.records, sha256_of(data))
         held = _held(entry, len(data))
+        stale = held is not None
         if held == data:
-            with suppress(AreaError):
+            try:
                 link(entry, path)
                 return
+            except AreaError as exc:
+                stale = exc.__cause__.errno == errno.EMLINK
         write_new(path, data)
+        if stale:
+            with suppress(OSError):
+                os.unlink(entry)
         with suppress(AreaError):
-            link(path, entry, replace=held is not None)
+            link(path, entry)
 
     def _lookup(self, key: str, latest: bool,
                 published: bool = True) -> tuple[bytes, str] | None:
@@ -430,11 +443,15 @@ class UrlCache:
         packs = []
         for name in names:
             try:
-                fd = os.open(os.path.join(self.packs, name), os.O_RDONLY)
+                fd = os.open(os.path.join(self.packs, name),
+                             os.O_RDONLY | os.O_NONBLOCK)
             except FileNotFoundError:
-                # merged away by a compaction, which published the merge first
-                self._close()
-                return self._read_packs(self._list())
+                listed = self._list()
+                if name not in listed:
+                    # merged away by a compaction, which published the merge first
+                    self._close()
+                    return self._read_packs(listed)
+                continue  # a dangling symlink: it holds nothing
             except OSError:
                 continue  # unreadable to this user: it holds nothing
             self._fds.append(fd)
@@ -576,13 +593,15 @@ def _verified(fd: int, offset: int, length: int, content_hash: str) -> bytes | N
 
 def _held(path: str, size: int) -> bytes | None:
     """Up to ``size + 1`` bytes of the file ``path``, enough to tell
-    whether it holds ``size`` bytes alone; None if it cannot be read."""
+    whether it holds ``size`` bytes alone; None if it cannot be read, and
+    no bytes if it is not a regular file, which the open does not wait
+    for."""
     try:
-        fd = os.open(path, os.O_RDONLY)
+        fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
     except OSError:
         return None
     try:
-        return os.read(fd, size + 1)
+        return os.read(fd, size + 1) if stat.S_ISREG(os.fstat(fd).st_mode) else b""
     except OSError:
         return None
     finally:

@@ -101,10 +101,9 @@ def warm_bootstrap_budget(n: int) -> dict[str, int]:
 def heal_bootstrap_budget(n: int) -> dict[str, int]:
     # a warm bootstrap whose store entry for one tool record, not the
     # first written, holds other bytes: that record is created instead of
-    # linked, and then linked into the store by a link beside the entry
-    # renamed over it
+    # linked, the entry is removed and the record linked in its place
     return {"open": n + 10, "create": 8, "link": n + 1,
-            "list": n // 2 + 2, "mkdir": 11, "rename": 2}
+            "list": n // 2 + 2, "mkdir": 11, "rename": 1, "remove": 1}
 
 
 def lifecycle_budget(n: int) -> dict[str, dict[str, int]]:

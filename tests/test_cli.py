@@ -1100,6 +1100,22 @@ class TestRuntimeCommand:
             "", "scram: runtime: --app is empty; name an application "
                 "environment file\n")
 
+    @pytest.mark.parametrize("dialect", ["-sh", "-csh"])
+    @pytest.mark.parametrize("key, value, name", [
+        ("SCRAMRT_FOO;touch PWNED", "x", "FOO;touch PWNED"),
+        ("SCRAMRT_UNSET", "FOO:BAR;touch PWNED", "BAR;touch PWNED"),
+    ])
+    def test_a_rollback_name_that_is_not_a_variable_is_refused(
+            self, toy, capsys, dialect, key, value, name):
+        """The names that a prior emission left in the environment reach
+        the shell as code, so one that no emission writes emits nothing."""
+        central = lifecycle(toy, capsys)
+        toy.env[key] = value
+        assert run(toy, "runtime", dialect, cwd=central) == 1
+        assert capsys.readouterr() == (
+            "", f"scram: runtime: rollback variable {key!r} names {name!r}, "
+                "which is not a variable name; unset it\n")
+
 
 class TestArchitectures:
     """An area read under an architecture it was not set up for fails,

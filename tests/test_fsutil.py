@@ -334,7 +334,7 @@ def _disk_calls(tree: ast.AST) -> list[str]:
 def test_state_reaches_disk_only_through_the_helper(source):
     """No threads; every write, rename, link and lock goes through fsutil,
     which has one lock call site, one rename, the publish of a private
-    file, a private tree or a replacing link, and one link."""
+    file or a private tree, and one link."""
     found = _disk_calls(ast.parse(source.read_text()))
     assert found == (["fcntl.flock", "os.link", "os.rename"] if source.name == HELPER
                      else [])

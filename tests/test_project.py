@@ -51,6 +51,7 @@ from scram.project import (
     tool_info,
     tool_list,
     write_tool_record,
+    write_tool_records,
 )
 from scram.runtime import EnvDelta, EnvEmitError, emit_shell, load_app_env_file
 from scram.sitefile import SiteInfo
@@ -173,8 +174,8 @@ class TestBootstrap:
     def test_failure_on_the_last_tool_leaves_nothing(self, toy, monkeypatch):
         written = []
 
-        def fail_on_last(area, arch, rt):
-            write_tool_record(area, arch, rt)
+        def fail_on_last(area, arch, rt, write):
+            write_tool_record(area, arch, rt, write)
             written.append(area.root)
             if len(written) == 4:
                 raise ToolError("cannot resolve the last tool")
@@ -342,7 +343,7 @@ class TestRecordStore:
         tools = self.tools(second)
         assert entry.read_bytes() == want["boost"]
         assert os.path.samefile(entry, tools / "boost")
-        # the entry was replaced by a rename: no temp link is left
+        # the entry was unlinked and linked again: no temp link is made
         assert not [name for name in os.listdir(entry.parent) if name[0] == "."]
 
     @pytest.mark.parametrize("errno_name", ["EXDEV", "EPERM"])
@@ -1000,17 +1001,16 @@ def synthetic_areas(root: Path, tools: list[ResolvedTool]):
     resolved record, and a developer area linked to it that overrides the
     first tool and adds one unconfigured tool of its own."""
     central = ProjectArea.create(str(root / "central"), "SYN", "1_0")
-    for rt in tools:
-        write_tool_record(central, ARCH, rt)
+    write_tool_records(central, ARCH, tools)
     pins = {rt.name: PinnedTool(rt.name, rt.version, f"file:/specs/{rt.name}")
             for rt in tools}
     _write_config_record(central, ARCH, pins)
     (Path(central.root) / "bin" / "tool").write_bytes(b"")
     dev = ProjectArea.create(str(root / "dev"), "SYN", "1_0",
                              link_target=central.root)
-    write_tool_record(dev, ARCH, synthetic_tool(tools[0].name, bindings={},
-                                                runtime=[("PATH", "/dev/bin")]))
-    write_tool_record(dev, ARCH, synthetic_tool("zzextra"))
+    write_tool_records(dev, ARCH, [synthetic_tool(tools[0].name, bindings={},
+                                                  runtime=[("PATH", "/dev/bin")]),
+                                   synthetic_tool("zzextra")])
     (Path(dev.root) / "lib" / "libmine.so").write_bytes(b"")
     return central, dev
 

@@ -802,6 +802,48 @@ def http_root(tmp_path, no_proxy):
         server.server_close()
 
 
+class TestFilesThatHoldNothing:
+    """A pack or a record store entry that is a dangling symlink or a FIFO
+    holds nothing: a command neither fails nor waits on one. A command
+    runs in a child, which must end within 10 s."""
+
+    @staticmethod
+    def run(child_env, script: str) -> str:
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, timeout=10, env=child_env(os.environ))
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    def test_a_dangling_pack(self, tmp_path):
+        root = tmp_path / "cache"
+        one_command(root, item(1))
+        (root / "packs" / "zzz.pack").symlink_to(tmp_path / "nowhere")
+        assert one_command(root, item(1), registry=no_fetch_registry()) == b"data-1"
+
+    def test_a_fifo_pack(self, tmp_path, child_env):
+        root = tmp_path / "cache"
+        one_command(root, item(1))
+        os.mkfifo(root / "packs" / "zzz.pack")
+        assert self.run(child_env, (
+            "from scram.urlaccess import SchemeRegistry, UrlCache, parse_url\n"
+            f"cache = UrlCache({str(root)!r}, SchemeRegistry({{}}))\n"
+            "print(cache.fetch(parse_url('stub:item?n=1'))[0].decode())\n"
+            "cache.publish()\n")) == "data-1\n"
+
+    def test_a_fifo_store_entry_is_healed(self, tmp_path, child_env):
+        root, data = tmp_path / "cache", b'{"name": "t"}\n'
+        entry = root / "records" / hashlib.sha256(data).hexdigest()
+        entry.parent.mkdir(parents=True)
+        os.mkfifo(entry)
+        record = tmp_path / "area" / "t"
+        self.run(child_env, (
+            "from scram.urlaccess import SchemeRegistry, UrlCache\n"
+            f"UrlCache({str(root)!r}, SchemeRegistry({{}}))"
+            f".write_record({str(record)!r}, {data!r})\n"))
+        assert record.read_bytes() == data
+        assert os.path.samefile(entry, record)
+
+
 class TestFetchHttp:
     def test_a_200_is_served_once_then_from_the_cache(self, tmp_path, http_root):
         root, base, requested = http_root
