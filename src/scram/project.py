@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import os
 from collections.abc import Iterable, Iterator
-from contextlib import contextmanager, suppress
+from contextlib import ExitStack, contextmanager, suppress
 from itertools import chain
 
 from .activedoc import DocumentEngine
@@ -338,10 +338,19 @@ BOOTSTRAP = DocType("BuildSystem::BootStrapDoc", "1.0", parse_bootstrap)
 # ---------------------------------------------------------------------
 # engine assembly
 
+@contextmanager
 def build_engine(site: SiteInfo, env, install_root: str,
-                 refresh: bool = False) -> DocumentEngine:
+                 refresh: bool = False) -> Iterator[DocumentEngine]:
+    """The engine over the command's document cache, for the block to
+    fetch with; the cache's pack is published when the block ends, failed
+    or not. A command publishes what it made, an area or records, only
+    after this block, so a pack that cannot be published fails it first."""
     cache_root = env.get(CACHE_ENV) or os.path.join(install_root, ".scram-cache")
-    return DocumentEngine(UrlCache(cache_root, default_registry(site), refresh))
+    engine = DocumentEngine(UrlCache(cache_root, default_registry(site), refresh))
+    try:
+        yield engine
+    finally:
+        engine.cache.publish()
 
 
 # ---------------------------------------------------------------------
@@ -622,27 +631,30 @@ def bootstrap_install(bootstrap_url: str, dest_root: str, *, site: SiteInfo,
     """Assemble a central installation from a bootstrap document.
 
     The whole area is built in a private dot-named directory beside its
-    final path and published by one rename, so a failed bootstrap leaves
-    nothing behind, not even a directory of ``dest_root`` it made that is
-    still empty, and a killed one only the dot-named directory. The area
-    is created unregistered and stays in the ``incomplete`` state until a
+    final path and published by one rename, after the command's cache
+    pack, so a failed bootstrap, its pack's publishing too, leaves nothing
+    behind, not even a directory of ``dest_root`` it made that is still
+    empty, and a killed one only the dot-named directory. The area is
+    created unregistered and stays in the ``incomplete`` state until a
     successful build (or a forced install) marks it complete.
     """
     # the highest directory of dest_root that this command makes, if any
     made, path = None, os.path.abspath(dest_root)
     while not os.path.lexists(path):
         made, path = path, os.path.dirname(path)
-    engine = build_engine(site, env, dest_root, refresh)
     try:
-        boot_url = parse_url(bootstrap_url)
-        boot: BootStrapDoc = engine.activate(boot_url, (BOOTSTRAP,))
+        # the engine's block ends first: the pack is published before the
+        # tree is renamed into place
+        with ExitStack() as tree, build_engine(site, env, dest_root, refresh) as engine:
+            boot_url = parse_url(bootstrap_url)
+            boot: BootStrapDoc = engine.activate(boot_url, (BOOTSTRAP,))
 
-        root = os.path.join(os.path.abspath(dest_root), check_name(
-            f"{boot.project}_{boot.version}", "area name"))
-        if not os.path.isdir(dest_root):
-            make_dirs(dest_root)  # here, so a failure names the --dest given
-        with private_tree(root) as private:
-            area = ProjectArea.create(private, boot.project, boot.version)
+            root = os.path.join(os.path.abspath(dest_root), check_name(
+                f"{boot.project}_{boot.version}", "area name"))
+            if not os.path.isdir(dest_root):
+                make_dirs(dest_root)  # here, so a failure names the --dest given
+            area = ProjectArea.create(tree.enter_context(private_tree(root)),
+                                      boot.project, boot.version)
             for raw_url, dest in boot.downloads:
                 content, _ = engine.cache.fetch(parse_url(raw_url, base=boot_url))
                 write_new(os.path.join(area.root, dest), content)
@@ -666,8 +678,6 @@ def bootstrap_install(bootstrap_url: str, dest_root: str, *, site: SiteInfo,
                     os.rmdir(path)
                     path = os.path.dirname(path)
         raise
-    finally:
-        engine.cache.publish()
 
     area = ProjectArea(root)
     record = InstallationRecord(boot.project, boot.version, arch, area.root)
@@ -800,11 +810,8 @@ def setup_tool(area: ProjectArea, name: str | None = None,
                      and records.version(key) != pin.version)]
         if not pins:
             return []  # nothing to resolve, so no cache to open
-    engine = build_engine(site, env, area.install_root, refresh)
-    try:
+    with build_engine(site, env, area.install_root, refresh) as engine:
         tools = resolve_selected_tools(engine, pins, records, site, prompt)
-    finally:
-        engine.cache.publish()
     write_tool_records(area, arch, tools)
     return [rt.name for rt in tools]
 

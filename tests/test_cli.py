@@ -11,6 +11,7 @@ import pytest
 
 import scram.urlaccess
 from scram.cli import main
+from scram.errors import AreaError
 
 from shelloracle import evaluate_emission
 
@@ -383,6 +384,22 @@ class TestPathErrors:
         assert err.startswith(f"scram: bootstrap: cannot write {packs}{os.sep}")
         assert err.endswith(".pack: Permission denied\n")
         assert os.listdir(toy.install_root) == []
+
+    def test_a_pack_that_cannot_be_published_leaves_no_area(self, toy, tmp_path,
+                                                             capsys, monkeypatch):
+        def finish(pack, index):
+            raise AreaError(f"cannot write {pack.target}: No space left on device")
+
+        dest = tmp_path / "made" / "dest"
+        argv = ("bootstrap", toy.bootstrap_url, "--dest", str(dest))
+        with monkeypatch.context() as patched:
+            patched.setattr(scram.urlaccess, "_finish", finish)
+            assert run(toy, *argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.endswith(".pack: No space left on device\n")
+        assert not (tmp_path / "made").exists()
+        assert run(toy, *argv) == 0
 
     def test_last_resort_names_verb_and_file(self, toy, capsys, monkeypatch):
         def fail(*args, **kwargs):

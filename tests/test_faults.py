@@ -39,9 +39,8 @@ WRITING = os.O_WRONLY | os.O_RDWR | os.O_CREAT
 # the area and the pack
 POINTS = 34
 # errno -> the points swept and, for each check, the points that break it:
-# a failed mkdir of --dest leaves its parent, which the command made, and
-# the pack's rename fails after the area's, which stays and blocks a rerun
-BUDGETS = {name: {"points": POINTS, "exit": 0, "debris": 2, "rerun": 1}
+# a failed mkdir of --dest leaves its parent, which the command made
+BUDGETS = {name: {"points": POINTS, "exit": 0, "debris": 1, "rerun": 0}
            for name in ("ENOSPC", "EACCES", "EIO")}
 
 

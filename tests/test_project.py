@@ -540,14 +540,14 @@ class TestEngineDocTypes:
             "<doc type=BuildSystem::Configuration version=1.0>\n"
             '<require name=gcc version=2.95.2 url="cvs:?module=G">\n'
             '<require name=zlib version=1.1.3 url="cvs:?module=Z">\n')
-        engine = build_engine(SiteInfo({}), toy.env, str(toy.install_root))
-        spliced = engine.activate(parse_url(f"file:{outer}"), (CONFIGURATION,))
-        expected = engine.activate(parse_url(f"file:{combined}"), (CONFIGURATION,))
+        with build_engine(SiteInfo({}), toy.env, str(toy.install_root)) as engine:
+            spliced = engine.activate(parse_url(f"file:{outer}"), (CONFIGURATION,))
+            expected = engine.activate(parse_url(f"file:{combined}"), (CONFIGURATION,))
         assert spliced.entries == expected.entries
 
     def test_requirements_include_stays_a_reference(self, toy):
-        engine = build_engine(SiteInfo({}), toy.env, str(toy.install_root))
-        payload = engine.activate(parse_url(toy.requirements_url), (REQUIREMENTS,))
+        with build_engine(SiteInfo({}), toy.env, str(toy.install_root)) as engine:
+            payload = engine.activate(parse_url(toy.requirements_url), (REQUIREMENTS,))
         assert payload.includes == [f"file:{toy.specs}/toy.conf"]
         assert [s.name for s in payload.selects] == ["gcc", "sockets", "boost", "htl"]
 
@@ -905,7 +905,6 @@ class TestResolution:
         file or directory of the area; only the cache may be written."""
         area, _ = bootstrap(toy)
         site = SiteInfo.load(str(toy.site_path))
-        engine = build_engine(site, toy.env, str(toy.install_root))
         prefix = area.root + os.sep
         opened, changed = set(), []
 
@@ -924,7 +923,8 @@ class TestResolution:
 
         pins = [load_config_record(area, ARCH).get("boost")]
         records = read_tool_records(area, ARCH)
-        with audit_events(record):
+        with (build_engine(site, toy.env, str(toy.install_root)) as engine,
+              audit_events(record)):
             resolved = resolve_selected_tools(engine, pins, records, site)
         assert [rt.name for rt in resolved] == ["boost"]
         assert changed == []
@@ -1370,9 +1370,10 @@ class TestProbing:
                     "</Client></Tool>\n")
                 pins.append(PinnedTool(f"t{i}", "1.0", f"file:{spec}"))
             site = SiteInfo({"search.libroots": str(libroot)})
-            engine = build_engine(site, {"SCRAM_CACHE": str(root / "cache")}, str(root))
             listed.clear()
-            resolved = resolve_selected_tools(engine, pins, {}, site)
+            with build_engine(site, {"SCRAM_CACHE": str(root / "cache")},
+                              str(root)) as engine:
+                resolved = resolve_selected_tools(engine, pins, {}, site)
             assert [rt.bindings["LIBDIR"] for rt in resolved] == [
                 str(libroot / f"d{i % 10}") for i in range(n)]
             assert len(listed) == len(set(listed))
