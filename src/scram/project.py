@@ -675,7 +675,8 @@ def bootstrap_install(bootstrap_url: str, dest_root: str, *, site: SiteInfo,
             path = os.path.abspath(dest_root)
             with suppress(OSError):  # bottom-up, each only while it is empty
                 while path != os.path.dirname(made):
-                    os.rmdir(path)
+                    with suppress(FileNotFoundError):  # its making failed
+                        os.rmdir(path)
                     path = os.path.dirname(path)
         raise
 

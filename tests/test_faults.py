@@ -38,9 +38,8 @@ WRITING = os.O_WRONLY | os.O_RDWR | os.O_CREAT
 # record store's directory and five links, one made again; the renames of
 # the area and the pack
 POINTS = 34
-# errno -> the points swept and, for each check, the points that break it:
-# a failed mkdir of --dest leaves its parent, which the command made
-BUDGETS = {name: {"points": POINTS, "exit": 0, "debris": 1, "rerun": 0}
+# errno -> the points swept and, for each check, the points that break it
+BUDGETS = {name: {"points": POINTS, "exit": 0, "debris": 0, "rerun": 0}
            for name in ("ENOSPC", "EACCES", "EIO")}
 
 
