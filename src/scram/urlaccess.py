@@ -31,7 +31,7 @@ hash, which ``write_record`` hard-links into the next new area that needs
 those bytes instead of creating a file there. An entry is read before it
 is used, so one is healed by an unlink and a link, not atomically. A pack
 or entry that is a FIFO, a dangling symlink or unopenable holds nothing,
-and no open of one waits.
+as does an entry that is any symlink, and no open of one waits.
 
 The cache keeps bytes and alone hashes them: a fetch returns them with
 the SHA-256 it verified or computed. A payload is bytes that
@@ -408,8 +408,8 @@ class UrlCache:
         ``private_tree`` is building: a hard link to the record store's
         entry ``<root>/records/<SHA-256 of data>`` if that holds ``data``,
         read and compared first; else a ``write_new``, which is then linked
-        into the store, in place of an entry that holds other bytes or is at
-        the link limit, which is unlinked first. A fault of the store only
+        into the store, in place of an entry that holds other bytes, is not
+        a regular file or is at the link limit, which is unlinked first. A fault of the store only
         costs the link: the record is written."""
         entry = os.path.join(self.records, sha256_of(data))
         held = _held(entry, len(data))
@@ -595,11 +595,11 @@ def _held(path: str, size: int) -> bytes | None:
     """Up to ``size + 1`` bytes of the file ``path``, enough to tell
     whether it holds ``size`` bytes alone; None if it cannot be read, and
     no bytes if it is not a regular file, which the open does not wait
-    for."""
+    for, or a symlink, which it does not follow."""
     try:
-        fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
-    except OSError:
-        return None
+        fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK | os.O_NOFOLLOW)
+    except OSError as exc:
+        return b"" if exc.errno == errno.ELOOP else None
     try:
         return os.read(fd, size + 1) if stat.S_ISREG(os.fstat(fd).st_mode) else b""
     except OSError:

@@ -843,6 +843,19 @@ class TestFilesThatHoldNothing:
         assert record.read_bytes() == data
         assert os.path.samefile(entry, record)
 
+    def test_a_symlinked_store_entry_is_healed(self, tmp_path):
+        root, data = tmp_path / "cache", b'{"name": "t"}\n'
+        entry = root / "records" / hashlib.sha256(data).hexdigest()
+        entry.parent.mkdir(parents=True)
+        entry.symlink_to(tmp_path / "nowhere")
+        cache = UrlCache(str(root), SchemeRegistry({}))
+        first, second = tmp_path / "a" / "t", tmp_path / "b" / "t"
+        cache.write_record(str(first), data)
+        assert not entry.is_symlink() and os.path.samefile(entry, first)
+        # the second record links from the healed entry
+        cache.write_record(str(second), data)
+        assert os.stat(second).st_nlink == 3
+
 
 class TestFetchHttp:
     def test_a_200_is_served_once_then_from_the_cache(self, tmp_path, http_root):
