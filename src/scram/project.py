@@ -687,19 +687,22 @@ def bootstrap_install(bootstrap_url: str, dest_root: str, *, site: SiteInfo,
 
 def register_install(area: ProjectArea, registry: Registry, *,
                      arch: str, force: bool = False) -> InstallationRecord:
+    """Register the central ``area``; with ``force`` an incomplete one too,
+    which is marked complete once it is registered."""
     if area.kind != "central":
         raise AreaError("only central installations can be registered; "
                         "this is a developer area")
-    if area.state() != STATE_COMPLETE:
-        if not force:
-            raise AreaError(
-                "installation is not marked complete (run a successful "
-                "'scram build' first, or pass --force)"
-            )
-        area.set_state(STATE_COMPLETE)
+    complete = area.state() == STATE_COMPLETE
+    if not (complete or force):
+        raise AreaError(
+            "installation is not marked complete (run a successful "
+            "'scram build' first, or pass --force)"
+        )
     project, version = area.identity()
     record = InstallationRecord(project, version, arch, area.root)
     registry.add(record)
+    if not complete:
+        area.set_state(STATE_COMPLETE)
     return record
 
 

@@ -12,6 +12,7 @@ import pytest
 import scram.urlaccess
 from scram.cli import main
 from scram.errors import AreaError
+from scram.project import ProjectArea
 
 from shelloracle import evaluate_emission
 
@@ -1047,6 +1048,18 @@ class TestLifecycle:
         assert run(toy, "install", cwd=central) == 1
         assert "not marked complete" in capsys.readouterr().err
         assert run(toy, "install", "--force", cwd=central) == 0
+
+    def test_a_refused_forced_install_leaves_the_area_incomplete(self, toy, tmp_path,
+                                                                 capsys):
+        for dest in (toy.install_root, tmp_path / "other"):
+            assert run(toy, "bootstrap", toy.bootstrap_url, "--dest", str(dest)) == 0
+        assert run(toy, "install", "--force", cwd=str(toy.central_root)) == 0
+        other = tmp_path / "other" / "ORCA_7_1_3"
+        capsys.readouterr()
+        assert run(toy, "install", "--force", cwd=str(other)) == 1
+        assert capsys.readouterr().err.endswith(
+            f"already registered at {toy.central_root}\n")
+        assert ProjectArea(str(other)).state() == "incomplete"
 
     def test_build_exit_status_propagates(self, toy, capsys):
         assert run(toy, "bootstrap", toy.bootstrap_url,
