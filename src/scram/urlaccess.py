@@ -469,9 +469,11 @@ class UrlCache:
         self._packs = None
 
     def publish(self) -> None:
-        """End the command: publish what it fetched as one pack, merge the
-        packs if there are more than ``COMPACT_ABOVE``, and close them all.
-        A command that fetched nothing publishes nothing."""
+        """End the command's fetching: publish what it fetched as one pack,
+        merge the packs if there are more than ``COMPACT_ABOVE``, and close
+        them all. A command that fetched nothing publishes nothing. Called
+        by ``project.build_engine`` alone, when its block ends, so the pack
+        is published before the area or records that the command made."""
         own, self._own = self._own, None
         index, self._own_index = self._own_index, {}
         try:
