@@ -409,8 +409,8 @@ class UrlCache:
         entry ``<root>/records/<SHA-256 of data>`` if that holds ``data``,
         read and compared first; else a ``write_new``, which is then linked
         into the store, in place of an entry that holds other bytes, is not
-        a regular file or is at the link limit, which is unlinked first. A fault of the store only
-        costs the link: the record is written."""
+        a regular file or is at the link limit, which is unlinked first. A
+        fault of the store only costs the link: the record is written."""
         entry = os.path.join(self.records, sha256_of(data))
         held = _held(entry, len(data))
         stale = held is not None

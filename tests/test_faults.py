@@ -36,7 +36,7 @@ WRITING = os.O_WRONLY | os.O_RDWR | os.O_CREAT
 # pack; the two directories of --dest; the private tree's ten directories
 # and eleven opens, two of them made again once their directory is; the
 # record store's directory and five links, one made again; the renames of
-# the area and the pack
+# the pack and the area
 POINTS = 34
 # errno -> the points swept and, for each check, the points that break it
 BUDGETS = {name: {"points": POINTS, "exit": 0, "debris": 0, "rerun": 0}
